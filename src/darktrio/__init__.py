@@ -26,7 +26,6 @@ from .darkstates import (
     duality_swap,
     e_of,
     f_of,
-    kappa_zero_analysis,
     multiquantum_state,
     relabel_modes,
     two_mode_binomial_state,
@@ -40,7 +39,6 @@ from .errors import (
     DegenerateSpectrum,
     DegenerateTwoMode,
     GammaZero,
-    KappaNonzero,
     NotAnEigenvalue,
     NotHermitian,
     NotResonant,
@@ -69,7 +67,6 @@ from .oracle import (
     ValidationReport,
     crosscheck,
     dense_hermitian_eig,
-    eigvals_charpoly_3x3,
     oscillator_sector_check,
 )
 from .threemode import (
@@ -81,4 +78,4 @@ from .threemode import (
     quasi_basis_matrix,
     three_mode_spectrum,
 )
-from .twomode import ModeMixing, TwoModeSpectrum, mode_mixing, two_mode_spectrum
+from .twomode import TwoModeSpectrum, two_mode_spectrum

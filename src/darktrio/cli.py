@@ -46,17 +46,15 @@ from .errors import (
     DarkTrioError,
     DegenerateTwoMode,
     GammaZero,
-    KappaNonzero,
     NotResonant,
     SizeLimit,
     TuningNotSatisfied,
     WrongAtomKind,
 )
-from .model import AtomKind, ModelParams, validate
+from .model import AtomKind, ModelParams, _assumption_report, ass1_margin
 from .observables import duality_report
-from .oracle import Tolerances, crosscheck
+from .oracle import Tolerances, crosscheck, oscillator_sector_check
 from .threemode import three_mode_spectrum
-from .twomode import two_mode_spectrum
 
 __all__ = ["RunConfig", "ScanAxis", "main", "parse_config", "config_to_dict"]
 
@@ -74,7 +72,6 @@ _PRECONDITION_ERRORS = (
     ComplexCouplings,
     DegenerateTwoMode,
     GammaZero,
-    KappaNonzero,
     NotResonant,
     SizeLimit,
     TuningNotSatisfied,
@@ -150,6 +147,12 @@ def parse_config(doc: dict) -> RunConfig:
             )
         if entry["param"] not in PARAM_NAMES:
             raise ConfigError(f"scan[{i}]: unknown parameter {entry['param']!r}")
+        base_value = getattr(params, _FIELD_FOR[entry["param"]])
+        if base_value.imag != 0.0:
+            raise ConfigError(
+                f"scan[{i}]: {entry['param']} has a complex base value {_pair(base_value)}; "
+                "scan values are real, so its imaginary part would be dropped"
+            )
         steps = entry["steps"]
         if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
             raise ConfigError(f"scan[{i}]: steps must be an integer >= 1, got {steps!r}")
@@ -254,32 +257,26 @@ def _spectrum_rows(cfg: RunConfig) -> list[dict]:
     for params in _grid(cfg):
         cells = _param_cells(params)
         try:
-            two = two_mode_spectrum(params)
             spec = three_mode_spectrum(params)
-            try:
-                report = validate(params, cfg.kind)
-                flags = {f"ass{i}": getattr(report, f"ass{i}").passed for i in (1, 2, 3, 4)}
-            except DegenerateTwoMode as err:
-                flags = {"ass1": err.ass1.passed, "ass2": None, "ass3": None, "ass4": None}
-            interlacing = (0.0 < spec.e[0] < two.eps[0] < spec.e[1]
-                           < two.eps[1] < spec.e[2])
-            row = dict(cells)
-            row.update({
-                "E1": spec.e[0], "E2": spec.e[1], "E3": spec.e[2],
-                "eps1": two.eps[0], "eps2": two.eps[1],
-                "Gamma1": two.gamma[0], "Gamma2": two.gamma[1],
-                "interlacing": interlacing,
-                **flags,
-                "status": "ok",
-            })
-            rows.append(row)
         except DarkTrioError as err:
             row = _error_row(cells, SPECTRUM_COLUMNS, err)
-            try:
-                row["ass1"] = validate(params, cfg.kind).ass1.passed
-            except DegenerateTwoMode as deg:
-                row["ass1"] = deg.ass1.passed
+            row["ass1"] = ass1_margin(params) > 0.0
             rows.append(row)
+            continue
+        two = spec.two
+        report = _assumption_report(params, two)
+        interlacing = (0.0 < spec.e[0] < two.eps[0] < spec.e[1]
+                       < two.eps[1] < spec.e[2])
+        row = dict(cells)
+        row.update({
+            "E1": spec.e[0], "E2": spec.e[1], "E3": spec.e[2],
+            "eps1": two.eps[0], "eps2": two.eps[1],
+            "Gamma1": two.gamma[0], "Gamma2": two.gamma[1],
+            "interlacing": interlacing,
+            **{f"ass{i}": getattr(report, f"ass{i}").passed for i in (1, 2, 3, 4)},
+            "status": "ok",
+        })
+        rows.append(row)
     return rows
 
 
@@ -344,8 +341,10 @@ def _duality_rows(cfg: RunConfig) -> list[dict]:
 
 def _verify_rows(cfg: RunConfig) -> list[dict]:
     tol = Tolerances().override(cfg.tol)
-    report = crosscheck(cfg.params, cfg.kind, tol=tol)
-    rows = [
+    checks = list(crosscheck(cfg.params, cfg.kind, tol=tol).checks)
+    if cfg.sector is not None and cfg.kind is AtomKind.OSCILLATOR and cfg.sector != 2:
+        checks += oscillator_sector_check(cfg.params, cfg.sector, tol=tol.sector).checks
+    return [
         {
             "check": c.name,
             "residual": None if c.skipped else c.residual,
@@ -354,18 +353,8 @@ def _verify_rows(cfg: RunConfig) -> list[dict]:
             "skipped": c.skipped,
             "reason": c.reason,
         }
-        for c in report.checks
+        for c in checks
     ]
-    if cfg.sector is not None and cfg.kind is AtomKind.OSCILLATOR and cfg.sector != 2:
-        from .oracle import oscillator_sector_check
-
-        extra = oscillator_sector_check(cfg.params, cfg.sector, tol=tol.sector)
-        for c in extra.checks:
-            rows.append({
-                "check": c.name, "residual": c.residual, "tolerance": c.tolerance,
-                "passed": c.passed, "skipped": c.skipped, "reason": c.reason,
-            })
-    return rows
 
 
 def _format_cell(value) -> str:

@@ -27,7 +27,6 @@ import numpy as np
 from .errors import (
     AssumptionViolation,
     ComplexCouplings,
-    KappaNonzero,
     NotAnEigenvalue,
     NotResonant,
     PoleHit,
@@ -36,8 +35,8 @@ from .errors import (
     WrongSector,
 )
 from .model import AtomKind, ModelParams, one_excitation_matrix, sector_basis
-from .threemode import GAMMA_RTOL
-from .twomode import two_mode_spectrum
+from .threemode import GAMMA_RTOL, _bare_vectors, _d1_and_slope, _gamma_sq
+from .twomode import TwoModeSpectrum, two_mode_spectrum
 
 __all__ = [
     "StateClass",
@@ -55,7 +54,6 @@ __all__ = [
     "two_mode_binomial_state",
     "multiquantum_state",
     "relabel_modes",
-    "kappa_zero_analysis",
     "classify_spectrum",
 ]
 
@@ -130,18 +128,24 @@ class TuningResult:
 
 
 def e_of(x: float, y: float, omega: float, kappa: float) -> float:
-    """Energy of the tuned eigenstate: ``omega - kappa * y / x``."""
+    """Energy of the tuned eigenstate: ``omega - kappa * y / x``.
+
+    Raises :class:`AssumptionViolation` for ``x = 0``.
+    """
     if x == 0.0:
-        raise ZeroDivisionError("e_of requires x != 0")
+        raise AssumptionViolation("e_of requires x != 0")
     return omega - kappa * y / x
 
 
 def f_of(x: float, y: float, kappa: float) -> float:
-    """Tuning function ``(kappa / x - x / kappa) * y``; zero at ``x = kappa``."""
+    """Tuning function ``(kappa / x - x / kappa) * y``; zero at ``x = kappa``.
+
+    Raises :class:`AssumptionViolation` for ``x = 0`` or ``kappa = 0``.
+    """
     if x == 0.0:
-        raise ZeroDivisionError("f_of requires x != 0")
+        raise AssumptionViolation("f_of requires x != 0")
     if kappa == 0.0:
-        raise ZeroDivisionError("f_of requires kappa != 0")
+        raise AssumptionViolation("f_of requires kappa != 0")
     return (kappa / x - x / kappa) * y
 
 
@@ -202,50 +206,27 @@ def dark_tuning(params: ModelParams, tol: float = 1e-9) -> tuple[TuningResult, T
 def assemble_eigenstate(params: ModelParams, energy: float, tol: float = 1e-8) -> SectorVector:
     """One-excitation eigenvector at a known dressed level, atom amplitude 1.
 
-    The amplitudes over (atom, photon, phonon) are
-
-        (1,
-         sum_j M_j Gamma_j / (E - eps_j),
-         sum_j M_j (eps_j - omega_b) Gamma_j / (conj(kappa) (E - eps_j))),
-
-    and for ``kappa = 0`` the decoupled form
+    The amplitudes over (atom, photon, phonon) are ``(1, u @ (Gamma / (E -
+    eps)))``: the quasimode amplitudes ``Gamma_j / (E - eps_j)`` rotated
+    back to the bare modes.  For ``kappa = 0`` the rotation is the
+    identity or the swap, which gives the decoupled form
     ``(1, lambda/(E - omega_b), xi/(E - omega_c))``.  The same coefficient
     triple applies to both atom kinds.  Raises :class:`NotAnEigenvalue`
     when the spectral function at ``energy`` exceeds ``tol`` and
     :class:`PoleHit` within 1e-10 of a pole.
     """
-    e = float(energy)
-    if params.kappa == 0:
-        poles = (params.omega_b, params.omega_c)
-        if min(abs(e - poles[0]), abs(e - poles[1])) <= 1e-10:
-            raise PoleHit(f"energy {e} sits on a bare mode frequency {poles}")
-        residual = abs(
-            e - params.omega_a
-            - abs(params.lam) ** 2 / (e - poles[0])
-            - abs(params.xi) ** 2 / (e - poles[1])
-        )
-        if residual >= tol:
-            raise NotAnEigenvalue(f"spectral function is {residual:.3e} at {e}, above {tol:.1e}")
-        amps = (1.0, params.lam / (e - poles[0]), params.xi / (e - poles[1]))
-        return SectorVector(amps=np.array(amps, dtype=complex), ell=1)
-
     two = two_mode_spectrum(params)
+    _check_level(float(energy), params.omega_a, two, tol)
+    return SectorVector(amps=_bare_vectors(two, [float(energy)])[:, 0], ell=1)
+
+
+def _check_level(e: float, omega_a: float, two: TwoModeSpectrum, tol: float) -> None:
+    """Raise unless ``e`` is a dressed level of the solved block ``two`` within ``tol``."""
     if min(abs(e - two.eps[0]), abs(e - two.eps[1])) <= 1e-10:
         raise PoleHit(f"energy {e} sits on a quasimode energy {two.eps}")
-    g1sq = abs(two.gamma[0]) ** 2
-    g2sq = abs(two.gamma[1]) ** 2
-    residual = abs(e - params.omega_a - g1sq / (e - two.eps[0]) - g2sq / (e - two.eps[1]))
+    residual = abs(_d1_and_slope(e, omega_a, two.eps, _gamma_sq(two))[0])
     if residual >= tol:
         raise NotAnEigenvalue(f"spectral function is {residual:.3e} at {e}, above {tol:.1e}")
-
-    kc = params.kappa.conjugate()
-    photon = 0.0 + 0.0j
-    phonon = 0.0 + 0.0j
-    for j in range(2):
-        weight = two.m[j] * two.gamma[j] / (e - two.eps[j])
-        photon += weight
-        phonon += weight * (two.eps[j] - params.omega_b) / kc
-    return SectorVector(amps=np.array([1.0, photon, phonon], dtype=complex), ell=1)
 
 
 def classify(state: SectorVector, tol: float = 1e-9) -> Classification:
@@ -398,39 +379,5 @@ def classify_spectrum(params: ModelParams, tol: float = 1e-9) -> list[Eigenstate
             EigenstateRecord(
                 energy=float(energy), state=state, classification=classify(state, tol)
             )
-        )
-    return records
-
-
-def kappa_zero_analysis(params: ModelParams, tol: float = 1e-9) -> list[EigenstateRecord]:
-    """Eigenstates of the model without a photon-phonon coupling.
-
-    With ``kappa = 0`` and both atom couplings nonzero every eigenstate
-    keeps nonzero photon and phonon amplitudes, so none is dark or
-    quasi-dark; this brute-force route lets tests verify that.  Closed
-    forms ``(1, lambda/(E - omega_b), xi/(E - omega_c))`` are used for
-    levels away from the bare frequencies, the solver's vectors otherwise.
-    """
-    if params.kappa != 0:
-        raise KappaNonzero(f"this analysis requires kappa = 0, got {params.kappa}")
-    from .oracle import dense_hermitian_eig
-
-    sector = one_excitation_matrix(params)
-    eig = dense_hermitian_eig(sector.matrix)
-    records = []
-    for pos, energy in enumerate(eig.values):
-        e = float(energy)
-        gap = min(abs(e - params.omega_b), abs(e - params.omega_c))
-        if gap > 1e-8 * max(1.0, abs(e)):
-            amps = np.array(
-                [1.0, params.lam / (e - params.omega_b), params.xi / (e - params.omega_c)],
-                dtype=complex,
-            )
-            column = amps / np.linalg.norm(amps)
-        else:
-            column = _phase_fixed(eig.vectors[:, pos])
-        state = SectorVector(amps=column, ell=1)
-        records.append(
-            EigenstateRecord(energy=e, state=state, classification=classify(state, tol))
         )
     return records

@@ -14,7 +14,9 @@ class DegenerateTwoMode(DarkTrioError):
 
     Raised when ``kappa = 0`` together with ``omega_b = omega_c`` (or the
     splitting is below the degeneracy threshold); the mixing factors are
-    then undefined and callers must use the decoupled-mode analysis.
+    then undefined and callers must use the brute-force
+    :func:`darktrio.classify_spectrum`.  ``ass1`` holds the assumption-1
+    result.
     """
 
     def __init__(self, message, ass1=None):
@@ -60,10 +62,6 @@ class WrongAtomKind(DarkTrioError):
 
 class TuningNotSatisfied(DarkTrioError):
     """The dark or quasi-dark tuning condition does not hold."""
-
-
-class KappaNonzero(DarkTrioError):
-    """The decoupled-field analysis requires a vanishing photon-phonon coupling."""
 
 
 class NotHermitian(DarkTrioError):

@@ -136,27 +136,24 @@ def ass1_margin(params: ModelParams) -> float:
     return math.sqrt(params.omega_b * params.omega_c) - abs(params.kappa)
 
 
-def validate(params: ModelParams, kind: AtomKind = AtomKind.TWO_LEVEL,
-             *, ass2_rtol: float = 1e-12) -> AssumptionReport:
+def validate(params: ModelParams, *, ass2_rtol: float = 1e-12) -> AssumptionReport:
     """Evaluate the four standing assumptions for the given parameters.
 
-    The bounds do not depend on the atom kind; the argument is accepted
-    for interface uniformity with the sector operations.  Raises
+    The bounds do not depend on the atom kind.  Raises
     :class:`DegenerateTwoMode` when the photon-phonon block is degenerate
     (``kappa = 0`` and ``omega_b = omega_c``): the quasimode quantities
     behind assumptions 2-4 are then undefined.  The raised error carries
     the assumption-1 result in its ``ass1`` attribute.
     """
-    from . import twomode
-    from .errors import DegenerateTwoMode
+    from .twomode import two_mode_spectrum
 
+    return _assumption_report(params, two_mode_spectrum(params), ass2_rtol)
+
+
+def _assumption_report(params: ModelParams, two, ass2_rtol: float = 1e-12) -> AssumptionReport:
+    """The four standing assumptions from the solved photon-phonon block ``two``."""
     margin1 = ass1_margin(params)
     ass1 = AssumptionCheck(margin1 > 0.0, margin1)
-
-    try:
-        two = twomode.two_mode_spectrum(params)
-    except DegenerateTwoMode as err:
-        raise DegenerateTwoMode(str(err), ass1=ass1) from None
 
     scale = max(abs(params.lam), abs(params.xi), abs(params.kappa), 1.0)
     floor = ass2_rtol * scale

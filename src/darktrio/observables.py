@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from .darkstates import _require_gamma_nonzero, _resonant_real, duality_swap
 from .errors import GammaZero, NotAnEigenvalue, PoleHit
 from .model import ModelParams
-from .threemode import phi, three_mode_spectrum
+from .threemode import _phi, three_mode_spectrum
+from .twomode import TwoModeSpectrum, two_mode_spectrum
 
 __all__ = ["DualityReport", "b_occupation", "c_occupation", "duality_report"]
 
@@ -46,21 +47,30 @@ class DualityReport:
         return self.max_mismatch <= self.tol
 
 
-def _occupation(params: ModelParams, energy: float, coupling_sq: float,
-                root_tol: float) -> float:
+def _occupations(params: ModelParams, energy: float, root_tol: float,
+                 two: TwoModeSpectrum | None = None) -> tuple[float, float]:
+    """Unnormalized (photon, phonon) occupations at ``energy``.
+
+    ``two`` is the solved photon-phonon block of ``params``; it is solved
+    here when not given, after the regime checks.
+    """
     omega, lam, xi, kappa = _resonant_real(params)
     _require_gamma_nonzero(lam, xi, kappa, exc=GammaZero)
     e = float(energy)
     eps1, eps2 = omega - kappa, omega + kappa
     if min(abs(e - eps1), abs(e - eps2)) <= 1e-10:
         raise PoleHit(f"energy {e} sits on a quasimode energy ({eps1}, {eps2})")
-    residual = abs(phi(params, e))
+    if two is None:
+        two = two_mode_spectrum(params)
+    residual = abs(_phi(e, params.omega_a, two))
     bound = root_tol * max(1.0, abs(e) ** 3)
     if residual > bound:
         raise NotAnEigenvalue(
             f"cubic residual {residual:.3e} at {e} exceeds {bound:.1e}"
         )
-    return ((e - params.omega_a) * (e - omega) - coupling_sq) / ((e - eps1) * (e - eps2))
+    detuned = (e - params.omega_a) * (e - omega)
+    denom = (e - eps1) * (e - eps2)
+    return (detuned - xi ** 2) / denom, (detuned - lam ** 2) / denom
 
 
 def b_occupation(params: ModelParams, energy: float, *, root_tol: float = 1e-10,
@@ -71,21 +81,15 @@ def b_occupation(params: ModelParams, energy: float, *, root_tol: float = 1e-10,
     ``1 + <b'b> + <c'c>``, i.e. reports the occupation of the normalized
     state instead of the unnormalized closed form.
     """
-    value = _occupation(params, energy, params.xi.real ** 2, root_tol)
-    if normalized:
-        other = _occupation(params, energy, params.lam.real ** 2, root_tol)
-        value /= 1.0 + value + other
-    return value
+    b, c = _occupations(params, energy, root_tol)
+    return b / (1.0 + b + c) if normalized else b
 
 
 def c_occupation(params: ModelParams, energy: float, *, root_tol: float = 1e-10,
                  normalized: bool = False) -> float:
     """Phonon occupation; mirror of :func:`b_occupation`."""
-    value = _occupation(params, energy, params.lam.real ** 2, root_tol)
-    if normalized:
-        other = _occupation(params, energy, params.xi.real ** 2, root_tol)
-        value /= 1.0 + value + other
-    return value
+    b, c = _occupations(params, energy, root_tol)
+    return c / (1.0 + c + b) if normalized else c
 
 
 def duality_report(params: ModelParams, tol: float = 1e-10) -> DualityReport:
@@ -99,18 +103,18 @@ def duality_report(params: ModelParams, tol: float = 1e-10) -> DualityReport:
     omega, lam, xi, kappa = _resonant_real(params)
     _require_gamma_nonzero(lam, xi, kappa)
     swapped = duality_swap(params)
-    base_levels = three_mode_spectrum(params).e
-    swapped_levels = three_mode_spectrum(swapped).e
-    for a, b in zip(base_levels, swapped_levels):
+    base = three_mode_spectrum(params)
+    mirror = three_mode_spectrum(swapped)
+    for a, b in zip(base.e, mirror.e):
         if abs(a - b) > 1e-12 * max(1.0, abs(a)):
             raise RuntimeError(
-                f"swapped spectra failed to match: {base_levels} vs {swapped_levels}"
+                f"swapped spectra failed to match: {base.e} vs {mirror.e}"
             )
-    b_occ = tuple(b_occupation(params, e) for e in base_levels)
-    c_occ = tuple(c_occupation(swapped, e) for e in swapped_levels)
+    b_occ = tuple(_occupations(params, e, 1e-10, base.two)[0] for e in base.e)
+    c_occ = tuple(_occupations(swapped, e, 1e-10, mirror.two)[1] for e in mirror.e)
     mismatch = max(abs(b - c) for b, c in zip(b_occ, c_occ))
     return DualityReport(
-        energies=(base_levels, swapped_levels),
+        energies=(base.e, mirror.e),
         b_occ=b_occ,
         c_occ_swapped=c_occ,
         max_mismatch=mismatch,

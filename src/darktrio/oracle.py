@@ -1,10 +1,9 @@
 """Brute-force verification path and closed-form cross-checks.
 
 Everything here double-checks the closed forms through an independent
-route: dense Hermitian diagonalization of the exact sector matrices, a
-characteristic-polynomial bisection solver for 3x3 blocks (used in tests
-to de-correlate from LAPACK), and an aggregate report that compares every
-closed-form quantity against the solver output.
+route: dense Hermitian diagonalization of the exact sector matrices and
+an aggregate report that compares every closed-form quantity against the
+solver output.
 """
 
 from __future__ import annotations
@@ -20,9 +19,10 @@ from .errors import (
     AssumptionViolation,
     ConvergenceFailure,
     DarkTrioError,
+    DegenerateTwoMode,
     NotHermitian,
 )
-from .model import AtomKind, ModelParams, one_excitation_matrix, sector_matrix, validate
+from .model import AtomKind, ModelParams, _assumption_report, one_excitation_matrix, sector_matrix
 
 __all__ = [
     "EigenDecomposition",
@@ -30,7 +30,6 @@ __all__ = [
     "ValidationReport",
     "Tolerances",
     "dense_hermitian_eig",
-    "eigvals_charpoly_3x3",
     "oscillator_sector_check",
     "crosscheck",
 ]
@@ -133,70 +132,6 @@ def dense_hermitian_eig(matrix, *, hermitian_rtol: float = 1e-13) -> EigenDecomp
     return EigenDecomposition(values=values, vectors=vectors)
 
 
-def eigvals_charpoly_3x3(matrix) -> np.ndarray:
-    """Eigenvalues of a 3x3 Hermitian matrix by characteristic-polynomial bisection.
-
-    Independent of the LAPACK route: the real cubic
-    ``x^3 - t x^2 + s x - d`` is bisected on the three intervals cut out
-    by its stationary points (Gershgorin bounds close the outer ends).
-    Intended as a test-side second opinion; assumes reasonably separated
-    roots for full accuracy.
-    """
-    a = np.asarray(matrix, dtype=complex)
-    if a.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {a.shape}")
-    t = float(np.trace(a).real)
-    s = float(
-        (
-            a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-            + a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0]
-            + a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1]
-        ).real
-    )
-    d = float(np.linalg.det(a).real)
-
-    def p(x: float) -> float:
-        return ((x - t) * x + s) * x - d
-
-    radius = [float(np.sum(np.abs(a[i, :])) - np.abs(a[i, i])) for i in range(3)]
-    lo = min(float(a[i, i].real) - radius[i] for i in range(3)) - 1.0
-    hi = max(float(a[i, i].real) + radius[i] for i in range(3)) + 1.0
-
-    disc = t * t - 3.0 * s
-    if disc <= 0.0:
-        return np.full(3, t / 3.0)
-    r1 = (t - math.sqrt(disc)) / 3.0
-    r2 = (t + math.sqrt(disc)) / 3.0
-
-    def bisect(left: float, right: float) -> float:
-        f_left = p(left)
-        if f_left == 0.0:
-            return left
-        if p(right) == 0.0:
-            return right
-        if f_left * p(right) > 0.0:
-            # no sign change: double root pinned at the stationary point
-            return right if abs(p(right)) < abs(f_left) else left
-        for _ in range(200):
-            mid = 0.5 * (left + right)
-            if mid == left or mid == right:
-                break
-            if f_left * p(mid) <= 0.0:
-                right = mid
-            else:
-                left = mid
-                f_left = p(left)
-        return 0.5 * (left + right)
-
-    return np.array(sorted([bisect(lo, r1), bisect(r1, r2), bisect(r2, hi)]))
-
-
-def _compositions(total: int):
-    for n1 in range(total, -1, -1):
-        for n2 in range(total - n1, -1, -1):
-            yield n1, n2, total - n1 - n2
-
-
 def oscillator_sector_check(params: ModelParams, ell: int, *, tol: float = 1e-9,
                             max_dim: int = 10_000) -> ValidationReport:
     """Compare an exact sector spectrum with sums of dressed levels.
@@ -207,18 +142,24 @@ def oscillator_sector_check(params: ModelParams, ell: int, *, tol: float = 1e-9,
     Requires all four standing assumptions (raises
     :class:`AssumptionViolation` otherwise).
     """
-    report = validate(params, AtomKind.OSCILLATOR)
+    two = twomode.two_mode_spectrum(params)
+    report = _assumption_report(params, two)
     if not report.all_pass:
         raise AssumptionViolation(
             "the sector spectrum check needs all standing assumptions; margins: "
             f"ass1={report.ass1.margin:.3e} ass2={report.ass2.margin:.3e} "
             f"ass3={report.ass3.margin:.3e} ass4={report.ass4.margin:.3e}"
         )
-    levels = threemode.three_mode_spectrum(params).e
+    return _sector_check(params, threemode._dressed(params, two).e, ell, tol, max_dim)
+
+
+def _sector_check(params: ModelParams, levels, ell: int, tol: float,
+                  max_dim: int = 10_000) -> ValidationReport:
+    """:func:`oscillator_sector_check` against already solved dressed levels."""
     sector = sector_matrix(params, AtomKind.OSCILLATOR, ell, max_dim=max_dim)
     computed = np.sort(np.linalg.eigvalsh(sector.matrix))
     expected = np.sort([n1 * levels[0] + n2 * levels[1] + n3 * levels[2]
-                        for n1, n2, n3 in _compositions(ell)])
+                        for n1, n2, n3 in sector.basis])
     residual = float(np.max(np.abs(computed - expected))) if len(expected) else 0.0
     check = CheckResult(
         name=f"sector-{ell}-spectrum",
@@ -259,29 +200,25 @@ def crosscheck(params: ModelParams, kind: AtomKind = AtomKind.TWO_LEVEL,
                                   skipped=True, reason=reason))
 
     # standing assumptions: margins are recorded, dependent checks skip on failure
-    from .errors import DegenerateTwoMode
-
     try:
-        report = validate(params, kind, ass2_rtol=tol.ass2)
-        for i in (1, 2, 3, 4):
-            check = getattr(report, f"ass{i}")
-            note(f"assumption-{i}", check.margin, check.passed,
-                 "standing assumption, margin recorded")
-        assumptions_pass = report.all_pass
+        two = twomode.two_mode_spectrum(params)
     except DegenerateTwoMode as err:
         note("assumption-1", err.ass1.margin, err.ass1.passed,
              "standing assumption, margin recorded")
         for name in ("assumption-2", "assumption-3", "assumption-4"):
             skip(name, "degenerate photon-phonon block")
         assumptions_pass = False
-
-    try:
-        two = twomode.two_mode_spectrum(params)
-    except DegenerateTwoMode:
         for name in ("quasimode-energies", "mixing-sum", "u-unitarity", "u-diagonalization",
                      "pole-identity", "cross-product-identity", "eps1-positive"):
             skip(name, "degenerate photon-phonon block")
         two = None
+    else:
+        report = _assumption_report(params, two, tol.ass2)
+        for i in (1, 2, 3, 4):
+            check = getattr(report, f"ass{i}")
+            note(f"assumption-{i}", check.margin, check.passed,
+                 "standing assumption, margin recorded")
+        assumptions_pass = report.all_pass
 
     ak = abs(params.kappa)
     if two is not None:
@@ -311,8 +248,7 @@ def crosscheck(params: ModelParams, kind: AtomKind = AtomKind.TWO_LEVEL,
                 for w in (params.omega_b, params.omega_c)
             )
             add("cross-product-identity", a2_res, tol.a2)
-        margin1 = math.sqrt(params.omega_b * params.omega_c) - ak
-        if margin1 > 0.0:
+        if report.ass1.passed:
             # theorem under the positivity assumption: gate on it
             add("eps1-positive", two.eps[0], 0.0, two.eps[0] > 0.0)
         else:
@@ -340,7 +276,7 @@ def crosscheck(params: ModelParams, kind: AtomKind = AtomKind.TWO_LEVEL,
             skip(name, "an effective coupling vanishes")
     else:
         try:
-            spectrum = threemode.three_mode_spectrum(params)
+            spectrum = threemode._dressed(params, two)
         except DarkTrioError as err:
             for name in three_names:
                 skip(name, f"dressed spectrum unavailable: {err}")
@@ -354,7 +290,8 @@ def crosscheck(params: ModelParams, kind: AtomKind = AtomKind.TWO_LEVEL,
         freq_sum = params.omega_a + params.omega_b + params.omega_c
         add("level-trace", abs(levels.sum() - freq_sum) / freq_sum, tol.trace)
         add("cubic-roots",
-            max(abs(threemode.phi(params, e)) / max(1.0, abs(e) ** 3) for e in spectrum.e),
+            max(abs(threemode._phi(e, params.omega_a, two)) / max(1.0, abs(e) ** 3)
+                for e in spectrum.e),
             tol.root)
         add("v-unitarity",
             float(np.max(np.abs(spectrum.v.conj().T @ spectrum.v - np.eye(3)))),
@@ -363,7 +300,7 @@ def crosscheck(params: ModelParams, kind: AtomKind = AtomKind.TWO_LEVEL,
         diag = spectrum.v.conj().T @ quasi @ spectrum.v
         add("v-diagonalization", float(np.max(np.abs(diag - np.diag(levels)))),
             tol.v_diag * max(1.0, bare_scale))
-        gsq = (abs(two.gamma[0]) ** 2, abs(two.gamma[1]) ** 2)
+        gsq = threemode._gamma_sq(two)
         b1_res = max(
             abs(1.0 + sum(gsq[nu] / ((spectrum.e[j] - two.eps[nu]) * (spectrum.e[k] - two.eps[nu]))
                           for nu in range(2)))
@@ -375,6 +312,7 @@ def crosscheck(params: ModelParams, kind: AtomKind = AtomKind.TWO_LEVEL,
         vec_res = 0.0
         state_res = 0.0
         quasi_solver = dense_hermitian_eig(quasi)
+        states = spectrum.bare_vectors
         for j, level in enumerate(spectrum.e):
             raw = np.array([
                 two.gamma[0] / (level - two.eps[0]),
@@ -384,10 +322,10 @@ def crosscheck(params: ModelParams, kind: AtomKind = AtomKind.TWO_LEVEL,
             n_res = max(n_res, abs(spectrum.n_norm[j] - 1.0 / np.linalg.norm(raw))
                         / spectrum.n_norm[j])
             vec_res = max(vec_res, _phase_match(quasi_solver.vectors[:, j], spectrum.v[:, j]))
-            state = darkstates.assemble_eigenstate(params, level, tol=1e-6)
-            defect = bare @ state.amps - level * state.amps
-            state_res = max(state_res,
-                            float(np.linalg.norm(defect)) / (bare_scale * state.norm))
+            darkstates._check_level(level, params.omega_a, two, tol=1e-6)
+            defect = bare @ states[:, j] - level * states[:, j]
+            state_res = max(state_res, float(np.linalg.norm(defect))
+                            / (bare_scale * float(np.linalg.norm(states[:, j]))))
         add("normalizers", n_res, tol.n_norm)
         add("eigenvector-match", vec_res, tol.eigvec)
         add("eigenstate-residuals", state_res, tol.eigenstate)
@@ -406,12 +344,9 @@ def crosscheck(params: ModelParams, kind: AtomKind = AtomKind.TWO_LEVEL,
     else:
         try:
             occ_res = 0.0
-            for level in spectrum.e:
-                state = darkstates.assemble_eigenstate(params, level, tol=1e-6)
-                for closed, amp in (
-                    (observables.b_occupation(params, level), state.amps[1]),
-                    (observables.c_occupation(params, level), state.amps[2]),
-                ):
+            for j, level in enumerate(spectrum.e):
+                closed_forms = observables._occupations(params, level, 1e-10, two)
+                for closed, amp in zip(closed_forms, states[1:, j]):
                     # relative with a unit floor: tuned points have occupation 0
                     scale = max(abs(closed), abs(amp) ** 2, 1.0)
                     occ_res = max(occ_res, abs(closed - abs(amp) ** 2) / scale)
@@ -424,6 +359,6 @@ def crosscheck(params: ModelParams, kind: AtomKind = AtomKind.TWO_LEVEL,
     elif spectrum is None or not assumptions_pass:
         skip("sector-2-spectrum", "standing assumptions not satisfied")
     else:
-        checks.extend(oscillator_sector_check(params, 2, tol=tol.sector).checks)
+        checks.extend(_sector_check(params, spectrum.e, 2, tol.sector).checks)
 
     return ValidationReport(checks=tuple(checks))

@@ -24,6 +24,12 @@ columns
 
     v[:, j] = N_j * (Gamma_1/(E_j - eps_1), Gamma_2/(E_j - eps_2), 1).
 
+Rotated back by the photon-phonon unitary ``u``, the unnormalized column
+gives the eigenvector in the bare (atom, photon, phonon) basis with atom
+amplitude 1: ``(1, u @ (Gamma / (E_j - eps)))``.  With ``kappa = 0`` the
+rotation is the identity or the swap, so the same formula covers the
+decoupled fields.
+
 Eigenvalues are taken from a dense Hermitian eigensolver (well conditioned
 near close roots) and lightly refined on d1; phi serves as a validator,
 never as the root finder.
@@ -60,15 +66,22 @@ class ThreeModeSpectrum:
 
     Rows of ``v`` are indexed (quasimode 1, quasimode 2, atom); column j
     is dressed mode j.  The atom row is the positive normalizer, which
-    fixes the per-column phase.
+    fixes the per-column phase.  ``two`` is the photon-phonon solution the
+    levels were built from.
     """
 
     e: tuple[float, float, float]
     n_norm: tuple[float, float, float]
     v: np.ndarray
+    two: TwoModeSpectrum
 
     def __post_init__(self):
         self.v.setflags(write=False)
+
+    @property
+    def bare_vectors(self) -> np.ndarray:
+        """Eigenvectors over (atom, photon, phonon), atom amplitude 1; column j is level j."""
+        return _bare_vectors(self.two, self.e)
 
 
 @dataclass(frozen=True)
@@ -110,6 +123,31 @@ def quasi_basis_matrix(params: ModelParams, two: TwoModeSpectrum | None = None) 
     )
 
 
+def _gamma_sq(two: TwoModeSpectrum) -> tuple[float, float]:
+    return abs(two.gamma[0]) ** 2, abs(two.gamma[1]) ** 2
+
+
+def _d1_and_slope(x, omega_a: float, eps, gsq):
+    """``d1(x)`` and its derivative from quasimode energies and ``|Gamma_j|^2``.
+
+    ``x`` must not be a quasimode energy.
+    """
+    r1 = x - eps[0]
+    r2 = x - eps[1]
+    value = x - omega_a - gsq[0] / r1 - gsq[1] / r2
+    slope = 1.0 + gsq[0] / (r1 * r1) + gsq[1] / (r2 * r2)
+    return value, slope
+
+
+def _bare_vectors(two: TwoModeSpectrum, energies) -> np.ndarray:
+    """Columns ``(1, u @ (Gamma / (E - eps)))`` over (atom, photon, phonon), one per energy."""
+    e = np.asarray(energies, dtype=float)
+    quasi = np.array(two.gamma)[:, None] / (e - np.array(two.eps)[:, None])
+    # u @ quasi as an explicit two-term sum, so every column comes out bit for
+    # bit the same however many energies are passed (a matmul may not)
+    return np.vstack([np.ones(e.size), two.u[:, :1] * quasi[0] + two.u[:, 1:] * quasi[1]])
+
+
 def d1(params: ModelParams, x, *, pole_rtol: float = 1e-12):
     """The rational spectral function whose zeros are the dressed levels.
 
@@ -120,9 +158,7 @@ def d1(params: ModelParams, x, *, pole_rtol: float = 1e-12):
     guard = pole_rtol * max(1.0, abs(x))
     if min(abs(x - two.eps[0]), abs(x - two.eps[1])) <= guard:
         raise PoleHit(f"x = {x!r} sits on a quasimode energy {two.eps}")
-    g1sq = abs(two.gamma[0]) ** 2
-    g2sq = abs(two.gamma[1]) ** 2
-    return x - params.omega_a - g1sq / (x - two.eps[0]) - g2sq / (x - two.eps[1])
+    return _d1_and_slope(x, params.omega_a, two.eps, _gamma_sq(two))[0]
 
 
 def phi(params: ModelParams, x: float) -> float:
@@ -139,21 +175,21 @@ def phi(params: ModelParams, x: float) -> float:
         e = params.omega_b
         weight = abs(params.lam) ** 2 + abs(params.xi) ** 2
         return (x - e) ** 2 * (x - params.omega_a) - weight * (x - e)
+    return _phi(x, params.omega_a, two)
+
+
+def _phi(x, omega_a: float, two: TwoModeSpectrum):
     e1, e2 = two.eps
-    g1sq = abs(two.gamma[0]) ** 2
-    g2sq = abs(two.gamma[1]) ** 2
-    return (x - e1) * (x - e2) * (x - params.omega_a) - g1sq * (x - e2) - g2sq * (x - e1)
+    g1sq, g2sq = _gamma_sq(two)
+    return (x - e1) * (x - e2) * (x - omega_a) - g1sq * (x - e2) - g2sq * (x - e1)
 
 
 def _refine_root(x: float, omega_a: float, eps, gsq) -> float:
     # two Newton steps on d1; the slope is >= 1, so steps are small and safe
     for _ in range(2):
-        r1 = x - eps[0]
-        r2 = x - eps[1]
-        if r1 == 0.0 or r2 == 0.0:
+        if x in eps:
             break
-        value = x - omega_a - gsq[0] / r1 - gsq[1] / r2
-        slope = 1.0 + gsq[0] / (r1 * r1) + gsq[1] / (r2 * r2)
+        value, slope = _d1_and_slope(x, omega_a, eps, gsq)
         x -= value / slope
     return x
 
@@ -168,7 +204,12 @@ def three_mode_spectrum(params: ModelParams, *, degeneracy_rtol: float = 1e-10) 
     Raises :class:`DegenerateSpectrum` when two dressed levels are closer
     than ``degeneracy_rtol`` times the matrix norm.
     """
-    two = two_mode_spectrum(params)
+    return _dressed(params, two_mode_spectrum(params), degeneracy_rtol)
+
+
+def _dressed(params: ModelParams, two: TwoModeSpectrum,
+             degeneracy_rtol: float = 1e-10) -> ThreeModeSpectrum:
+    """:func:`three_mode_spectrum` from the solved photon-phonon block ``two``."""
     margin = ass1_margin(params)
     if margin <= 0.0:
         raise AssumptionViolation(
@@ -184,11 +225,8 @@ def three_mode_spectrum(params: ModelParams, *, degeneracy_rtol: float = 1e-10) 
 
     h = quasi_basis_matrix(params, two)
     scale = float(np.linalg.norm(h))
-    gsq = (abs(two.gamma[0]) ** 2, abs(two.gamma[1]) ** 2)
-    levels = [
-        _refine_root(float(x), params.omega_a, two.eps, gsq)
-        for x in np.linalg.eigvalsh(h)
-    ]
+    gsq = _gamma_sq(two)
+    levels = [_refine_root(float(x), params.omega_a, two.eps, gsq) for x in np.linalg.eigvalsh(h)]
     levels.sort()
     e1, e2, e3 = levels
     if min(e2 - e1, e3 - e2) < degeneracy_rtol * scale:
@@ -199,16 +237,14 @@ def three_mode_spectrum(params: ModelParams, *, degeneracy_rtol: float = 1e-10) 
     n_norm = []
     columns = []
     for level in levels:
-        r1 = level - two.eps[0]
-        r2 = level - two.eps[1]
-        if r1 == 0.0 or r2 == 0.0:
+        if level in two.eps:
             raise DegenerateSpectrum(
                 f"dressed level {level} collides with a quasimode energy {two.eps}"
             )
-        slope = 1.0 + gsq[0] / (r1 * r1) + gsq[1] / (r2 * r2)
-        n_j = 1.0 / math.sqrt(slope)
+        n_j = 1.0 / math.sqrt(_d1_and_slope(level, params.omega_a, two.eps, gsq)[1])
         n_norm.append(n_j)
-        columns.append((n_j * two.gamma[0] / r1, n_j * two.gamma[1] / r2, n_j))
+        columns.append((n_j * two.gamma[0] / (level - two.eps[0]),
+                        n_j * two.gamma[1] / (level - two.eps[1]), n_j))
     v = np.array(columns, dtype=complex).T
 
     residual = float(np.max(np.abs(v.conj().T @ v - np.eye(3))))
@@ -217,7 +253,7 @@ def three_mode_spectrum(params: ModelParams, *, degeneracy_rtol: float = 1e-10) 
             f"closed-form unitary failed its sanity bound (residual {residual:.3e}); "
             "the spectrum is too ill-conditioned for the closed forms"
         )
-    return ThreeModeSpectrum(e=(e1, e2, e3), n_norm=tuple(n_norm), v=v)
+    return ThreeModeSpectrum(e=(e1, e2, e3), n_norm=tuple(n_norm), v=v, two=two)
 
 
 def cubic_stationary(params: ModelParams) -> CubicShape:

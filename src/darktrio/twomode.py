@@ -16,6 +16,8 @@ expresses quasimode ``j`` in the bare (photon, phonon) basis:
 
     u[0, j] = M_j,    u[1, j] = M_j * (eps_j - omega_b) / conj(kappa).
 
+``u`` maps quasimode amplitudes to bare ones and ``u.conj().T`` maps back.
+
 The atom couples to quasimode ``j`` with effective strength
 
     Gamma_j = M_j * (lambda + xi * (eps_j - omega_b) / kappa).
@@ -33,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTwoMode
-from .model import ModelParams
+from .model import AssumptionCheck, ModelParams, ass1_margin
 
-__all__ = ["TwoModeSpectrum", "ModeMixing", "two_mode_spectrum", "mode_mixing"]
+__all__ = ["TwoModeSpectrum", "two_mode_spectrum"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,26 +59,14 @@ class TwoModeSpectrum:
         self.u.setflags(write=False)
 
 
-@dataclass(frozen=True, eq=False)
-class ModeMixing:
-    """Coefficient tables between bare (photon, phonon) and quasimodes.
-
-    ``bare_from_quasi`` rows give (photon, phonon) as combinations of the
-    quasimodes; ``quasi_from_bare`` is its conjugate transpose, so the
-    round trip is the identity.
-    """
-
-    bare_from_quasi: np.ndarray
-    quasi_from_bare: np.ndarray
-
-
 def two_mode_spectrum(params: ModelParams, *, degeneracy_rtol: float = 1e-12) -> TwoModeSpectrum:
     """Diagonalize the photon-phonon block of the Hamiltonian.
 
     Raises :class:`DegenerateTwoMode` when the normal-mode splitting
     ``sqrt((omega_b - omega_c)^2 + 4|kappa|^2)`` falls below
     ``degeneracy_rtol * (omega_b + omega_c)``; the mixing factors are
-    ill-conditioned there (and undefined at the exact degeneracy).
+    ill-conditioned there (and undefined at the exact degeneracy).  The
+    error carries the assumption-1 result in its ``ass1`` attribute.
 
     The detuned differences ``d_j = eps_j - omega_b`` are computed
     cancellation-free: the larger one from the explicit half-sum, the
@@ -87,9 +77,11 @@ def two_mode_spectrum(params: ModelParams, *, degeneracy_rtol: float = 1e-12) ->
     ak = abs(kappa)
     split = math.hypot(wb - wc, 2.0 * ak)
     if split < degeneracy_rtol * (wb + wc):
+        margin1 = ass1_margin(params)
         raise DegenerateTwoMode(
             "photon and phonon are degenerate and uncoupled "
-            f"(splitting {split:.3e}); the normal-mode factors are undefined"
+            f"(splitting {split:.3e}); the normal-mode factors are undefined",
+            ass1=AssumptionCheck(margin1 > 0.0, margin1),
         )
 
     if ak == 0.0:
@@ -126,12 +118,6 @@ def two_mode_spectrum(params: ModelParams, *, degeneracy_rtol: float = 1e-12) ->
         dtype=complex,
     )
     return TwoModeSpectrum(eps=eps, m=m, gamma=gamma, u=u)
-
-
-def mode_mixing(spec: TwoModeSpectrum) -> ModeMixing:
-    """Forward and inverse coefficient tables of the normal-mode rotation."""
-    forward = spec.u.copy()
-    return ModeMixing(bare_from_quasi=forward, quasi_from_bare=forward.conj().T)
 
 
 def rwa_block_matrix(params: ModelParams) -> np.ndarray:

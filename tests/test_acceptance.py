@@ -19,12 +19,12 @@ from darktrio import (
     ModelParams,
     StateClass,
     assemble_eigenstate,
+    classify_spectrum,
     dark_tuning,
     dense_hermitian_eig,
     duality_report,
     duality_swap,
     e_of,
-    kappa_zero_analysis,
     multiquantum_state,
     one_excitation_matrix,
     oscillator_sector_check,
@@ -206,7 +206,7 @@ def test_no_dark_states_without_field_coupling():
         rng = np.random.default_rng(2028)
         for _ in range(1000):
             p = kappa_zero_params(rng)
-            for record in kappa_zero_analysis(p):
+            for record in classify_spectrum(p):
                 assert record.classification.variant not in (
                     StateClass.DARK,
                     StateClass.QUASI_DARK,

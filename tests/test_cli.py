@@ -180,6 +180,9 @@ def test_config_errors_exit_one(tmp_path, capsys):
         {"scan": [{"param": "xi", "start": 0, "stop": 1, "steps": 0}]},
         {"tol": {"nope": 1e-9}},
         {"lambda": "abc"},
+        # a scan value is real: it would drop the base value's imaginary part
+        {"lambda": [0.2, 0.1], "scan": [{"param": "lambda", "start": 0.1, "stop": 0.3,
+                                         "steps": 3}]},
     ):
         cfg = write_config(tmp_path, doc)
         code, _, err = run_cli(capsys, "spectrum", "--config", cfg)

@@ -9,7 +9,6 @@ from darktrio import (
     AssumptionViolation,
     AtomKind,
     ComplexCouplings,
-    KappaNonzero,
     ModelParams,
     NotAnEigenvalue,
     NotResonant,
@@ -27,7 +26,6 @@ from darktrio import (
     duality_swap,
     e_of,
     f_of,
-    kappa_zero_analysis,
     multiquantum_state,
     one_excitation_matrix,
     phi,
@@ -47,7 +45,7 @@ def test_e_of_values():
     assert e_of(0.3, 0.0, 1.0, 0.2) == 1.0
     assert e_of(0.4, 0.4, 1.0, 0.2) == pytest.approx(0.8, abs=1e-15)
     assert e_of(0.2, 0.05, 1.0, 0.2) == pytest.approx(0.95, abs=1e-15)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(AssumptionViolation):
         e_of(0.0, 0.1, 1.0, 0.2)
 
 
@@ -55,8 +53,10 @@ def test_f_of_values():
     assert f_of(0.2, 0.7, 0.2) == 0.0
     assert f_of(0.3, 0.0, 0.2) == 0.0
     assert f_of(0.1, 0.05, 0.2) == pytest.approx(0.075, abs=1e-15)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(AssumptionViolation):
         f_of(0.0, 0.1, 0.2)
+    with pytest.raises(AssumptionViolation):
+        f_of(0.1, 0.1, 0.0)
 
 
 def test_dark_tuning_satisfied_branch():
@@ -312,7 +312,7 @@ def test_relabeled_dark_analogue_is_eigenstate():
 
 def test_kappa_zero_example():
     p = ModelParams(1.0, 1.0, 1.0, 0.2, 0.1, 0.0)
-    records = kappa_zero_analysis(p)
+    records = classify_spectrum(p)
     energies = [r.energy for r in records]
     root = math.sqrt(0.05)
     np.testing.assert_allclose(energies, [1.0 - root, 1.0, 1.0 + root], atol=1e-12)
@@ -328,22 +328,17 @@ def test_kappa_zero_example():
 
 def test_kappa_zero_decoupled_phonon():
     p = ModelParams(1.0, 1.3, 2.0, 0.2, 0.0, 0.0)
-    records = kappa_zero_analysis(p)
+    records = classify_spectrum(p)
     phonon_only = [r for r in records if abs(r.state.amps[2]) > 0.999]
     assert len(phonon_only) == 1
     assert phonon_only[0].energy == pytest.approx(2.0, abs=1e-12)
-
-
-def test_kappa_zero_requires_zero_coupling():
-    with pytest.raises(KappaNonzero):
-        kappa_zero_analysis(ModelParams(1.0, 1.0, 1.0, 0.2, 0.1, 0.1))
 
 
 def test_kappa_zero_never_dark_nor_quasi_dark():
     rng = np.random.default_rng(54)
     for _ in range(50):
         p = kappa_zero_params(rng)
-        for record in kappa_zero_analysis(p):
+        for record in classify_spectrum(p):
             assert record.classification.variant is StateClass.BRIGHT
 
 
@@ -353,7 +348,7 @@ def test_kappa_zero_eigen_residuals():
         p = kappa_zero_params(rng)
         h = one_excitation_matrix(p).matrix
         scale = np.linalg.norm(h)
-        for record in kappa_zero_analysis(p):
+        for record in classify_spectrum(p):
             defect = h @ record.state.amps - record.energy * record.state.amps
             assert np.linalg.norm(defect) < 1e-9 * scale
 

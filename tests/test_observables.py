@@ -135,21 +135,21 @@ def test_assembled_states_match_unitary_columns():
     # the spin-sector eigenvector and the oscillator quasi-boson column are
     # the same coefficient triple up to the normalizer, so the occupation
     # formulas apply to both paths; check the two routes agree numerically
-    from darktrio import mode_mixing, quasi_basis_matrix, two_mode_spectrum
+    from darktrio import quasi_basis_matrix, two_mode_spectrum
 
     rng = np.random.default_rng(65)
     for _ in range(20):
         p = resonant_real_params(rng)
         two = two_mode_spectrum(p)
         spectrum = three_mode_spectrum(p)
-        bare_from_quasi = mode_mixing(two).bare_from_quasi
         for j, energy in enumerate(spectrum.e):
             column = spectrum.v[:, j] / spectrum.n_norm[j]
-            photon, phonon = bare_from_quasi @ column[:2]
+            photon, phonon = two.u @ column[:2]
             state = assemble_eigenstate(p, energy)
             np.testing.assert_allclose(
                 state.amps, [column[2], photon, phonon], rtol=0, atol=1e-10
             )
+            np.testing.assert_array_equal(spectrum.bare_vectors[:, j], state.amps)
         assert np.max(np.abs(
             quasi_basis_matrix(p) @ spectrum.v - spectrum.v * np.array(spectrum.e)
         )) < 1e-11 * np.linalg.norm(quasi_basis_matrix(p))

@@ -1,4 +1,4 @@
-"""Dense diagonalization oracle, second eigenvalue route, cross-checks."""
+"""Dense diagonalization oracle and cross-checks."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from darktrio import (
     NotHermitian,
     crosscheck,
     dense_hermitian_eig,
-    eigvals_charpoly_3x3,
     one_excitation_matrix,
     oscillator_sector_check,
     sector_matrix,
@@ -62,23 +61,6 @@ def test_eig_values_independent_of_basis_order():
     out_a = dense_hermitian_eig(a)
     out_b = dense_hermitian_eig(a[np.ix_(perm, perm)])
     np.testing.assert_allclose(out_a.values, out_b.values, atol=1e-12)
-
-
-def test_charpoly_route_agrees_with_dense_solver():
-    rng = np.random.default_rng(73)
-    for _ in range(25):
-        a = random_hermitian(rng, 3)
-        np.testing.assert_allclose(
-            eigvals_charpoly_3x3(a),
-            np.linalg.eigvalsh(a),
-            rtol=0,
-            atol=1e-11 * max(1.0, np.linalg.norm(a)),
-        )
-
-
-def test_charpoly_route_fixture():
-    values = eigvals_charpoly_3x3(one_excitation_matrix(FIXTURE).matrix)
-    np.testing.assert_allclose(values, FIXTURE_LEVELS, rtol=0, atol=1e-12)
 
 
 def test_sector_check_small_sectors():
