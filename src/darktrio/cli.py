@@ -34,11 +34,12 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .darkstates import classify_spectrum, dark_tuning
+from .darkstates import _VARIANTS, _classified, _tuning
 from .errors import (
     AssumptionViolation,
     ComplexCouplings,
@@ -50,11 +51,14 @@ from .errors import (
     SizeLimit,
     TuningNotSatisfied,
     WrongAtomKind,
+    _STATUS_ERRORS,
+    _Status,
 )
-from .model import AtomKind, ModelParams, _assumption_report, ass1_margin
-from .observables import duality_report
+from .model import AtomKind, ModelParams, _assumption_margins, _Batch
+from .observables import _duality
 from .oracle import Tolerances, crosscheck, oscillator_sector_check
-from .threemode import three_mode_spectrum
+from .threemode import _dressed
+from .twomode import _two_mode
 
 __all__ = ["RunConfig", "ScanAxis", "main", "parse_config", "config_to_dict"]
 
@@ -198,35 +202,91 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return doc
 
 
-def _grid(cfg: RunConfig) -> list[ModelParams]:
-    points = [cfg.params]
+def _grid(cfg: RunConfig) -> _Batch:
+    """The points of the config's scan as a batch, grid-major (first axis outermost)."""
+    fields = {name: np.array([getattr(cfg.params, name)]) for name in _FIELD_FOR.values()}
     for axis in cfg.scan:
         values = np.linspace(axis.start, axis.stop, axis.steps)
-        expanded = []
-        for base in points:
-            for value in values:
-                expanded.append(
-                    dataclasses.replace(base, **{_FIELD_FOR[axis.param]: float(value)})
-                )
-        points = expanded
-    return points
+        size = len(fields["omega_a"])
+        fields = {name: np.repeat(column, axis.steps) for name, column in fields.items()}
+        name = _FIELD_FOR[axis.param]
+        fields[name] = np.tile(values, size).astype(fields[name].dtype)
+        if name.startswith("omega"):
+            bad = ~(np.isfinite(values) & (values > 0.0))
+            what = "a finite positive frequency"
+        else:
+            bad = ~np.isfinite(values)
+            what = "finite"
+        if bad.any():
+            raise ConfigError(f"scan of {axis.param} must stay {what}, "
+                              f"got {values[bad][0].item()!r}")
+    return _Batch(**fields)
 
 
-def _param_cells(params: ModelParams) -> dict:
-    return {
-        "omega_a": params.omega_a,
-        "omega_b": params.omega_b,
-        "omega_c": params.omega_c,
-        "lambda": params.lam,
-        "xi": params.xi,
-        "kappa": params.kappa,
-    }
+class _Column(NamedTuple):
+    """One table column as arrays: ``values`` are floats, complex numbers or
+    bools, or indices into ``names``; cells where ``ok`` is False are empty."""
+
+    values: np.ndarray
+    ok: np.ndarray | None = None
+    names: tuple[str, ...] | None = None
+
+    def json_cells(self) -> list:
+        cells = self.values.tolist()
+        if self.names is not None:
+            cells = [self.names[code] for code in cells]
+        elif self.values.dtype.kind == "c":
+            cells = [[z.real, z.imag] for z in cells]
+        if self.ok is not None and np.count_nonzero(self.ok) < len(cells):
+            for row in np.flatnonzero(~self.ok).tolist():
+                cells[row] = None
+        return cells
+
+    def csv_text(self) -> list[list[str]]:
+        """The column's CSV text: one list of cells, or two (``_re``, ``_im``)
+        for a complex column with a nonempty cell."""
+        values = self.values
+        if self.names is not None:
+            texts = [np.array([_csv_field(name) for name in self.names], dtype=object)[values]]
+        elif values.dtype.kind == "c":
+            shown = np.ones(len(values), dtype=bool) if self.ok is None else self.ok
+            if not shown.any():
+                return [[""] * len(values)]
+            texts = [_float_text(values.real), _float_text(values.imag)]
+        elif values.dtype.kind == "b":
+            texts = [np.array(["false", "true"], dtype=object)[values.astype(np.intp)]]
+        else:
+            texts = [_float_text(values)]
+        for text in texts:
+            if self.ok is not None:
+                text[~self.ok] = ""
+        return [text.tolist() for text in texts]
 
 
-def _error_row(cells: dict, columns: list[str], err: Exception) -> dict:
-    row = {name: cells.get(name) for name in columns}
-    row["status"] = type(err).__name__
-    return row
+def _float_text(values: np.ndarray) -> np.ndarray:
+    """``float.__repr__`` of every value, each distinct value formatted once."""
+    distinct, index = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array(list(map(float.__repr__, distinct.view(float).tolist())), dtype=object)[index]
+
+
+Table = dict[str, _Column]
+
+_STATUS_NAMES = ("ok", *(error.__name__ for error in _STATUS_ERRORS[1:]))
+
+
+def _param_cells(p: _Batch, point=slice(None)) -> Table:
+    """The parameter columns; row ``r`` shows point ``point[r]``."""
+    columns = {"omega_a": p.omega_a, "omega_b": p.omega_b, "omega_c": p.omega_c,
+               "lambda": p.lam, "xi": p.xi, "kappa": p.kappa}
+    return {name: _Column(values[point]) for name, values in columns.items()}
+
+
+def _status_cells(status: _Status, point=slice(None)) -> _Column:
+    return _Column(status.code[point], names=_STATUS_NAMES)
+
+
+def _text_cells(cells: list[str]) -> _Column:
+    return _Column(np.arange(len(cells)), names=tuple(cells))
 
 
 SPECTRUM_COLUMNS = [
@@ -252,180 +312,133 @@ DUALITY_COLUMNS = [
 VERIFY_COLUMNS = ["check", "residual", "tolerance", "passed", "skipped", "reason"]
 
 
-def _spectrum_rows(cfg: RunConfig) -> list[dict]:
-    rows = []
-    for params in _grid(cfg):
-        cells = _param_cells(params)
-        try:
-            spec = three_mode_spectrum(params)
-        except DarkTrioError as err:
-            row = _error_row(cells, SPECTRUM_COLUMNS, err)
-            row["ass1"] = ass1_margin(params) > 0.0
-            rows.append(row)
-            continue
-        two = spec.two
-        report = _assumption_report(params, two)
-        interlacing = (0.0 < spec.e[0] < two.eps[0] < spec.e[1]
-                       < two.eps[1] < spec.e[2])
-        row = dict(cells)
-        row.update({
-            "E1": spec.e[0], "E2": spec.e[1], "E3": spec.e[2],
-            "eps1": two.eps[0], "eps2": two.eps[1],
-            "Gamma1": two.gamma[0], "Gamma2": two.gamma[1],
-            "interlacing": interlacing,
-            **{f"ass{i}": getattr(report, f"ass{i}").passed for i in (1, 2, 3, 4)},
-            "status": "ok",
-        })
-        rows.append(row)
-    return rows
+def _spectrum_rows(cfg: RunConfig) -> Table:
+    p = _grid(cfg)
+    spec = _dressed(p, _two_mode(p))
+    ok = spec.status.ok
+    e, eps, gamma = spec.e, spec.two.eps, spec.two.gamma
+    with np.errstate(invalid="ignore"):
+        holds = _assumption_margins(p, spec.two) > 0.0
+        interlacing = ((0.0 < e[:, 0]) & (e[:, 0] < eps[:, 0]) & (eps[:, 0] < e[:, 1])
+                       & (e[:, 1] < eps[:, 1]) & (eps[:, 1] < e[:, 2]))
+    table = _param_cells(p)
+    table.update({
+        "E1": _Column(e[:, 0], ok), "E2": _Column(e[:, 1], ok), "E3": _Column(e[:, 2], ok),
+        "eps1": _Column(eps[:, 0], ok), "eps2": _Column(eps[:, 1], ok),
+        "Gamma1": _Column(gamma[:, 0], ok), "Gamma2": _Column(gamma[:, 1], ok),
+        "interlacing": _Column(interlacing, ok),
+        # assumption 1 needs no solution, so error rows show it too
+        "ass1": _Column(holds[:, 0]),
+        **{f"ass{i}": _Column(holds[:, i - 1], ok) for i in (2, 3, 4)},
+        "status": _status_cells(spec.status),
+    })
+    return table
 
 
-def _classify_rows(cfg: RunConfig) -> list[dict]:
-    tol = cfg.tol.get("classify", Tolerances().classify)
-    rows = []
-    for params in _grid(cfg):
-        cells = _param_cells(params)
-        try:
-            tuning = None
-            try:
-                tuning = dark_tuning(params, tol=cfg.tol.get("tuning", Tolerances().tuning))
-            except DarkTrioError:
-                pass
-            def finite(value):
-                return value if value is not None and np.isfinite(value) else None
-
-            for record in classify_spectrum(params, tol=tol):
-                row = dict(cells)
-                row.update({
-                    "energy": record.energy,
-                    "amp_atom": complex(record.state.amps[0]),
-                    "amp_photon": complex(record.state.amps[1]),
-                    "amp_phonon": complex(record.state.amps[2]),
-                    "class": record.classification.variant.value,
-                    "dark_residual": finite(tuning[0].residual) if tuning else None,
-                    "quasidark_residual": finite(tuning[1].residual) if tuning else None,
-                    "status": "ok",
-                })
-                rows.append(row)
-        except DarkTrioError as err:
-            rows.append(_error_row(cells, CLASSIFY_COLUMNS, err))
-    return rows
+def _classify_rows(cfg: RunConfig) -> Table:
+    p = _grid(cfg)
+    branches, tuning = _tuning(p, tol=cfg.tol.get("tuning", Tolerances().tuning))
+    spectra = _classified(p, tol=cfg.tol.get("classify", Tolerances().classify))
+    # three rows (one per eigenstate) per solved point, one error row otherwise
+    counts = np.where(spectra.status.ok, 3, 1)
+    point = np.repeat(np.arange(len(p)), counts)
+    level = np.arange(len(point)) - np.repeat(np.cumsum(counts) - counts, counts)
+    ok = spectra.status.ok[point]
+    states = spectra.states[point, :, level]
+    table = _param_cells(p, point)
+    table.update({
+        "energy": _Column(spectra.energies[point, level], ok),
+        "amp_atom": _Column(states[:, 0], ok),
+        "amp_photon": _Column(states[:, 1], ok),
+        "amp_phonon": _Column(states[:, 2], ok),
+        "class": _Column(spectra.codes[point, level], ok, _CLASS_NAMES),
+        "status": _status_cells(spectra.status, point),
+    })
+    for name, (residual, _, _) in zip(("dark_residual", "quasidark_residual"), branches):
+        # a residual shows where the tuning analysis applies and is finite
+        shown = tuning.ok & np.isfinite(residual)
+        table[name] = _Column(residual[point], ok & shown[point])
+    return table
 
 
-def _duality_rows(cfg: RunConfig) -> list[dict]:
+_CLASS_NAMES = tuple(variant.value for variant in _VARIANTS)
+
+
+def _duality_rows(cfg: RunConfig) -> Table:
     tol = cfg.tol.get("duality", Tolerances().duality)
-    rows = []
-    for params in _grid(cfg):
-        cells = _param_cells(params)
-        try:
-            report = duality_report(params, tol=tol)
-            row = dict(cells)
-            base, swapped = report.energies
-            row.update({
-                "E1": base[0], "E2": base[1], "E3": base[2],
-                "E1_swapped": swapped[0], "E2_swapped": swapped[1], "E3_swapped": swapped[2],
-                "b_occ_1": report.b_occ[0], "b_occ_2": report.b_occ[1],
-                "b_occ_3": report.b_occ[2],
-                "c_occ_swapped_1": report.c_occ_swapped[0],
-                "c_occ_swapped_2": report.c_occ_swapped[1],
-                "c_occ_swapped_3": report.c_occ_swapped[2],
-                "max_mismatch": report.max_mismatch,
-                "passed": report.passed,
-                "status": "ok",
-            })
-            rows.append(row)
-        except DarkTrioError as err:
-            rows.append(_error_row(cells, DUALITY_COLUMNS, err))
-    return rows
+    p = _grid(cfg)
+    report, status = _duality(p, tol)
+    ok = status.ok
+    base, swapped = report.energies
+    table = _param_cells(p)
+    for j in range(3):
+        table[f"E{j + 1}"] = _Column(base[:, j], ok)
+        table[f"E{j + 1}_swapped"] = _Column(swapped[:, j], ok)
+        table[f"b_occ_{j + 1}"] = _Column(report.b_occ[:, j], ok)
+        table[f"c_occ_swapped_{j + 1}"] = _Column(report.c_occ_swapped[:, j], ok)
+    table["max_mismatch"] = _Column(report.max_mismatch, ok)
+    table["passed"] = _Column(report.passed, ok)
+    table["status"] = _status_cells(status)
+    return table
 
 
-def _verify_rows(cfg: RunConfig) -> list[dict]:
+def _verify_rows(cfg: RunConfig) -> Table:
     tol = Tolerances().override(cfg.tol)
     checks = list(crosscheck(cfg.params, cfg.kind, tol=tol).checks)
     if cfg.sector is not None and cfg.kind is AtomKind.OSCILLATOR and cfg.sector != 2:
         checks += oscillator_sector_check(cfg.params, cfg.sector, tol=tol.sector).checks
-    return [
-        {
-            "check": c.name,
-            "residual": None if c.skipped else c.residual,
-            "tolerance": None if c.skipped else c.tolerance,
-            "passed": c.passed,
-            "skipped": c.skipped,
-            "reason": c.reason,
-        }
-        for c in checks
-    ]
+    skipped = np.array([c.skipped for c in checks])
+    return {
+        "check": _text_cells([c.name for c in checks]),
+        "residual": _Column(np.array([c.residual for c in checks]), ~skipped),
+        "tolerance": _Column(np.array([c.tolerance for c in checks]), ~skipped),
+        "passed": _Column(np.array([c.passed for c in checks])),
+        "skipped": _Column(skipped),
+        "reason": _text_cells([c.reason for c in checks]),
+    }
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, complex):
-        raise TypeError("complex cells must be split before formatting")
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it among other fields of a row."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow((text, ""))
+    return buffer.getvalue()[:-2]
 
 
-def _write_csv(columns: list[str], rows: list[dict], stream) -> None:
-    flat_columns = []
+def _write_csv(columns: list[str], table: Table, stream) -> None:
+    """Column by column; a complex column splits into ``_re``/``_im`` columns.
+
+    The cells are CSV fields already (text cells quoted by
+    :func:`_csv_field`), so rows are plain joins, which are faster than
+    ``csv.writer.writerows`` over the same strings.
+    """
+    header, text = [], []
     for name in columns:
-        if any(isinstance(row.get(name), complex) for row in rows):
-            flat_columns += [f"{name}_re", f"{name}_im"]
-        else:
-            flat_columns.append(name)
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(flat_columns)
-    for row in rows:
-        cells = []
-        for name in columns:
-            value = row.get(name)
-            if f"{name}_re" in flat_columns:
-                if value is None:
-                    cells += ["", ""]
-                else:
-                    z = complex(value)
-                    cells += [repr(z.real), repr(z.imag)]
-            else:
-                cells.append(_format_cell(value))
-        writer.writerow(cells)
+        parts = table[name].csv_text()
+        header += [f"{name}_re", f"{name}_im"] if len(parts) == 2 else [name]
+        text += parts
+    stream.write(",".join(header) + "\n")
+    stream.writelines(",".join(row) + "\n" for row in zip(*text))
 
 
-def _jsonify(value):
-    if isinstance(value, complex):
-        return _pair(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    return value
-
-
-def _write_json(cfg: RunConfig, rows: list[dict], columns: list[str], stream) -> None:
+def _write_json(cfg: RunConfig, table: Table, columns: list[str], stream) -> None:
+    cells = [table[name].json_cells() for name in columns]
     payload = {
         "version": __version__,
         "config": config_to_dict(cfg),
-        "rows": [_jsonify({name: row.get(name) for name in columns}) for row in rows],
+        "rows": [dict(zip(columns, row)) for row in zip(*cells)],
     }
     json.dump(payload, stream, indent=2, allow_nan=False)
     stream.write("\n")
 
 
-def _emit(cfg: RunConfig, rows: list[dict], columns: list[str],
+def _emit(cfg: RunConfig, table: Table, columns: list[str],
           fmt: str, output: str | None) -> None:
     buffer = io.StringIO()
     if fmt == "json":
-        _write_json(cfg, rows, columns, buffer)
+        _write_json(cfg, table, columns, buffer)
     else:
-        _write_csv(columns, rows, buffer)
+        _write_csv(columns, table, buffer)
     text = buffer.getvalue()
     if output:
         with open(output, "w", newline="") as handle:
@@ -523,27 +536,31 @@ def main(argv: list[str] | None = None) -> int:
     operation = getattr(args, "operation", command)
     if command == "verify":
         try:
-            rows = _verify_rows(cfg)
+            table = _verify_rows(cfg)
         except DarkTrioError as err:
             print(f"verification failed: {err}", file=sys.stderr)
             return 3
-        _emit(cfg, rows, VERIFY_COLUMNS, args.format, args.output)
-        failed = [r for r in rows if not r["skipped"] and not r["passed"]]
-        return 3 if failed else 0
+        _emit(cfg, table, VERIFY_COLUMNS, args.format, args.output)
+        failed = ~table["skipped"].values & ~table["passed"].values
+        return 3 if failed.any() else 0
 
     runner, columns = _RUNNERS[operation]
     scan_mode = command == "scan" or bool(cfg.scan)
-    rows = runner(cfg)
-    _emit(cfg, rows, columns, args.format, args.output)
+    try:
+        table = runner(cfg)
+    except ConfigError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 1
+    _emit(cfg, table, columns, args.format, args.output)
+    if scan_mode:
+        return 0
 
-    errored = [r for r in rows if r.get("status") != "ok"]
-    if errored and not scan_mode:
-        names = {r["status"] for r in errored}
+    errored = {_STATUS_NAMES[code] for code in table["status"].values.tolist()} - {"ok"}
+    if errored:
         precondition = {e.__name__ for e in _PRECONDITION_ERRORS}
-        return 2 if names <= precondition else 3
-    if operation == "duality" and not scan_mode:
-        if any(r.get("status") == "ok" and not r.get("passed") for r in rows):
-            return 3
+        return 2 if errored <= precondition else 3
+    if operation == "duality" and not table["passed"].values.all():
+        return 3
     return 0
 
 

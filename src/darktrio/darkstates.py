@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +34,9 @@ from .errors import (
     TuningNotSatisfied,
     WrongAtomKind,
     WrongSector,
+    _Status,
 )
-from .model import AtomKind, ModelParams, one_excitation_matrix, sector_basis
+from .model import AtomKind, ModelParams, _batch_of, _Batch, _one_excitation_matrices, sector_basis
 from .threemode import GAMMA_RTOL, _bare_vectors, _d1_and_slope, _gamma_sq
 from .twomode import TwoModeSpectrum, two_mode_spectrum
 
@@ -134,7 +136,7 @@ def e_of(x: float, y: float, omega: float, kappa: float) -> float:
     """
     if x == 0.0:
         raise AssumptionViolation("e_of requires x != 0")
-    return omega - kappa * y / x
+    return _e_of(x, y, omega, kappa)
 
 
 def f_of(x: float, y: float, kappa: float) -> float:
@@ -146,36 +148,48 @@ def f_of(x: float, y: float, kappa: float) -> float:
         raise AssumptionViolation("f_of requires x != 0")
     if kappa == 0.0:
         raise AssumptionViolation("f_of requires kappa != 0")
+    return _f_of(x, y, kappa)
+
+
+def _e_of(x, y, omega, kappa):
+    return omega - kappa * y / x
+
+
+def _f_of(x, y, kappa):
     return (kappa / x - x / kappa) * y
 
 
-def _resonant_real(params: ModelParams, rtol: float = 1e-12):
-    """Check the resonant real-coupling regime; return (omega, lam, xi, kappa).
+def _resonant_real(p: _Batch, status: _Status, rtol: float = 1e-12):
+    """Check the resonant real-coupling regime per point; return (omega, lam, xi, kappa).
 
-    Raises :class:`NotResonant` off resonance, :class:`ComplexCouplings`
+    Records :class:`NotResonant` off resonance, :class:`ComplexCouplings`
     for non-real couplings (real parts are never taken silently) and
     :class:`AssumptionViolation` for a non-positive photon-phonon
-    coupling.
+    coupling on ``status``.
     """
-    wb, wc = params.omega_b, params.omega_c
-    if abs(wb - wc) > rtol * max(1.0, wb, wc):
-        raise NotResonant(f"omega_b = {wb} and omega_c = {wc} are not tuned to each other")
-    if params.lam.imag != 0.0 or params.xi.imag != 0.0 or params.kappa.imag != 0.0:
-        raise ComplexCouplings("this analysis is restricted to real lambda, xi and positive kappa")
-    kappa = params.kappa.real
-    if kappa <= 0.0:
-        raise AssumptionViolation(f"kappa must be positive in this analysis, got {kappa}")
-    return 0.5 * (wb + wc), params.lam.real, params.xi.real, kappa
+    wb, wc = p.omega_b, p.omega_c
+    detuned = np.abs(wb - wc) > rtol * np.maximum(np.maximum(1.0, wb), wc)
+    status.fail(detuned, lambda i: NotResonant(
+        f"omega_b = {wb[i].item()} and omega_c = {wc[i].item()} are not tuned to each other"
+    ))
+    status.fail((p.lam.imag != 0.0) | (p.xi.imag != 0.0) | (p.kappa.imag != 0.0), lambda i: (
+        ComplexCouplings("this analysis is restricted to real lambda, xi and positive kappa")
+    ))
+    kappa = p.kappa.real
+    status.fail(kappa <= 0.0, lambda i: AssumptionViolation(
+        f"kappa must be positive in this analysis, got {kappa[i].item()}"
+    ))
+    return 0.5 * (wb + wc), p.lam.real, p.xi.real, kappa
 
 
-def _require_gamma_nonzero(lam: float, xi: float, kappa: float,
-                           exc: type[Exception] = AssumptionViolation):
-    floor = math.sqrt(2.0) * GAMMA_RTOL * max(abs(lam), abs(xi), kappa, 1.0)
-    if abs(lam - xi) <= floor or abs(lam + xi) <= floor:
-        raise exc(
-            "lambda = +-xi makes an effective coupling vanish; this analysis "
-            "needs both couplings nonzero"
-        )
+def _require_gamma_nonzero(status: _Status, lam, xi, kappa,
+                           exc: type[Exception] = AssumptionViolation) -> None:
+    floor = math.sqrt(2.0) * GAMMA_RTOL * np.maximum(
+        np.maximum(np.maximum(np.abs(lam), np.abs(xi)), kappa), 1.0)
+    status.fail((np.abs(lam - xi) <= floor) | (np.abs(lam + xi) <= floor), lambda i: exc(
+        "lambda = +-xi makes an effective coupling vanish; this analysis "
+        "needs both couplings nonzero"
+    ))
 
 
 def dark_tuning(params: ModelParams, tol: float = 1e-9) -> tuple[TuningResult, TuningResult]:
@@ -187,20 +201,33 @@ def dark_tuning(params: ModelParams, tol: float = 1e-9) -> tuple[TuningResult, T
     allowed photon-phonon detuning relative to ``max(1, omega_b,
     omega_c)``.
     """
-    omega, lam, xi, kappa = _resonant_real(params, rtol=tol)
-    _require_gamma_nonzero(lam, xi, kappa)
-    target = omega - params.omega_a
-    threshold = tol * max(1.0, abs(target))
+    branches, status = _tuning(_batch_of(params), tol)
+    status.check()
+    return tuple(
+        TuningResult(kind=kind if met[0] else None, energy=energy[0].item(),
+                     residual=residual[0].item())
+        for kind, (residual, energy, met) in zip((StateClass.DARK, StateClass.QUASI_DARK),
+                                                 branches)
+    )
 
-    def branch(x: float, y: float, kind: StateClass) -> TuningResult:
-        if x == 0.0:
-            return TuningResult(kind=None, energy=math.nan, residual=math.inf)
-        residual = abs(f_of(x, y, kappa) - target)
-        energy = e_of(x, y, omega, kappa)
-        return TuningResult(kind=kind if residual < threshold else None,
-                            energy=energy, residual=residual)
 
-    return branch(lam, xi, StateClass.DARK), branch(xi, lam, StateClass.QUASI_DARK)
+def _tuning(p: _Batch, tol: float = 1e-9):
+    """:func:`dark_tuning` per point: (residual, energy, satisfied) arrays
+    for the dark and the quasi-dark branch, and the status."""
+    status = _Status(len(p))
+    omega, lam, xi, kappa = _resonant_real(p, status, rtol=tol)
+    _require_gamma_nonzero(status, lam, xi, kappa)
+    target = omega - p.omega_a
+    threshold = tol * np.maximum(1.0, np.abs(target))
+
+    def branch(x, y):
+        # a branch whose leading coupling vanishes is inapplicable
+        with np.errstate(all="ignore"):
+            residual = np.where(x == 0.0, np.inf, np.abs(_f_of(x, y, kappa) - target))
+            energy = np.where(x == 0.0, np.nan, _e_of(x, y, omega, kappa))
+        return residual, energy, residual < threshold
+
+    return (branch(lam, xi), branch(xi, lam)), status
 
 
 def assemble_eigenstate(params: ModelParams, energy: float, tol: float = 1e-8) -> SectorVector:
@@ -224,7 +251,7 @@ def _check_level(e: float, omega_a: float, two: TwoModeSpectrum, tol: float) -> 
     """Raise unless ``e`` is a dressed level of the solved block ``two`` within ``tol``."""
     if min(abs(e - two.eps[0]), abs(e - two.eps[1])) <= 1e-10:
         raise PoleHit(f"energy {e} sits on a quasimode energy {two.eps}")
-    residual = abs(_d1_and_slope(e, omega_a, two.eps, _gamma_sq(two))[0])
+    residual = abs(_d1_and_slope(e, omega_a, *two.eps, *_gamma_sq(two.gamma))[0])
     if residual >= tol:
         raise NotAnEigenvalue(f"spectral function is {residual:.3e} at {e}, above {tol:.1e}")
 
@@ -238,18 +265,20 @@ def classify(state: SectorVector, tol: float = 1e-9) -> Classification:
     """
     if state.ell != 1 or state.amps.shape != (3,):
         raise WrongSector(f"classification needs a one-excitation state, got ell={state.ell}")
-    cutoff = tol * state.norm
     photon = abs(state.amps[1])
     phonon = abs(state.amps[2])
-    if photon < cutoff and phonon < cutoff:
-        variant = StateClass.DEGENERATE
-    elif photon < cutoff:
-        variant = StateClass.DARK
-    elif phonon < cutoff:
-        variant = StateClass.QUASI_DARK
-    else:
-        variant = StateClass.BRIGHT
+    variant = _VARIANTS[_variant_codes(photon, phonon, tol * state.norm)]
     return Classification(variant=variant, photon_amp=photon, phonon_amp=phonon)
+
+
+_VARIANTS = (StateClass.DEGENERATE, StateClass.DARK, StateClass.QUASI_DARK, StateClass.BRIGHT)
+
+
+def _variant_codes(photon, phonon, cutoff):
+    """Index into ``_VARIANTS`` per state, from amplitude magnitudes and cutoffs."""
+    dark = photon < cutoff
+    quasi = phonon < cutoff
+    return np.where(dark, np.where(quasi, 0, 1), np.where(quasi, 2, 3))
 
 
 def duality_swap(params: ModelParams) -> ModelParams:
@@ -350,13 +379,16 @@ def relabel_modes(params: ModelParams, role: RelabelRole | str,
     )
 
 
-def _phase_fixed(column: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Rotate a global phase so the atom (or largest) component is positive."""
-    anchor = column[0]
-    if abs(anchor) <= tol * np.linalg.norm(column):
-        anchor = column[np.argmax(np.abs(column))]
-    phase = anchor / abs(anchor)
-    return column / phase + 0.0  # the +0.0 collapses negative zeros
+def _phase_fixed(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Rotate each column's global phase so its atom (or largest) component is
+    positive; ``vectors`` is a stack of eigenvector matrices."""
+    magnitude = np.abs(vectors)
+    no_atom = magnitude[:, 0, :] <= tol * np.linalg.norm(vectors, axis=1)
+    anchor_row = np.where(no_atom, np.argmax(magnitude, axis=1), 0)
+    anchor = np.take_along_axis(vectors, anchor_row[:, None, :], axis=1)
+    with np.errstate(invalid="ignore"):  # NaN columns of a failed solve
+        phase = anchor / np.abs(anchor)
+        return vectors / phase + 0.0  # the +0.0 collapses negative zeros
 
 
 def classify_spectrum(params: ModelParams, tol: float = 1e-9) -> list[EigenstateRecord]:
@@ -367,17 +399,40 @@ def classify_spectrum(params: ModelParams, tol: float = 1e-9) -> list[Eigenstate
     positive (falling back to the largest component for states with no
     atom weight).
     """
-    from .oracle import dense_hermitian_eig
-
-    sector = one_excitation_matrix(params)
-    eig = dense_hermitian_eig(sector.matrix)
-    records = []
-    for pos, energy in enumerate(eig.values):
-        column = _phase_fixed(eig.vectors[:, pos])
-        state = SectorVector(amps=column, ell=1)
-        records.append(
-            EigenstateRecord(
-                energy=float(energy), state=state, classification=classify(state, tol)
-            )
+    spectrum = _classified(_batch_of(params), tol)
+    spectrum.status.check()
+    return [
+        EigenstateRecord(
+            energy=energy,
+            state=SectorVector(amps=spectrum.states[0, :, j], ell=1),
+            classification=Classification(variant=_VARIANTS[code], photon_amp=photon,
+                                          phonon_amp=phonon),
         )
-    return records
+        for j, (energy, code, photon, phonon) in enumerate(zip(
+            spectrum.energies[0].tolist(), spectrum.codes[0].tolist(),
+            spectrum.magnitudes[0, 1].tolist(), spectrum.magnitudes[0, 2].tolist()))
+    ]
+
+
+class _Classified(NamedTuple):
+    """:func:`classify_spectrum` per point: ``energies`` (n, 3) ascending;
+    ``states`` (n, 3, 3) with one normalized, phase-fixed state per column;
+    ``magnitudes`` their absolute values; ``codes`` (n, 3) index
+    ``_VARIANTS``."""
+
+    energies: np.ndarray
+    states: np.ndarray
+    magnitudes: np.ndarray
+    codes: np.ndarray
+    status: _Status
+
+
+def _classified(p: _Batch, tol: float = 1e-9) -> _Classified:
+    from .oracle import _eigh
+
+    energies, vectors, status = _eigh(_one_excitation_matrices(p))
+    states = _phase_fixed(vectors)
+    magnitudes = np.abs(states)
+    cutoff = tol * np.linalg.norm(states, axis=1)
+    codes = _variant_codes(magnitudes[:, 1, :], magnitudes[:, 2, :], cutoff)
+    return _Classified(energies, states, magnitudes, codes, status)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and per-point batch outcomes."""
+
+import numpy as np
 
 
 class DarkTrioError(Exception):
@@ -25,11 +27,20 @@ class DegenerateTwoMode(DarkTrioError):
 
 
 class GammaZero(DarkTrioError):
-    """An effective atom-quasimode coupling vanishes within tolerance."""
+    """An effective atom-quasimode coupling vanishes within tolerance.
+
+    Closed forms built on both couplings do not apply; the brute-force
+    :func:`darktrio.classify_spectrum` does.
+    """
 
 
 class DegenerateSpectrum(DarkTrioError):
-    """Dressed levels are too close for the closed forms to be stable."""
+    """Dressed levels are too ill-conditioned for the closed forms.
+
+    Raised when two dressed levels nearly coincide, a level sits on a
+    quasimode energy, the closed-form unitary misses its sanity bound, or
+    the spectra of the coupling-swapped pair fail to match.
+    """
 
 
 class PoleHit(DarkTrioError):
@@ -74,3 +85,66 @@ class ConvergenceFailure(DarkTrioError):
 
 class SizeLimit(DarkTrioError):
     """A sector matrix would exceed the configured dimension cap."""
+
+
+#: the outcomes a batch kernel records per point: 0 is success, code k the
+#: k-th of these types
+_STATUS_ERRORS = (
+    None,
+    DegenerateTwoMode,
+    AssumptionViolation,
+    GammaZero,
+    DegenerateSpectrum,
+    NotResonant,
+    ComplexCouplings,
+    PoleHit,
+    NotAnEigenvalue,
+    NotHermitian,
+    ConvergenceFailure,
+)
+_CODE = {error: code for code, error in enumerate(_STATUS_ERRORS) if error is not None}
+
+
+class _Status:
+    """Per-point outcome of a batch kernel: a point that fails a check keeps
+    the code of the error type and the error a single-point call raises.
+
+    The checks run in their single-point order and a point keeps its
+    first failure, so a point fails the same way in a batch of any size.
+    """
+
+    def __init__(self, n: int):
+        self.code = np.zeros(n, dtype=np.int8)
+        self._errors: dict[int, DarkTrioError] = {}
+
+    @property
+    def ok(self) -> np.ndarray:
+        return self.code == 0
+
+    def fail(self, mask, make) -> None:
+        """Record the error ``make(i)``, built at once, for every point ``i``
+        in ``mask`` that has not failed yet."""
+        if not np.count_nonzero(mask):
+            return
+        new = np.flatnonzero(mask & (self.code == 0)).tolist()
+        errors = [make(i) for i in new]
+        self.code[new] = [_CODE[type(error)] for error in errors]
+        self._errors.update(zip(new, errors))
+
+    def inherit(self, other: "_Status", offset: int = 0) -> None:
+        """Take over the failures of an earlier stage, where none is recorded
+        yet: point ``i`` takes those of ``other``'s point ``i + offset``."""
+        if other._errors:
+            code = other.code[offset:offset + len(self.code)]
+            new = np.flatnonzero((code != 0) & (self.code == 0))
+            self.code[new] = code[new]
+            self._errors.update((i, other._errors[i + offset]) for i in new.tolist())
+
+    def error(self, i: int) -> DarkTrioError:
+        """The error of failed point ``i``."""
+        return self._errors[i]
+
+    def check(self, i: int = 0) -> None:
+        """Raise point ``i``'s error, if it has one."""
+        if self.code[i]:
+            raise self.error(i)

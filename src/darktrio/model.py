@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -131,9 +132,116 @@ class SectorMatrix:
         self.matrix.setflags(write=False)
 
 
-def ass1_margin(params: ModelParams) -> float:
-    """Signed distance of |kappa| below sqrt(omega_b * omega_c)."""
-    return math.sqrt(params.omega_b * params.omega_c) - abs(params.kappa)
+@dataclass(frozen=True, eq=False)
+class _Batch:
+    """The six parameters of ``n`` points as arrays, the struct-of-arrays form
+    of :class:`ModelParams` the batch kernels take: frequencies as floats,
+    couplings as complex numbers, one entry per point."""
+
+    omega_a: np.ndarray
+    omega_b: np.ndarray
+    omega_c: np.ndarray
+    lam: np.ndarray
+    xi: np.ndarray
+    kappa: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.omega_a)
+
+    @cached_property
+    def coupling_scale(self) -> np.ndarray:
+        """``max(|lambda|, |xi|, |kappa|, 1)`` per point, the scale of the zero floors."""
+        return np.maximum(np.maximum(np.maximum(_abs(self.lam), _abs(self.xi)),
+                                     _abs(self.kappa)), 1.0)
+
+    def and_swapped(self) -> "_Batch":
+        """The batch followed by its copy with ``lambda`` and ``xi`` exchanged."""
+        def twice(a, b):
+            return np.concatenate([a, b])
+        return _Batch(twice(self.omega_a, self.omega_a), twice(self.omega_b, self.omega_b),
+                      twice(self.omega_c, self.omega_c), twice(self.lam, self.xi),
+                      twice(self.xi, self.lam), twice(self.kappa, self.kappa))
+
+
+def _batch_of(params: ModelParams) -> _Batch:
+    """A batch of one point."""
+    freqs = np.array([params.omega_a, params.omega_b, params.omega_c])
+    couplings = np.array([params.lam, params.xi, params.kappa])
+    return _Batch(freqs[0:1], freqs[1:2], freqs[2:3],
+                  couplings[0:1], couplings[1:2], couplings[2:3])
+
+
+# The batch kernels round every operation as Python's float and complex
+# arithmetic on one point rounds it, bit for bit, so the output stays what
+# the closed forms written with Python numbers printed (tests/golden holds
+# it) and no result depends on the size of the batch:
+# - abs(z) is np.hypot(z.real, z.imag);
+# - x ** 2 is np.float_power(x, 2.0), not x * x or np.power;
+# - a complex times a float is numpy's product (the float's imaginary part
+#   is +0.0 in both), but a complex quotient is CPython's Smith algorithm,
+#   which divides where numpy multiplies by a reciprocal;
+# - math.hypot has no exactly matching ufunc and is mapped over the floats;
+# - a stacked LAPACK eigensolve gives each matrix the bits of its own call.
+
+def _abs(z: np.ndarray) -> np.ndarray:
+    return np.hypot(z.real, z.imag)
+
+
+def _max_abs(x: np.ndarray) -> np.ndarray:
+    """Largest magnitude per point: over all axes of ``x`` but the first."""
+    return np.maximum.reduce(np.abs(x).reshape(len(x), -1), axis=1)
+
+
+def _sq(x):
+    return np.float_power(x, 2.0)
+
+
+def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``math.hypot`` elementwise over two arrays of one shape."""
+    flat = map(math.hypot, x.ravel().tolist(), y.ravel().tolist())
+    return np.array(list(flat), dtype=float).reshape(x.shape)
+
+
+def _cdiv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a / b`` for complex arrays as CPython divides complex numbers.
+
+    Smith's algorithm: divide through by the larger part of ``b``.
+    """
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    by_real = np.abs(br) >= np.abs(bi)
+    ratio = bi / br
+    denom = br + bi * ratio
+    quotient = _complex((ar + ai * ratio) / denom, (ai - ar * ratio) / denom)
+    if np.count_nonzero(by_real) < by_real.size:
+        ratio = br / bi
+        denom = br * ratio + bi
+        other = _complex((ar * ratio + ai) / denom, (ai * ratio - ar) / denom)
+        quotient = np.where(by_real, quotient, other)
+    return quotient
+
+
+def _cdiv_real(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``a / d`` for a complex ``a`` and a real ``d``, as CPython divides.
+
+    CPython divides by ``d + 0j`` with Smith's algorithm: its denominator
+    ``d + 0 * ratio`` is ``d`` itself, but the signed zero ``ratio = 0 / d``
+    still sets the signs of zero parts of the quotient.
+    """
+    ratio = 0.0 / d
+    return _complex((a.real + a.imag * ratio) / d, (a.imag - a.real * ratio) / d)
+
+
+def _complex(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    """Complex array from its parts, signed zeros kept."""
+    out = np.empty(np.shape(real), dtype=complex)
+    out.real = real
+    out.imag = imag
+    return out
+
+
+def ass1_margin(p) -> np.ndarray:
+    """Signed distance of |kappa| below sqrt(omega_b * omega_c), per point of batch ``p``."""
+    return np.sqrt(p.omega_b * p.omega_c) - _abs(p.kappa)
 
 
 def validate(params: ModelParams, *, ass2_rtol: float = 1e-12) -> AssumptionReport:
@@ -145,32 +253,33 @@ def validate(params: ModelParams, *, ass2_rtol: float = 1e-12) -> AssumptionRepo
     behind assumptions 2-4 are then undefined.  The raised error carries
     the assumption-1 result in its ``ass1`` attribute.
     """
-    from .twomode import two_mode_spectrum
+    from .twomode import _two_mode
 
-    return _assumption_report(params, two_mode_spectrum(params), ass2_rtol)
+    p = _batch_of(params)
+    two = _two_mode(p)
+    two.status.check()
+    return _assumption_report(_assumption_margins(p, two, ass2_rtol)[0])
 
 
-def _assumption_report(params: ModelParams, two, ass2_rtol: float = 1e-12) -> AssumptionReport:
-    """The four standing assumptions from the solved photon-phonon block ``two``."""
-    margin1 = ass1_margin(params)
-    ass1 = AssumptionCheck(margin1 > 0.0, margin1)
+def _assumption_report(margins) -> AssumptionReport:
+    """The report from one point's four margins."""
+    return AssumptionReport(*(AssumptionCheck(m > 0.0, m) for m in margins.tolist()))
 
-    scale = max(abs(params.lam), abs(params.xi), abs(params.kappa), 1.0)
-    floor = ass2_rtol * scale
-    margin2 = min(abs(two.gamma[0]), abs(two.gamma[1])) - floor
-    ass2 = AssumptionCheck(margin2 > 0.0, margin2)
 
-    wa, wb, wc = params.omega_a, params.omega_b, params.omega_c
-    g1sq = abs(two.gamma[0]) ** 2
-    g2sq = abs(two.gamma[1]) ** 2
-    ksq = abs(params.kappa) ** 2
-    margin3 = (wa * wb + wb * wc + wc * wa) - (ksq + g1sq + g2sq)
-    ass3 = AssumptionCheck(margin3 > 0.0, margin3)
+def _assumption_margins(p: _Batch, two, ass2_rtol: float = 1e-12) -> np.ndarray:
+    """Margins of the four standing assumptions, shape (n, 4), from the solved
+    photon-phonon blocks ``two``; rows where ``two`` failed hold NaN."""
+    margins = np.empty((len(p), 4))
+    margins[:, 0] = two.ass1_margin
 
-    margin4 = wa * wb * wc - (wa * ksq + two.eps[0] * g2sq + two.eps[1] * g1sq)
-    ass4 = AssumptionCheck(margin4 > 0.0, margin4)
+    g1, g2 = two.gamma_abs[:, 0], two.gamma_abs[:, 1]
+    margins[:, 1] = np.minimum(g1, g2) - ass2_rtol * p.coupling_scale
 
-    return AssumptionReport(ass1, ass2, ass3, ass4)
+    wa, wb, wc = p.omega_a, p.omega_b, p.omega_c
+    g1sq, g2sq, ksq = _sq(g1), _sq(g2), _sq(_abs(p.kappa))
+    margins[:, 2] = (wa * wb + wb * wc + wc * wa) - (ksq + g1sq + g2sq)
+    margins[:, 3] = wa * wb * wc - (wa * ksq + two.eps[:, 0] * g2sq + two.eps[:, 1] * g1sq)
+    return margins
 
 
 def one_excitation_matrix(params: ModelParams) -> SectorMatrix:
@@ -180,17 +289,17 @@ def one_excitation_matrix(params: ModelParams) -> SectorMatrix:
     frequencies and the upper triangle the conjugated couplings, e.g.
     ``entry(atom, photon) = conj(lambda)``.
     """
-    lam, xi, kappa = params.lam, params.xi, params.kappa
-    h = np.array(
-        [
-            [params.omega_a, lam.conjugate(), xi.conjugate()],
-            [lam, params.omega_b, kappa.conjugate()],
-            [xi, kappa, params.omega_c],
-        ],
-        dtype=complex,
-    )
     basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    return SectorMatrix(ell=1, basis=basis, matrix=h)
+    return SectorMatrix(ell=1, basis=basis, matrix=_one_excitation_matrices(_batch_of(params))[0])
+
+
+def _one_excitation_matrices(p: _Batch) -> np.ndarray:
+    """:func:`one_excitation_matrix` of every point of the batch ``p``, shape (n, 3, 3)."""
+    h = np.empty((len(p), 3, 3), dtype=complex)
+    h[:, 0, 0], h[:, 1, 1], h[:, 2, 2] = p.omega_a, p.omega_b, p.omega_c
+    h[:, 1, 0], h[:, 2, 0], h[:, 2, 1] = p.lam, p.xi, p.kappa
+    h[:, 0, 1], h[:, 0, 2], h[:, 1, 2] = p.lam.conj(), p.xi.conj(), p.kappa.conj()
+    return h
 
 
 def sector_basis(kind: AtomKind, ell: int) -> tuple[tuple[int, int, int], ...]:

@@ -17,11 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .darkstates import _require_gamma_nonzero, _resonant_real, duality_swap
-from .errors import GammaZero, NotAnEigenvalue, PoleHit
-from .model import ModelParams
-from .threemode import _phi, three_mode_spectrum
-from .twomode import TwoModeSpectrum, two_mode_spectrum
+import numpy as np
+
+from .darkstates import _require_gamma_nonzero, _resonant_real
+from .errors import DegenerateSpectrum, GammaZero, NotAnEigenvalue, PoleHit, _Status
+from .model import ModelParams, _batch_of, _Batch, _sq
+from .threemode import _dressed, _phi
+from .twomode import _two_mode, _TwoModeBatch
 
 __all__ = ["DualityReport", "b_occupation", "c_occupation", "duality_report"]
 
@@ -47,30 +49,56 @@ class DualityReport:
         return self.max_mismatch <= self.tol
 
 
-def _occupations(params: ModelParams, energy: float, root_tol: float,
-                 two: TwoModeSpectrum | None = None) -> tuple[float, float]:
-    """Unnormalized (photon, phonon) occupations at ``energy``.
+def _occupations(p: _Batch, energies: np.ndarray, root_tol: float, two: _TwoModeBatch,
+                 regime, status: _Status) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized (photon, phonon) occupations at ``energies`` (n, k), one
+    row per point of ``p``.
 
-    ``two`` is the solved photon-phonon block of ``params``; it is solved
-    here when not given, after the regime checks.
+    ``two`` is the solved photon-phonon block of ``p`` and ``regime`` the
+    (omega, lam, xi, kappa) that :func:`_resonant_real` returned for it.
+    The checks of each energy, in order, record failures on ``status``.
     """
-    omega, lam, xi, kappa = _resonant_real(params)
-    _require_gamma_nonzero(lam, xi, kappa, exc=GammaZero)
-    e = float(energy)
-    eps1, eps2 = omega - kappa, omega + kappa
-    if min(abs(e - eps1), abs(e - eps2)) <= 1e-10:
-        raise PoleHit(f"energy {e} sits on a quasimode energy ({eps1}, {eps2})")
-    if two is None:
-        two = two_mode_spectrum(params)
-    residual = abs(_phi(e, params.omega_a, two))
-    bound = root_tol * max(1.0, abs(e) ** 3)
-    if residual > bound:
-        raise NotAnEigenvalue(
-            f"cubic residual {residual:.3e} at {e} exceeds {bound:.1e}"
-        )
-    detuned = (e - params.omega_a) * (e - omega)
-    denom = (e - eps1) * (e - eps2)
-    return (detuned - xi ** 2) / denom, (detuned - lam ** 2) / denom
+    omega, lam, xi, kappa = regime
+    e = energies
+    wa = p.omega_a[:, None]
+    eps1, eps2 = (omega - kappa)[:, None], (omega + kappa)[:, None]
+    gsq = _sq(two.gamma_abs)
+    with np.errstate(all="ignore"):
+        pole = np.minimum(np.abs(e - eps1), np.abs(e - eps2)) <= 1e-10
+        residual = np.abs(_phi(e, wa, two.eps[:, :1], two.eps[:, 1:], gsq[:, :1], gsq[:, 1:]))
+        bound = root_tol * np.maximum(1.0, np.float_power(np.abs(e), 3.0))
+        detuned = (e - wa) * (e - omega[:, None])
+        denom = (e - eps1) * (e - eps2)
+        b = (detuned - _sq(xi)[:, None]) / denom
+        c = (detuned - _sq(lam)[:, None]) / denom
+    for j in range(e.shape[1]):
+        status.fail(pole[:, j], lambda i: PoleHit(
+            f"energy {e[i, j].item()} sits on a quasimode energy "
+            f"({eps1[i, 0].item()}, {eps2[i, 0].item()})"
+        ))
+        if j == 0:
+            # a degenerate photon-phonon block shows after the first pole check
+            status.inherit(two.status)
+        status.fail(residual[:, j] > bound[:, j], lambda i: NotAnEigenvalue(
+            f"cubic residual {residual[i, j]:.3e} at {e[i, j].item()} exceeds {bound[i, j]:.1e}"
+        ))
+    return b, c
+
+
+def _occupation_regime(p: _Batch, status: _Status):
+    """The regime checks of the occupations; returns (omega, lam, xi, kappa)."""
+    regime = _resonant_real(p, status)
+    _require_gamma_nonzero(status, *regime[1:], exc=GammaZero)
+    return regime
+
+
+def _occupation_pair(params: ModelParams, energy: float, root_tol: float) -> tuple[float, float]:
+    p = _batch_of(params)
+    status = _Status(1)
+    regime = _occupation_regime(p, status)
+    b, c = _occupations(p, np.array([[float(energy)]]), root_tol, _two_mode(p), regime, status)
+    status.check()
+    return b[0, 0].item(), c[0, 0].item()
 
 
 def b_occupation(params: ModelParams, energy: float, *, root_tol: float = 1e-10,
@@ -81,14 +109,14 @@ def b_occupation(params: ModelParams, energy: float, *, root_tol: float = 1e-10,
     ``1 + <b'b> + <c'c>``, i.e. reports the occupation of the normalized
     state instead of the unnormalized closed form.
     """
-    b, c = _occupations(params, energy, root_tol)
+    b, c = _occupation_pair(params, energy, root_tol)
     return b / (1.0 + b + c) if normalized else b
 
 
 def c_occupation(params: ModelParams, energy: float, *, root_tol: float = 1e-10,
                  normalized: bool = False) -> float:
     """Phonon occupation; mirror of :func:`b_occupation`."""
-    b, c = _occupations(params, energy, root_tol)
+    b, c = _occupation_pair(params, energy, root_tol)
     return c / (1.0 + c + b) if normalized else c
 
 
@@ -96,27 +124,48 @@ def duality_report(params: ModelParams, tol: float = 1e-10) -> DualityReport:
     """Verify the occupation duality level by level.
 
     Computes the dressed levels of the base and the coupling-swapped
-    parameter sets, checks that they match pairwise, and compares the
-    photon occupation of the base set with the phonon occupation of the
-    swapped set at every level.
+    parameter sets, checks that they match pairwise (raises
+    :class:`DegenerateSpectrum` when they do not: the closed forms are
+    too ill-conditioned there), and compares the photon occupation of the
+    base set with the phonon occupation of the swapped set at every level.
     """
-    omega, lam, xi, kappa = _resonant_real(params)
-    _require_gamma_nonzero(lam, xi, kappa)
-    swapped = duality_swap(params)
-    base = three_mode_spectrum(params)
-    mirror = three_mode_spectrum(swapped)
-    for a, b in zip(base.e, mirror.e):
-        if abs(a - b) > 1e-12 * max(1.0, abs(a)):
-            raise RuntimeError(
-                f"swapped spectra failed to match: {base.e} vs {mirror.e}"
-            )
-    b_occ = tuple(_occupations(params, e, 1e-10, base.two)[0] for e in base.e)
-    c_occ = tuple(_occupations(swapped, e, 1e-10, mirror.two)[1] for e in mirror.e)
-    mismatch = max(abs(b - c) for b, c in zip(b_occ, c_occ))
+    report, status = _duality(_batch_of(params), tol)
+    status.check()
+    base, mirror = report.energies
     return DualityReport(
-        energies=(base.e, mirror.e),
-        b_occ=b_occ,
-        c_occ_swapped=c_occ,
-        max_mismatch=mismatch,
+        energies=(tuple(base[0].tolist()), tuple(mirror[0].tolist())),
+        b_occ=tuple(report.b_occ[0].tolist()),
+        c_occ_swapped=tuple(report.c_occ_swapped[0].tolist()),
+        max_mismatch=report.max_mismatch[0].item(),
         tol=tol,
     )
+
+
+def _duality(p: _Batch, tol: float = 1e-10) -> tuple[DualityReport, _Status]:
+    """:func:`duality_report` per point: the report's fields are arrays with
+    one row per point (``passed`` too), and the status."""
+    # the base points and their swapped copies, solved as one batch
+    n = len(p)
+    both = p.and_swapped()
+    checks = _Status(2 * n)
+    regime = _resonant_real(both, checks)
+    _require_gamma_nonzero(checks, *regime[1:])
+    spec = _dressed(both, _two_mode(both))
+    status = _Status(n)
+    for stage, offset in ((checks, 0), (spec.status, 0), (spec.status, n)):
+        status.inherit(stage, offset)
+    base, mirror = spec.e[:n], spec.e[n:]
+    with np.errstate(invalid="ignore"):
+        apart = np.abs(base - mirror) > 1e-12 * np.maximum(1.0, np.abs(base))
+    status.fail(apart.any(axis=1), lambda i: DegenerateSpectrum(
+        f"swapped spectra failed to match: {tuple(base[i].tolist())} "
+        f"vs {tuple(mirror[i].tolist())}"
+    ))
+    occupied = _Status(2 * n)
+    b_occ, c_occ = _occupations(both, spec.e, 1e-10, spec.two, regime, occupied)
+    status.inherit(occupied)
+    status.inherit(occupied, n)
+    b_occ, c_occ = b_occ[:n], c_occ[n:]
+    with np.errstate(invalid="ignore"):
+        mismatch = np.max(np.abs(b_occ - c_occ), axis=1)
+    return DualityReport((base, mirror), b_occ, c_occ, mismatch, tol), status

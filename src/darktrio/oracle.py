@@ -21,8 +21,18 @@ from .errors import (
     DarkTrioError,
     DegenerateTwoMode,
     NotHermitian,
+    _Status,
 )
-from .model import AtomKind, ModelParams, _assumption_report, one_excitation_matrix, sector_matrix
+from .model import (
+    AtomKind,
+    ModelParams,
+    _assumption_margins,
+    _assumption_report,
+    _batch_of,
+    _max_abs,
+    one_excitation_matrix,
+    sector_matrix,
+)
 
 __all__ = [
     "EigenDecomposition",
@@ -114,22 +124,44 @@ def dense_hermitian_eig(matrix, *, hermitian_rtol: float = 1e-13) -> EigenDecomp
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = float(np.linalg.norm(a))
-    deviation = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if deviation > hermitian_rtol * max(scale, 1e-300):
-        raise NotHermitian(f"matrix deviates from Hermitian by {deviation:.3e}")
+    values, vectors, status = _eigh(a[None], hermitian_rtol)
+    status.check()
+    return EigenDecomposition(values=values[0], vectors=vectors[0])
+
+
+def _eigh(a: np.ndarray, hermitian_rtol: float = 1e-13):
+    """:func:`dense_hermitian_eig` of every matrix in the stack ``a`` (n, d, d).
+
+    Returns ascending values (n, d), eigenvector columns (n, d, d) and the
+    per-matrix status.
+    """
+    n, dim = a.shape[0], a.shape[-1]
+    status = _Status(n)
+    flat = np.ascontiguousarray(a).view(float).reshape(n, -1)
+    scale = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+    deviation = _max_abs(a - a.conj().swapaxes(1, 2))
+    status.fail(deviation > hermitian_rtol * np.maximum(scale, 1e-300), lambda i: NotHermitian(
+        f"matrix deviates from Hermitian by {deviation[i]:.3e}"
+    ))
     try:
         values, vectors = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as err:
-        raise ConvergenceFailure(f"dense eigensolver failed: {err}") from err
-    residual = float(np.max(np.abs(a @ vectors - vectors * values)))
-    ortho = float(np.max(np.abs(vectors.conj().T @ vectors - np.eye(a.shape[0]))))
-    if residual > 1e-11 * max(scale, 1.0) or ortho > 1e-12:
-        raise ConvergenceFailure(
-            f"decomposition out of tolerance (residual {residual:.3e}, "
-            f"orthonormality {ortho:.3e})"
-        )
-    return EigenDecomposition(values=values, vectors=vectors)
+    except np.linalg.LinAlgError:
+        # solve one by one, so only the matrices the solver fails on fail
+        values, vectors = np.full((n, dim), np.nan), np.full(a.shape, np.nan, dtype=complex)
+        for i in range(n):
+            try:
+                values[i], vectors[i] = np.linalg.eigh(a[i])
+            except np.linalg.LinAlgError as err:
+                status.fail(np.arange(n) == i, lambda _: ConvergenceFailure(
+                    f"dense eigensolver failed: {err}"))
+    residual = _max_abs(a @ vectors - vectors * values[:, None, :])
+    ortho = _max_abs(vectors.conj().swapaxes(1, 2) @ vectors - np.eye(dim))
+    status.fail((residual > 1e-11 * np.maximum(scale, 1.0)) | (ortho > 1e-12),
+                lambda i: ConvergenceFailure(
+                    f"decomposition out of tolerance (residual {residual[i]:.3e}, "
+                    f"orthonormality {ortho[i]:.3e})"
+                ))
+    return values, vectors, status
 
 
 def oscillator_sector_check(params: ModelParams, ell: int, *, tol: float = 1e-9,
@@ -142,15 +174,17 @@ def oscillator_sector_check(params: ModelParams, ell: int, *, tol: float = 1e-9,
     Requires all four standing assumptions (raises
     :class:`AssumptionViolation` otherwise).
     """
-    two = twomode.two_mode_spectrum(params)
-    report = _assumption_report(params, two)
+    p = _batch_of(params)
+    two = twomode._two_mode(p)
+    two.status.check()
+    report = _assumption_report(_assumption_margins(p, two)[0])
     if not report.all_pass:
         raise AssumptionViolation(
             "the sector spectrum check needs all standing assumptions; margins: "
             f"ass1={report.ass1.margin:.3e} ass2={report.ass2.margin:.3e} "
             f"ass3={report.ass3.margin:.3e} ass4={report.ass4.margin:.3e}"
         )
-    return _sector_check(params, threemode._dressed(params, two).e, ell, tol, max_dim)
+    return _sector_check(params, threemode._dressed(p, two).point(0).e, ell, tol, max_dim)
 
 
 def _sector_check(params: ModelParams, levels, ell: int, tol: float,
@@ -200,8 +234,10 @@ def crosscheck(params: ModelParams, kind: AtomKind = AtomKind.TWO_LEVEL,
                                   skipped=True, reason=reason))
 
     # standing assumptions: margins are recorded, dependent checks skip on failure
+    p = _batch_of(params)
+    solved = twomode._two_mode(p)
     try:
-        two = twomode.two_mode_spectrum(params)
+        two = solved.point(0)
     except DegenerateTwoMode as err:
         note("assumption-1", err.ass1.margin, err.ass1.passed,
              "standing assumption, margin recorded")
@@ -213,7 +249,7 @@ def crosscheck(params: ModelParams, kind: AtomKind = AtomKind.TWO_LEVEL,
             skip(name, "degenerate photon-phonon block")
         two = None
     else:
-        report = _assumption_report(params, two, tol.ass2)
+        report = _assumption_report(_assumption_margins(p, solved, tol.ass2)[0])
         for i in (1, 2, 3, 4):
             check = getattr(report, f"ass{i}")
             note(f"assumption-{i}", check.margin, check.passed,
@@ -276,7 +312,7 @@ def crosscheck(params: ModelParams, kind: AtomKind = AtomKind.TWO_LEVEL,
             skip(name, "an effective coupling vanishes")
     else:
         try:
-            spectrum = threemode._dressed(params, two)
+            spectrum = threemode._dressed(p, solved).point(0)
         except DarkTrioError as err:
             for name in three_names:
                 skip(name, f"dressed spectrum unavailable: {err}")
@@ -289,8 +325,9 @@ def crosscheck(params: ModelParams, kind: AtomKind = AtomKind.TWO_LEVEL,
             tol.e_match * max(1.0, bare_scale))
         freq_sum = params.omega_a + params.omega_b + params.omega_c
         add("level-trace", abs(levels.sum() - freq_sum) / freq_sum, tol.trace)
+        gsq = threemode._gamma_sq(two.gamma)
         add("cubic-roots",
-            max(abs(threemode._phi(e, params.omega_a, two)) / max(1.0, abs(e) ** 3)
+            max(abs(threemode._phi(e, params.omega_a, *two.eps, *gsq)) / max(1.0, abs(e) ** 3)
                 for e in spectrum.e),
             tol.root)
         add("v-unitarity",
@@ -300,7 +337,6 @@ def crosscheck(params: ModelParams, kind: AtomKind = AtomKind.TWO_LEVEL,
         diag = spectrum.v.conj().T @ quasi @ spectrum.v
         add("v-diagonalization", float(np.max(np.abs(diag - np.diag(levels)))),
             tol.v_diag * max(1.0, bare_scale))
-        gsq = threemode._gamma_sq(two)
         b1_res = max(
             abs(1.0 + sum(gsq[nu] / ((spectrum.e[j] - two.eps[nu]) * (spectrum.e[k] - two.eps[nu]))
                           for nu in range(2)))
@@ -342,17 +378,21 @@ def crosscheck(params: ModelParams, kind: AtomKind = AtomKind.TWO_LEVEL,
     if spectrum is None:
         skip("occupation-amplitudes", "dressed spectrum unavailable")
     else:
-        try:
+        status = _Status(1)
+        regime = observables._occupation_regime(p, status)
+        occupations = observables._occupations(p, np.array([spectrum.e]), 1e-10, solved, regime,
+                                               status)
+        if status.code[0]:
+            skip("occupation-amplitudes", f"outside the resonant real regime: {status.error(0)}")
+        else:
             occ_res = 0.0
-            for j, level in enumerate(spectrum.e):
-                closed_forms = observables._occupations(params, level, 1e-10, two)
+            for j in range(3):
+                closed_forms = (occupations[0][0, j], occupations[1][0, j])
                 for closed, amp in zip(closed_forms, states[1:, j]):
                     # relative with a unit floor: tuned points have occupation 0
                     scale = max(abs(closed), abs(amp) ** 2, 1.0)
                     occ_res = max(occ_res, abs(closed - abs(amp) ** 2) / scale)
             add("occupation-amplitudes", occ_res, tol.occupation)
-        except DarkTrioError as err:
-            skip("occupation-amplitudes", f"outside the resonant real regime: {err}")
 
     if kind is not AtomKind.OSCILLATOR:
         skip("sector-2-spectrum", "level sums apply to the oscillator atom")

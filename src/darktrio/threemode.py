@@ -39,12 +39,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AssumptionViolation, DegenerateSpectrum, DegenerateTwoMode, GammaZero, PoleHit
-from .model import ModelParams, ass1_margin
-from .twomode import TwoModeSpectrum, two_mode_spectrum
+from .errors import (
+    AssumptionViolation,
+    DegenerateSpectrum,
+    DegenerateTwoMode,
+    GammaZero,
+    PoleHit,
+    _Status,
+)
+from .model import (
+    ModelParams,
+    _abs,
+    _batch_of,
+    _Batch,
+    _cdiv_real,
+    _max_abs,
+    _sq,
+)
+from .twomode import TwoModeSpectrum, _two_mode, _TwoModeBatch, two_mode_spectrum
 
 __all__ = [
     "ThreeModeSpectrum",
@@ -58,6 +74,8 @@ __all__ = [
 
 #: relative floor below which an effective coupling counts as zero
 GAMMA_RTOL = 1e-12
+
+_EYE3 = np.eye(3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,6 +102,25 @@ class ThreeModeSpectrum:
         return _bare_vectors(self.two, self.e)
 
 
+class _ThreeModeBatch(NamedTuple):
+    """:class:`ThreeModeSpectrum` of every point of a batch: ``e`` and
+    ``n_norm`` (n, 3), ``v`` (n, 3, 3), ``two`` the photon-phonon batch.
+    Rows of points that failed (see ``status``) hold no solution."""
+
+    e: np.ndarray
+    n_norm: np.ndarray
+    v: np.ndarray
+    two: _TwoModeBatch
+    status: _Status
+
+    def point(self, i: int) -> ThreeModeSpectrum:
+        """Point ``i``'s solution; raises its error if it has one."""
+        self.status.check(i)
+        return ThreeModeSpectrum(e=tuple(self.e[i].tolist()),
+                                 n_norm=tuple(self.n_norm[i].tolist()),
+                                 v=self.v[i].copy(), two=self.two.point(i))
+
+
 @dataclass(frozen=True)
 class CubicShape:
     """Stationary points ``f_minus <= f_plus`` of the cleared cubic.
@@ -104,39 +141,41 @@ class CubicShape:
     w: float
 
 
-def _gamma_floor(params: ModelParams) -> float:
-    return GAMMA_RTOL * max(abs(params.lam), abs(params.xi), abs(params.kappa), 1.0)
-
-
 def quasi_basis_matrix(params: ModelParams, two: TwoModeSpectrum | None = None) -> np.ndarray:
     """One-excitation Hamiltonian in the (quasimode 1, quasimode 2, atom) basis."""
     if two is None:
         two = two_mode_spectrum(params)
-    g1, g2 = two.gamma
-    return np.array(
-        [
-            [two.eps[0], 0.0, g1],
-            [0.0, two.eps[1], g2],
-            [g1.conjugate(), g2.conjugate(), params.omega_a],
-        ],
-        dtype=complex,
-    )
+    return _quasi_matrices(np.array([params.omega_a]), np.array([two.eps]),
+                           np.array([two.gamma]))[0]
 
 
-def _gamma_sq(two: TwoModeSpectrum) -> tuple[float, float]:
-    return abs(two.gamma[0]) ** 2, abs(two.gamma[1]) ** 2
+def _quasi_matrices(omega_a, eps, gamma) -> np.ndarray:
+    """:func:`quasi_basis_matrix` per point: ``omega_a`` (n,), ``eps`` and ``gamma`` (n, 2)."""
+    h = np.zeros((len(omega_a), 3, 3), dtype=complex)
+    h[:, 0, 0], h[:, 1, 1], h[:, 2, 2] = eps[:, 0], eps[:, 1], omega_a
+    h[:, 0, 2], h[:, 1, 2] = gamma[:, 0], gamma[:, 1]
+    h[:, 2, 0], h[:, 2, 1] = gamma[:, 0].conj(), gamma[:, 1].conj()
+    return h
 
 
-def _d1_and_slope(x, omega_a: float, eps, gsq):
-    """``d1(x)`` and its derivative from quasimode energies and ``|Gamma_j|^2``.
+def _gamma_sq(gamma) -> np.ndarray:
+    """``|Gamma_j|^2`` of effective couplings ``gamma``, elementwise."""
+    return _sq(_abs(np.asarray(gamma)))
 
-    ``x`` must not be a quasimode energy.
+
+def _d1_and_slope(x, omega_a, e1, e2, g1sq, g2sq):
+    """``d1(x)`` and its derivative from quasimode energies ``e1``, ``e2`` and
+    ``|Gamma_j|^2``, elementwise.  ``x`` must not be a quasimode energy.
     """
-    r1 = x - eps[0]
-    r2 = x - eps[1]
-    value = x - omega_a - gsq[0] / r1 - gsq[1] / r2
-    slope = 1.0 + gsq[0] / (r1 * r1) + gsq[1] / (r2 * r2)
-    return value, slope
+    r1 = x - e1
+    r2 = x - e2
+    value = x - omega_a - g1sq / r1 - g2sq / r2
+    return value, _slope(r1, r2, g1sq, g2sq)
+
+
+def _slope(r1, r2, g1sq, g2sq):
+    """``d1'(x)`` from the distances ``r_j = x - eps_j`` to the poles."""
+    return 1.0 + g1sq / (r1 * r1) + g2sq / (r2 * r2)
 
 
 def _bare_vectors(two: TwoModeSpectrum, energies) -> np.ndarray:
@@ -158,7 +197,7 @@ def d1(params: ModelParams, x, *, pole_rtol: float = 1e-12):
     guard = pole_rtol * max(1.0, abs(x))
     if min(abs(x - two.eps[0]), abs(x - two.eps[1])) <= guard:
         raise PoleHit(f"x = {x!r} sits on a quasimode energy {two.eps}")
-    return _d1_and_slope(x, params.omega_a, two.eps, _gamma_sq(two))[0]
+    return _d1_and_slope(x, params.omega_a, *two.eps, *_gamma_sq(two.gamma))[0]
 
 
 def phi(params: ModelParams, x: float) -> float:
@@ -175,23 +214,12 @@ def phi(params: ModelParams, x: float) -> float:
         e = params.omega_b
         weight = abs(params.lam) ** 2 + abs(params.xi) ** 2
         return (x - e) ** 2 * (x - params.omega_a) - weight * (x - e)
-    return _phi(x, params.omega_a, two)
+    return _phi(x, params.omega_a, *two.eps, *_gamma_sq(two.gamma))
 
 
-def _phi(x, omega_a: float, two: TwoModeSpectrum):
-    e1, e2 = two.eps
-    g1sq, g2sq = _gamma_sq(two)
+def _phi(x, omega_a, e1, e2, g1sq, g2sq):
+    """The cleared cubic from quasimode energies and ``|Gamma_j|^2``, elementwise."""
     return (x - e1) * (x - e2) * (x - omega_a) - g1sq * (x - e2) - g2sq * (x - e1)
-
-
-def _refine_root(x: float, omega_a: float, eps, gsq) -> float:
-    # two Newton steps on d1; the slope is >= 1, so steps are small and safe
-    for _ in range(2):
-        if x in eps:
-            break
-        value, slope = _d1_and_slope(x, omega_a, eps, gsq)
-        x -= value / slope
-    return x
 
 
 def three_mode_spectrum(params: ModelParams, *, degeneracy_rtol: float = 1e-10) -> ThreeModeSpectrum:
@@ -200,60 +228,83 @@ def three_mode_spectrum(params: ModelParams, *, degeneracy_rtol: float = 1e-10) 
     Requires positive quasimode energies (raises
     :class:`AssumptionViolation` otherwise) and both effective couplings
     nonzero (raises :class:`GammaZero`; a vanishing coupling makes one
-    quasimode an exact dressed level, so use the brute-force path).
-    Raises :class:`DegenerateSpectrum` when two dressed levels are closer
-    than ``degeneracy_rtol`` times the matrix norm.
+    quasimode an exact dressed level, so use the brute-force
+    :func:`darktrio.classify_spectrum`).  Raises
+    :class:`DegenerateSpectrum` when two dressed levels are closer than
+    ``degeneracy_rtol`` times the matrix norm.
     """
-    return _dressed(params, two_mode_spectrum(params), degeneracy_rtol)
+    p = _batch_of(params)
+    return _dressed(p, _two_mode(p), degeneracy_rtol).point(0)
 
 
-def _dressed(params: ModelParams, two: TwoModeSpectrum,
-             degeneracy_rtol: float = 1e-10) -> ThreeModeSpectrum:
-    """:func:`three_mode_spectrum` from the solved photon-phonon block ``two``."""
-    margin = ass1_margin(params)
-    if margin <= 0.0:
-        raise AssumptionViolation(
-            f"|kappa| exceeds sqrt(omega_b*omega_c) by {-margin:.3e}; "
-            "the lower quasimode energy is not positive"
-        )
-    floor = _gamma_floor(params)
-    if min(abs(two.gamma[0]), abs(two.gamma[1])) <= floor:
-        raise GammaZero(
-            f"an effective coupling vanishes (|Gamma| = "
-            f"{min(abs(two.gamma[0]), abs(two.gamma[1])):.3e})"
-        )
+def _dressed(p: _Batch, two: _TwoModeBatch, degeneracy_rtol: float = 1e-10) -> _ThreeModeBatch:
+    """:func:`three_mode_spectrum` for every point of the batch ``p``, from its
+    solved photon-phonon blocks ``two``.
 
-    h = quasi_basis_matrix(params, two)
-    scale = float(np.linalg.norm(h))
-    gsq = _gamma_sq(two)
-    levels = [_refine_root(float(x), params.omega_a, two.eps, gsq) for x in np.linalg.eigvalsh(h)]
-    levels.sort()
-    e1, e2, e3 = levels
-    if min(e2 - e1, e3 - e2) < degeneracy_rtol * scale:
-        raise DegenerateSpectrum(
-            f"dressed levels {levels} are closer than {degeneracy_rtol:.1e} * ||H||"
-        )
+    The levels are the stacked Hermitian eigenvalues, refined by two Newton
+    steps on d1 each.
+    """
+    n = len(p)
+    status = _Status(n)
+    status.inherit(two.status)
+    margin = two.ass1_margin
+    status.fail(margin <= 0.0, lambda i: AssumptionViolation(
+        f"|kappa| exceeds sqrt(omega_b*omega_c) by {-margin[i]:.3e}; "
+        "the lower quasimode energy is not positive"
+    ))
+    g_abs = two.gamma_abs
+    g_min = np.minimum(g_abs[:, 0], g_abs[:, 1])
+    status.fail(g_min <= GAMMA_RTOL * p.coupling_scale, lambda i: GammaZero(
+        f"an effective coupling vanishes (|Gamma| = {g_min[i]:.3e})"
+    ))
 
-    n_norm = []
-    columns = []
-    for level in levels:
-        if level in two.eps:
-            raise DegenerateSpectrum(
-                f"dressed level {level} collides with a quasimode energy {two.eps}"
-            )
-        n_j = 1.0 / math.sqrt(_d1_and_slope(level, params.omega_a, two.eps, gsq)[1])
-        n_norm.append(n_j)
-        columns.append((n_j * two.gamma[0] / (level - two.eps[0]),
-                        n_j * two.gamma[1] / (level - two.eps[1]), n_j))
-    v = np.array(columns, dtype=complex).T
+    h = _quasi_matrices(p.omega_a, two.eps, two.gamma)
+    failed = status.code != 0
+    if np.count_nonzero(failed):
+        # failed points get a harmless matrix, so the stacked solve never sees NaN
+        h[failed] = _EYE3
+    parts = h.view(float).reshape(n, 18)
+    scale = np.sqrt(np.add.reduce(parts * parts, axis=1))
+    levels = np.linalg.eigvalsh(h)
+    # omega_a, eps_1, eps_2, |Gamma_1|^2, |Gamma_2|^2, one copy per level:
+    # operands of one shape keep numpy on its fast path
+    per_point = np.empty((5, n))
+    per_point[0], per_point[1:3], per_point[3:] = p.omega_a, two.eps.T, _sq(g_abs).T
+    wa, e1, e2, g1sq, g2sq = np.repeat(per_point[:, :, None], 3, axis=2)
+    with np.errstate(all="ignore"):
+        # two Newton steps on d1; the slope is >= 1, so steps are small and
+        # safe.  A level that lands on a pole stays there.
+        stopped = np.zeros(levels.shape, dtype=bool)
+        for _ in range(2):
+            stopped |= (levels == e1) | (levels == e2)
+            value, slope = _d1_and_slope(levels, wa, e1, e2, g1sq, g2sq)
+            levels = np.where(stopped, levels, levels - value / slope)
+        levels.sort(axis=1)
+        gap = np.minimum(levels[:, 1] - levels[:, 0], levels[:, 2] - levels[:, 1])
+        status.fail(gap < degeneracy_rtol * scale, lambda i: DegenerateSpectrum(
+            f"dressed levels {levels[i].tolist()} are closer than {degeneracy_rtol:.1e} * ||H||"
+        ))
+        on_pole = (levels == e1) | (levels == e2)
+        status.fail(on_pole.any(axis=1), lambda i: DegenerateSpectrum(
+            f"dressed level {levels[i][on_pole[i]][0].item()} collides with a quasimode "
+            f"energy {tuple(two.eps[i].tolist())}"
+        ))
 
-    residual = float(np.max(np.abs(v.conj().T @ v - np.eye(3))))
-    if residual > 1e-8:
-        raise DegenerateSpectrum(
-            f"closed-form unitary failed its sanity bound (residual {residual:.3e}); "
-            "the spectrum is too ill-conditioned for the closed forms"
-        )
-    return ThreeModeSpectrum(e=(e1, e2, e3), n_norm=tuple(n_norm), v=v, two=two)
+        gaps = np.empty((n, 2, 3))
+        gaps[:, 0], gaps[:, 1] = levels - e1, levels - e2
+        n_norm = 1.0 / np.sqrt(_slope(gaps[:, 0], gaps[:, 1], g1sq, g2sq))
+        # rows (quasimode 1, quasimode 2): N_j * Gamma / (E_j - eps), shape (n, 2, 3)
+        scaled = np.repeat(n_norm[:, None, :], 2, axis=1) * two.gamma[:, :, None]
+        v = np.empty((n, 3, 3), dtype=complex)
+        v[:, :2, :] = _cdiv_real(scaled, gaps)
+        v[:, 2, :] = n_norm
+
+        residual = _max_abs(np.matmul(v.conj().swapaxes(1, 2), v) - _EYE3)
+    status.fail(residual > 1e-8, lambda i: DegenerateSpectrum(
+        f"closed-form unitary failed its sanity bound (residual {residual[i]:.3e}); "
+        "the spectrum is too ill-conditioned for the closed forms"
+    ))
+    return _ThreeModeBatch(e=levels, n_norm=n_norm, v=v, two=two, status=status)
 
 
 def cubic_stationary(params: ModelParams) -> CubicShape:

@@ -29,13 +29,22 @@ per mode, and ``(eps_1 - omega_l) * (eps_2 - omega_l) = -|kappa|^2`` for
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateTwoMode
-from .model import AssumptionCheck, ModelParams, ass1_margin
+from .errors import DegenerateTwoMode, _Status
+from .model import (
+    AssumptionCheck,
+    ModelParams,
+    _abs,
+    _batch_of,
+    _Batch,
+    _cdiv,
+    _hypot,
+    ass1_margin,
+)
 
 __all__ = ["TwoModeSpectrum", "two_mode_spectrum"]
 
@@ -59,6 +68,27 @@ class TwoModeSpectrum:
         self.u.setflags(write=False)
 
 
+class _TwoModeBatch(NamedTuple):
+    """:class:`TwoModeSpectrum` of every point of a batch, one row per point:
+    ``eps``, ``m`` (n, 2), ``gamma`` (n, 2) complex, ``u`` (n, 2, 2), and
+    ``gamma_abs`` the ``|Gamma_j|``.  Rows of points that failed (see
+    ``status``) hold no solution; ``ass1_margin`` is known for every point."""
+
+    eps: np.ndarray
+    m: np.ndarray
+    gamma: np.ndarray
+    u: np.ndarray
+    gamma_abs: np.ndarray
+    ass1_margin: np.ndarray
+    status: _Status
+
+    def point(self, i: int) -> TwoModeSpectrum:
+        """Point ``i``'s solution; raises its error if it has one."""
+        self.status.check(i)
+        return TwoModeSpectrum(eps=tuple(self.eps[i].tolist()), m=tuple(self.m[i].tolist()),
+                               gamma=tuple(self.gamma[i].tolist()), u=self.u[i].copy())
+
+
 def two_mode_spectrum(params: ModelParams, *, degeneracy_rtol: float = 1e-12) -> TwoModeSpectrum:
     """Diagonalize the photon-phonon block of the Hamiltonian.
 
@@ -67,57 +97,65 @@ def two_mode_spectrum(params: ModelParams, *, degeneracy_rtol: float = 1e-12) ->
     ``degeneracy_rtol * (omega_b + omega_c)``; the mixing factors are
     ill-conditioned there (and undefined at the exact degeneracy).  The
     error carries the assumption-1 result in its ``ass1`` attribute.
+    """
+    return _two_mode(_batch_of(params), degeneracy_rtol).point(0)
+
+
+def _two_mode(p: _Batch, degeneracy_rtol: float = 1e-12) -> _TwoModeBatch:
+    """:func:`two_mode_spectrum` for every point of the batch ``p``.
 
     The detuned differences ``d_j = eps_j - omega_b`` are computed
     cancellation-free: the larger one from the explicit half-sum, the
     smaller one through ``d_1 * d_2 = -|kappa|^2``.
     """
-    wb, wc = params.omega_b, params.omega_c
-    kappa = params.kappa
-    ak = abs(kappa)
-    split = math.hypot(wb - wc, 2.0 * ak)
-    if split < degeneracy_rtol * (wb + wc):
-        margin1 = ass1_margin(params)
-        raise DegenerateTwoMode(
-            "photon and phonon are degenerate and uncoupled "
-            f"(splitting {split:.3e}); the normal-mode factors are undefined",
-            ass1=AssumptionCheck(margin1 > 0.0, margin1),
-        )
+    n = len(p)
+    wb, wc, kappa = p.omega_b, p.omega_c, p.kappa
+    ak = _abs(kappa)
+    split = _hypot(wb - wc, 2.0 * ak)
+    status = _Status(n)
+    margin1 = ass1_margin(p)
+    status.fail(split < degeneracy_rtol * (wb + wc), lambda i: DegenerateTwoMode(
+        "photon and phonon are degenerate and uncoupled "
+        f"(splitting {split[i]:.3e}); the normal-mode factors are undefined",
+        ass1=AssumptionCheck(bool(margin1[i] > 0.0), margin1[i].item()),
+    ))
 
-    if ak == 0.0:
-        # decoupled modes: quasimodes are the bare modes, ordered by frequency
-        if wb < wc:
-            eps = (wb, wc)
-            m = (1.0, 0.0)
-            gamma = (params.lam, params.xi)
-            u = np.eye(2, dtype=complex)
-        else:
-            eps = (wc, wb)
-            m = (0.0, 1.0)
-            gamma = (params.xi, params.lam)
-            u = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        return TwoModeSpectrum(eps=eps, m=m, gamma=gamma, u=u)
+    with np.errstate(all="ignore"):
+        # d[:, j] = eps_j - omega_b
+        upper = wc >= wb
+        large = 0.5 * ((wc - wb) + np.where(upper, split, -split))
+        small = -(ak * ak) / large
+        d = np.empty((n, 2))
+        d[:, 0] = np.where(upper, small, large)
+        d[:, 1] = np.where(upper, large, small)
+        eps = wb[:, None] + d
+        ratio = d / ak[:, None]
+        # M_j = |kappa| / sqrt(|kappa|^2 + d_j^2), the positive root
+        m = 1.0 / _hypot(np.ones((n, 2)), ratio)
+        # Gamma_j = M_j * (lam + xi * d_j / kappa) and the photon row of
+        # u = [[M_1, M_2], [M_1 d_1 / conj(kappa), M_2 d_2 / conj(kappa)]],
+        # the four quotients in one division
+        numerators = np.concatenate([p.xi[:, None] * d, m * d], axis=1)
+        divisors = np.repeat(np.stack([kappa, kappa.conj()], axis=1), 2, axis=1)
+        quotients = _cdiv(numerators, divisors)
+        g = m * (p.lam[:, None] + quotients[:, :2])
+        u = np.empty((n, 2, 2), dtype=complex)
+        u[:, 0, :] = m
+        u[:, 1, :] = quotients[:, 2:]
 
-    if wc >= wb:
-        d2 = 0.5 * ((wc - wb) + split)
-        d1 = -(ak * ak) / d2
-    else:
-        d1 = 0.5 * ((wc - wb) - split)
-        d2 = -(ak * ak) / d1
-    eps = (wb + d1, wb + d2)
-
-    # M_j = |kappa| / sqrt(|kappa|^2 + d_j^2), the positive root
-    m = (1.0 / math.hypot(1.0, d1 / ak), 1.0 / math.hypot(1.0, d2 / ak))
-
-    lam, xi = params.lam, params.xi
-    gamma = (m[0] * (lam + xi * d1 / kappa), m[1] * (lam + xi * d2 / kappa))
-
-    kc = kappa.conjugate()
-    u = np.array(
-        [[m[0], m[1]], [m[0] * d1 / kc, m[1] * d2 / kc]],
-        dtype=complex,
-    )
-    return TwoModeSpectrum(eps=eps, m=m, gamma=gamma, u=u)
+    # decoupled modes, or a coupling too weak for d_j / |kappa| to stay
+    # finite (|kappa| near the underflow limit): quasimodes are the bare
+    # modes, ordered by frequency
+    decoupled = ~np.isfinite(ratio).all(axis=1)
+    if np.count_nonzero(decoupled):
+        for mask, first, second in ((decoupled & (wb < wc), 0, 1),
+                                    (decoupled & ~(wb < wc), 1, 0)):
+            eps[mask, first], eps[mask, second] = wb[mask], wc[mask]
+            g[mask, first], g[mask, second] = p.lam[mask], p.xi[mask]
+            m[mask, first], m[mask, second] = 1.0, 0.0
+            u[mask] = np.eye(2)[:, [first, second]]
+    return _TwoModeBatch(eps=eps, m=m, gamma=g, u=u, gamma_abs=_abs(g), ass1_margin=margin1,
+                         status=status)
 
 
 def rwa_block_matrix(params: ModelParams) -> np.ndarray:

@@ -243,3 +243,27 @@ def test_json_output_parses_as_strict_json(capsys):
     code, out, _ = run_cli(capsys, "spectrum")
     assert code == 0
     json.loads(out)  # would fail on NaN/Infinity tokens
+
+
+def test_csv_rows_match_csv_writer():
+    # text cells are quoted once per distinct text and rows joined by hand;
+    # the result must be what csv.writer writes for the same row
+    import csv
+    import io
+
+    from darktrio.cli import _Column, _write_csv
+
+    texts = ("plain", "", "a,b", 'say "x"', "two\nlines", "cr\rhere", " padded ")
+    table = {
+        "text": _Column(np.arange(len(texts)), names=texts),
+        "value": _Column(np.linspace(-1.0, 1.0, len(texts)),
+                         ok=np.arange(len(texts)) % 3 != 0),
+    }
+    stream = io.StringIO()
+    _write_csv(["text", "value"], table, stream)
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["text", "value"])
+    for row, (text, value) in enumerate(zip(texts, np.linspace(-1.0, 1.0, len(texts)))):
+        writer.writerow([text, repr(value.item()) if row % 3 else ""])
+    assert stream.getvalue() == want.getvalue()

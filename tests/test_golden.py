@@ -9,14 +9,20 @@ except the ``residual`` cell of the rows in ``FREE_RESIDUALS``: those
 residuals are rounding-level values of recomputed eigenvectors, so they
 may move in the last bits, while the rows' verdict cells stay identical.
 
-To rewrite the fixtures after an intended output change, run from the
-root of a checkout::
+To record the fixtures of newly added cases, run from the root of a
+checkout::
 
     PYTHONPATH=src python tests/test_golden.py
+
+It writes only fixtures that do not exist yet.  Rewriting an existing
+fixture after an intended output change takes its label, e.g.::
+
+    PYTHONPATH=src python tests/test_golden.py default.spectrum.json
 """
 
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,10 +41,18 @@ POINT_CONFIGS = (
     "oscillator-sector-3",
 )
 POINT_COMMANDS = ("spectrum", "classify", "duality", "verify")
-#: config run through ``scan`` with every scan operation
-SCAN_CONFIG = "lambda-xi-scan"
-SCAN_OPERATIONS = ("spectrum", "classify", "duality")
 FORMATS = ("json", "csv")
+#: configs run through ``scan`` with every scan operation, in these formats
+SCAN_CONFIGS = {
+    "lambda-xi-scan": FORMATS,
+    # resonant real lambda x xi grid, detuned atom, crossing lambda = kappa and lambda = xi
+    "resonant-detuned-grid": ("csv",),
+    # off resonance with complex kappa over omega_a x omega_c
+    "complex-kappa-off-resonance-grid": ("csv",),
+    # omega_b = omega_c, lambda = xi, kappa from 0 past sqrt(omega_b omega_c): error rows
+    "degenerate-kappa-sweep": ("csv",),
+}
+SCAN_OPERATIONS = ("spectrum", "classify", "duality")
 
 #: verify rows whose residual cell may differ in the last bits
 FREE_RESIDUALS = ("eigenstate-residuals", "occupation-amplitudes")
@@ -49,9 +63,10 @@ def _cases():
         for command in POINT_COMMANDS:
             for fmt in FORMATS:
                 yield name, [command], fmt
-    for operation in SCAN_OPERATIONS:
-        for fmt in FORMATS:
-            yield SCAN_CONFIG, ["scan", operation], fmt
+    for name, formats in SCAN_CONFIGS.items():
+        for operation in SCAN_OPERATIONS:
+            for fmt in formats:
+                yield name, ["scan", operation], fmt
 
 
 def _label(name, argv, fmt):
@@ -94,18 +109,30 @@ def test_golden_output(tmp_path, capsys, name, argv, fmt):
     assert got == expected
 
 
-def regenerate() -> None:
+def regenerate(labels=()) -> list[str]:
+    """Write the fixtures named in ``labels``, or else every missing one.
+
+    Returns the labels written.  An unknown label is an error, so a typo
+    cannot pass for a rewrite.
+    """
     import tempfile
 
-    codes = {}
+    by_label = {_label(*case): case for case in CASES}
+    unknown = sorted(set(labels) - set(by_label))
+    if unknown:
+        raise SystemExit(f"unknown golden labels: {unknown}")
+    todo = list(labels) or [label for label in by_label if not (GOLDEN / label).exists()]
+    codes_path = GOLDEN / "exit_codes.json"
+    codes = json.loads(codes_path.read_text()) if codes_path.exists() else {}
     with tempfile.TemporaryDirectory() as scratch:
-        for name, argv, fmt in CASES:
-            label = _label(name, argv, fmt)
-            code, text = _run(name, argv, fmt, Path(scratch) / label)
+        for label in todo:
+            code, text = _run(*by_label[label], Path(scratch) / label)
             (GOLDEN / label).write_bytes(text)
             codes[label] = code
-    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+    codes_path.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+    return todo
 
 
 if __name__ == "__main__":
-    regenerate()
+    for written in regenerate(sys.argv[1:]):
+        print(f"wrote {written}")

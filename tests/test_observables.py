@@ -5,6 +5,7 @@ import pytest
 
 from darktrio import (
     AssumptionViolation,
+    DegenerateSpectrum,
     GammaZero,
     ModelParams,
     NotAnEigenvalue,
@@ -129,6 +130,54 @@ def test_duality_report_rejects_identity_swap():
 def test_duality_report_regime_guard():
     with pytest.raises(NotResonant):
         duality_report(ModelParams(1.0, 1.0, 1.5, 0.2, 0.05, 0.1))
+
+
+def test_duality_report_swapped_level_mismatch_is_degenerate_spectrum(monkeypatch, capsys):
+    # perturb one level of the swapped copies, which are solved in the same
+    # batch right after the base points
+    from darktrio import observables
+    from darktrio.cli import main
+
+    solve = observables._dressed
+
+    def perturbed(p, two, *args):
+        spectrum = solve(p, two, *args)
+        spectrum.e[len(p) // 2:, 1] += 1e-9
+        return spectrum
+
+    monkeypatch.setattr(observables, "_dressed", perturbed)
+    with pytest.raises(DegenerateSpectrum, match="swapped spectra failed to match"):
+        duality_report(FIXTURE)
+    assert main(["duality"]) == 3
+    assert '"status": "DegenerateSpectrum"' in capsys.readouterr().out
+
+
+def _shift_lowest_level(monkeypatch, to):
+    """Solve duality reports with the lowest level of every copy moved to ``to(level)``."""
+    from darktrio import observables
+
+    solve = observables._dressed
+
+    def shifted(p, two, *args):
+        spectrum = solve(p, two, *args)
+        spectrum.e[:, 0] = to(spectrum.e[:, 0])
+        return spectrum
+
+    monkeypatch.setattr(observables, "_dressed", shifted)
+
+
+def test_duality_pole_hit_names_the_level_that_failed(monkeypatch):
+    # the lowest level moved onto eps1 = omega - kappa = 0.9
+    _shift_lowest_level(monkeypatch, lambda e: 0.9)
+    with pytest.raises(PoleHit, match=r"^energy 0\.9 sits on a quasimode energy \(0\.9, 1\.1\)$"):
+        duality_report(FIXTURE)
+
+
+def test_duality_residual_failure_names_the_level_that_failed(monkeypatch):
+    level = three_mode_spectrum(FIXTURE).e[0] + 1e-3
+    _shift_lowest_level(monkeypatch, lambda e: level)
+    with pytest.raises(NotAnEigenvalue, match=rf" at {level!r} exceeds 1\.0e-10$"):
+        duality_report(FIXTURE)
 
 
 def test_assembled_states_match_unitary_columns():

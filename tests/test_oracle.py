@@ -6,8 +6,10 @@ import pytest
 from darktrio import (
     AssumptionViolation,
     AtomKind,
+    ConvergenceFailure,
     ModelParams,
     NotHermitian,
+    classify_spectrum,
     crosscheck,
     dense_hermitian_eig,
     one_excitation_matrix,
@@ -41,6 +43,54 @@ def test_eig_fixture_matches_frozen_roots():
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         dense_hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _failing_eigh(monkeypatch, fails):
+    """Make the eigensolver raise on stacks and on every matrix ``fails`` accepts."""
+    solve = np.linalg.eigh
+
+    def eigh(a):
+        if a.ndim > 2 or fails(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+
+def test_eig_solver_failure_is_convergence_failure(monkeypatch):
+    _failing_eigh(monkeypatch, lambda a: True)
+    with pytest.raises(ConvergenceFailure, match="dense eigensolver failed: Eigenvalues did not"):
+        dense_hermitian_eig(np.eye(3))
+    with pytest.raises(ConvergenceFailure):
+        classify_spectrum(FIXTURE)
+
+
+def test_eig_solver_failure_fails_only_its_point(monkeypatch, tmp_path, capsys):
+    import dataclasses
+    import json
+
+    from darktrio.cli import main
+    from darktrio.oracle import _eigh
+
+    # the atom frequency sits in the first diagonal entry
+    _failing_eigh(monkeypatch, lambda a: a[0, 0].real == 1.0)
+    stack = np.array([one_excitation_matrix(dataclasses.replace(FIXTURE, omega_a=w)).matrix
+                      for w in (0.9, 1.0, 1.1)])
+    values, _, status = _eigh(stack)
+    assert status.code.tolist()[::2] == [0, 0] and status.code[1] != 0
+    with pytest.raises(ConvergenceFailure, match="dense eigensolver failed"):
+        status.check(1)
+    np.testing.assert_array_equal(values[0], dense_hermitian_eig(stack[0]).values)
+
+    config = tmp_path / "scan.json"
+    config.write_text(json.dumps({"omega_a": 0.9, "omega_b": 1.0, "omega_c": 1.0, "lambda": 0.2,
+                                  "xi": 0.05, "kappa": 0.1,
+                                  "scan": [{"param": "omega_a", "start": 0.9, "stop": 1.1,
+                                            "steps": 3}]}))
+    assert main(["scan", "classify", "--config", str(config)]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert {row["status"] for row in rows if row["omega_a"] == 1.0} == {"ConvergenceFailure"}
+    assert {row["status"] for row in rows if row["omega_a"] != 1.0} == {"ok"}
 
 
 def test_eig_invariants_random():

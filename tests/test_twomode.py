@@ -131,18 +131,20 @@ def test_degenerate_block_raises():
 
 
 def test_decoupled_block_orders_bare_modes():
-    p = ModelParams(1.0, 1.0, 2.0, 0.2, 0.05, 0.0)
-    two = two_mode_spectrum(p)
-    assert two.eps == (1.0, 2.0)
-    assert two.m == (1.0, 0.0)
-    assert two.gamma == (0.2 + 0j, 0.05 + 0j)
-    np.testing.assert_array_equal(two.u, np.eye(2))
+    # a subnormal kappa is decoupled too: d_j / |kappa| overflows there
+    for kappa in (0.0, 5e-324):
+        p = ModelParams(1.0, 1.0, 2.0, 0.2, 0.05, kappa)
+        two = two_mode_spectrum(p)
+        assert two.eps == (1.0, 2.0)
+        assert two.m == (1.0, 0.0)
+        assert two.gamma == (0.2 + 0j, 0.05 + 0j)
+        np.testing.assert_array_equal(two.u, np.eye(2))
 
-    flipped = ModelParams(1.0, 2.0, 1.0, 0.2, 0.05, 0.0)
-    two = two_mode_spectrum(flipped)
-    assert two.eps == (1.0, 2.0)
-    assert two.gamma == (0.05 + 0j, 0.2 + 0j)
-    np.testing.assert_array_equal(two.u, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        flipped = ModelParams(1.0, 2.0, 1.0, 0.2, 0.05, kappa)
+        two = two_mode_spectrum(flipped)
+        assert two.eps == (1.0, 2.0)
+        assert two.gamma == (0.05 + 0j, 0.2 + 0j)
+        np.testing.assert_array_equal(two.u, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_strong_detuning_remains_accurate():
