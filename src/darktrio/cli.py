@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import sys
@@ -69,6 +70,7 @@ _FIELD_FOR = {"lambda": "lam", "xi": "xi", "kappa": "kappa",
 DEFAULT_PARAMS = ModelParams(
     omega_a=1.0, omega_b=1.0, omega_c=1.0, lam=0.2, xi=0.05, kappa=0.1
 )
+_DEFAULT_TOL = Tolerances()
 
 #: errors that mean "this parameter point violates a model precondition"
 _PRECONDITION_ERRORS = (
@@ -124,7 +126,7 @@ def parse_config(doc: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    base = dataclasses.asdict(DEFAULT_PARAMS)
+    base = {name: getattr(DEFAULT_PARAMS, name) for name in _FIELD_FOR.values()}
     for name in ("omega_a", "omega_b", "omega_c"):
         if name in doc:
             base[name] = _as_positive_float(doc[name], name)
@@ -168,10 +170,7 @@ def parse_config(doc: dict) -> RunConfig:
         if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
             raise ConfigError(f"tol[{name!r}] must be a nonnegative number, got {value!r}")
         tol[str(name)] = float(value)
-    try:
-        Tolerances().override(tol)
-    except KeyError as err:
-        raise ConfigError(str(err)) from err
+    _tolerances(tol)
 
     sector = doc.get("sector")
     if sector is not None and (not isinstance(sector, int) or isinstance(sector, bool)
@@ -337,8 +336,8 @@ def _spectrum_rows(cfg: RunConfig) -> Table:
 
 def _classify_rows(cfg: RunConfig) -> Table:
     p = _grid(cfg)
-    branches, tuning = _tuning(p, tol=cfg.tol.get("tuning", Tolerances().tuning))
-    spectra = _classified(p, tol=cfg.tol.get("classify", Tolerances().classify))
+    branches, tuning = _tuning(p, tol=cfg.tol.get("tuning", _DEFAULT_TOL.tuning))
+    spectra = _classified(p, tol=cfg.tol.get("classify", _DEFAULT_TOL.classify))
     # three rows (one per eigenstate) per solved point, one error row otherwise
     counts = np.where(spectra.status.ok, 3, 1)
     point = np.repeat(np.arange(len(p)), counts)
@@ -365,7 +364,7 @@ _CLASS_NAMES = tuple(variant.value for variant in _VARIANTS)
 
 
 def _duality_rows(cfg: RunConfig) -> Table:
-    tol = cfg.tol.get("duality", Tolerances().duality)
+    tol = cfg.tol.get("duality", _DEFAULT_TOL.duality)
     p = _grid(cfg)
     report, status = _duality(p, tol)
     ok = status.ok
@@ -383,7 +382,7 @@ def _duality_rows(cfg: RunConfig) -> Table:
 
 
 def _verify_rows(cfg: RunConfig) -> Table:
-    tol = Tolerances().override(cfg.tol)
+    tol = _tolerances(cfg.tol)
     checks = list(crosscheck(cfg.params, cfg.kind, tol=tol).checks)
     if cfg.sector is not None and cfg.kind is AtomKind.OSCILLATOR and cfg.sector != 2:
         checks += oscillator_sector_check(cfg.params, cfg.sector, tol=tol.sector).checks
@@ -421,25 +420,25 @@ def _write_csv(columns: list[str], table: Table, stream) -> None:
     stream.writelines(",".join(row) + "\n" for row in zip(*text))
 
 
-def _write_json(cfg: RunConfig, table: Table, columns: list[str], stream) -> None:
+def _json_text(cfg: RunConfig, table: Table, columns: list[str]) -> str:
     cells = [table[name].json_cells() for name in columns]
     payload = {
         "version": __version__,
         "config": config_to_dict(cfg),
         "rows": [dict(zip(columns, row)) for row in zip(*cells)],
     }
-    json.dump(payload, stream, indent=2, allow_nan=False)
-    stream.write("\n")
+    # one join of the encoder's chunks, where json.dump writes each chunk
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(cfg: RunConfig, table: Table, columns: list[str],
           fmt: str, output: str | None) -> None:
-    buffer = io.StringIO()
     if fmt == "json":
-        _write_json(cfg, table, columns, buffer)
+        text = _json_text(cfg, table, columns)
     else:
+        buffer = io.StringIO()
         _write_csv(columns, table, buffer)
-    text = buffer.getvalue()
+        text = buffer.getvalue()
     if output:
         with open(output, "w", newline="") as handle:
             handle.write(text)
@@ -470,11 +469,18 @@ def _parse_tol_flags(entries: list[str]) -> dict[str, float]:
             overrides[name] = float(value)
         except ValueError as err:
             raise ConfigError(f"--tol {name}: {value!r} is not a number") from err
+    _tolerances(overrides)
+    return overrides
+
+
+def _tolerances(overrides: dict[str, float]) -> Tolerances:
+    """The default tolerances with ``overrides``; an unknown name is a :class:`ConfigError`."""
+    if not overrides:
+        return _DEFAULT_TOL
     try:
-        Tolerances().override(overrides)
+        return _DEFAULT_TOL.override(overrides)
     except KeyError as err:
         raise ConfigError(str(err)) from err
-    return overrides
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -507,6 +513,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call and then reused.
+
+    Reuse is safe: argparse looks up ``sys.stdout``/``sys.stderr`` when it
+    prints, and the ``append`` action of ``--tol`` copies its default list.
+    """
+    return build_parser()
+
+
 _RUNNERS = {
     "spectrum": (_spectrum_rows, SPECTRUM_COLUMNS),
     "classify": (_classify_rows, CLASSIFY_COLUMNS),
@@ -515,8 +531,7 @@ _RUNNERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
         overrides = _parse_tol_flags(args.tol)

@@ -269,11 +269,15 @@ def crosscheck(params: ModelParams, kind: AtomKind = AtomKind.TWO_LEVEL,
         diag = two.u.conj().T @ block @ two.u
         add("u-diagonalization",
             float(np.max(np.abs(diag - np.diag(two.eps)))), tol.u_diag * block_scale)
+        ksq = ak * ak
         if ak == 0.0:
             skip("pole-identity", "no photon-phonon coupling")
             skip("cross-product-identity", "no photon-phonon coupling")
+        elif ksq == 0.0:
+            # both identities are relative to |kappa|^2
+            skip("pole-identity", "|kappa|^2 underflows to 0")
+            skip("cross-product-identity", "|kappa|^2 underflows to 0")
         else:
-            ksq = ak * ak
             a1_res = max(
                 abs((two.eps[j] - params.omega_b) * (two.eps[j] - params.omega_c) - ksq) / ksq
                 for j in range(2)

@@ -1,11 +1,21 @@
 """Command-line surface: config handling, output formats, exit codes."""
 
+import argparse
+import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from darktrio.cli import RunConfig, config_to_dict, main, parse_config
+import darktrio
+from darktrio import cli
+from darktrio.cli import RunConfig, _Column, _emit, config_to_dict, main, parse_config
+
+SRC = str(pathlib.Path(darktrio.__file__).parents[1])
 
 
 def run_cli(capsys, *args):
@@ -267,3 +277,163 @@ def test_csv_rows_match_csv_writer():
     for row, (text, value) in enumerate(zip(texts, np.linspace(-1.0, 1.0, len(texts)))):
         writer.writerow([text, repr(value.item()) if row % 3 else ""])
     assert stream.getvalue() == want.getvalue()
+
+
+@pytest.mark.parametrize("kappa", [5e-324, 1e-170, 1e-300])
+@pytest.mark.parametrize("atom", ["two-level", "oscillator"])
+def test_verify_underflowing_kappa_reports(tmp_path, capsys, atom, kappa):
+    cfg = write_config(tmp_path, {"omega_a": 0.8, "omega_b": 0.8, "omega_c": 1.0,
+                                  "lambda": 0.2, "xi": 0.2, "kappa": kappa, "atom": atom})
+    code, out, _ = run_cli(capsys, "verify", "--config", cfg)
+    assert code in (0, 3)
+    reasons = {r["check"]: r["reason"] for r in json.loads(out)["rows"]}
+    assert "underflows" in reasons["pole-identity"]
+
+
+# --- one parser per process ------------------------------------------------
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    try:
+        for command in ("spectrum", "classify", "duality", "verify", "spectrum"):
+            assert main([command]) == 0
+        with pytest.raises(SystemExit):
+            main(["nope"])
+        calls = list(built)
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    # the parser and one subparser per command, as one build_parser() makes them
+    built.clear()
+    cli.build_parser()
+    assert calls == built
+    assert calls.count("darktrio") == 1
+
+
+def test_import_builds_no_parser():
+    probe = "import darktrio.cli as c; print(c._parser.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": SRC}, check=True).stdout
+    assert out == "0\n"
+
+
+def test_tol_override_does_not_reach_the_next_call(capsys):
+    def tol_of(*args):
+        code, out, _ = run_cli(capsys, "spectrum", *args)
+        assert code == 0
+        return json.loads(out)["config"]["tol"]
+
+    assert tol_of("--tol", "classify=1e-8") == {"classify": 1e-8}
+    assert tol_of("--tol", "duality=1e-9", "--tol", "b1=1e-7") == {"duality": 1e-9, "b1": 1e-7}
+    assert tol_of() == {}
+    assert run_cli(capsys, "verify", "--tol", "v_unitarity=0")[0] == 3
+    assert run_cli(capsys, "verify")[0] == 0
+
+
+def test_unknown_tolerance_names_are_config_errors(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "spectrum", "--tol", "nope=1e-9")
+    assert code == 1 and "unknown tolerance names" in err
+    cfg = write_config(tmp_path, {"tol": {}})
+    assert run_cli(capsys, "spectrum", "--config", cfg)[0] == 0
+
+
+def test_usage_error_and_version_leave_the_parser_usable(capsys):
+    reference = run_cli(capsys, "classify")
+    for argv in (["nope"], ["spectrum", "--format", "xml"], ["verify", "--sector"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: darktrio" in capsys.readouterr().err
+        assert run_cli(capsys, "classify") == reference
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("darktrio ")
+    assert run_cli(capsys, "classify") == reference
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["scan", "--help"]])
+def test_help_is_the_same_on_every_call(capsys, argv):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0].startswith("usage: darktrio")
+    assert texts[0] == texts[1]
+
+
+def test_in_process_calls_match_fresh_processes(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(DARK_POINT, atom="oscillator"))
+    calls = [["verify", "--config", cfg], ["spectrum", "--format", "csv"],
+             ["duality", "--config", cfg], ["classify", "--config", cfg, "--format", "csv"]]
+    # every command twice, interleaved, in one process
+    in_process = {}
+    for argv in calls + calls[::-1]:
+        code, out, _ = run_cli(capsys, *argv)
+        in_process.setdefault(tuple(argv), []).append((code, out.encode()))
+
+    env = {**os.environ, "PYTHONPATH": SRC}
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "darktrio", *argv],
+                               capture_output=True, env=env)
+        assert fresh.stdout
+        assert in_process[tuple(argv)] == [(fresh.returncode, fresh.stdout)] * 2
+
+
+# --- JSON output -------------------------------------------------------------
+
+def _awkward_table():
+    texts = ('say "hi"', "naïve – ü ☃ 𝔈", "back\\slash\ttab", "", "ctl\x00\x1f")
+    values = np.array([-0.0, 5e-324, 1.7976931348623157e308, 1e300, 2.2250738585072014e-308])
+    pairs = np.array([complex(-0.0, 1e-320), complex(1e308, -0.0), 0.5 - 2.5j,
+                      complex(3e-310, 7.0), 0j])
+    ok = np.array([True, False, True, True, False])
+    table = {
+        "reason": _Column(np.arange(len(texts)), names=texts),
+        "value": _Column(values, ok),
+        "pair": _Column(pairs, ok[::-1].copy()),
+        "flag": _Column(values > 1.0),
+    }
+    rows = []
+    for j in range(len(texts)):
+        rows.append({
+            "reason": texts[j],
+            "value": values[j].item() if ok[j] else None,
+            "pair": [pairs[j].real.item(), pairs[j].imag.item()] if ok[::-1][j] else None,
+            "flag": bool(values[j] > 1.0),
+        })
+    return table, rows
+
+
+def test_emit_json_matches_json_dump(tmp_path, capsys):
+    table, rows = _awkward_table()
+    columns = list(table)
+    cfg = parse_config({"lambda": [0.2, -0.0], "tol": {"classify": 1e-8}})
+    want = io.StringIO()
+    json.dump({"version": darktrio.__version__, "config": config_to_dict(cfg), "rows": rows},
+              want, indent=2, allow_nan=False)
+    want.write("\n")
+
+    _emit(cfg, table, columns, "json", None)
+    assert capsys.readouterr().out == want.getvalue()
+    path = tmp_path / "out.json"
+    _emit(cfg, table, columns, "json", str(path))
+    assert path.read_bytes() == want.getvalue().encode()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_emit_json_rejects_non_finite_cells(capsys, bad):
+    table = {"value": _Column(np.array([1.0, bad]))}
+    with pytest.raises(ValueError):
+        _emit(RunConfig(), table, ["value"], "json", None)
+    assert capsys.readouterr().out == ""

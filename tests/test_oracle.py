@@ -182,6 +182,19 @@ def test_crosscheck_records_positivity_failure():
     assert report.passed  # recorded detections do not gate the verdict
 
 
+@pytest.mark.parametrize("kappa", [5e-324, 1e-300, 1e-170])
+def test_crosscheck_skips_identities_when_kappa_squared_underflows(kappa):
+    # detuned photon and phonon with 0 < |kappa|^2 < the smallest float:
+    # the pole and cross-product identities are relative to |kappa|^2
+    for kind in AtomKind:
+        report = crosscheck(ModelParams(0.8, 0.8, 1.0, 0.1, 0.2, kappa), kind)
+        by_name = {c.name: c for c in report.checks}
+        for name in ("pole-identity", "cross-product-identity"):
+            assert by_name[name].skipped
+            assert "underflows" in by_name[name].reason
+        assert not by_name["quasimode-energies"].skipped
+
+
 def test_crosscheck_random_points():
     rng = np.random.default_rng(74)
     for _ in range(10):
