@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -328,30 +329,69 @@ def sector_matrix(params: ModelParams, kind: AtomKind, ell: int,
     filled pairwise (entry and conjugate together), so it is Hermitian
     exactly, not after symmetrization.
     """
-    basis = sector_basis(kind, ell)
-    dim = len(basis)
-    if dim > max_dim:
-        raise SizeLimit(f"sector {ell} needs a {dim}x{dim} matrix; cap is {max_dim}")
-    index = {state: i for i, state in enumerate(basis)}
-    wa, wb, wc = params.omega_a, params.omega_b, params.omega_c
-    lam_c = params.lam.conjugate()
-    xi_c = params.xi.conjugate()
-    kappa_c = params.kappa.conjugate()
+    layout = _sector_layout(kind, ell, max_dim)
+    h = _sector_block(layout, params.omega_a, params.omega_b, params.omega_c,
+                      np.array([params.lam, params.xi, params.kappa]).conj())
+    return SectorMatrix(ell=ell, basis=layout.basis, matrix=h)
 
-    h = np.zeros((dim, dim), dtype=complex)
-    for i, (na, nb, nc) in enumerate(basis):
-        h[i, i] = na * wa + nb * wb + nc * wc
-        # raising moves only; each unordered pair is visited exactly once
-        hops = (
-            ((na + 1, nb - 1, nc), lam_c, na + 1, nb),
-            ((na + 1, nb, nc - 1), xi_c, na + 1, nc),
-            ((na, nb + 1, nc - 1), kappa_c, nb + 1, nc),
-        )
-        for target, coeff, up, down in hops:
-            j = index.get(target)
-            if j is None:
-                continue
-            amp = coeff * (math.sqrt(up) * math.sqrt(down))
-            h[j, i] = amp
-            h[i, j] = amp.conjugate()
-    return SectorMatrix(ell=ell, basis=basis, matrix=h)
+
+class _SectorLayout(NamedTuple):
+    """What a sector matrix's entries sit on, whatever the parameters.
+
+    ``states`` is :func:`sector_basis` as a (dim, 3) array.  Each raising
+    move (atom up from photon, atom up from phonon, photon up from phonon)
+    takes state ``src`` to state ``dst`` with the ladder factor ``ladder``
+    and the conjugate of coupling number ``coupling`` (lambda, xi, kappa).
+    """
+
+    basis: tuple[tuple[int, int, int], ...]
+    states: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    coupling: np.ndarray
+    ladder: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _sector_layout(kind: AtomKind, ell: int, max_dim: int) -> _SectorLayout:
+    """The layout of sector ``ell``; raises :class:`SizeLimit` beyond
+    ``max_dim`` states before building anything.  The last few layouts
+    are kept: each oscillator ``verify`` builds sector 2 again."""
+    dim = (ell + 1) * (ell + 2) // 2 if kind is AtomKind.OSCILLATOR else 2 * ell + 1
+    if ell >= 0 and dim > max_dim:
+        raise SizeLimit(f"sector {ell} needs a {dim}x{dim} matrix; cap is {max_dim}")
+    # A state's index is its phonon number plus the count of states with a
+    # larger atom number, so an atom raise lands ell - n_atom states back
+    # (one more when the phonon gives the quantum up), a photon raise one
+    # state back.
+    basis = sector_basis(kind, ell)
+    states = np.array(basis)
+    na, nb, nc = states.T
+    i = np.arange(len(states))
+    atom_up = na < na[0]  # the first state holds the most atom quanta
+    atom_target = i - (ell - na)
+    moves = [(atom_up & (nb > 0), atom_target, na + 1, nb),
+             (atom_up & (nc > 0), atom_target - 1, na + 1, nc),
+             (nc > 0, i - 1, nb + 1, nc)]
+    parts = [(i[allowed], target[allowed], np.full(np.count_nonzero(allowed), k),
+              np.sqrt(up[allowed]) * np.sqrt(down[allowed]))
+             for k, (allowed, target, up, down) in enumerate(moves)]
+    src, dst, coupling, ladder = map(np.concatenate, zip(*parts))
+    for array in (states, src, dst, coupling, ladder):
+        array.setflags(write=False)
+    return _SectorLayout(basis, states, src, dst, coupling, ladder)
+
+
+def _sector_block(layout: _SectorLayout, wa: float, wb: float, wc: float,
+                  raising: np.ndarray) -> np.ndarray:
+    """The sector matrix on ``layout`` in the dtype of ``raising``, the
+    amplitudes of the three raising moves (the conjugated couplings)."""
+    na, nb, nc = layout.states.T
+    dim = len(na)
+    h = np.zeros((dim, dim), dtype=raising.dtype)
+    h.flat[::dim + 1] = na * wa + nb * wb + nc * wc
+    # each unordered pair once, the entry and its conjugate together
+    amp = raising[layout.coupling] * layout.ladder
+    h[layout.dst, layout.src] = amp
+    h[layout.src, layout.dst] = amp.conj()
+    return h

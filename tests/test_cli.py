@@ -165,6 +165,25 @@ def test_verify_sector_flag(tmp_path, capsys):
     assert "sector-3-spectrum" in names
 
 
+def test_verify_sector_flag_skips_where_assumptions_fail(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"atom": "oscillator", "kappa": 1.5})
+    code, out, _ = run_cli(capsys, "verify", "--config", cfg, "--sector", "3")
+    assert code == 0
+    rows = {r["check"]: r for r in json.loads(out)["rows"]}
+    for name in ("sector-2-spectrum", "sector-3-spectrum"):
+        assert rows[name]["skipped"]
+        assert rows[name]["reason"] == "standing assumptions not satisfied"
+    assert code == run_cli(capsys, "verify", "--config", cfg)[0]
+
+
+def test_verify_sector_flag_size_limit_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(DARK_POINT, atom="oscillator"))
+    code, out, err = run_cli(capsys, "verify", "--config", cfg, "--sector", "141")
+    assert code == 2
+    assert out == ""
+    assert "10153x10153" in err
+
+
 def test_single_point_assumption_violation_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(DARK_POINT, kappa=1.5))
     code, _, _ = run_cli(capsys, "spectrum", "--config", cfg)
