@@ -55,9 +55,9 @@ from .errors import (
     _STATUS_ERRORS,
     _Status,
 )
-from .model import AtomKind, ModelParams, _assumption_margins, _Batch
+from .model import AtomKind, ModelParams, _assumption_margins, _Batch, _batch_of
 from .observables import _duality
-from .oracle import Tolerances, crosscheck, oscillator_sector_check
+from .oracle import _CHECKS, Tolerances, _crosscheck, _sector_residuals
 from .threemode import _dressed
 from .twomode import _two_mode
 
@@ -383,22 +383,29 @@ def _duality_rows(cfg: RunConfig) -> Table:
 
 def _verify_rows(cfg: RunConfig) -> Table:
     tol = _tolerances(cfg.tol)
-    checks = list(crosscheck(cfg.params, cfg.kind, tol=tol).checks)
+    p = _batch_of(cfg.params)
+    checks = _crosscheck(p, cfg.kind, tol)
+    checks.status.check()
+    names, reasons = list(_CHECKS), checks.reasons(0)
+    cells = [checks.residual[0], checks.tolerance[0], checks.passed[0], checks.skipped[0]]
     if cfg.sector is not None and cfg.kind is AtomKind.OSCILLATOR and cfg.sector != 2:
-        # the extra sector skips exactly where crosscheck's sector 2 does
-        sector_2 = next(c for c in checks if c.name == "sector-2-spectrum")
-        if sector_2.skipped:
-            checks.append(dataclasses.replace(sector_2, name=f"sector-{cfg.sector}-spectrum"))
+        # the extra sector skips exactly where crosscheck's sector 2, the last check, does
+        names.append(f"sector-{cfg.sector}-spectrum")
+        reasons.append(reasons[-1])
+        if checks.skipped[0, -1]:
+            row = [cell[-1] for cell in cells]
         else:
-            checks += oscillator_sector_check(cfg.params, cfg.sector, tol=tol.sector).checks
-    skipped = np.array([c.skipped for c in checks])
+            residual = _sector_residuals(p, checks.modes, checks.spectrum.e, cfg.sector)[0]
+            row = [residual, tol.sector, residual <= tol.sector, False]
+        cells = [np.append(cell, value) for cell, value in zip(cells, row)]
+    residual, tolerance, passed, skipped = cells
     return {
-        "check": _text_cells([c.name for c in checks]),
-        "residual": _Column(np.array([c.residual for c in checks]), ~skipped),
-        "tolerance": _Column(np.array([c.tolerance for c in checks]), ~skipped),
-        "passed": _Column(np.array([c.passed for c in checks])),
+        "check": _text_cells(names),
+        "residual": _Column(residual, ~skipped),
+        "tolerance": _Column(tolerance, ~skipped),
+        "passed": _Column(passed),
         "skipped": _Column(skipped),
-        "reason": _text_cells([c.reason for c in checks]),
+        "reason": _text_cells(reasons),
     }
 
 

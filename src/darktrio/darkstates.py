@@ -38,7 +38,7 @@ from .errors import (
 )
 from .model import AtomKind, ModelParams, _batch_of, _Batch, _one_excitation_matrices, sector_basis
 from .threemode import GAMMA_RTOL, _bare_vectors, _d1_and_slope, _gamma_sq
-from .twomode import TwoModeSpectrum, two_mode_spectrum
+from .twomode import _two_mode, _TwoModeBatch
 
 __all__ = [
     "StateClass",
@@ -159,16 +159,17 @@ def _f_of(x, y, kappa):
     return (kappa / x - x / kappa) * y
 
 
-def _resonant_real(p: _Batch, status: _Status, rtol: float = 1e-12):
+def _resonant_real(p: _Batch, status: _Status):
     """Check the resonant real-coupling regime per point; return (omega, lam, xi, kappa).
 
-    Records :class:`NotResonant` off resonance, :class:`ComplexCouplings`
+    Records :class:`NotResonant` for a photon-phonon detuning above 1e-12
+    relative to ``max(1, omega_b, omega_c)``, :class:`ComplexCouplings`
     for non-real couplings (real parts are never taken silently) and
     :class:`AssumptionViolation` for a non-positive photon-phonon
     coupling on ``status``.
     """
     wb, wc = p.omega_b, p.omega_c
-    detuned = np.abs(wb - wc) > rtol * np.maximum(np.maximum(1.0, wb), wc)
+    detuned = np.abs(wb - wc) > 1e-12 * np.maximum(np.maximum(1.0, wb), wc)
     status.fail(detuned, lambda i: NotResonant(
         f"omega_b = {wb[i].item()} and omega_c = {wc[i].item()} are not tuned to each other"
     ))
@@ -197,9 +198,10 @@ def dark_tuning(params: ModelParams, tol: float = 1e-9) -> tuple[TuningResult, T
 
     A branch is satisfied when its residual
     ``|f_of(., .) - (omega - omega_a)|`` is below
-    ``tol * max(1, |omega - omega_a|)``.  The same ``tol`` bounds the
-    allowed photon-phonon detuning relative to ``max(1, omega_b,
-    omega_c)``.
+    ``tol * max(1, |omega - omega_a|)``.  Photon and phonon count as
+    resonant within a detuning of 1e-12 relative to ``max(1, omega_b,
+    omega_c)``, as for the occupations and the duality report; a larger
+    one raises :class:`NotResonant`.
     """
     branches, status = _tuning(_batch_of(params), tol)
     status.check()
@@ -215,7 +217,7 @@ def _tuning(p: _Batch, tol: float = 1e-9):
     """:func:`dark_tuning` per point: (residual, energy, satisfied) arrays
     for the dark and the quasi-dark branch, and the status."""
     status = _Status(len(p))
-    omega, lam, xi, kappa = _resonant_real(p, status, rtol=tol)
+    omega, lam, xi, kappa = _resonant_real(p, status)
     _require_gamma_nonzero(status, lam, xi, kappa)
     target = omega - p.omega_a
     threshold = tol * np.maximum(1.0, np.abs(target))
@@ -242,18 +244,32 @@ def assemble_eigenstate(params: ModelParams, energy: float, tol: float = 1e-8) -
     when the spectral function at ``energy`` exceeds ``tol`` and
     :class:`PoleHit` within 1e-10 of a pole.
     """
-    two = two_mode_spectrum(params)
-    _check_level(float(energy), params.omega_a, two, tol)
-    return SectorVector(amps=_bare_vectors(two, [float(energy)])[:, 0], ell=1)
+    p = _batch_of(params)
+    two = _two_mode(p)
+    two.status.check()
+    e = np.array([[float(energy)]])
+    status = _Status(1)
+    _check_levels(e, p.omega_a, two, tol, status)
+    status.check()
+    return SectorVector(amps=_bare_vectors(two.u, two.gamma, two.eps, e)[0, :, 0], ell=1)
 
 
-def _check_level(e: float, omega_a: float, two: TwoModeSpectrum, tol: float) -> None:
-    """Raise unless ``e`` is a dressed level of the solved block ``two`` within ``tol``."""
-    if min(abs(e - two.eps[0]), abs(e - two.eps[1])) <= 1e-10:
-        raise PoleHit(f"energy {e} sits on a quasimode energy {two.eps}")
-    residual = abs(_d1_and_slope(e, omega_a, *two.eps, *_gamma_sq(two.gamma))[0])
-    if residual >= tol:
-        raise NotAnEigenvalue(f"spectral function is {residual:.3e} at {e}, above {tol:.1e}")
+def _check_levels(e: np.ndarray, omega_a: np.ndarray, two: _TwoModeBatch, tol: float,
+                  status: _Status) -> None:
+    """Record on ``status`` the first energy of each row of ``e`` (n, k) that
+    is not a dressed level of the point's solved block within ``tol``:
+    :class:`PoleHit` within 1e-10 of a quasimode energy, else
+    :class:`NotAnEigenvalue` where ``|d1|`` reaches ``tol``."""
+    eps, gsq = two.eps, _gamma_sq(two.gamma)
+    with np.errstate(all="ignore"):
+        pole = np.minimum(np.abs(e - eps[:, :1]), np.abs(e - eps[:, 1:])) <= 1e-10
+        residual = np.abs(_d1_and_slope(e, omega_a[:, None], eps[:, :1], eps[:, 1:],
+                                        gsq[:, :1], gsq[:, 1:])[0])
+    for j in range(e.shape[1]):
+        status.fail(pole[:, j], lambda i: PoleHit(
+            f"energy {e[i, j].item()} sits on a quasimode energy {tuple(eps[i].tolist())}"))
+        status.fail(residual[:, j] >= tol, lambda i: NotAnEigenvalue(
+            f"spectral function is {residual[i, j]:.3e} at {e[i, j].item()}, above {tol:.1e}"))
 
 
 def classify(state: SectorVector, tol: float = 1e-9) -> Classification:

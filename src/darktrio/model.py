@@ -329,10 +329,11 @@ def sector_matrix(params: ModelParams, kind: AtomKind, ell: int,
     filled pairwise (entry and conjugate together), so it is Hermitian
     exactly, not after symmetrization.
     """
+    p = _batch_of(params)
     layout = _sector_layout(kind, ell, max_dim)
-    h = _sector_block(layout, params.omega_a, params.omega_b, params.omega_c,
-                      np.array([params.lam, params.xi, params.kappa]).conj())
-    return SectorMatrix(ell=ell, basis=layout.basis, matrix=h)
+    h = _sector_block(layout, p.omega_a, p.omega_b, p.omega_c,
+                      np.stack([p.lam, p.xi, p.kappa], axis=1).conj())
+    return SectorMatrix(ell=ell, basis=layout.basis, matrix=h[0])
 
 
 class _SectorLayout(NamedTuple):
@@ -382,16 +383,17 @@ def _sector_layout(kind: AtomKind, ell: int, max_dim: int) -> _SectorLayout:
     return _SectorLayout(basis, states, src, dst, coupling, ladder)
 
 
-def _sector_block(layout: _SectorLayout, wa: float, wb: float, wc: float,
+def _sector_block(layout: _SectorLayout, wa: np.ndarray, wb: np.ndarray, wc: np.ndarray,
                   raising: np.ndarray) -> np.ndarray:
-    """The sector matrix on ``layout`` in the dtype of ``raising``, the
-    amplitudes of the three raising moves (the conjugated couplings)."""
+    """The sector matrices on ``layout`` of ``n`` points, shape (n, dim, dim),
+    from the frequencies (n,) and the amplitudes (n, 3) of the three raising
+    moves (the conjugated couplings), in the dtype of ``raising``."""
     na, nb, nc = layout.states.T
-    dim = len(na)
-    h = np.zeros((dim, dim), dtype=raising.dtype)
-    h.flat[::dim + 1] = na * wa + nb * wb + nc * wc
+    n, dim = len(raising), len(na)
+    h = np.zeros((n, dim, dim), dtype=raising.dtype)
+    h.reshape(n, -1)[:, ::dim + 1] = na * wa[:, None] + nb * wb[:, None] + nc * wc[:, None]
     # each unordered pair once, the entry and its conjugate together
-    amp = raising[layout.coupling] * layout.ladder
-    h[layout.dst, layout.src] = amp
-    h[layout.src, layout.dst] = amp.conj()
+    amp = raising[:, layout.coupling] * layout.ladder
+    h[:, layout.dst, layout.src] = amp
+    h[:, layout.src, layout.dst] = amp.conj()
     return h

@@ -3,38 +3,38 @@
 Everything here double-checks the closed forms through an independent
 route: dense Hermitian diagonalization of the exact sector matrices and
 an aggregate report that compares every closed-form quantity against the
-solver output.  The oscillator's sector spectra are solved densely in
-the photon-phonon normal-mode basis, where the sector matrix is real
-symmetric (see :func:`_normal_mode_sector_spectrum`).
+solver output.  The report is one batch kernel, :func:`_crosscheck`,
+which solves its dense references as stacks over all points;
+:func:`crosscheck` runs it on a batch of one.  The oscillator's sector
+spectra are solved densely in the photon-phonon normal-mode basis,
+where the sector matrix is real symmetric (see
+:func:`_normal_mode_sector_spectra`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import darkstates, observables, threemode, twomode
-from .errors import (
-    AssumptionViolation,
-    ConvergenceFailure,
-    DarkTrioError,
-    DegenerateTwoMode,
-    NotHermitian,
-    _Status,
-)
+from .errors import AssumptionViolation, ConvergenceFailure, NotHermitian, _Status
 from .model import (
     AtomKind,
     ModelParams,
+    _abs,
     _assumption_margins,
     _assumption_report,
     _batch_of,
+    _Batch,
+    _cdiv_real,
     _max_abs,
+    _one_excitation_matrices,
     _sector_block,
     _sector_layout,
-    one_excitation_matrix,
+    _sq,
 )
 
 __all__ = [
@@ -146,17 +146,12 @@ def _eigh(a: np.ndarray, hermitian_rtol: float = 1e-13):
     status.fail(deviation > hermitian_rtol * np.maximum(scale, 1e-300), lambda i: NotHermitian(
         f"matrix deviates from Hermitian by {deviation[i]:.3e}"
     ))
-    try:
-        values, vectors = np.linalg.eigh(a)
-    except np.linalg.LinAlgError:
-        # solve one by one, so only the matrices the solver fails on fail
-        values, vectors = np.full((n, dim), np.nan), np.full(a.shape, np.nan, dtype=complex)
-        for i in range(n):
-            try:
-                values[i], vectors[i] = np.linalg.eigh(a[i])
-            except np.linalg.LinAlgError as err:
-                status.fail(np.arange(n) == i, lambda _: ConvergenceFailure(
-                    f"dense eigensolver failed: {err}"))
+    values, vectors, failures = _lapack_eigh(a)
+    if failures:
+        failed = np.zeros(n, dtype=bool)
+        failed[list(failures)] = True
+        status.fail(failed, lambda i: ConvergenceFailure(
+            f"dense eigensolver failed: {failures[i]}"))
     residual = _max_abs(a @ vectors - vectors * values[:, None, :])
     ortho = _max_abs(vectors.conj().swapaxes(1, 2) @ vectors - np.eye(dim))
     status.fail((residual > 1e-11 * np.maximum(scale, 1.0)) | (ortho > 1e-12),
@@ -165,6 +160,24 @@ def _eigh(a: np.ndarray, hermitian_rtol: float = 1e-13):
                     f"orthonormality {ortho[i]:.3e})"
                 ))
     return values, vectors, status
+
+
+def _lapack_eigh(a: np.ndarray):
+    """``np.linalg.eigh`` of the stack ``a``, and the solver's error for each
+    matrix it fails on, whose results are NaN.  A failing stack is split in
+    halves, so only the failing matrices fail, after a few solves."""
+    try:
+        if len(a) > 1:
+            return (*np.linalg.eigh(a), {})
+        values, vectors = np.linalg.eigh(a[0])
+        return values[None], vectors[None], {}
+    except np.linalg.LinAlgError as err:
+        if len(a) == 1:
+            return np.full(a.shape[:2], np.nan), np.full(a.shape, np.nan, complex), {0: err}
+    half = len(a) // 2
+    (v1, w1, e1), (v2, w2, e2) = _lapack_eigh(a[:half]), _lapack_eigh(a[half:])
+    return (np.concatenate([v1, v2]), np.concatenate([w1, w2]),
+            {**e1, **{i + half: err for i, err in e2.items()}})
 
 
 def oscillator_sector_check(params: ModelParams, ell: int, *, tol: float = 1e-9,
@@ -187,49 +200,58 @@ def oscillator_sector_check(params: ModelParams, ell: int, *, tol: float = 1e-9,
             f"ass1={report.ass1.margin:.3e} ass2={report.ass2.margin:.3e} "
             f"ass3={report.ass3.margin:.3e} ass4={report.ass4.margin:.3e}"
         )
-    return _sector_check(params, threemode._dressed(p, two).point(0).e, ell, tol, max_dim)
+    spectrum = threemode._dressed(p, two)
+    spectrum.status.check()
+    modes = np.linalg.eigh(twomode._rwa_blocks(p))
+    residual = _sector_residuals(p, modes, spectrum.e, ell, max_dim)[0].item()
+    return ValidationReport(checks=(
+        CheckResult(f"sector-{ell}-spectrum", residual, tol, residual <= tol),
+    ))
 
 
-def _sector_check(params: ModelParams, levels, ell: int, tol: float,
-                  max_dim: int = 10_000) -> ValidationReport:
-    """:func:`oscillator_sector_check` against already solved dressed levels."""
-    states, computed = _normal_mode_sector_spectrum(params, ell, max_dim)
-    residual = float(np.max(np.abs(computed - np.sort(states @ np.asarray(levels)))))
-    check = CheckResult(
-        name=f"sector-{ell}-spectrum",
-        residual=residual,
-        tolerance=tol,
-        passed=residual <= tol,
-    )
-    return ValidationReport(checks=(check,))
+def _sector_residuals(p: _Batch, modes, levels: np.ndarray, ell: int,
+                      max_dim: int = 10_000) -> np.ndarray:
+    """Largest distance, per point, between the oscillator's sector-``ell``
+    spectrum and the sums of the dressed ``levels`` (n, 3); ``modes`` are
+    LAPACK's eigenpairs of the points' photon-phonon blocks."""
+    states, computed = _normal_mode_sector_spectra(p, modes, ell, max_dim)
+    sums = np.sort(np.matmul(states, levels[:, :, None])[:, :, 0], axis=1)
+    return np.max(np.abs(computed - sums), axis=1)
 
 
-def _normal_mode_sector_spectrum(params: ModelParams, ell: int, max_dim: int = 10_000):
+def _normal_mode_sector_spectra(p: _Batch, modes, ell: int, max_dim: int = 10_000):
     """The oscillator's sector-``ell`` basis as a (dim, 3) array, and the
-    ascending spectrum of its sector matrix.
+    ascending spectra (n, dim) of the sector matrices of the points of ``p``.
 
     The photon and phonon are rotated into the normal modes of the
-    photon-phonon block, taken from LAPACK and not from :mod:`twomode`, so a
-    wrong closed-form quasimode cannot cancel out of the check.  The
-    rotation conserves the excitation number, so it maps the sector onto
-    itself, and leaves the atom coupled to normal mode ``j`` with
-    ``Gamma_j = lambda conj(u[0, j]) + xi conj(u[1, j])`` and no coupling
-    between the normal modes.  The atom-mode couplings then form a tree,
-    so a phase per mode makes each of them ``|Gamma_j|``: the same
-    spectrum comes from a real symmetric matrix, solved several times
-    faster than the complex one.
+    photon-phonon block: ``modes`` are its eigenpairs ``(eps, u)``, taken
+    from LAPACK and not from :mod:`twomode`, so a wrong closed-form
+    quasimode cannot cancel out of the check.  The rotation conserves the
+    excitation number, so it maps the sector onto itself, and leaves the
+    atom coupled to normal mode ``j`` with ``Gamma_j = lambda conj(u[0, j])
+    + xi conj(u[1, j])`` and no coupling between the normal modes.  The
+    atom-mode couplings then form a tree, so a phase per mode makes each
+    of them ``|Gamma_j|``: the same spectrum comes from a real symmetric
+    matrix, solved several times faster than the complex one.
     """
     layout = _sector_layout(AtomKind.OSCILLATOR, ell, max_dim)
-    eps, u = np.linalg.eigh(twomode.rwa_block_matrix(params))
-    gamma = params.lam * u[0].conj() + params.xi * u[1].conj()
-    real = _sector_block(layout, params.omega_a, eps[0], eps[1],
-                         np.array([abs(gamma[0]), abs(gamma[1]), 0.0]))
+    eps, u = modes
+    gamma = p.lam[:, None] * u[:, 0].conj() + p.xi[:, None] * u[:, 1].conj()
+    raising = np.zeros((len(p), 3))
+    raising[:, :2] = _abs(gamma)
+    real = _sector_block(layout, p.omega_a, eps[:, 0], eps[:, 1], raising)
     return layout.states, np.linalg.eigvalsh(real)
 
 
-def _phase_match(reference: np.ndarray, column: np.ndarray) -> float:
-    overlap = np.vdot(reference, column)
-    return abs(1.0 - abs(overlap))
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, bit for bit those of ``np.dot`` and
+    ``np.vdot`` (after conjugating ``x``): the same BLAS calls."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def _norm(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` along the last axis of the complex ``x``, bit for bit."""
+    return np.sqrt(_dot(x.real, x.real) + _dot(x.imag, x.imag))
 
 
 def crosscheck(params: ModelParams, kind: AtomKind = AtomKind.TWO_LEVEL,
@@ -239,193 +261,198 @@ def crosscheck(params: ModelParams, kind: AtomKind = AtomKind.TWO_LEVEL,
     Checks that need unavailable preconditions (degenerate photon-phonon
     block, vanishing effective coupling, failed positivity assumption,
     off-resonant or complex couplings for the occupation checks) are
-    reported as skipped with a reason instead of failing.
+    reported as skipped with a reason instead of failing.  This is the
+    batch kernel :func:`_crosscheck` on a batch of one; it raises the
+    point's :class:`PoleHit` or :class:`NotAnEigenvalue` when a dressed
+    level fails its spectral-function check, and the dense solver's errors.
     """
-    checks: list[CheckResult] = []
+    checks = _crosscheck(_batch_of(params), kind, tol)
+    checks.status.check()
+    rows = zip(_CHECKS, checks.residual[0].tolist(), checks.tolerance[0].tolist(),
+               checks.passed[0].tolist(), checks.skipped[0].tolist(), checks.reasons(0))
+    return ValidationReport(checks=tuple(CheckResult(*row) for row in rows))
 
-    def add(name: str, residual: float, tolerance: float, passed: bool | None = None):
-        if passed is None:
-            passed = residual <= tolerance
-        checks.append(CheckResult(name, float(residual), float(tolerance), bool(passed)))
 
-    def skip(name: str, reason: str):
-        checks.append(CheckResult(name, math.nan, math.nan, True, skipped=True, reason=reason))
+#: the checks of :func:`crosscheck` in report order; those in ``_STRICT``
+#: pass on a positive residual, the others on one within tolerance
+_CHECKS = (
+    "assumption-1", "assumption-2", "assumption-3", "assumption-4",
+    "quasimode-energies", "mixing-sum", "u-unitarity", "u-diagonalization",
+    "pole-identity", "cross-product-identity", "eps1-positive",
+    "dressed-levels", "level-trace", "cubic-roots", "v-unitarity", "v-diagonalization",
+    "column-orthogonality-rule", "normalizers", "eigenvector-match", "eigenstate-residuals",
+    "interlacing", "occupation-amplitudes", "sector-2-spectrum",
+)
+_STRICT = np.isin(_CHECKS, [*_CHECKS[:4], "eps1-positive", "interlacing"])
+_COLUMN = {name: i for i, name in enumerate(_CHECKS)}
+_EYE2, _EYE3 = np.eye(2), np.eye(3)
 
-    def note(name: str, margin: float, holds: bool, reason: str):
-        # recorded observation: never gates the overall verdict
-        checks.append(CheckResult(name, float(margin), 0.0, bool(holds),
-                                  skipped=True, reason=reason))
+#: skip reasons by code, 0 for a check that ran; the two ending in ": " go
+#: on with the point's error
+_REASONS = (
+    "",
+    "standing assumption, margin recorded",
+    "positivity assumption violated; sign detection recorded",
+    "degenerate photon-phonon block",
+    "no photon-phonon coupling",
+    "|kappa|^2 underflows to 0",
+    "lower quasimode energy is not positive",
+    "an effective coupling vanishes",
+    "dressed spectrum unavailable",
+    "dressed spectrum unavailable: ",
+    "outside the resonant real regime: ",
+    "level sums apply to the oscillator atom",
+    "standing assumptions not satisfied",
+)
+(_RAN, _RECORDED, _SIGN_RECORDED, _DEGENERATE, _UNCOUPLED, _UNDERFLOW, _NOT_POSITIVE,
+ _VANISHES, _NO_SPECTRUM, _UNSOLVED, _OFF_REGIME, _NOT_OSCILLATOR,
+ _NOT_SATISFIED) = range(len(_REASONS))
 
-    # standing assumptions: margins are recorded, dependent checks skip on failure
-    p = _batch_of(params)
-    solved = twomode._two_mode(p)
-    try:
-        two = solved.point(0)
-    except DegenerateTwoMode as err:
-        note("assumption-1", err.ass1.margin, err.ass1.passed,
-             "standing assumption, margin recorded")
-        for name in ("assumption-2", "assumption-3", "assumption-4"):
-            skip(name, "degenerate photon-phonon block")
-        assumptions_pass = False
-        for name in ("quasimode-energies", "mixing-sum", "u-unitarity", "u-diagonalization",
-                     "pole-identity", "cross-product-identity", "eps1-positive"):
-            skip(name, "degenerate photon-phonon block")
-        two = None
-    else:
-        report = _assumption_report(_assumption_margins(p, solved, tol.ass2)[0])
-        for i in (1, 2, 3, 4):
-            check = getattr(report, f"ass{i}")
-            note(f"assumption-{i}", check.margin, check.passed,
-                 "standing assumption, margin recorded")
-        assumptions_pass = report.all_pass
 
-    ak = abs(params.kappa)
-    if two is not None:
-        block = twomode.rwa_block_matrix(params)
-        block_scale = float(np.linalg.norm(block))
-        solver = np.linalg.eigvalsh(block)
-        add("quasimode-energies", float(np.max(np.abs(solver - np.array(two.eps)))),
-            tol.eps_match * max(1.0, block_scale))
-        add("mixing-sum", abs(two.m[0] ** 2 + two.m[1] ** 2 - 1.0), tol.m_sum)
-        add("u-unitarity", float(np.max(np.abs(two.u.conj().T @ two.u - np.eye(2)))),
-            tol.u_unitarity)
-        diag = two.u.conj().T @ block @ two.u
-        add("u-diagonalization",
-            float(np.max(np.abs(diag - np.diag(two.eps)))), tol.u_diag * block_scale)
-        ksq = ak * ak
-        if ak == 0.0:
-            skip("pole-identity", "no photon-phonon coupling")
-            skip("cross-product-identity", "no photon-phonon coupling")
-        elif ksq == 0.0:
-            # both identities are relative to |kappa|^2
-            skip("pole-identity", "|kappa|^2 underflows to 0")
-            skip("cross-product-identity", "|kappa|^2 underflows to 0")
-        else:
-            a1_res = max(
-                abs((two.eps[j] - params.omega_b) * (two.eps[j] - params.omega_c) - ksq) / ksq
-                for j in range(2)
-            )
-            add("pole-identity", a1_res, tol.a1)
-            a2_res = max(
-                abs((two.eps[0] - w) * (two.eps[1] - w) + ksq) / ksq
-                for w in (params.omega_b, params.omega_c)
-            )
-            add("cross-product-identity", a2_res, tol.a2)
-        if report.ass1.passed:
-            # theorem under the positivity assumption: gate on it
-            add("eps1-positive", two.eps[0], 0.0, two.eps[0] > 0.0)
-        else:
-            note("eps1-positive", two.eps[0], two.eps[0] > 0.0,
-                 "positivity assumption violated; sign detection recorded")
+class _Checks(NamedTuple):
+    """:func:`crosscheck` per point: ``residual``, ``tolerance``, ``passed``,
+    ``skipped`` and the ``reason`` codes have a row per point and a column
+    per entry of ``_CHECKS``; ``status`` holds the error a point raises.
+    ``spectrum`` and ``regime`` complete the reasons ending in ": ", and
+    ``spectrum`` and ``modes`` (LAPACK's photon-phonon eigenpairs) serve
+    further sector checks."""
 
-    three_names = (
-        "dressed-levels", "level-trace", "cubic-roots", "v-unitarity",
-        "v-diagonalization", "column-orthogonality-rule", "normalizers",
-        "eigenvector-match", "eigenstate-residuals", "interlacing",
-    )
-    gamma_ok = two is not None and min(abs(two.gamma[0]), abs(two.gamma[1])) > \
-        tol.ass2 * max(abs(params.lam), abs(params.xi), ak, 1.0)
-    ass1_ok = two is not None and two.eps[0] > 0.0
+    residual: np.ndarray
+    tolerance: np.ndarray
+    passed: np.ndarray
+    skipped: np.ndarray
+    reason: np.ndarray
+    spectrum: threemode._ThreeModeBatch
+    modes: tuple[np.ndarray, np.ndarray]
+    regime: _Status
+    status: _Status
 
-    spectrum = None
-    if two is None:
-        for name in three_names:
-            skip(name, "degenerate photon-phonon block")
-    elif not ass1_ok:
-        for name in three_names:
-            skip(name, "lower quasimode energy is not positive")
-    elif not gamma_ok:
-        for name in three_names:
-            skip(name, "an effective coupling vanishes")
-    else:
-        try:
-            spectrum = threemode._dressed(p, solved).point(0)
-        except DarkTrioError as err:
-            for name in three_names:
-                skip(name, f"dressed spectrum unavailable: {err}")
-    if spectrum is not None:
-        bare = one_excitation_matrix(params).matrix
-        bare_scale = float(np.linalg.norm(bare))
-        solver = dense_hermitian_eig(bare)
-        levels = np.array(spectrum.e)
-        add("dressed-levels", float(np.max(np.abs(solver.values - levels))),
-            tol.e_match * max(1.0, bare_scale))
-        freq_sum = params.omega_a + params.omega_b + params.omega_c
-        add("level-trace", abs(levels.sum() - freq_sum) / freq_sum, tol.trace)
-        gsq = threemode._gamma_sq(two.gamma)
-        add("cubic-roots",
-            max(abs(threemode._phi(e, params.omega_a, *two.eps, *gsq)) / max(1.0, abs(e) ** 3)
-                for e in spectrum.e),
-            tol.root)
-        add("v-unitarity",
-            float(np.max(np.abs(spectrum.v.conj().T @ spectrum.v - np.eye(3)))),
-            tol.v_unitarity)
-        quasi = threemode.quasi_basis_matrix(params, two)
-        diag = spectrum.v.conj().T @ quasi @ spectrum.v
-        add("v-diagonalization", float(np.max(np.abs(diag - np.diag(levels)))),
-            tol.v_diag * max(1.0, bare_scale))
-        b1_res = max(
-            abs(1.0 + sum(gsq[nu] / ((spectrum.e[j] - two.eps[nu]) * (spectrum.e[k] - two.eps[nu]))
-                          for nu in range(2)))
-            for j in range(3) for k in range(3) if j != k
-        )
-        add("column-orthogonality-rule", b1_res, tol.b1)
+    def reasons(self, i: int) -> list[str]:
+        """Point ``i``'s skip reasons, one per check."""
+        errors = {_UNSOLVED: self.spectrum.status, _OFF_REGIME: self.regime}
+        return [_REASONS[code] + (str(errors[code].error(i)) if code in errors else "")
+                for code in self.reason[i].tolist()]
 
-        n_res = 0.0
-        vec_res = 0.0
-        state_res = 0.0
-        quasi_solver = dense_hermitian_eig(quasi)
-        states = spectrum.bare_vectors
-        for j, level in enumerate(spectrum.e):
-            raw = np.array([
-                two.gamma[0] / (level - two.eps[0]),
-                two.gamma[1] / (level - two.eps[1]),
-                1.0,
-            ])
-            n_res = max(n_res, abs(spectrum.n_norm[j] - 1.0 / np.linalg.norm(raw))
-                        / spectrum.n_norm[j])
-            vec_res = max(vec_res, _phase_match(quasi_solver.vectors[:, j], spectrum.v[:, j]))
-            darkstates._check_level(level, params.omega_a, two, tol=1e-6)
-            defect = bare @ states[:, j] - level * states[:, j]
-            state_res = max(state_res, float(np.linalg.norm(defect))
-                            / (bare_scale * float(np.linalg.norm(states[:, j]))))
-        add("normalizers", n_res, tol.n_norm)
-        add("eigenvector-match", vec_res, tol.eigvec)
-        add("eigenstate-residuals", state_res, tol.eigenstate)
 
-        margins = (
-            spectrum.e[0],
-            two.eps[0] - spectrum.e[0],
-            spectrum.e[1] - two.eps[0],
-            two.eps[1] - spectrum.e[1],
-            spectrum.e[2] - two.eps[1],
-        )
-        add("interlacing", min(margins), 0.0, min(margins) > 0.0)
+def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances) -> _Checks:
+    """:func:`crosscheck` for every point of the batch ``p``.
 
-    if spectrum is None:
-        skip("occupation-amplitudes", "dressed spectrum unavailable")
-    else:
-        status = _Status(1)
-        regime = observables._occupation_regime(p, status)
-        occupations = observables._occupations(p, np.array([spectrum.e]), 1e-10, solved, regime,
-                                               status)
-        if status.code[0]:
-            skip("occupation-amplitudes", f"outside the resonant real regime: {status.error(0)}")
-        else:
-            occ_res = 0.0
-            for j in range(3):
-                closed_forms = (occupations[0][0, j], occupations[1][0, j])
-                for closed, amp in zip(closed_forms, states[1:, j]):
-                    # relative with a unit floor: tuned points have occupation 0
-                    scale = max(abs(closed), abs(amp) ** 2, 1.0)
-                    occ_res = max(occ_res, abs(closed - abs(amp) ** 2) / scale)
-            add("occupation-amplitudes", occ_res, tol.occupation)
+    Every residual is computed for every point, then blanked where its
+    check skips.  The dense references come from stacked LAPACK solves,
+    never from the closed forms: the photon-phonon blocks in one ``eigh``,
+    the bare and the quasimode-basis one-excitation matrices in one
+    :func:`_eigh`, and the oscillator's sector-2 matrices in one
+    ``eigvalsh``.
+    """
+    n = len(p)
+    wa, wb, wc = p.omega_a, p.omega_b, p.omega_c
+    two = twomode._two_mode(p)
+    eps, gamma, u, solved = two.eps, two.gamma, two.u, two.status.ok
+    margins = _assumption_margins(p, two, tol.ass2)
+    spectrum = threemode._dressed(p, two)
+    # the three-mode checks' skip reason, the first that applies winning
+    dressed = np.where(spectrum.status.ok, _RAN, _UNSOLVED)
+    dressed[~(margins[:, 1] > 0.0)] = _VANISHES
+    dressed[~(eps[:, 0] > 0.0)] = _NOT_POSITIVE
+    dressed[~solved] = _DEGENERATE
+    checked = dressed == _RAN
+    # the levels of the points whose three-mode checks run, NaN elsewhere
+    e, v = np.where(checked[:, None], spectrum.e, np.nan), spectrum.v
 
-    if kind is not AtomKind.OSCILLATOR:
-        skip("sector-2-spectrum", "level sums apply to the oscillator atom")
-    elif spectrum is None or not assumptions_pass:
-        skip("sector-2-spectrum", "standing assumptions not satisfied")
-    else:
-        checks.extend(_sector_check(params, spectrum.e, 2, tol.sector).checks)
+    blocks = twomode._rwa_blocks(p)
+    modes = np.linalg.eigh(blocks)
+    # the bare and the quasimode-basis one-excitation matrices, a harmless
+    # one where no spectrum is checked
+    dense = np.concatenate([_one_excitation_matrices(p),
+                            threemode._quasi_matrices(wa, eps, gamma)])
+    dense[~np.concatenate([checked, checked])] = _EYE3
+    values, vectors, solver = _eigh(dense)
+    bare, quasi = dense[:n], dense[n:]
+    status = _Status(n)
+    status.inherit(solver)
+    status.inherit(solver, n)
+    darkstates._check_levels(e, wa, two, 1e-6, status)
+    regime = _Status(n)
+    occupations = observables._occupations(
+        p, e, 1e-10, two, observables._occupation_regime(p, regime), regime)
 
-    return ValidationReport(checks=tuple(checks))
+    with np.errstate(all="ignore"):
+        ak = _abs(p.kappa)
+        ksq = (ak * ak)[:, None]
+        block_scale, bare_scale = _norm(blocks.reshape(n, 4)), _norm(bare.reshape(n, 9))
+        u_h, v_h = u.conj().swapaxes(1, 2), v.conj().swapaxes(1, 2)
+        gsq = _sq(two.gamma_abs)
+        g1, g2, e1, e2 = gsq[:, :1], gsq[:, 1:], eps[:, :1], eps[:, 1:]
+        bare_freqs, n_norm = np.stack([wb, wc], axis=1), spectrum.n_norm
+        # the sum rule over the level pairs (0, 1), (0, 2), (1, 2): its terms are symmetric
+        j, k = [0, 0, 1], [1, 2, 2]
+        rule = 1.0 + (g1 / ((e[:, j] - e1) * (e[:, k] - e1))
+                      + g2 / ((e[:, j] - e2) * (e[:, k] - e2)))
+        # overlaps of the closed-form and the solver's quasimode-basis eigenvectors, level by level
+        overlap = _dot(vectors[n:].conj().swapaxes(1, 2), v.swapaxes(1, 2))
+        # per level, the quasimode column (Gamma / (E - eps), 1) as CPython divides
+        raw = np.ones((n, 3, 3), dtype=complex)
+        raw[:, :, :2] = _cdiv_real(gamma[:, None, :], e[:, :, None] - eps[:, None, :])
+        # per level, the bare eigenvector over (atom, photon, phonon)
+        states = threemode._bare_vectors(u, gamma, eps, e).swapaxes(1, 2)
+        defect = np.matmul(bare[:, None], states[..., None])[..., 0] - states * e[:, :, None]
+        amplitude_sq = _sq(_abs(states[:, :, 1:]))
+        closed = np.stack(occupations, axis=2)
+        columns = {
+            **{name: (margins[:, i], 0.0) for i, name in enumerate(_CHECKS[:4])},
+            "quasimode-energies": (_max_abs(modes[0] - eps),
+                                   tol.eps_match * np.maximum(1.0, block_scale)),
+            "mixing-sum": (np.abs(_sq(two.m[:, 0]) + _sq(two.m[:, 1]) - 1.0), tol.m_sum),
+            "u-unitarity": (_max_abs(np.matmul(u_h, u) - _EYE2), tol.u_unitarity),
+            "u-diagonalization": (_max_abs(np.matmul(np.matmul(u_h, blocks), u)
+                                           - eps[:, :, None] * _EYE2),
+                                  tol.u_diag * block_scale),
+            "pole-identity": (_max_abs(((eps - wb[:, None]) * (eps - wc[:, None]) - ksq) / ksq),
+                              tol.a1),
+            "cross-product-identity": (
+                _max_abs(((e1 - bare_freqs) * (e2 - bare_freqs) + ksq) / ksq), tol.a2),
+            "eps1-positive": (eps[:, 0], 0.0),
+            "dressed-levels": (_max_abs(values[:n] - e), tol.e_match * np.maximum(1.0, bare_scale)),
+            "level-trace": (np.abs(e.sum(axis=1) - (wa + wb + wc)) / (wa + wb + wc), tol.trace),
+            "cubic-roots": (_max_abs(threemode._phi(e, wa[:, None], e1, e2, g1, g2)
+                                     / np.maximum(1.0, np.float_power(np.abs(e), 3.0))), tol.root),
+            "v-unitarity": (_max_abs(np.matmul(v_h, v) - _EYE3), tol.v_unitarity),
+            "v-diagonalization": (_max_abs(np.matmul(np.matmul(v_h, quasi), v)
+                                           - e[:, :, None] * _EYE3),
+                                  tol.v_diag * np.maximum(1.0, bare_scale)),
+            "column-orthogonality-rule": (_max_abs(rule), tol.b1),
+            "normalizers": (_max_abs((n_norm - 1.0 / _norm(raw)) / n_norm), tol.n_norm),
+            "eigenvector-match": (_max_abs(1.0 - _abs(overlap)), tol.eigvec),
+            "eigenstate-residuals": (
+                _max_abs(_norm(defect) / (bare_scale[:, None] * _norm(states))), tol.eigenstate),
+            "interlacing": (np.min([e[:, 0], eps[:, 0] - e[:, 0], e[:, 1] - eps[:, 0],
+                                    eps[:, 1] - e[:, 1], e[:, 2] - eps[:, 1]], axis=0), 0.0),
+            "occupation-amplitudes": (_max_abs((closed - amplitude_sq) / np.maximum(
+                np.maximum(np.abs(closed), amplitude_sq), 1.0)), tol.occupation),
+            "sector-2-spectrum": (_sector_residuals(p, modes, e, 2) if kind is AtomKind.OSCILLATOR
+                                  else np.full(n, np.nan), tol.sector),
+        }
+        residual, tolerance = np.empty((2, n, len(_CHECKS)))
+        for c, name in enumerate(_CHECKS):
+            residual[:, c], tolerance[:, c] = columns[name]
+        passed = np.where(_STRICT, residual > tolerance, residual <= tolerance)
+
+    reason = np.zeros((n, len(_CHECKS)), dtype=np.int8)
+    reason[:, :4] = _RECORDED
+    reason[~solved, 1:_COLUMN["dressed-levels"]] = _DEGENERATE
+    identities = slice(_COLUMN["pole-identity"], _COLUMN["eps1-positive"])
+    reason[solved & (ak == 0.0), identities] = _UNCOUPLED
+    reason[solved & (ak != 0.0) & (ksq[:, 0] == 0.0), identities] = _UNDERFLOW
+    reason[solved & ~(margins[:, 0] > 0.0), _COLUMN["eps1-positive"]] = _SIGN_RECORDED
+    reason[:, _COLUMN["dressed-levels"]:_COLUMN["occupation-amplitudes"]] = dressed[:, None]
+    reason[:, _COLUMN["occupation-amplitudes"]] = np.where(
+        checked, np.where(regime.ok, _RAN, _OFF_REGIME), _NO_SPECTRUM)
+    reason[:, _COLUMN["sector-2-spectrum"]] = (
+        np.where(checked & (margins > 0.0).all(axis=1), _RAN, _NOT_SATISFIED)
+        if kind is AtomKind.OSCILLATOR else _NOT_OSCILLATOR)
+    skipped = reason != _RAN
+    # a recorded observation keeps its values but never gates the verdict
+    blank = skipped & (reason != _RECORDED) & (reason != _SIGN_RECORDED)
+    residual[blank] = tolerance[blank] = np.nan
+    passed[blank] = True
+    return _Checks(residual, tolerance, passed, skipped, reason, spectrum, modes, regime, status)

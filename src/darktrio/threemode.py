@@ -99,7 +99,8 @@ class ThreeModeSpectrum:
     @property
     def bare_vectors(self) -> np.ndarray:
         """Eigenvectors over (atom, photon, phonon), atom amplitude 1; column j is level j."""
-        return _bare_vectors(self.two, self.e)
+        two = self.two
+        return _bare_vectors(two.u, np.array(two.gamma), np.array(two.eps), np.array(self.e))
 
 
 class _ThreeModeBatch(NamedTuple):
@@ -178,13 +179,15 @@ def _slope(r1, r2, g1sq, g2sq):
     return 1.0 + g1sq / (r1 * r1) + g2sq / (r2 * r2)
 
 
-def _bare_vectors(two: TwoModeSpectrum, energies) -> np.ndarray:
-    """Columns ``(1, u @ (Gamma / (E - eps)))`` over (atom, photon, phonon), one per energy."""
-    e = np.asarray(energies, dtype=float)
-    quasi = np.array(two.gamma)[:, None] / (e - np.array(two.eps)[:, None])
+def _bare_vectors(u, gamma, eps, energies) -> np.ndarray:
+    """Columns ``(1, u @ (Gamma / (E - eps)))`` over (atom, photon, phonon), one
+    per energy in ``energies`` (..., k); leading axes are batch axes of ``u``
+    (..., 2, 2) and of ``gamma`` and ``eps`` (..., 2)."""
+    quasi = gamma[..., :, None] / (energies[..., None, :] - eps[..., :, None])
     # u @ quasi as an explicit two-term sum, so every column comes out bit for
-    # bit the same however many energies are passed (a matmul may not)
-    return np.vstack([np.ones(e.size), two.u[:, :1] * quasi[0] + two.u[:, 1:] * quasi[1]])
+    # bit the same however many energies and points are passed (a matmul may not)
+    rotated = u[..., :, :1] * quasi[..., None, 0, :] + u[..., :, 1:] * quasi[..., None, 1, :]
+    return np.concatenate([np.ones_like(rotated[..., :1, :]), rotated], axis=-2)
 
 
 def d1(params: ModelParams, x, *, pole_rtol: float = 1e-12):

@@ -158,9 +158,14 @@ def _two_mode(p: _Batch, degeneracy_rtol: float = 1e-12) -> _TwoModeBatch:
                          status=status)
 
 
+def _rwa_blocks(p: _Batch) -> np.ndarray:
+    """The 2x2 Hermitian photon-phonon block in the bare basis, per point, shape (n, 2, 2)."""
+    h = np.empty((len(p), 2, 2), dtype=complex)
+    h[:, 0, 0], h[:, 1, 1] = p.omega_b, p.omega_c
+    h[:, 1, 0], h[:, 0, 1] = p.kappa, p.kappa.conj()
+    return h
+
+
 def rwa_block_matrix(params: ModelParams) -> np.ndarray:
     """The 2x2 Hermitian photon-phonon block in the bare basis."""
-    return np.array(
-        [[params.omega_b, params.kappa.conjugate()], [params.kappa, params.omega_c]],
-        dtype=complex,
-    )
+    return _rwa_blocks(_batch_of(params))[0]

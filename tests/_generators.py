@@ -4,7 +4,9 @@ Draws are rejection-sampled so every returned set is well conditioned:
 standing assumptions hold where required, effective couplings are bounded
 away from zero, and dressed levels keep a minimum distance from the
 quasimode poles.  All randomness flows through the caller's generator, so
-tests stay deterministic.
+tests stay deterministic.  ``valid_batch`` draws a whole batch of the
+kernels' struct-of-arrays form at once, and ``stack`` builds one from a
+list of points.
 """
 
 import numpy as np
@@ -16,6 +18,10 @@ from darktrio import (
     two_mode_spectrum,
     validate,
 )
+from darktrio.model import _assumption_margins, _Batch
+from darktrio.twomode import _two_mode
+
+BATCH_FIELDS = ("omega_a", "omega_b", "omega_c", "lam", "xi", "kappa")
 
 
 def resonant_real_params(rng, min_gamma=0.02, min_pole_gap=1e-3):
@@ -81,6 +87,34 @@ def valid_params(rng, complex_couplings=True, require_all=False, min_gamma=0.02)
         if not report.ass1.passed:
             continue
         return params
+
+
+def valid_batch(rng, n, require_all=False, min_gamma=0.02):
+    """``n`` complex-coupling sets with the distribution and the acceptance
+    tests of :func:`valid_params`, drawn and tested a block at a time and
+    returned as one batch."""
+    kept = []
+    while sum(len(block.omega_a) for block in kept) < n:
+        omega_a, omega_b, omega_c = rng.uniform(0.5, 2.0, (3, n))
+
+        def coupling(low, high):
+            return rng.uniform(low, high, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+
+        p = _Batch(omega_a, omega_b, omega_c, coupling(0.05, 0.5), coupling(0.05, 0.5),
+                   coupling(0.05, 0.5 * np.sqrt(omega_b * omega_c)))
+        two = _two_mode(p)
+        margins = _assumption_margins(p, two)
+        keep = (two.gamma_abs.min(axis=1) >= min_gamma) & (margins[:, 0] > 0.0)
+        if require_all:
+            keep &= (margins > 0.0).all(axis=1)
+        kept.append(_Batch(*(getattr(p, name)[keep] for name in BATCH_FIELDS)))
+    return _Batch(*(np.concatenate([getattr(block, name) for block in kept])[:n]
+                    for name in BATCH_FIELDS))
+
+
+def stack(points):
+    """The batch of a list of :class:`ModelParams`."""
+    return _Batch(*(np.array([getattr(q, name) for q in points]) for name in BATCH_FIELDS))
 
 
 def kappa_zero_params(rng, min_gap=1e-3):

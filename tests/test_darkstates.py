@@ -23,6 +23,7 @@ from darktrio import (
     classify,
     classify_spectrum,
     dark_tuning,
+    duality_report,
     duality_swap,
     e_of,
     f_of,
@@ -93,6 +94,17 @@ def test_dark_tuning_regime_checks():
         dark_tuning(ModelParams(1.0, 1.0, 1.0, 0.2, 0.05, 0.1j))
     with pytest.raises(AssumptionViolation):
         dark_tuning(ModelParams(1.0, 1.0, 1.0, 0.2, 0.05, -0.1))
+
+
+def test_dark_tuning_judges_resonance_like_the_duality_report():
+    # a detuning of 1e-10 is off resonance for the occupations and the
+    # duality report; the tuning tolerance must not widen it
+    near = ModelParams(1.0, 1.0, 1.0 + 1e-10, 0.2, 0.05, 0.2)
+    for tol in (1e-9, 1e-11):
+        with pytest.raises(NotResonant):
+            dark_tuning(near, tol=tol)
+    with pytest.raises(NotResonant):
+        duality_report(near)
 
 
 def test_dark_tuning_zero_lambda_leaves_branch_unset():

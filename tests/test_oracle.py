@@ -1,14 +1,21 @@
 """Dense diagonalization oracle and cross-checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from darktrio import (
     AssumptionViolation,
     AtomKind,
     ConvergenceFailure,
+    DarkTrioError,
     ModelParams,
     NotHermitian,
+    PoleHit,
+    Tolerances,
     classify_spectrum,
     crosscheck,
     dense_hermitian_eig,
@@ -18,7 +25,9 @@ from darktrio import (
     three_mode_spectrum,
 )
 
-from _generators import random_hermitian, valid_params
+from darktrio.oracle import _CHECKS, _REASONS, _crosscheck
+
+from _generators import random_hermitian, stack, valid_batch, valid_params
 
 FIXTURE = ModelParams(1.0, 1.0, 1.0, 0.2, 0.05, 0.1)
 FIXTURE_LEVELS = (0.7930295020247184, 0.9607532983742692, 1.2462171996010124)
@@ -209,3 +218,87 @@ def test_tolerance_override_unknown_name():
     with pytest.raises(KeyError):
         Tolerances().override({"nope": 1.0})
     assert Tolerances().override({"b1": 1e-8}).b1 == 1e-8
+
+
+#: points that reach every skip reason of the cross-check between them
+BRANCH_POINTS = (
+    ModelParams(1.0, 1.0, 1.0, 0.2, 0.05, 0.1),  # every check runs
+    ModelParams(1.0, 1.0, 1.0, 0.2, 0.1, 0.0),  # degenerate photon-phonon block
+    ModelParams(1.1, 1.0, 1.4, 0.2, 0.1, 0.0),  # no photon-phonon coupling
+    ModelParams(0.8, 0.8, 1.0, 0.1, 0.2, 1e-300),  # |kappa|^2 underflows
+    ModelParams(1.0, 1.0, 1.0, 0.2, 0.05, 1.5),  # lower quasimode energy not positive
+    ModelParams(1.1, 1.0, 1.0, 0.1, 0.1, 0.1),  # an effective coupling vanishes
+    ModelParams(1.1, 1.0, 1.0, 0.2, 0.19, 0.1),  # vanishes at tol.ass2 = 0.05
+    ModelParams(1.0, 1.0, 1.3, 2e-12, 2e-12, 0.0),  # dressed levels too close
+    ModelParams(1.05, 1.0, 1.0, 0.2, 0.05, -0.1),  # outside the resonant real regime
+    ModelParams(1.1, 1.0, 1.2, 1e-5, 0.2, 0.0),  # v-unitarity and the sum rule fail
+    ModelParams(1.1, 1.0, 1.2, 3e-6, 0.2, 0.0),  # a level within the 1e-10 pole guard
+)
+TOLERANCES = (Tolerances(), Tolerances(ass2=0.05))
+
+
+def test_branch_points_reach_every_skip_reason_and_a_raise():
+    reasons, raised = set(), set()
+    for kind in AtomKind:
+        for tol in TOLERANCES:
+            checks = _crosscheck(stack(BRANCH_POINTS), kind, tol)
+            reasons |= set(checks.reason[checks.status.ok].ravel().tolist())
+            raised |= {type(checks.status.error(i))
+                       for i in np.flatnonzero(~checks.status.ok).tolist()}
+    assert reasons == set(range(len(_REASONS)))
+    assert raised == {PoleHit}
+
+
+def _coupling():
+    return st.one_of(st.sampled_from((0.0, 1e-300, 1e-9, 0.05, -0.1, 0.2)), st.floats(-0.6, 0.6),
+                     st.builds(complex, st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)))
+
+
+@st.composite
+def _points(draw):
+    omega_b = draw(st.floats(0.5, 1.5))
+    omega_c = draw(st.one_of(st.just(omega_b), st.floats(0.5, 1.5)))
+    omega_a = draw(st.one_of(st.just(omega_b), st.floats(0.5, 1.5)))
+    xi = draw(_coupling())
+    lam = draw(st.one_of(st.just(xi), st.just(-xi), _coupling()))
+    return ModelParams(omega_a, omega_b, omega_c, lam, xi, draw(_coupling()))
+
+
+def _bits(row):
+    return tuple(cell.hex() if isinstance(cell, float) else cell for cell in row)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(points=st.lists(st.one_of(st.sampled_from(BRANCH_POINTS), _points()),
+                       min_size=1, max_size=12),
+       kind=st.sampled_from(list(AtomKind)), tol=st.sampled_from(TOLERANCES))
+@example(points=list(BRANCH_POINTS), kind=AtomKind.TWO_LEVEL, tol=TOLERANCES[0])
+@example(points=list(BRANCH_POINTS), kind=AtomKind.OSCILLATOR, tol=TOLERANCES[0])
+@example(points=list(BRANCH_POINTS), kind=AtomKind.OSCILLATOR, tol=TOLERANCES[1])
+def test_batch_rows_equal_single_point_crosschecks(points, kind, tol):
+    # a point's row may not depend on the other points of its batch
+    checks = _crosscheck(stack(points), kind, tol)
+    for i, params in enumerate(points):
+        try:
+            report = crosscheck(params, kind, tol)
+        except DarkTrioError as err:
+            got = checks.status.error(i) if checks.status.code[i] else None
+            assert (type(got), str(got)) == (type(err), str(err))
+            continue
+        assert not checks.status.code[i]
+        rows = zip(_CHECKS, checks.residual[i].tolist(), checks.tolerance[i].tolist(),
+                   checks.passed[i].tolist(), checks.skipped[i].tolist(), checks.reasons(i))
+        assert [_bits(row) for row in rows] == [_bits(dataclasses.astuple(c))
+                                                for c in report.checks]
+
+
+def test_crosscheck_passes_on_ten_thousand_random_points():
+    batch = valid_batch(np.random.default_rng(75), 10_000, require_all=True)
+    for kind in AtomKind:
+        checks = _crosscheck(batch, kind, Tolerances())
+        assert checks.status.ok.all()
+        failed = ~checks.skipped & ~checks.passed
+        assert not failed.any(), [(_CHECKS[c], checks.residual[i, c])
+                                  for i, c in np.argwhere(failed)]
+        # the points are valid: every two- and three-mode check runs
+        assert not checks.skipped[:, 4:_CHECKS.index("occupation-amplitudes")].any()

@@ -22,7 +22,8 @@ from darktrio import (
     sector_matrix,
     twomode,
 )
-from darktrio.oracle import _normal_mode_sector_spectrum
+from darktrio.model import _batch_of
+from darktrio.oracle import _normal_mode_sector_spectra
 
 #: complex couplings with the loop phase arg(xi conj(lambda) conj(kappa)) = -2.1
 LOOP_PHASE = ModelParams(1.0, 0.9, 1.2, 0.2 * cmath.exp(0.3j), 0.15 * cmath.exp(-1.1j),
@@ -93,7 +94,9 @@ def test_loop_phase_sector_check_passes(ell):
 
 @pytest.mark.parametrize("ell", [*range(9), 30])
 def test_loop_phase_real_route_matches_complex_solve(ell):
-    _, real_route = _normal_mode_sector_spectrum(LOOP_PHASE, ell)
+    p = _batch_of(LOOP_PHASE)
+    _, real_route = _normal_mode_sector_spectra(p, np.linalg.eigh(twomode._rwa_blocks(p)), ell)
+    real_route = real_route[0]
     reference, norm = dense_sector_spectrum(LOOP_PHASE, ell)
     assert real_route.dtype == np.float64
     assert np.max(np.abs(real_route - reference)) <= 1e-12 * max(1.0, norm)
