@@ -509,15 +509,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
                        help="override a named tolerance (repeatable)")
-        p.add_argument("--sector", type=int, help="sector used by the verify cross-check")
+        return p
 
     for name, help_text in (
         ("spectrum", "dressed levels and quasimode data"),
         ("classify", "classified one-excitation eigenstates"),
         ("duality", "occupation duality under the coupling swap"),
-        ("verify", "closed-form vs oracle cross-check report"),
     ):
         common(sub.add_parser(name, help=help_text))
+    verify = common(sub.add_parser("verify", help="closed-form vs oracle cross-check report"))
+    verify.add_argument("--sector", type=int,
+                        help="add a spectrum check of this sector (oscillator atom)")
     scan = sub.add_parser("scan", help="run a subcommand over the config scan axes")
     scan.add_argument("operation", choices=("spectrum", "classify", "duality"),
                       nargs="?", default="spectrum")
@@ -551,10 +553,11 @@ def main(argv: list[str] | None = None) -> int:
             merged = dict(cfg.tol)
             merged.update(overrides)
             cfg = dataclasses.replace(cfg, tol=merged)
-        if args.sector is not None:
-            if args.sector < 0:
-                raise ConfigError(f"--sector must be nonnegative, got {args.sector}")
-            cfg = dataclasses.replace(cfg, sector=args.sector)
+        sector = getattr(args, "sector", None)
+        if sector is not None:
+            if sector < 0:
+                raise ConfigError(f"--sector must be nonnegative, got {sector}")
+            cfg = dataclasses.replace(cfg, sector=sector)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1

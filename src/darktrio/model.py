@@ -172,17 +172,13 @@ def _batch_of(params: ModelParams) -> _Batch:
                   couplings[0:1], couplings[1:2], couplings[2:3])
 
 
-# The batch kernels round every operation as Python's float and complex
-# arithmetic on one point rounds it, bit for bit, so the output stays what
-# the closed forms written with Python numbers printed (tests/golden holds
-# it) and no result depends on the size of the batch:
-# - abs(z) is np.hypot(z.real, z.imag);
-# - x ** 2 is np.float_power(x, 2.0), not x * x or np.power;
-# - a complex times a float is numpy's product (the float's imaginary part
-#   is +0.0 in both), but a complex quotient is CPython's Smith algorithm,
-#   which divides where numpy multiplies by a reciprocal;
-# - math.hypot has no exactly matching ufunc and is mapped over the floats;
-# - a stacked LAPACK eigensolve gives each matrix the bits of its own call.
+# A scan row must equal the single-point row bit for bit, so no kernel's
+# result may depend on the size of its batch:
+# - abs(z) is np.hypot(z.real, z.imag), as numpy's SIMD complex abs can
+#   round differently on some CPUs;
+# - threemode._bare_vectors rotates by an explicit two-term sum, as a matmul
+#   may round differently with the size of its operands;
+# - LAPACK solves are stacked, which gives each matrix the bits of its own call.
 
 def _abs(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
@@ -191,53 +187,6 @@ def _abs(z: np.ndarray) -> np.ndarray:
 def _max_abs(x: np.ndarray) -> np.ndarray:
     """Largest magnitude per point: over all axes of ``x`` but the first."""
     return np.maximum.reduce(np.abs(x).reshape(len(x), -1), axis=1)
-
-
-def _sq(x):
-    return np.float_power(x, 2.0)
-
-
-def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``math.hypot`` elementwise over two arrays of one shape."""
-    flat = map(math.hypot, x.ravel().tolist(), y.ravel().tolist())
-    return np.array(list(flat), dtype=float).reshape(x.shape)
-
-
-def _cdiv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a / b`` for complex arrays as CPython divides complex numbers.
-
-    Smith's algorithm: divide through by the larger part of ``b``.
-    """
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    by_real = np.abs(br) >= np.abs(bi)
-    ratio = bi / br
-    denom = br + bi * ratio
-    quotient = _complex((ar + ai * ratio) / denom, (ai - ar * ratio) / denom)
-    if np.count_nonzero(by_real) < by_real.size:
-        ratio = br / bi
-        denom = br * ratio + bi
-        other = _complex((ar * ratio + ai) / denom, (ai * ratio - ar) / denom)
-        quotient = np.where(by_real, quotient, other)
-    return quotient
-
-
-def _cdiv_real(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """``a / d`` for a complex ``a`` and a real ``d``, as CPython divides.
-
-    CPython divides by ``d + 0j`` with Smith's algorithm: its denominator
-    ``d + 0 * ratio`` is ``d`` itself, but the signed zero ``ratio = 0 / d``
-    still sets the signs of zero parts of the quotient.
-    """
-    ratio = 0.0 / d
-    return _complex((a.real + a.imag * ratio) / d, (a.imag - a.real * ratio) / d)
-
-
-def _complex(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
-    """Complex array from its parts, signed zeros kept."""
-    out = np.empty(np.shape(real), dtype=complex)
-    out.real = real
-    out.imag = imag
-    return out
 
 
 def ass1_margin(p) -> np.ndarray:
@@ -277,7 +226,7 @@ def _assumption_margins(p: _Batch, two, ass2_rtol: float = 1e-12) -> np.ndarray:
     margins[:, 1] = np.minimum(g1, g2) - ass2_rtol * p.coupling_scale
 
     wa, wb, wc = p.omega_a, p.omega_b, p.omega_c
-    g1sq, g2sq, ksq = _sq(g1), _sq(g2), _sq(_abs(p.kappa))
+    g1sq, g2sq, ksq = np.square(g1), np.square(g2), np.square(_abs(p.kappa))
     margins[:, 2] = (wa * wb + wb * wc + wc * wa) - (ksq + g1sq + g2sq)
     margins[:, 3] = wa * wb * wc - (wa * ksq + two.eps[:, 0] * g2sq + two.eps[:, 1] * g1sq)
     return margins

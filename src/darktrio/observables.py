@@ -21,7 +21,7 @@ import numpy as np
 
 from .darkstates import _require_gamma_nonzero, _resonant_real
 from .errors import DegenerateSpectrum, GammaZero, NotAnEigenvalue, PoleHit, _Status
-from .model import ModelParams, _batch_of, _Batch, _sq
+from .model import ModelParams, _batch_of, _Batch
 from .threemode import _dressed, _phi
 from .twomode import _two_mode, _TwoModeBatch
 
@@ -62,15 +62,15 @@ def _occupations(p: _Batch, energies: np.ndarray, root_tol: float, two: _TwoMode
     e = energies
     wa = p.omega_a[:, None]
     eps1, eps2 = (omega - kappa)[:, None], (omega + kappa)[:, None]
-    gsq = _sq(two.gamma_abs)
+    gsq = np.square(two.gamma_abs)
     with np.errstate(all="ignore"):
         pole = np.minimum(np.abs(e - eps1), np.abs(e - eps2)) <= 1e-10
         residual = np.abs(_phi(e, wa, two.eps[:, :1], two.eps[:, 1:], gsq[:, :1], gsq[:, 1:]))
         bound = root_tol * np.maximum(1.0, np.float_power(np.abs(e), 3.0))
         detuned = (e - wa) * (e - omega[:, None])
         denom = (e - eps1) * (e - eps2)
-        b = (detuned - _sq(xi)[:, None]) / denom
-        c = (detuned - _sq(lam)[:, None]) / denom
+        b = (detuned - np.square(xi)[:, None]) / denom
+        c = (detuned - np.square(lam)[:, None]) / denom
     for j in range(e.shape[1]):
         status.fail(pole[:, j], lambda i: PoleHit(
             f"energy {e[i, j].item()} sits on a quasimode energy "

@@ -29,12 +29,10 @@ from .model import (
     _assumption_report,
     _batch_of,
     _Batch,
-    _cdiv_real,
     _max_abs,
     _one_excitation_matrices,
     _sector_block,
     _sector_layout,
-    _sq,
 )
 
 __all__ = [
@@ -167,10 +165,7 @@ def _lapack_eigh(a: np.ndarray):
     matrix it fails on, whose results are NaN.  A failing stack is split in
     halves, so only the failing matrices fail, after a few solves."""
     try:
-        if len(a) > 1:
-            return (*np.linalg.eigh(a), {})
-        values, vectors = np.linalg.eigh(a[0])
-        return values[None], vectors[None], {}
+        return (*np.linalg.eigh(a), {})
     except np.linalg.LinAlgError as err:
         if len(a) == 1:
             return np.full(a.shape[:2], np.nan), np.full(a.shape, np.nan, complex), {0: err}
@@ -241,17 +236,6 @@ def _normal_mode_sector_spectra(p: _Batch, modes, ell: int, max_dim: int = 10_00
     raising[:, :2] = _abs(gamma)
     real = _sector_block(layout, p.omega_a, eps[:, 0], eps[:, 1], raising)
     return layout.states, np.linalg.eigvalsh(real)
-
-
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Dot products along the last axis, bit for bit those of ``np.dot`` and
-    ``np.vdot`` (after conjugating ``x``): the same BLAS calls."""
-    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
-
-
-def _norm(x: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` along the last axis of the complex ``x``, bit for bit."""
-    return np.sqrt(_dot(x.real, x.real) + _dot(x.imag, x.imag))
 
 
 def crosscheck(params: ModelParams, kind: AtomKind = AtomKind.TWO_LEVEL,
@@ -379,9 +363,10 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances) -> _Checks:
     with np.errstate(all="ignore"):
         ak = _abs(p.kappa)
         ksq = (ak * ak)[:, None]
-        block_scale, bare_scale = _norm(blocks.reshape(n, 4)), _norm(bare.reshape(n, 9))
+        block_scale = np.linalg.norm(blocks.reshape(n, 4), axis=1)
+        bare_scale = np.linalg.norm(bare.reshape(n, 9), axis=1)
         u_h, v_h = u.conj().swapaxes(1, 2), v.conj().swapaxes(1, 2)
-        gsq = _sq(two.gamma_abs)
+        gsq = np.square(two.gamma_abs)
         g1, g2, e1, e2 = gsq[:, :1], gsq[:, 1:], eps[:, :1], eps[:, 1:]
         bare_freqs, n_norm = np.stack([wb, wc], axis=1), spectrum.n_norm
         # the sum rule over the level pairs (0, 1), (0, 2), (1, 2): its terms are symmetric
@@ -389,20 +374,20 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances) -> _Checks:
         rule = 1.0 + (g1 / ((e[:, j] - e1) * (e[:, k] - e1))
                       + g2 / ((e[:, j] - e2) * (e[:, k] - e2)))
         # overlaps of the closed-form and the solver's quasimode-basis eigenvectors, level by level
-        overlap = _dot(vectors[n:].conj().swapaxes(1, 2), v.swapaxes(1, 2))
-        # per level, the quasimode column (Gamma / (E - eps), 1) as CPython divides
+        overlap = np.einsum("ikj,ikj->ij", vectors[n:].conj(), v)
+        # per level, the quasimode column (Gamma / (E - eps), 1)
         raw = np.ones((n, 3, 3), dtype=complex)
-        raw[:, :, :2] = _cdiv_real(gamma[:, None, :], e[:, :, None] - eps[:, None, :])
+        raw[:, :, :2] = gamma[:, None, :] / (e[:, :, None] - eps[:, None, :])
         # per level, the bare eigenvector over (atom, photon, phonon)
         states = threemode._bare_vectors(u, gamma, eps, e).swapaxes(1, 2)
         defect = np.matmul(bare[:, None], states[..., None])[..., 0] - states * e[:, :, None]
-        amplitude_sq = _sq(_abs(states[:, :, 1:]))
+        amplitude_sq = np.square(_abs(states[:, :, 1:]))
         closed = np.stack(occupations, axis=2)
         columns = {
             **{name: (margins[:, i], 0.0) for i, name in enumerate(_CHECKS[:4])},
             "quasimode-energies": (_max_abs(modes[0] - eps),
                                    tol.eps_match * np.maximum(1.0, block_scale)),
-            "mixing-sum": (np.abs(_sq(two.m[:, 0]) + _sq(two.m[:, 1]) - 1.0), tol.m_sum),
+            "mixing-sum": (np.abs(np.square(two.m).sum(axis=1) - 1.0), tol.m_sum),
             "u-unitarity": (_max_abs(np.matmul(u_h, u) - _EYE2), tol.u_unitarity),
             "u-diagonalization": (_max_abs(np.matmul(np.matmul(u_h, blocks), u)
                                            - eps[:, :, None] * _EYE2),
@@ -421,10 +406,12 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances) -> _Checks:
                                            - e[:, :, None] * _EYE3),
                                   tol.v_diag * np.maximum(1.0, bare_scale)),
             "column-orthogonality-rule": (_max_abs(rule), tol.b1),
-            "normalizers": (_max_abs((n_norm - 1.0 / _norm(raw)) / n_norm), tol.n_norm),
+            "normalizers": (_max_abs((n_norm - 1.0 / np.linalg.norm(raw, axis=2)) / n_norm),
+                            tol.n_norm),
             "eigenvector-match": (_max_abs(1.0 - _abs(overlap)), tol.eigvec),
             "eigenstate-residuals": (
-                _max_abs(_norm(defect) / (bare_scale[:, None] * _norm(states))), tol.eigenstate),
+                _max_abs(np.linalg.norm(defect, axis=2)
+                         / (bare_scale[:, None] * np.linalg.norm(states, axis=2))), tol.eigenstate),
             "interlacing": (np.min([e[:, 0], eps[:, 0] - e[:, 0], e[:, 1] - eps[:, 0],
                                     eps[:, 1] - e[:, 1], e[:, 2] - eps[:, 1]], axis=0), 0.0),
             "occupation-amplitudes": (_max_abs((closed - amplitude_sq) / np.maximum(

@@ -56,9 +56,7 @@ from .model import (
     _abs,
     _batch_of,
     _Batch,
-    _cdiv_real,
     _max_abs,
-    _sq,
 )
 from .twomode import TwoModeSpectrum, _two_mode, _TwoModeBatch, two_mode_spectrum
 
@@ -161,7 +159,7 @@ def _quasi_matrices(omega_a, eps, gamma) -> np.ndarray:
 
 def _gamma_sq(gamma) -> np.ndarray:
     """``|Gamma_j|^2`` of effective couplings ``gamma``, elementwise."""
-    return _sq(_abs(np.asarray(gamma)))
+    return np.square(_abs(np.asarray(gamma)))
 
 
 def _d1_and_slope(x, omega_a, e1, e2, g1sq, g2sq):
@@ -272,7 +270,7 @@ def _dressed(p: _Batch, two: _TwoModeBatch, degeneracy_rtol: float = 1e-10) -> _
     # omega_a, eps_1, eps_2, |Gamma_1|^2, |Gamma_2|^2, one copy per level:
     # operands of one shape keep numpy on its fast path
     per_point = np.empty((5, n))
-    per_point[0], per_point[1:3], per_point[3:] = p.omega_a, two.eps.T, _sq(g_abs).T
+    per_point[0], per_point[1:3], per_point[3:] = p.omega_a, two.eps.T, np.square(g_abs).T
     wa, e1, e2, g1sq, g2sq = np.repeat(per_point[:, :, None], 3, axis=2)
     with np.errstate(all="ignore"):
         # two Newton steps on d1; the slope is >= 1, so steps are small and
@@ -299,7 +297,7 @@ def _dressed(p: _Batch, two: _TwoModeBatch, degeneracy_rtol: float = 1e-10) -> _
         # rows (quasimode 1, quasimode 2): N_j * Gamma / (E_j - eps), shape (n, 2, 3)
         scaled = np.repeat(n_norm[:, None, :], 2, axis=1) * two.gamma[:, :, None]
         v = np.empty((n, 3, 3), dtype=complex)
-        v[:, :2, :] = _cdiv_real(scaled, gaps)
+        v[:, :2, :] = scaled / gaps
         v[:, 2, :] = n_norm
 
         residual = _max_abs(np.matmul(v.conj().swapaxes(1, 2), v) - _EYE3)

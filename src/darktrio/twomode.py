@@ -41,8 +41,6 @@ from .model import (
     _abs,
     _batch_of,
     _Batch,
-    _cdiv,
-    _hypot,
     ass1_margin,
 )
 
@@ -111,7 +109,7 @@ def _two_mode(p: _Batch, degeneracy_rtol: float = 1e-12) -> _TwoModeBatch:
     n = len(p)
     wb, wc, kappa = p.omega_b, p.omega_c, p.kappa
     ak = _abs(kappa)
-    split = _hypot(wb - wc, 2.0 * ak)
+    split = np.hypot(wb - wc, 2.0 * ak)
     status = _Status(n)
     margin1 = ass1_margin(p)
     status.fail(split < degeneracy_rtol * (wb + wc), lambda i: DegenerateTwoMode(
@@ -131,17 +129,13 @@ def _two_mode(p: _Batch, degeneracy_rtol: float = 1e-12) -> _TwoModeBatch:
         eps = wb[:, None] + d
         ratio = d / ak[:, None]
         # M_j = |kappa| / sqrt(|kappa|^2 + d_j^2), the positive root
-        m = 1.0 / _hypot(np.ones((n, 2)), ratio)
-        # Gamma_j = M_j * (lam + xi * d_j / kappa) and the photon row of
-        # u = [[M_1, M_2], [M_1 d_1 / conj(kappa), M_2 d_2 / conj(kappa)]],
-        # the four quotients in one division
-        numerators = np.concatenate([p.xi[:, None] * d, m * d], axis=1)
-        divisors = np.repeat(np.stack([kappa, kappa.conj()], axis=1), 2, axis=1)
-        quotients = _cdiv(numerators, divisors)
-        g = m * (p.lam[:, None] + quotients[:, :2])
+        m = 1.0 / np.hypot(1.0, ratio)
+        # Gamma_j = M_j * (lam + xi * d_j / kappa) and
+        # u = [[M_1, M_2], [M_1 d_1 / conj(kappa), M_2 d_2 / conj(kappa)]]
+        g = m * (p.lam[:, None] + p.xi[:, None] * d / kappa[:, None])
         u = np.empty((n, 2, 2), dtype=complex)
         u[:, 0, :] = m
-        u[:, 1, :] = quotients[:, 2:]
+        u[:, 1, :] = m * d / kappa.conj()[:, None]
 
     # decoupled modes, or a coupling too weak for d_j / |kappa| to stay
     # finite (|kappa| near the underflow limit): quasimodes are the bare
@@ -164,8 +158,3 @@ def _rwa_blocks(p: _Batch) -> np.ndarray:
     h[:, 0, 0], h[:, 1, 1] = p.omega_b, p.omega_c
     h[:, 1, 0], h[:, 0, 1] = p.kappa, p.kappa.conj()
     return h
-
-
-def rwa_block_matrix(params: ModelParams) -> np.ndarray:
-    """The 2x2 Hermitian photon-phonon block in the bare basis."""
-    return _rwa_blocks(_batch_of(params))[0]

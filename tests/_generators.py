@@ -6,7 +6,8 @@ away from zero, and dressed levels keep a minimum distance from the
 quasimode poles.  All randomness flows through the caller's generator, so
 tests stay deterministic.  ``valid_batch`` draws a whole batch of the
 kernels' struct-of-arrays form at once, and ``stack`` builds one from a
-list of points.
+list of points.  ``rwa_block_matrix`` writes down the photon-phonon block
+that the dense references diagonalize.
 """
 
 import numpy as np
@@ -22,6 +23,12 @@ from darktrio.model import _assumption_margins, _Batch
 from darktrio.twomode import _two_mode
 
 BATCH_FIELDS = ("omega_a", "omega_b", "omega_c", "lam", "xi", "kappa")
+
+
+def rwa_block_matrix(params):
+    """The 2x2 Hermitian photon-phonon block in the bare basis."""
+    return np.array([[params.omega_b, params.kappa.conjugate()],
+                     [params.kappa, params.omega_c]])
 
 
 def resonant_real_params(rng, min_gamma=0.02, min_pole_gap=1e-3):

@@ -37,11 +37,11 @@ from darktrio import (
     two_mode_spectrum,
 )
 from darktrio.cli import main
-from darktrio.twomode import rwa_block_matrix
 
 from _generators import (
     kappa_zero_params,
     resonant_real_params,
+    rwa_block_matrix,
     tuned_dark_params,
     valid_params,
 )

@@ -64,9 +64,17 @@ def scan_configs(draw):
             values = st.one_of(st.sampled_from(edges[param]), st.floats(-1.2, 1.2))
         axes.append({"param": param, "start": draw(values), "stop": draw(values),
                      "steps": draw(st.integers(1, 3))})
-    if "kappa" not in {axis["param"] for axis in axes}:
-        # a complex kappa whose imaginary part may outweigh its real part
-        doc["kappa"] = [kappa, draw(st.sampled_from((0.0, 1e-9, 0.3, -0.3)))]
+    # the couplings off the scan axes may be complex: an imaginary part may
+    # outweigh the real one, and lambda may stay on the lines lambda = +-xi
+    # and lambda = conj(xi)
+    imag = st.sampled_from((0.0, 1e-9, 0.3, -0.3))
+    xi_im = draw(imag)
+    parts = {"lambda": (lam, draw(st.one_of(st.just(xi_im), st.just(-xi_im), imag))),
+             "xi": (xi, xi_im), "kappa": (kappa, draw(imag))}
+    scanned = {axis["param"] for axis in axes}
+    for name, value in parts.items():
+        if name not in scanned:
+            doc[name] = list(value)
     doc["scan"] = axes
     return doc
 
@@ -115,43 +123,3 @@ def test_scan_rows_equal_single_point_rows(doc, operation):
             assert status == type(err).__name__
         else:
             assert status == "ok"
-
-
-def test_rounding_twins_match_python_scalars():
-    # the array operations the kernels use in place of scalar Python
-    # arithmetic, against that arithmetic, bit for bit, signed zeros included
-    import numpy as np
-
-    from darktrio.model import _abs, _cdiv, _cdiv_real, _hypot, _sq
-
-    rng = np.random.default_rng(7)
-
-    def floats(n):
-        x = rng.standard_normal(n) * 10.0 ** rng.integers(-4, 5, n)
-        x[rng.random(n) < 0.05] = 0.0
-        x[rng.random(n) < 0.05] = -0.0
-        return x
-
-    def complexes(n):
-        z = np.empty(n, dtype=complex)
-        z.real, z.imag = floats(n), floats(n)
-        return z
-
-    def same(got, want):
-        want = np.array(want, dtype=got.dtype)
-        return np.array_equal(got.view(np.int64), want.view(np.int64))
-
-    a, b, x = complexes(4000), complexes(4000), floats(4000)
-    b, x = b[b != 0], x[x != 0]
-    n = min(len(b), len(x))
-    a, b, x = a[:n], b[:n], x[:n]
-    pa, pb, px = a.tolist(), b.tolist(), x.tolist()
-    with np.errstate(all="ignore"):
-        assert same(_cdiv(a, b), [u / v for u, v in zip(pa, pb)])
-        assert same(_cdiv(x.astype(complex), b), [u / v for u, v in zip(px, pb)])
-        assert same(_cdiv_real(a, x), [u / v for u, v in zip(pa, px)])
-    assert same(a * x, [u * v for u, v in zip(pa, px)])
-    assert same(x * a, [v * u for u, v in zip(pa, px)])
-    assert same(_abs(a), [abs(u) for u in pa])
-    assert same(_sq(np.abs(x)), [abs(v) ** 2 for v in px])
-    assert same(_hypot(x, x[::-1].copy()), [math.hypot(u, v) for u, v in zip(px, px[::-1])])

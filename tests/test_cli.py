@@ -184,6 +184,19 @@ def test_verify_sector_flag_size_limit_exits_two(tmp_path, capsys):
     assert "10153x10153" in err
 
 
+@pytest.mark.parametrize("command", [["spectrum"], ["classify"], ["duality"],
+                                     ["scan", "spectrum"]],
+                         ids=["spectrum", "classify", "duality", "scan"])
+def test_sector_flag_is_verify_only(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--sector", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --sector 2" in capsys.readouterr().err
+    # the config key stays valid for every command
+    cfg = write_config(tmp_path, {"sector": 2})
+    assert run_cli(capsys, *command, "--config", cfg)[0] == 0
+
+
 def test_single_point_assumption_violation_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(DARK_POINT, kappa=1.5))
     code, _, _ = run_cli(capsys, "spectrum", "--config", cfg)

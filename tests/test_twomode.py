@@ -8,9 +8,8 @@ from darktrio import (
     ModelParams,
     two_mode_spectrum,
 )
-from darktrio.twomode import rwa_block_matrix
 
-from _generators import valid_params
+from _generators import rwa_block_matrix, valid_params
 
 
 def test_resonant_split_and_equal_mixing():
