@@ -132,10 +132,21 @@ def _two_mode(p: _Batch, degeneracy_rtol: float = 1e-12) -> _TwoModeBatch:
         m = 1.0 / np.hypot(1.0, ratio)
         # Gamma_j = M_j * (lam + xi * d_j / kappa) and
         # u = [[M_1, M_2], [M_1 d_1 / conj(kappa), M_2 d_2 / conj(kappa)]]
-        g = m * (p.lam[:, None] + p.xi[:, None] * d / kappa[:, None])
+        xi_d_by_kappa = p.xi[:, None] * d / kappa[:, None]
+        m_d_by_conj = m * d / kappa.conj()[:, None]
+        # numpy divides by a complex through its reciprocal, which overflows
+        # for |kappa| below about 1 / DBL_MAX; there the quotients are formed
+        # from d_j / |kappa| and the phase kappa / |kappa|
+        lost = ~(np.isfinite(xi_d_by_kappa) & np.isfinite(m_d_by_conj))
+        if np.count_nonzero(lost):
+            phase = kappa.real / ak + 1j * (kappa.imag / ak)
+            xi_d_by_kappa = np.where(lost, p.xi[:, None] * (ratio * phase.conj()[:, None]),
+                                     xi_d_by_kappa)
+            m_d_by_conj = np.where(lost, m * ratio * phase[:, None], m_d_by_conj)
+        g = m * (p.lam[:, None] + xi_d_by_kappa)
         u = np.empty((n, 2, 2), dtype=complex)
         u[:, 0, :] = m
-        u[:, 1, :] = m * d / kappa.conj()[:, None]
+        u[:, 1, :] = m_d_by_conj
 
     # decoupled modes, or a coupling too weak for d_j / |kappa| to stay
     # finite (|kappa| near the underflow limit): quasimodes are the bare

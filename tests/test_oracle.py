@@ -276,6 +276,9 @@ def _bits(row):
 @example(points=list(BRANCH_POINTS), kind=AtomKind.TWO_LEVEL, tol=TOLERANCES[0])
 @example(points=list(BRANCH_POINTS), kind=AtomKind.OSCILLATOR, tol=TOLERANCES[0])
 @example(points=list(BRANCH_POINTS), kind=AtomKind.OSCILLATOR, tol=TOLERANCES[1])
+# 1 / |kappa| overflows: d_j / kappa may not go through numpy's complex division
+@example(points=[ModelParams(0.75, 0.75, 1.0, 0j, 0j, 2.225073858507203e-309 + 0j)],
+         kind=AtomKind.TWO_LEVEL, tol=TOLERANCES[0])
 def test_batch_rows_equal_single_point_crosschecks(points, kind, tol):
     # a point's row may not depend on the other points of its batch
     checks = _crosscheck(stack(points), kind, tol)
