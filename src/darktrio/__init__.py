@@ -45,7 +45,6 @@ from .errors import (
     PoleHit,
     SizeLimit,
     TuningNotSatisfied,
-    WrongAtomKind,
     WrongSector,
 )
 from .model import (

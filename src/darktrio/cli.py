@@ -51,7 +51,6 @@ from .errors import (
     NotResonant,
     SizeLimit,
     TuningNotSatisfied,
-    WrongAtomKind,
     _STATUS_ERRORS,
     _Status,
 )
@@ -81,7 +80,6 @@ _PRECONDITION_ERRORS = (
     NotResonant,
     SizeLimit,
     TuningNotSatisfied,
-    WrongAtomKind,
 )
 
 
@@ -317,7 +315,7 @@ def _spectrum_rows(cfg: RunConfig) -> Table:
     ok = spec.status.ok
     e, eps, gamma = spec.e, spec.two.eps, spec.two.gamma
     with np.errstate(invalid="ignore"):
-        holds = _assumption_margins(p, spec.two) > 0.0
+        holds = _assumption_margins(p, spec.two, cfg.tol.get("ass2", _DEFAULT_TOL.ass2)) > 0.0
         interlacing = ((0.0 < e[:, 0]) & (e[:, 0] < eps[:, 0]) & (eps[:, 0] < e[:, 1])
                        & (e[:, 1] < eps[:, 1]) & (eps[:, 1] < e[:, 2]))
     table = _param_cells(p)

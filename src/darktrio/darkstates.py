@@ -32,7 +32,6 @@ from .errors import (
     NotResonant,
     PoleHit,
     TuningNotSatisfied,
-    WrongAtomKind,
     WrongSector,
     _Status,
 )
@@ -232,7 +231,7 @@ def _tuning(p: _Batch, tol: float = 1e-9):
     return (branch(lam, xi), branch(xi, lam)), status
 
 
-def assemble_eigenstate(params: ModelParams, energy: float, tol: float = 1e-8) -> SectorVector:
+def assemble_eigenstate(params: ModelParams, energy: float) -> SectorVector:
     """One-excitation eigenvector at a known dressed level, atom amplitude 1.
 
     The amplitudes over (atom, photon, phonon) are ``(1, u @ (Gamma / (E -
@@ -241,7 +240,7 @@ def assemble_eigenstate(params: ModelParams, energy: float, tol: float = 1e-8) -
     identity or the swap, which gives the decoupled form
     ``(1, lambda/(E - omega_b), xi/(E - omega_c))``.  The same coefficient
     triple applies to both atom kinds.  Raises :class:`NotAnEigenvalue`
-    when the spectral function at ``energy`` exceeds ``tol`` and
+    when the spectral function at ``energy`` reaches 1e-8 and
     :class:`PoleHit` within 1e-10 of a pole.
     """
     p = _batch_of(params)
@@ -249,7 +248,7 @@ def assemble_eigenstate(params: ModelParams, energy: float, tol: float = 1e-8) -
     two.status.check()
     e = np.array([[float(energy)]])
     status = _Status(1)
-    _check_levels(e, p.omega_a, two, tol, status)
+    _check_levels(e, p.omega_a, two, 1e-8, status)
     status.check()
     return SectorVector(amps=_bare_vectors(two.u, two.gamma, two.eps, e)[0, :, 0], ell=1)
 
@@ -330,20 +329,17 @@ def two_mode_binomial_state(ell: int, modes: tuple[int, int], coeffs: tuple[comp
     return SectorVector(amps=amps, ell=ell)
 
 
-def multiquantum_state(params: ModelParams, branch: StateClass, n: int,
-                       kind: AtomKind = AtomKind.OSCILLATOR) -> SectorVector:
+def multiquantum_state(params: ModelParams, branch: StateClass, n: int) -> SectorVector:
     """n-quantum dark or quasi-dark state of the oscillator-atom model.
 
     The dark branch is ``(kappa a' - lambda c')**n`` on the vacuum,
     normalized; it has no amplitude on any photon-occupied basis state and
     is an exact eigenstate with energy ``n * e_of(lambda, xi)`` when the
     dark tuning condition holds.  The quasi-dark branch replaces the
-    phonon with the photon and ``lambda`` with ``xi``.  Only defined for
-    the oscillator atom (raises :class:`WrongAtomKind`), and only under
-    the matching tuning condition (raises :class:`TuningNotSatisfied`).
+    phonon with the photon and ``lambda`` with ``xi``.  The state lives in
+    the oscillator's sector ``n``, and exists only under the matching
+    tuning condition (raises :class:`TuningNotSatisfied`).
     """
-    if kind is not AtomKind.OSCILLATOR:
-        raise WrongAtomKind("multi-quantum dark states need the oscillator atom")
     if n < 0:
         raise ValueError(f"quantum number must be nonnegative, got {n}")
     if branch not in (StateClass.DARK, StateClass.QUASI_DARK):
@@ -358,13 +354,10 @@ def multiquantum_state(params: ModelParams, branch: StateClass, n: int,
     other = params.lam.real if branch is StateClass.DARK else params.xi.real
     scale = math.sqrt(kappa * kappa + other * other)
     partner_mode = 2 if branch is StateClass.DARK else 1
-    return two_mode_binomial_state(
-        n, (0, partner_mode), (kappa / scale, -other / scale), kind=kind
-    )
+    return two_mode_binomial_state(n, (0, partner_mode), (kappa / scale, -other / scale))
 
 
-def relabel_modes(params: ModelParams, role: RelabelRole | str,
-                  kind: AtomKind = AtomKind.OSCILLATOR) -> ModelParams:
+def relabel_modes(params: ModelParams, role: RelabelRole | str) -> ModelParams:
     """Parameter map that permutes the oscillator atom with another mode.
 
     The three modes of the oscillator-atom model play symmetric roles, so
@@ -373,8 +366,6 @@ def relabel_modes(params: ModelParams, role: RelabelRole | str,
     matrix of the relabeled parameters equals the permutation conjugation
     of the original, entry for entry.
     """
-    if kind is not AtomKind.OSCILLATOR:
-        raise WrongAtomKind("mode relabeling needs the oscillator atom")
     role = RelabelRole(role)
     if role is RelabelRole.ATOM_PHOTON:
         return ModelParams(
@@ -395,11 +386,11 @@ def relabel_modes(params: ModelParams, role: RelabelRole | str,
     )
 
 
-def _phase_fixed(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _phase_fixed(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column's global phase so its atom (or largest) component is
     positive; ``vectors`` is a stack of eigenvector matrices."""
     magnitude = np.abs(vectors)
-    no_atom = magnitude[:, 0, :] <= tol * np.linalg.norm(vectors, axis=1)
+    no_atom = magnitude[:, 0, :] <= 1e-12 * np.linalg.norm(vectors, axis=1)
     anchor_row = np.where(no_atom, np.argmax(magnitude, axis=1), 0)
     anchor = np.take_along_axis(vectors, anchor_row[:, None, :], axis=1)
     with np.errstate(invalid="ignore"):  # NaN columns of a failed solve

@@ -67,10 +67,6 @@ class WrongSector(DarkTrioError):
     """The state does not live in the excitation sector the operation needs."""
 
 
-class WrongAtomKind(DarkTrioError):
-    """The operation is only defined for the other atom variant."""
-
-
 class TuningNotSatisfied(DarkTrioError):
     """The dark or quasi-dark tuning condition does not hold."""
 
@@ -84,7 +80,7 @@ class ConvergenceFailure(DarkTrioError):
 
 
 class SizeLimit(DarkTrioError):
-    """A sector matrix would exceed the configured dimension cap."""
+    """A sector matrix would exceed the cap on its size in bytes."""
 
 
 #: the outcomes a batch kernel records per point: 0 is success, code k the

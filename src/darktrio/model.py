@@ -194,7 +194,7 @@ def ass1_margin(p) -> np.ndarray:
     return np.sqrt(p.omega_b * p.omega_c) - _abs(p.kappa)
 
 
-def validate(params: ModelParams, *, ass2_rtol: float = 1e-12) -> AssumptionReport:
+def validate(params: ModelParams) -> AssumptionReport:
     """Evaluate the four standing assumptions for the given parameters.
 
     The bounds do not depend on the atom kind.  Raises
@@ -208,7 +208,7 @@ def validate(params: ModelParams, *, ass2_rtol: float = 1e-12) -> AssumptionRepo
     p = _batch_of(params)
     two = _two_mode(p)
     two.status.check()
-    return _assumption_report(_assumption_margins(p, two, ass2_rtol)[0])
+    return _assumption_report(_assumption_margins(p, two)[0])
 
 
 def _assumption_report(margins) -> AssumptionReport:
@@ -268,18 +268,18 @@ def sector_basis(kind: AtomKind, ell: int) -> tuple[tuple[int, int, int], ...]:
     )
 
 
-def sector_matrix(params: ModelParams, kind: AtomKind, ell: int,
-                  *, max_dim: int = 10_000) -> SectorMatrix:
+def sector_matrix(params: ModelParams, kind: AtomKind, ell: int) -> SectorMatrix:
     """Exact Hamiltonian block on the total-excitation-``ell`` sector.
 
     Bosonic matrix elements carry the usual ladder factors, e.g. the
     photon-phonon hop from ``(na, nb, nc)`` to ``(na, nb+1, nc-1)`` has
     amplitude ``conj(kappa) * sqrt(nb+1) * sqrt(nc)``.  The matrix is
     filled pairwise (entry and conjugate together), so it is Hermitian
-    exactly, not after symmetrization.
+    exactly, not after symmetrization.  Raises :class:`SizeLimit`, before
+    building anything, when the complex matrix would exceed 800 MB.
     """
     p = _batch_of(params)
-    layout = _sector_layout(kind, ell, max_dim)
+    layout = _sector_layout(kind, ell, complex)
     h = _sector_block(layout, p.omega_a, p.omega_b, p.omega_c,
                       np.stack([p.lam, p.xi, p.kappa], axis=1).conj())
     return SectorMatrix(ell=ell, basis=layout.basis, matrix=h[0])
@@ -302,14 +302,21 @@ class _SectorLayout(NamedTuple):
     ladder: np.ndarray
 
 
+#: the most bytes a sector matrix may take: a 10,000-state real matrix
+_MAX_SECTOR_BYTES = 800_000_000
+
+
 @lru_cache(maxsize=8)
-def _sector_layout(kind: AtomKind, ell: int, max_dim: int) -> _SectorLayout:
-    """The layout of sector ``ell``; raises :class:`SizeLimit` beyond
-    ``max_dim`` states before building anything.  The last few layouts
-    are kept: each oscillator ``verify`` builds sector 2 again."""
+def _sector_layout(kind: AtomKind, ell: int, dtype: type) -> _SectorLayout:
+    """The layout of sector ``ell``; raises :class:`SizeLimit` before building
+    anything when its matrix, of entries of ``dtype``, would exceed
+    ``_MAX_SECTOR_BYTES``.  The last few layouts are kept: each oscillator
+    ``verify`` builds sector 2 again."""
     dim = (ell + 1) * (ell + 2) // 2 if kind is AtomKind.OSCILLATOR else 2 * ell + 1
-    if ell >= 0 and dim > max_dim:
-        raise SizeLimit(f"sector {ell} needs a {dim}x{dim} matrix; cap is {max_dim}")
+    size = dim * dim * np.dtype(dtype).itemsize
+    if ell >= 0 and size > _MAX_SECTOR_BYTES:
+        raise SizeLimit(f"sector {ell} needs a {dim}x{dim} matrix of {size:,} bytes; "
+                        f"cap is {_MAX_SECTOR_BYTES:,} bytes")
     # A state's index is its phonon number plus the count of states with a
     # larger atom number, so an atom raise lands ell - n_atom states back
     # (one more when the phonon gives the quantum up), a photon raise one

@@ -49,8 +49,8 @@ class DualityReport:
         return self.max_mismatch <= self.tol
 
 
-def _occupations(p: _Batch, energies: np.ndarray, root_tol: float, two: _TwoModeBatch,
-                 regime, status: _Status) -> tuple[np.ndarray, np.ndarray]:
+def _occupations(p: _Batch, energies: np.ndarray, two: _TwoModeBatch, regime,
+                 status: _Status) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized (photon, phonon) occupations at ``energies`` (n, k), one
     row per point of ``p``.
 
@@ -66,7 +66,7 @@ def _occupations(p: _Batch, energies: np.ndarray, root_tol: float, two: _TwoMode
     with np.errstate(all="ignore"):
         pole = np.minimum(np.abs(e - eps1), np.abs(e - eps2)) <= 1e-10
         residual = np.abs(_phi(e, wa, two.eps[:, :1], two.eps[:, 1:], gsq[:, :1], gsq[:, 1:]))
-        bound = root_tol * np.maximum(1.0, np.float_power(np.abs(e), 3.0))
+        bound = 1e-10 * np.maximum(1.0, np.float_power(np.abs(e), 3.0))
         detuned = (e - wa) * (e - omega[:, None])
         denom = (e - eps1) * (e - eps2)
         b = (detuned - np.square(xi)[:, None]) / denom
@@ -92,31 +92,29 @@ def _occupation_regime(p: _Batch, status: _Status):
     return regime
 
 
-def _occupation_pair(params: ModelParams, energy: float, root_tol: float) -> tuple[float, float]:
+def _occupation_pair(params: ModelParams, energy: float) -> tuple[float, float]:
     p = _batch_of(params)
     status = _Status(1)
     regime = _occupation_regime(p, status)
-    b, c = _occupations(p, np.array([[float(energy)]]), root_tol, _two_mode(p), regime, status)
+    b, c = _occupations(p, np.array([[float(energy)]]), _two_mode(p), regime, status)
     status.check()
     return b[0, 0].item(), c[0, 0].item()
 
 
-def b_occupation(params: ModelParams, energy: float, *, root_tol: float = 1e-10,
-                 normalized: bool = False) -> float:
+def b_occupation(params: ModelParams, energy: float, *, normalized: bool = False) -> float:
     """Photon occupation of the atom-amplitude-1 eigenstate at ``energy``.
 
     ``normalized=True`` divides by the squared norm
     ``1 + <b'b> + <c'c>``, i.e. reports the occupation of the normalized
     state instead of the unnormalized closed form.
     """
-    b, c = _occupation_pair(params, energy, root_tol)
+    b, c = _occupation_pair(params, energy)
     return b / (1.0 + b + c) if normalized else b
 
 
-def c_occupation(params: ModelParams, energy: float, *, root_tol: float = 1e-10,
-                 normalized: bool = False) -> float:
+def c_occupation(params: ModelParams, energy: float, *, normalized: bool = False) -> float:
     """Phonon occupation; mirror of :func:`b_occupation`."""
-    b, c = _occupation_pair(params, energy, root_tol)
+    b, c = _occupation_pair(params, energy)
     return c / (1.0 + c + b) if normalized else c
 
 
@@ -162,7 +160,7 @@ def _duality(p: _Batch, tol: float = 1e-10) -> tuple[DualityReport, _Status]:
         f"vs {tuple(mirror[i].tolist())}"
     ))
     occupied = _Status(2 * n)
-    b_occ, c_occ = _occupations(both, spec.e, 1e-10, spec.two, regime, occupied)
+    b_occ, c_occ = _occupations(both, spec.e, spec.two, regime, occupied)
     status.inherit(occupied)
     status.inherit(occupied, n)
     b_occ, c_occ = b_occ[:n], c_occ[n:]

@@ -114,23 +114,23 @@ class Tolerances:
         return dataclasses.replace(self, **updates)
 
 
-def dense_hermitian_eig(matrix, *, hermitian_rtol: float = 1e-13) -> EigenDecomposition:
+def dense_hermitian_eig(matrix) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, with result validation.
 
     Raises :class:`NotHermitian` when the input deviates from its own
-    conjugate transpose by more than ``hermitian_rtol`` times its norm,
+    conjugate transpose by more than 1e-13 times its norm,
     and :class:`ConvergenceFailure` when the solver fails or returns a
     decomposition violating the residual/orthonormality bounds.
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    values, vectors, status = _eigh(a[None], hermitian_rtol)
+    values, vectors, status = _eigh(a[None])
     status.check()
     return EigenDecomposition(values=values[0], vectors=vectors[0])
 
 
-def _eigh(a: np.ndarray, hermitian_rtol: float = 1e-13):
+def _eigh(a: np.ndarray):
     """:func:`dense_hermitian_eig` of every matrix in the stack ``a`` (n, d, d).
 
     Returns ascending values (n, d), eigenvector columns (n, d, d) and the
@@ -141,7 +141,7 @@ def _eigh(a: np.ndarray, hermitian_rtol: float = 1e-13):
     flat = np.ascontiguousarray(a).view(float).reshape(n, -1)
     scale = np.sqrt(np.einsum("ij,ij->i", flat, flat))
     deviation = _max_abs(a - a.conj().swapaxes(1, 2))
-    status.fail(deviation > hermitian_rtol * np.maximum(scale, 1e-300), lambda i: NotHermitian(
+    status.fail(deviation > 1e-13 * np.maximum(scale, 1e-300), lambda i: NotHermitian(
         f"matrix deviates from Hermitian by {deviation[i]:.3e}"
     ))
     values, vectors, failures = _lapack_eigh(a)
@@ -175,15 +175,16 @@ def _lapack_eigh(a: np.ndarray):
             {**e1, **{i + half: err for i, err in e2.items()}})
 
 
-def oscillator_sector_check(params: ModelParams, ell: int, *, tol: float = 1e-9,
-                            max_dim: int = 10_000) -> ValidationReport:
+def oscillator_sector_check(params: ModelParams, ell: int, *,
+                            tol: float = 1e-9) -> ValidationReport:
     """Compare an exact sector spectrum with sums of dressed levels.
 
     For the oscillator atom the sector-``ell`` eigenvalues are exactly the
     sums ``n_1 E_1 + n_2 E_2 + n_3 E_3`` over occupations with total
     ``ell``; the sector matrix is exact, so no truncation error enters.
     Requires all four standing assumptions (raises
-    :class:`AssumptionViolation` otherwise).
+    :class:`AssumptionViolation` otherwise).  Raises :class:`SizeLimit`
+    when the real sector matrix would exceed 800 MB (``ell`` above 139).
     """
     p = _batch_of(params)
     two = twomode._two_mode(p)
@@ -198,23 +199,22 @@ def oscillator_sector_check(params: ModelParams, ell: int, *, tol: float = 1e-9,
     spectrum = threemode._dressed(p, two)
     spectrum.status.check()
     modes = np.linalg.eigh(twomode._rwa_blocks(p))
-    residual = _sector_residuals(p, modes, spectrum.e, ell, max_dim)[0].item()
+    residual = _sector_residuals(p, modes, spectrum.e, ell)[0].item()
     return ValidationReport(checks=(
         CheckResult(f"sector-{ell}-spectrum", residual, tol, residual <= tol),
     ))
 
 
-def _sector_residuals(p: _Batch, modes, levels: np.ndarray, ell: int,
-                      max_dim: int = 10_000) -> np.ndarray:
+def _sector_residuals(p: _Batch, modes, levels: np.ndarray, ell: int) -> np.ndarray:
     """Largest distance, per point, between the oscillator's sector-``ell``
     spectrum and the sums of the dressed ``levels`` (n, 3); ``modes`` are
     LAPACK's eigenpairs of the points' photon-phonon blocks."""
-    states, computed = _normal_mode_sector_spectra(p, modes, ell, max_dim)
+    states, computed = _normal_mode_sector_spectra(p, modes, ell)
     sums = np.sort(np.matmul(states, levels[:, :, None])[:, :, 0], axis=1)
     return np.max(np.abs(computed - sums), axis=1)
 
 
-def _normal_mode_sector_spectra(p: _Batch, modes, ell: int, max_dim: int = 10_000):
+def _normal_mode_sector_spectra(p: _Batch, modes, ell: int):
     """The oscillator's sector-``ell`` basis as a (dim, 3) array, and the
     ascending spectra (n, dim) of the sector matrices of the points of ``p``.
 
@@ -229,7 +229,7 @@ def _normal_mode_sector_spectra(p: _Batch, modes, ell: int, max_dim: int = 10_00
     of them ``|Gamma_j|``: the same spectrum comes from a real symmetric
     matrix, solved several times faster than the complex one.
     """
-    layout = _sector_layout(AtomKind.OSCILLATOR, ell, max_dim)
+    layout = _sector_layout(AtomKind.OSCILLATOR, ell, float)
     eps, u = modes
     gamma = p.lam[:, None] * u[:, 0].conj() + p.xi[:, None] * u[:, 1].conj()
     raising = np.zeros((len(p), 3))
@@ -358,7 +358,7 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances) -> _Checks:
     darkstates._check_levels(e, wa, two, 1e-6, status)
     regime = _Status(n)
     occupations = observables._occupations(
-        p, e, 1e-10, two, observables._occupation_regime(p, regime), regime)
+        p, e, two, observables._occupation_regime(p, regime), regime)
 
     with np.errstate(all="ignore"):
         ak = _abs(p.kappa)

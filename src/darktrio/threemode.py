@@ -46,7 +46,6 @@ import numpy as np
 from .errors import (
     AssumptionViolation,
     DegenerateSpectrum,
-    DegenerateTwoMode,
     GammaZero,
     PoleHit,
     _Status,
@@ -140,10 +139,9 @@ class CubicShape:
     w: float
 
 
-def quasi_basis_matrix(params: ModelParams, two: TwoModeSpectrum | None = None) -> np.ndarray:
+def quasi_basis_matrix(params: ModelParams) -> np.ndarray:
     """One-excitation Hamiltonian in the (quasimode 1, quasimode 2, atom) basis."""
-    if two is None:
-        two = two_mode_spectrum(params)
+    two = two_mode_spectrum(params)
     return _quasi_matrices(np.array([params.omega_a]), np.array([two.eps]),
                            np.array([two.gamma]))[0]
 
@@ -188,14 +186,14 @@ def _bare_vectors(u, gamma, eps, energies) -> np.ndarray:
     return np.concatenate([np.ones_like(rotated[..., :1, :]), rotated], axis=-2)
 
 
-def d1(params: ModelParams, x, *, pole_rtol: float = 1e-12):
+def d1(params: ModelParams, x):
     """The rational spectral function whose zeros are the dressed levels.
 
     Real input yields real output.  Raises :class:`PoleHit` when ``x`` is
-    within ``pole_rtol * max(1, |x|)`` of a quasimode energy.
+    within ``1e-12 * max(1, |x|)`` of a quasimode energy.
     """
     two = two_mode_spectrum(params)
-    guard = pole_rtol * max(1.0, abs(x))
+    guard = 1e-12 * max(1.0, abs(x))
     if min(abs(x - two.eps[0]), abs(x - two.eps[1])) <= guard:
         raise PoleHit(f"x = {x!r} sits on a quasimode energy {two.eps}")
     return _d1_and_slope(x, params.omega_a, *two.eps, *_gamma_sq(two.gamma))[0]
@@ -205,17 +203,12 @@ def phi(params: ModelParams, x: float) -> float:
     """The cleared cubic; defined for every ``x``, poles included.
 
     Off the quasimode energies it equals
-    ``(x - eps_1) * (x - eps_2) * d1(x)``.
+    ``(x - eps_1) * (x - eps_2) * d1(x)``.  A degenerate photon-phonon
+    block needs no mixing factors here: its quasimodes and couplings are
+    still solved, and are the bare modes where ``kappa = 0``.
     """
-    try:
-        two = two_mode_spectrum(params)
-    except DegenerateTwoMode:
-        # fully degenerate photon-phonon block: eps_1 = eps_2 = omega_b and
-        # the total coupling weight |lambda|^2 + |xi|^2 is basis independent
-        e = params.omega_b
-        weight = abs(params.lam) ** 2 + abs(params.xi) ** 2
-        return (x - e) ** 2 * (x - params.omega_a) - weight * (x - e)
-    return _phi(x, params.omega_a, *two.eps, *_gamma_sq(two.gamma))
+    two = _two_mode(_batch_of(params))
+    return _phi(x, params.omega_a, *two.eps[0], *np.square(two.gamma_abs[0]))
 
 
 def _phi(x, omega_a, e1, e2, g1sq, g2sq):
@@ -223,7 +216,7 @@ def _phi(x, omega_a, e1, e2, g1sq, g2sq):
     return (x - e1) * (x - e2) * (x - omega_a) - g1sq * (x - e2) - g2sq * (x - e1)
 
 
-def three_mode_spectrum(params: ModelParams, *, degeneracy_rtol: float = 1e-10) -> ThreeModeSpectrum:
+def three_mode_spectrum(params: ModelParams) -> ThreeModeSpectrum:
     """Dressed levels, normalizers and diagonalizing unitary.
 
     Requires positive quasimode energies (raises
@@ -232,13 +225,13 @@ def three_mode_spectrum(params: ModelParams, *, degeneracy_rtol: float = 1e-10) 
     quasimode an exact dressed level, so use the brute-force
     :func:`darktrio.classify_spectrum`).  Raises
     :class:`DegenerateSpectrum` when two dressed levels are closer than
-    ``degeneracy_rtol`` times the matrix norm.
+    1e-10 times the matrix norm.
     """
     p = _batch_of(params)
-    return _dressed(p, _two_mode(p), degeneracy_rtol).point(0)
+    return _dressed(p, _two_mode(p)).point(0)
 
 
-def _dressed(p: _Batch, two: _TwoModeBatch, degeneracy_rtol: float = 1e-10) -> _ThreeModeBatch:
+def _dressed(p: _Batch, two: _TwoModeBatch) -> _ThreeModeBatch:
     """:func:`three_mode_spectrum` for every point of the batch ``p``, from its
     solved photon-phonon blocks ``two``.
 
@@ -282,8 +275,8 @@ def _dressed(p: _Batch, two: _TwoModeBatch, degeneracy_rtol: float = 1e-10) -> _
             levels = np.where(stopped, levels, levels - value / slope)
         levels.sort(axis=1)
         gap = np.minimum(levels[:, 1] - levels[:, 0], levels[:, 2] - levels[:, 1])
-        status.fail(gap < degeneracy_rtol * scale, lambda i: DegenerateSpectrum(
-            f"dressed levels {levels[i].tolist()} are closer than {degeneracy_rtol:.1e} * ||H||"
+        status.fail(gap < 1e-10 * scale, lambda i: DegenerateSpectrum(
+            f"dressed levels {levels[i].tolist()} are closer than 1.0e-10 * ||H||"
         ))
         on_pole = (levels == e1) | (levels == e2)
         status.fail(on_pole.any(axis=1), lambda i: DegenerateSpectrum(

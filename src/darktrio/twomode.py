@@ -69,8 +69,9 @@ class TwoModeSpectrum:
 class _TwoModeBatch(NamedTuple):
     """:class:`TwoModeSpectrum` of every point of a batch, one row per point:
     ``eps``, ``m`` (n, 2), ``gamma`` (n, 2) complex, ``u`` (n, 2, 2), and
-    ``gamma_abs`` the ``|Gamma_j|``.  Rows of points that failed (see
-    ``status``) hold no solution; ``ass1_margin`` is known for every point."""
+    ``gamma_abs`` the ``|Gamma_j|``.  The one failure (see ``status``) is a
+    degenerate block, whose row still holds its quasimodes: the bare modes
+    where ``kappa = 0``.  ``ass1_margin`` is known for every point."""
 
     eps: np.ndarray
     m: np.ndarray
@@ -87,19 +88,19 @@ class _TwoModeBatch(NamedTuple):
                                gamma=tuple(self.gamma[i].tolist()), u=self.u[i].copy())
 
 
-def two_mode_spectrum(params: ModelParams, *, degeneracy_rtol: float = 1e-12) -> TwoModeSpectrum:
+def two_mode_spectrum(params: ModelParams) -> TwoModeSpectrum:
     """Diagonalize the photon-phonon block of the Hamiltonian.
 
     Raises :class:`DegenerateTwoMode` when the normal-mode splitting
     ``sqrt((omega_b - omega_c)^2 + 4|kappa|^2)`` falls below
-    ``degeneracy_rtol * (omega_b + omega_c)``; the mixing factors are
+    ``1e-12 * (omega_b + omega_c)``; the mixing factors are
     ill-conditioned there (and undefined at the exact degeneracy).  The
     error carries the assumption-1 result in its ``ass1`` attribute.
     """
-    return _two_mode(_batch_of(params), degeneracy_rtol).point(0)
+    return _two_mode(_batch_of(params)).point(0)
 
 
-def _two_mode(p: _Batch, degeneracy_rtol: float = 1e-12) -> _TwoModeBatch:
+def _two_mode(p: _Batch) -> _TwoModeBatch:
     """:func:`two_mode_spectrum` for every point of the batch ``p``.
 
     The detuned differences ``d_j = eps_j - omega_b`` are computed
@@ -112,7 +113,7 @@ def _two_mode(p: _Batch, degeneracy_rtol: float = 1e-12) -> _TwoModeBatch:
     split = np.hypot(wb - wc, 2.0 * ak)
     status = _Status(n)
     margin1 = ass1_margin(p)
-    status.fail(split < degeneracy_rtol * (wb + wc), lambda i: DegenerateTwoMode(
+    status.fail(split < 1e-12 * (wb + wc), lambda i: DegenerateTwoMode(
         "photon and phonon are degenerate and uncoupled "
         f"(splitting {split[i]:.3e}); the normal-mode factors are undefined",
         ass1=AssumptionCheck(bool(margin1[i] > 0.0), margin1[i].item()),

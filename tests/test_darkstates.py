@@ -17,11 +17,11 @@ from darktrio import (
     SectorVector,
     StateClass,
     TuningNotSatisfied,
-    WrongAtomKind,
     WrongSector,
     assemble_eigenstate,
     classify,
     classify_spectrum,
+    d1,
     dark_tuning,
     duality_report,
     duality_swap,
@@ -150,6 +150,17 @@ def test_assemble_rejects_non_eigenvalue():
         assemble_eigenstate(DARK_TUNED, 0.7)
 
 
+def test_assemble_eigenvalue_threshold_from_both_sides():
+    # an energy counts as a level while |d1| stays below 1e-8; d1'(E) = N^-2
+    spectrum = three_mode_spectrum(DARK_TUNED)
+    for level, norm in zip(spectrum.e, spectrum.n_norm):
+        inside, outside = (level + 1e-8 * share * norm**2 for share in (0.9, 1.1))
+        assert abs(d1(DARK_TUNED, inside)) < 1e-8 < abs(d1(DARK_TUNED, outside))
+        assemble_eigenstate(DARK_TUNED, inside)
+        with pytest.raises(NotAnEigenvalue):
+            assemble_eigenstate(DARK_TUNED, outside)
+
+
 def test_assemble_rejects_pole():
     with pytest.raises(PoleHit):
         assemble_eigenstate(DARK_TUNED, 0.8)  # omega - kappa
@@ -262,8 +273,6 @@ def test_multiquantum_quasi_dark_branch():
 
 
 def test_multiquantum_guards():
-    with pytest.raises(WrongAtomKind):
-        multiquantum_state(DARK_TUNED, StateClass.DARK, 2, kind=AtomKind.TWO_LEVEL)
     with pytest.raises(TuningNotSatisfied):
         multiquantum_state(DARK_TUNED, StateClass.QUASI_DARK, 2)
     untuned = ModelParams(1.3, 1.0, 1.0, 0.2, 0.05, 0.2)
@@ -296,11 +305,6 @@ def test_relabel_matrix_conjugation_exact():
             relabeled = one_excitation_matrix(relabel_modes(p, role)).matrix
             permuted = h[np.ix_(order, order)]
             np.testing.assert_array_equal(relabeled, permuted)
-
-
-def test_relabel_rejects_two_level():
-    with pytest.raises(WrongAtomKind):
-        relabel_modes(DARK_TUNED, RelabelRole.ATOM_PHOTON, kind=AtomKind.TWO_LEVEL)
 
 
 def test_relabeled_dark_analogue_is_eigenstate():

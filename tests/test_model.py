@@ -1,5 +1,7 @@
 """Parameter validation, assumption checks, and sector matrix construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,13 @@ from darktrio import (
     ModelParams,
     SizeLimit,
     one_excitation_matrix,
+    oscillator_sector_check,
     sector_basis,
     sector_matrix,
     validate,
 )
+
+from darktrio.model import _sector_layout
 
 from _generators import valid_params
 
@@ -97,9 +102,27 @@ def test_sector_matrix_exactly_hermitian(kind):
 
 def test_size_limit():
     with pytest.raises(SizeLimit):
-        sector_matrix(FIXTURE, AtomKind.OSCILLATOR, 3, max_dim=9)
-    with pytest.raises(SizeLimit):
         sector_matrix(FIXTURE, AtomKind.OSCILLATOR, 200)
+
+
+def test_size_cap_counts_the_bytes_of_the_matrix_built():
+    # 800 MB: at 16 B an entry, sector_matrix's complex matrix fits 7,021
+    # oscillator states and not 7,140; at 8 B, the oscillator check's real one
+    # fits 9,870 and not 10,153.  The cap is checked before anything is built.
+    assert len(_sector_layout(AtomKind.OSCILLATOR, 117, complex).states) == 7021
+    assert len(_sector_layout(AtomKind.OSCILLATOR, 139, float).states) == 9870
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimit, match=r"^sector 118 needs a 7140x7140 matrix of "
+                                            r"815,673,600 bytes; cap is 800,000,000 bytes$"):
+            sector_matrix(FIXTURE, AtomKind.OSCILLATOR, 118)
+        with pytest.raises(SizeLimit, match=r"^sector 141 needs a 10153x10153 matrix of "
+                                            r"824,667,272 bytes; cap is 800,000,000 bytes$"):
+            oscillator_sector_check(FIXTURE, 141)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_eigenvalues_invariant_under_basis_permutation():

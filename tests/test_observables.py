@@ -140,8 +140,8 @@ def test_duality_report_swapped_level_mismatch_is_degenerate_spectrum(monkeypatc
 
     solve = observables._dressed
 
-    def perturbed(p, two, *args):
-        spectrum = solve(p, two, *args)
+    def perturbed(p, two):
+        spectrum = solve(p, two)
         spectrum.e[len(p) // 2:, 1] += 1e-9
         return spectrum
 
@@ -158,8 +158,8 @@ def _shift_lowest_level(monkeypatch, to):
 
     solve = observables._dressed
 
-    def shifted(p, two, *args):
-        spectrum = solve(p, two, *args)
+    def shifted(p, two):
+        spectrum = solve(p, two)
         spectrum.e[:, 0] = to(spectrum.e[:, 0])
         return spectrum
 

@@ -54,6 +54,17 @@ def test_eig_rejects_non_hermitian():
         dense_hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_eig_hermitian_threshold_from_both_sides():
+    # an input may deviate from Hermitian by up to 1e-13 of its Frobenius norm
+    a = np.diag([1.0, 2.0]).astype(complex)
+    threshold = 1e-13 * np.linalg.norm(a)
+    a[1, 0] = 1.1 * threshold
+    with pytest.raises(NotHermitian):
+        dense_hermitian_eig(a)
+    a[1, 0] = 0.9 * threshold
+    np.testing.assert_allclose(dense_hermitian_eig(a).values, [1.0, 2.0], rtol=0, atol=1e-12)
+
+
 def _failing_eigh(monkeypatch, fails):
     """Make the eigensolver raise on stacks of several matrices and on every
     stack of one whose matrix ``fails`` accepts."""

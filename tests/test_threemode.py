@@ -1,11 +1,15 @@
 """Dressed one-excitation spectrum: spectral functions, levels, unitary."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from darktrio import (
     AssumptionViolation,
     DegenerateSpectrum,
+    DegenerateTwoMode,
     GammaZero,
     ModelParams,
     PoleHit,
@@ -53,6 +57,18 @@ def test_spectral_function_pole_guard():
         d1(FIXTURE, 1.1 + 1e-14)
 
 
+@pytest.mark.parametrize("scale", [1.0, 100.0])
+def test_spectral_function_pole_guard_from_both_sides(scale):
+    # the guard reaches 1e-12 max(1, |x|) from each quasimode energy
+    p = ModelParams(*(scale * np.array([1.0, 1.0, 1.0, 0.2, 0.05, 0.1])))
+    for eps in two_mode_spectrum(p).eps:
+        guard = 1e-12 * max(1.0, eps)
+        for side in (-1.0, 1.0):
+            with pytest.raises(PoleHit):
+                d1(p, eps + side * 0.9 * guard)
+            assert math.isfinite(d1(p, eps + side * 1.1 * guard))
+
+
 def test_cubic_resonant_value_at_omega():
     # phi(omega) = -|kappa|^2 (omega - omega_a) on resonance when one atom
     # coupling is absent (the general correction is -2 lam xi kappa)
@@ -90,6 +106,36 @@ def test_cubic_defined_on_fully_degenerate_block():
     p = ModelParams(0.8, 1.0, 1.0, 0.2, 0.1, 0.0)
     # (x - 1)^2 (x - 0.8) - (0.04 + 0.01)(x - 1) at x = 1.5
     assert phi(p, 1.5) == pytest.approx(0.25 * 0.7 - 0.05 * 0.5, abs=1e-15)
+
+
+def _exact_cubic(p, x):
+    """``det(x - H)`` of the bare one-excitation matrix, in exact rationals."""
+    wa, wb, wc, x = (Fraction(v) for v in (p.omega_a, p.omega_b, p.omega_c, x))
+    lam, xi, kappa = ((Fraction(z.real), Fraction(z.imag)) for z in (p.lam, p.xi, p.kappa))
+
+    def sq(z):
+        return z[0] ** 2 + z[1] ** 2
+
+    # Re(conj(lambda) conj(kappa) xi), the loop through all three couplings
+    a = (lam[0] * kappa[0] - lam[1] * kappa[1], -(lam[0] * kappa[1] + lam[1] * kappa[0]))
+    loop = a[0] * xi[0] - a[1] * xi[1]
+    return ((x - wa) * (x - wb) * (x - wc) - (x - wa) * sq(kappa) - (x - wb) * sq(xi)
+            - (x - wc) * sq(lam) - 2 * loop)
+
+
+@pytest.mark.parametrize("omega_c", [1.0, 1.0 + 2.0**-52])
+@pytest.mark.parametrize("kappa", [0.0, 3e-13, -5e-13j, 2e-13 + 2e-13j])
+@pytest.mark.parametrize("lam,xi", [(0.2, 0.1), (0.1j, -0.25)])
+def test_cubic_on_near_degenerate_blocks_is_exact(omega_c, kappa, lam, xi):
+    # photon and phonon split by less than 1e-12 (omega_b + omega_c), where
+    # the mixing factors are undefined: the cubic still reads the solved
+    # quasimodes and couplings
+    p = ModelParams(1.3, 1.0, omega_c, lam, xi, kappa)
+    with pytest.raises(DegenerateTwoMode):
+        two_mode_spectrum(p)
+    for x in (0.5, 0.99, 1.01, 2.0):
+        exact = _exact_cubic(p, x)
+        assert abs(Fraction(float(phi(p, x))) - exact) <= Fraction(1e-13) * abs(exact)
 
 
 def test_levels_match_frozen_fixture():

@@ -129,6 +129,20 @@ def test_degenerate_block_raises():
         two_mode_spectrum(ModelParams(1.0, 1.0, 1.0 + 1e-14, 0.1, 0.1, 1e-14))
 
 
+@pytest.mark.parametrize("omega", [1e-3, 1.0, 1e3])
+def test_degeneracy_threshold_from_both_sides(omega):
+    # degenerate below a splitting of 1e-12 (omega_b + omega_c): 2 |kappa| on
+    # resonance, the detuning where kappa = 0
+    for inside, outside in ((ModelParams(1.0, omega, omega, 0.1, 0.1, 0.999e-12 * omega),
+                             ModelParams(1.0, omega, omega, 0.1, 0.1, 1.001e-12 * omega)),
+                            (ModelParams(1.0, omega, omega * (1 + 1.998e-12), 0.1, 0.1, 0.0),
+                             ModelParams(1.0, omega, omega * (1 + 2.002e-12), 0.1, 0.1, 0.0))):
+        with pytest.raises(DegenerateTwoMode):
+            two_mode_spectrum(inside)
+        two = two_mode_spectrum(outside)
+        assert two.eps[0] < two.eps[1]
+
+
 def test_decoupled_block_orders_bare_modes():
     # a subnormal kappa is decoupled too: d_j / |kappa| overflows there
     for kappa in (0.0, 5e-324):
