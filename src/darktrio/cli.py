@@ -33,6 +33,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -62,9 +63,9 @@ from .twomode import _two_mode
 
 __all__ = ["RunConfig", "ScanAxis", "main", "parse_config", "config_to_dict"]
 
-PARAM_NAMES = ("omega_a", "omega_b", "omega_c", "lambda", "xi", "kappa")
-_FIELD_FOR = {"lambda": "lam", "xi": "xi", "kappa": "kappa",
-              "omega_a": "omega_a", "omega_b": "omega_b", "omega_c": "omega_c"}
+#: config and column name -> ModelParams field, in output order
+_FIELD_FOR = {"omega_a": "omega_a", "omega_b": "omega_b", "omega_c": "omega_c",
+              "lambda": "lam", "xi": "xi", "kappa": "kappa"}
 
 DEFAULT_PARAMS = ModelParams(
     omega_a=1.0, omega_b=1.0, omega_c=1.0, lam=0.2, xi=0.05, kappa=0.1
@@ -100,39 +101,46 @@ class RunConfig:
     sector: int | None = None
 
 
-def _as_complex(value, where: str) -> complex:
+def _number(value, where: str, what: str = "a finite number", accepts=math.isfinite) -> float:
+    """``value`` as a float, if it is a JSON number (not a bool) that ``accepts``;
+    an integer beyond the float range counts as infinite."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if accepts(number):
+            return number
+    raise ConfigError(f"{where} must be {what}, got {value!r}")
 
 
-def _as_positive_float(value, where: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-        raise ConfigError(f"{where}: expected a positive number, got {value!r}")
-    return float(value)
+def _as_complex(value, where: str) -> complex:
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    try:
+        return complex(*(_number(part, where) for part in parts))
+    except ConfigError:
+        raise ConfigError(
+            f"{where} must be a finite number or [re, im] pair, got {value!r}"
+        ) from None
 
 
 def parse_config(doc: dict) -> RunConfig:
     """Build a :class:`RunConfig` from a JSON document, validating keys."""
     if not isinstance(doc, dict):
         raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
-    known = set(PARAM_NAMES) | {"atom", "scan", "tol", "sector"}
-    unknown = set(doc) - known
+    unknown = set(doc) - {*_FIELD_FOR, "atom", "scan", "tol", "sector"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    base = {name: getattr(DEFAULT_PARAMS, name) for name in _FIELD_FOR.values()}
-    for name in ("omega_a", "omega_b", "omega_c"):
+    values = {}
+    for name, field_name in _FIELD_FOR.items():
         if name in doc:
-            base[name] = _as_positive_float(doc[name], name)
-    for name in ("lambda", "xi", "kappa"):
-        if name in doc:
-            base[_FIELD_FOR[name]] = _as_complex(doc[name], name)
+            values[field_name] = (
+                _number(doc[name], name, "a finite positive number", lambda x: 0 < x < math.inf)
+                if field_name.startswith("omega") else _as_complex(doc[name], name)
+            )
     try:
-        params = ModelParams(**base)
+        params = dataclasses.replace(DEFAULT_PARAMS, **values)
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
@@ -143,31 +151,35 @@ def parse_config(doc: dict) -> RunConfig:
         except ValueError as err:
             raise ConfigError(str(err)) from err
 
+    scan = doc.get("scan", [])
+    if not isinstance(scan, list):
+        raise ConfigError(f"scan must be a list of axes, got {scan!r}")
     axes = []
-    for i, entry in enumerate(doc.get("scan") or []):
+    for i, entry in enumerate(scan):
         if not isinstance(entry, dict) or set(entry) != {"param", "start", "stop", "steps"}:
             raise ConfigError(
                 f"scan[{i}]: expected keys param/start/stop/steps, got {entry!r}"
             )
-        if entry["param"] not in PARAM_NAMES:
-            raise ConfigError(f"scan[{i}]: unknown parameter {entry['param']!r}")
-        base_value = getattr(params, _FIELD_FOR[entry["param"]])
+        param = entry["param"]
+        if not isinstance(param, str) or param not in _FIELD_FOR:
+            raise ConfigError(f"scan[{i}]: unknown parameter {param!r}")
+        base_value = getattr(params, _FIELD_FOR[param])
         if base_value.imag != 0.0:
             raise ConfigError(
-                f"scan[{i}]: {entry['param']} has a complex base value {_pair(base_value)}; "
+                f"scan[{i}]: {param} has a complex base value {_pair(base_value)}; "
                 "scan values are real, so its imaginary part would be dropped"
             )
         steps = entry["steps"]
         if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
             raise ConfigError(f"scan[{i}]: steps must be an integer >= 1, got {steps!r}")
-        axes.append(ScanAxis(entry["param"], float(entry["start"]),
-                             float(entry["stop"]), steps))
+        start, stop = (_number(entry[key], f"scan[{i}]: {key}") for key in ("start", "stop"))
+        axes.append(ScanAxis(param, start, stop, steps))
 
-    tol = {}
-    for name, value in (doc.get("tol") or {}).items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
-            raise ConfigError(f"tol[{name!r}] must be a nonnegative number, got {value!r}")
-        tol[str(name)] = float(value)
+    tol = doc.get("tol", {})
+    if not isinstance(tol, dict):
+        raise ConfigError(f"tol must be an object of NAME: VALUE pairs, got {tol!r}")
+    tol = {name: _number(value, f"tol[{name!r}]", "a finite nonnegative number",
+                         lambda x: 0 <= x < math.inf) for name, value in tol.items()}
     _tolerances(tol)
 
     sector = doc.get("sector")
@@ -184,18 +196,12 @@ def _pair(z: complex) -> list[float]:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Canonical JSON form of a config; ``parse_config`` round-trips it."""
-    doc = {
-        "omega_a": cfg.params.omega_a,
-        "omega_b": cfg.params.omega_b,
-        "omega_c": cfg.params.omega_c,
-        "lambda": _pair(cfg.params.lam),
-        "xi": _pair(cfg.params.xi),
-        "kappa": _pair(cfg.params.kappa),
-        "atom": cfg.kind.value,
-        "scan": [dataclasses.asdict(axis) for axis in cfg.scan],
-        "tol": dict(cfg.tol),
-        "sector": cfg.sector,
-    }
+    doc = {}
+    for name, field_name in _FIELD_FOR.items():
+        value = getattr(cfg.params, field_name)
+        doc[name] = _pair(value) if isinstance(value, complex) else value
+    doc.update(atom=cfg.kind.value, scan=[dataclasses.asdict(axis) for axis in cfg.scan],
+               tol=dict(cfg.tol), sector=cfg.sector)
     return doc
 
 
@@ -273,9 +279,8 @@ _STATUS_NAMES = ("ok", *(error.__name__ for error in _STATUS_ERRORS[1:]))
 
 def _param_cells(p: _Batch, point=slice(None)) -> Table:
     """The parameter columns; row ``r`` shows point ``point[r]``."""
-    columns = {"omega_a": p.omega_a, "omega_b": p.omega_b, "omega_c": p.omega_c,
-               "lambda": p.lam, "xi": p.xi, "kappa": p.kappa}
-    return {name: _Column(values[point]) for name, values in columns.items()}
+    return {name: _Column(getattr(p, field_name)[point])
+            for name, field_name in _FIELD_FOR.items()}
 
 
 def _status_cells(status: _Status, point=slice(None)) -> _Column:
@@ -286,28 +291,7 @@ def _text_cells(cells: list[str]) -> _Column:
     return _Column(np.arange(len(cells)), names=tuple(cells))
 
 
-SPECTRUM_COLUMNS = [
-    "omega_a", "omega_b", "omega_c", "lambda", "xi", "kappa",
-    "E1", "E2", "E3", "eps1", "eps2", "Gamma1", "Gamma2",
-    "interlacing", "ass1", "ass2", "ass3", "ass4", "status",
-]
-
-CLASSIFY_COLUMNS = [
-    "omega_a", "omega_b", "omega_c", "lambda", "xi", "kappa",
-    "energy", "amp_atom", "amp_photon", "amp_phonon", "class",
-    "dark_residual", "quasidark_residual", "status",
-]
-
-DUALITY_COLUMNS = [
-    "omega_a", "omega_b", "omega_c", "lambda", "xi", "kappa",
-    "E1", "E2", "E3", "E1_swapped", "E2_swapped", "E3_swapped",
-    "b_occ_1", "b_occ_2", "b_occ_3",
-    "c_occ_swapped_1", "c_occ_swapped_2", "c_occ_swapped_3",
-    "max_mismatch", "passed", "status",
-]
-
-VERIFY_COLUMNS = ["check", "residual", "tolerance", "passed", "skipped", "reason"]
-
+# Each runner inserts its columns in output order.
 
 def _spectrum_rows(cfg: RunConfig) -> Table:
     p = _grid(cfg)
@@ -315,7 +299,7 @@ def _spectrum_rows(cfg: RunConfig) -> Table:
     ok = spec.status.ok
     e, eps, gamma = spec.e, spec.two.eps, spec.two.gamma
     with np.errstate(invalid="ignore"):
-        holds = _assumption_margins(p, spec.two, cfg.tol.get("ass2", _DEFAULT_TOL.ass2)) > 0.0
+        holds = _assumption_margins(p, spec.two, _tolerances(cfg.tol).ass2) > 0.0
         interlacing = ((0.0 < e[:, 0]) & (e[:, 0] < eps[:, 0]) & (eps[:, 0] < e[:, 1])
                        & (e[:, 1] < eps[:, 1]) & (eps[:, 1] < e[:, 2]))
     table = _param_cells(p)
@@ -333,9 +317,10 @@ def _spectrum_rows(cfg: RunConfig) -> Table:
 
 
 def _classify_rows(cfg: RunConfig) -> Table:
+    tol = _tolerances(cfg.tol)
     p = _grid(cfg)
-    branches, tuning = _tuning(p, tol=cfg.tol.get("tuning", _DEFAULT_TOL.tuning))
-    spectra = _classified(p, tol=cfg.tol.get("classify", _DEFAULT_TOL.classify))
+    branches, tuning = _tuning(p, tol=tol.tuning)
+    spectra = _classified(p, tol=tol.classify)
     # three rows (one per eigenstate) per solved point, one error row otherwise
     counts = np.where(spectra.status.ok, 3, 1)
     point = np.repeat(np.arange(len(p)), counts)
@@ -349,12 +334,12 @@ def _classify_rows(cfg: RunConfig) -> Table:
         "amp_photon": _Column(states[:, 1], ok),
         "amp_phonon": _Column(states[:, 2], ok),
         "class": _Column(spectra.codes[point, level], ok, _CLASS_NAMES),
-        "status": _status_cells(spectra.status, point),
     })
     for name, (residual, _, _) in zip(("dark_residual", "quasidark_residual"), branches):
         # a residual shows where the tuning analysis applies and is finite
         shown = tuning.ok & np.isfinite(residual)
         table[name] = _Column(residual[point], ok & shown[point])
+    table["status"] = _status_cells(spectra.status, point)
     return table
 
 
@@ -362,17 +347,15 @@ _CLASS_NAMES = tuple(variant.value for variant in _VARIANTS)
 
 
 def _duality_rows(cfg: RunConfig) -> Table:
-    tol = cfg.tol.get("duality", _DEFAULT_TOL.duality)
     p = _grid(cfg)
-    report, status = _duality(p, tol)
+    report, status = _duality(p, _tolerances(cfg.tol).duality)
     ok = status.ok
     base, swapped = report.energies
     table = _param_cells(p)
-    for j in range(3):
-        table[f"E{j + 1}"] = _Column(base[:, j], ok)
-        table[f"E{j + 1}_swapped"] = _Column(swapped[:, j], ok)
-        table[f"b_occ_{j + 1}"] = _Column(report.b_occ[:, j], ok)
-        table[f"c_occ_swapped_{j + 1}"] = _Column(report.c_occ_swapped[:, j], ok)
+    for name, values in (("E{}", base), ("E{}_swapped", swapped),
+                         ("b_occ_{}", report.b_occ), ("c_occ_swapped_{}", report.c_occ_swapped)):
+        for j in range(3):
+            table[name.format(j + 1)] = _Column(values[:, j], ok)
     table["max_mismatch"] = _Column(report.max_mismatch, ok)
     table["passed"] = _Column(report.passed, ok)
     table["status"] = _status_cells(status)
@@ -414,7 +397,7 @@ def _csv_field(text: str) -> str:
     return buffer.getvalue()[:-2]
 
 
-def _write_csv(columns: list[str], table: Table, stream) -> None:
+def _write_csv(table: Table, stream) -> None:
     """Column by column; a complex column splits into ``_re``/``_im`` columns.
 
     The cells are CSV fields already (text cells quoted by
@@ -422,32 +405,32 @@ def _write_csv(columns: list[str], table: Table, stream) -> None:
     ``csv.writer.writerows`` over the same strings.
     """
     header, text = [], []
-    for name in columns:
-        parts = table[name].csv_text()
+    for name, column in table.items():
+        parts = column.csv_text()
         header += [f"{name}_re", f"{name}_im"] if len(parts) == 2 else [name]
         text += parts
     stream.write(",".join(header) + "\n")
     stream.writelines(",".join(row) + "\n" for row in zip(*text))
 
 
-def _json_text(cfg: RunConfig, table: Table, columns: list[str]) -> str:
-    cells = [table[name].json_cells() for name in columns]
+def _json_text(cfg: RunConfig, table: Table) -> str:
+    names = list(table)
+    cells = [column.json_cells() for column in table.values()]
     payload = {
         "version": __version__,
         "config": config_to_dict(cfg),
-        "rows": [dict(zip(columns, row)) for row in zip(*cells)],
+        "rows": [dict(zip(names, row)) for row in zip(*cells)],
     }
     # one join of the encoder's chunks, where json.dump writes each chunk
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def _emit(cfg: RunConfig, table: Table, columns: list[str],
-          fmt: str, output: str | None) -> None:
+def _emit(cfg: RunConfig, table: Table, fmt: str, output: str | None) -> None:
     if fmt == "json":
-        text = _json_text(cfg, table, columns)
+        text = _json_text(cfg, table)
     else:
         buffer = io.StringIO()
-        _write_csv(columns, table, buffer)
+        _write_csv(table, buffer)
         text = buffer.getvalue()
     if output:
         with open(output, "w", newline="") as handle:
@@ -456,20 +439,34 @@ def _emit(cfg: RunConfig, table: Table, columns: list[str],
         sys.stdout.write(text)
 
 
-def _load_config(path: str | None) -> RunConfig:
-    if path is None:
-        return RunConfig()
-    try:
-        with open(path) as handle:
-            doc = json.load(handle)
-    except OSError as err:
-        raise ConfigError(f"cannot read config {path!r}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config {path!r} is not valid JSON: {err}") from err
-    return parse_config(doc)
+def _config_document(args: argparse.Namespace):
+    """The config file's JSON document with the ``--tol`` and ``--sector``
+    values merged in, flag keys after file keys, for :func:`parse_config`
+    to check as one document.  No file gives ``{}``."""
+    doc = {}
+    if args.config is not None:
+        try:
+            with open(args.config) as handle:
+                doc = json.load(handle)
+        except OSError as err:
+            raise ConfigError(f"cannot read config {args.config!r}: {err}") from err
+        except ValueError as err:
+            # malformed JSON, text that is not UTF-8, or an integer longer
+            # than Python converts
+            raise ConfigError(f"config {args.config!r} is not valid JSON: {err}") from err
+    overrides = _parse_tol_flags(args.tol)
+    sector = getattr(args, "sector", None)
+    if isinstance(doc, dict):
+        if overrides:
+            tol = doc.get("tol", {})
+            doc["tol"] = {**tol, **overrides} if isinstance(tol, dict) else tol
+        if sector is not None:
+            doc["sector"] = sector
+    return doc
 
 
 def _parse_tol_flags(entries: list[str]) -> dict[str, float]:
+    """The ``--tol NAME=VALUE`` pairs as numbers; :func:`parse_config` checks them."""
     overrides = {}
     for entry in entries:
         name, sep, value = entry.partition("=")
@@ -479,7 +476,6 @@ def _parse_tol_flags(entries: list[str]) -> dict[str, float]:
             overrides[name] = float(value)
         except ValueError as err:
             raise ConfigError(f"--tol {name}: {value!r} is not a number") from err
-    _tolerances(overrides)
     return overrides
 
 
@@ -535,27 +531,13 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-_RUNNERS = {
-    "spectrum": (_spectrum_rows, SPECTRUM_COLUMNS),
-    "classify": (_classify_rows, CLASSIFY_COLUMNS),
-    "duality": (_duality_rows, DUALITY_COLUMNS),
-}
+_RUNNERS = {"spectrum": _spectrum_rows, "classify": _classify_rows, "duality": _duality_rows}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        overrides = _parse_tol_flags(args.tol)
-        if overrides:
-            merged = dict(cfg.tol)
-            merged.update(overrides)
-            cfg = dataclasses.replace(cfg, tol=merged)
-        sector = getattr(args, "sector", None)
-        if sector is not None:
-            if sector < 0:
-                raise ConfigError(f"--sector must be nonnegative, got {sector}")
-            cfg = dataclasses.replace(cfg, sector=sector)
+        cfg = parse_config(_config_document(args))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
@@ -571,18 +553,17 @@ def main(argv: list[str] | None = None) -> int:
         except DarkTrioError as err:
             print(f"verification failed: {err}", file=sys.stderr)
             return 3
-        _emit(cfg, table, VERIFY_COLUMNS, args.format, args.output)
+        _emit(cfg, table, args.format, args.output)
         failed = ~table["skipped"].values & ~table["passed"].values
         return 3 if failed.any() else 0
 
-    runner, columns = _RUNNERS[operation]
     scan_mode = command == "scan" or bool(cfg.scan)
     try:
-        table = runner(cfg)
+        table = _RUNNERS[operation](cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
-    _emit(cfg, table, columns, args.format, args.output)
+    _emit(cfg, table, args.format, args.output)
     if scan_mode:
         return 0
 

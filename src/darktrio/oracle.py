@@ -198,7 +198,7 @@ def oscillator_sector_check(params: ModelParams, ell: int, *,
         )
     spectrum = threemode._dressed(p, two)
     spectrum.status.check()
-    modes = np.linalg.eigh(twomode._rwa_blocks(p))
+    modes = np.linalg.eigh(_one_excitation_matrices(p)[:, 1:, 1:])
     residual = _sector_residuals(p, modes, spectrum.e, ell)[0].item()
     return ValidationReport(checks=(
         CheckResult(f"sector-{ell}-spectrum", residual, tol, residual <= tol),
@@ -343,12 +343,13 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances) -> _Checks:
     # the levels of the points whose three-mode checks run, NaN elsewhere
     e, v = np.where(checked[:, None], spectrum.e, np.nan), spectrum.v
 
-    blocks = twomode._rwa_blocks(p)
-    modes = np.linalg.eigh(blocks)
     # the bare and the quasimode-basis one-excitation matrices, a harmless
     # one where no spectrum is checked
     dense = np.concatenate([_one_excitation_matrices(p),
                             threemode._quasi_matrices(wa, eps, gamma)])
+    # the photon-phonon blocks, taken before that replacement
+    blocks = dense[:n, 1:, 1:].copy()
+    modes = np.linalg.eigh(blocks)
     dense[~np.concatenate([checked, checked])] = _EYE3
     values, vectors, solver = _eigh(dense)
     bare, quasi = dense[:n], dense[n:]

@@ -57,7 +57,7 @@ from .model import (
     _Batch,
     _max_abs,
 )
-from .twomode import TwoModeSpectrum, _two_mode, _TwoModeBatch, two_mode_spectrum
+from .twomode import TwoModeSpectrum, _two_mode, _TwoModeBatch
 
 __all__ = [
     "ThreeModeSpectrum",
@@ -140,10 +140,13 @@ class CubicShape:
 
 
 def quasi_basis_matrix(params: ModelParams) -> np.ndarray:
-    """One-excitation Hamiltonian in the (quasimode 1, quasimode 2, atom) basis."""
-    two = two_mode_spectrum(params)
-    return _quasi_matrices(np.array([params.omega_a]), np.array([two.eps]),
-                           np.array([two.gamma]))[0]
+    """One-excitation Hamiltonian in the (quasimode 1, quasimode 2, atom) basis.
+
+    Like :func:`phi`, it reads the solved quasimodes and couplings of a
+    degenerate photon-phonon block.
+    """
+    two = _two_mode(_batch_of(params))
+    return _quasi_matrices(np.array([params.omega_a]), two.eps, two.gamma)[0]
 
 
 def _quasi_matrices(omega_a, eps, gamma) -> np.ndarray:
@@ -190,13 +193,15 @@ def d1(params: ModelParams, x):
     """The rational spectral function whose zeros are the dressed levels.
 
     Real input yields real output.  Raises :class:`PoleHit` when ``x`` is
-    within ``1e-12 * max(1, |x|)`` of a quasimode energy.
+    within ``1e-12 * max(1, |x|)`` of a quasimode energy.  Like :func:`phi`,
+    it reads the solved quasimodes and couplings of a degenerate block.
     """
-    two = two_mode_spectrum(params)
+    two = _two_mode(_batch_of(params))
+    eps = tuple(two.eps[0].tolist())
     guard = 1e-12 * max(1.0, abs(x))
-    if min(abs(x - two.eps[0]), abs(x - two.eps[1])) <= guard:
-        raise PoleHit(f"x = {x!r} sits on a quasimode energy {two.eps}")
-    return _d1_and_slope(x, params.omega_a, *two.eps, *_gamma_sq(two.gamma))[0]
+    if min(abs(x - eps[0]), abs(x - eps[1])) <= guard:
+        raise PoleHit(f"x = {x!r} sits on a quasimode energy {eps}")
+    return _d1_and_slope(x, params.omega_a, *eps, *np.square(two.gamma_abs[0]))[0]
 
 
 def phi(params: ModelParams, x: float) -> float:

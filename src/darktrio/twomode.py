@@ -114,7 +114,7 @@ def _two_mode(p: _Batch) -> _TwoModeBatch:
     status = _Status(n)
     margin1 = ass1_margin(p)
     status.fail(split < 1e-12 * (wb + wc), lambda i: DegenerateTwoMode(
-        "photon and phonon are degenerate and uncoupled "
+        f"photon and phonon are degenerate{' and uncoupled' if kappa[i] == 0 else ''} "
         f"(splitting {split[i]:.3e}); the normal-mode factors are undefined",
         ass1=AssumptionCheck(bool(margin1[i] > 0.0), margin1[i].item()),
     ))
@@ -162,11 +162,3 @@ def _two_mode(p: _Batch) -> _TwoModeBatch:
             u[mask] = np.eye(2)[:, [first, second]]
     return _TwoModeBatch(eps=eps, m=m, gamma=g, u=u, gamma_abs=_abs(g), ass1_margin=margin1,
                          status=status)
-
-
-def _rwa_blocks(p: _Batch) -> np.ndarray:
-    """The 2x2 Hermitian photon-phonon block in the bare basis, per point, shape (n, 2, 2)."""
-    h = np.empty((len(p), 2, 2), dtype=complex)
-    h[:, 0, 0], h[:, 1, 1] = p.omega_b, p.omega_c
-    h[:, 1, 0], h[:, 0, 1] = p.kappa, p.kappa.conj()
-    return h

@@ -210,29 +210,59 @@ def test_single_point_gamma_zero_exits_two(tmp_path, capsys):
 
 
 def test_config_errors_exit_one(tmp_path, capsys):
+    def assert_config_error(*argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
-    code, _, err = run_cli(capsys, "spectrum", "--config", str(bad_json))
-    assert code == 1 and "config error" in err
+    # more digits than Python converts to an int
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"omega_a": 1' + "0" * 5000 + "}")
+    for path in (bad_json, long_int):
+        assert_config_error("spectrum", "--config", str(path))
+
+    def axis(**entry):
+        return {"scan": [{"param": "xi", "start": 0, "stop": 1, "steps": 2, **entry}]}
 
     for doc in (
         {"omega_a": -1.0},
         {"unknown_key": 1},
-        {"scan": [{"param": "nope", "start": 0, "stop": 1, "steps": 2}]},
-        {"scan": [{"param": "xi", "start": 0, "stop": 1, "steps": 0}]},
+        axis(param="nope"),
+        axis(param=["xi"]),
+        axis(steps=0),
         {"tol": {"nope": 1e-9}},
         {"lambda": "abc"},
         # a scan value is real: it would drop the base value's imaginary part
         {"lambda": [0.2, 0.1], "scan": [{"param": "lambda", "start": 0.1, "stop": 0.3,
                                          "steps": 3}]},
+        {"tol": [1]},
+        {"scan": 5},
+        axis(start="x"),
+        axis(start=[1]),
+        axis(start="0.05"),
+        axis(stop=float("inf")),
+        {"tol": {"b1": float("nan")}},
+        {"tol": {"b1": float("inf")}},
+        # integers beyond the float range
+        {"omega_a": 10**400},
+        {"kappa": [0, -(10**400)]},
+        {"tol": {"b1": 10**400}},
     ):
         cfg = write_config(tmp_path, doc)
-        code, _, err = run_cli(capsys, "spectrum", "--config", cfg)
-        assert code == 1, doc
-        assert "config error" in err
+        for fmt in ("json", "csv"):
+            assert_config_error("spectrum", "--config", cfg, "--format", fmt)
 
-    code, _, err = run_cli(capsys, "verify", "--tol", "b1")
-    assert code == 1 and "config error" in err
+    # flag values pass the checks of the file's own
+    tol_list = write_config(tmp_path, {"tol": [1]})
+    for flags in (["--tol", "b1"], ["--tol", "classify=nan"], ["--tol", "classify=inf"],
+                  ["--tol", "sector=-1"], ["--sector", "-1"],
+                  ["--config", tol_list, "--tol", "b1=1e-9"]):
+        for fmt in ("json", "csv"):
+            assert_config_error("verify", *flags, "--format", fmt)
 
 
 def test_scan_runs_are_byte_identical(tmp_path):
@@ -302,7 +332,7 @@ def test_csv_rows_match_csv_writer():
                          ok=np.arange(len(texts)) % 3 != 0),
     }
     stream = io.StringIO()
-    _write_csv(["text", "value"], table, stream)
+    _write_csv(table, stream)
     want = io.StringIO()
     writer = csv.writer(want, lineterminator="\n")
     writer.writerow(["text", "value"])
@@ -449,17 +479,16 @@ def _awkward_table():
 
 def test_emit_json_matches_json_dump(tmp_path, capsys):
     table, rows = _awkward_table()
-    columns = list(table)
     cfg = parse_config({"lambda": [0.2, -0.0], "tol": {"classify": 1e-8}})
     want = io.StringIO()
     json.dump({"version": darktrio.__version__, "config": config_to_dict(cfg), "rows": rows},
               want, indent=2, allow_nan=False)
     want.write("\n")
 
-    _emit(cfg, table, columns, "json", None)
+    _emit(cfg, table, "json", None)
     assert capsys.readouterr().out == want.getvalue()
     path = tmp_path / "out.json"
-    _emit(cfg, table, columns, "json", str(path))
+    _emit(cfg, table, "json", str(path))
     assert path.read_bytes() == want.getvalue().encode()
 
 
@@ -467,5 +496,5 @@ def test_emit_json_matches_json_dump(tmp_path, capsys):
 def test_emit_json_rejects_non_finite_cells(capsys, bad):
     table = {"value": _Column(np.array([1.0, bad]))}
     with pytest.raises(ValueError):
-        _emit(RunConfig(), table, ["value"], "json", None)
+        _emit(RunConfig(), table, "json", None)
     assert capsys.readouterr().out == ""

@@ -108,19 +108,19 @@ def test_cubic_defined_on_fully_degenerate_block():
     assert phi(p, 1.5) == pytest.approx(0.25 * 0.7 - 0.05 * 0.5, abs=1e-15)
 
 
-def _exact_cubic(p, x):
-    """``det(x - H)`` of the bare one-excitation matrix, in exact rationals."""
-    wa, wb, wc, x = (Fraction(v) for v in (p.omega_a, p.omega_b, p.omega_c, x))
-    lam, xi, kappa = ((Fraction(z.real), Fraction(z.imag)) for z in (p.lam, p.xi, p.kappa))
+def _exact_cubic(h, x):
+    """``det(x - h)`` of a 3x3 Hermitian matrix ``h``, in exact rationals."""
+    x = Fraction(x)
+    a, b, c = (x - Fraction(h[i, i].real) for i in range(3))
+    d, e, f = ((Fraction(z.real), Fraction(z.imag)) for z in (h[0, 1], h[0, 2], h[1, 2]))
 
     def sq(z):
         return z[0] ** 2 + z[1] ** 2
 
-    # Re(conj(lambda) conj(kappa) xi), the loop through all three couplings
-    a = (lam[0] * kappa[0] - lam[1] * kappa[1], -(lam[0] * kappa[1] + lam[1] * kappa[0]))
-    loop = a[0] * xi[0] - a[1] * xi[1]
-    return ((x - wa) * (x - wb) * (x - wc) - (x - wa) * sq(kappa) - (x - wb) * sq(xi)
-            - (x - wc) * sq(lam) - 2 * loop)
+    # Re(h01 h12 conj(h02)), the loop through all three couplings
+    df = (d[0] * f[0] - d[1] * f[1], d[0] * f[1] + d[1] * f[0])
+    loop = df[0] * e[0] + df[1] * e[1]
+    return a * b * c - a * sq(f) - b * sq(e) - c * sq(d) - 2 * loop
 
 
 @pytest.mark.parametrize("omega_c", [1.0, 1.0 + 2.0**-52])
@@ -128,14 +128,22 @@ def _exact_cubic(p, x):
 @pytest.mark.parametrize("lam,xi", [(0.2, 0.1), (0.1j, -0.25)])
 def test_cubic_on_near_degenerate_blocks_is_exact(omega_c, kappa, lam, xi):
     # photon and phonon split by less than 1e-12 (omega_b + omega_c), where
-    # the mixing factors are undefined: the cubic still reads the solved
-    # quasimodes and couplings
+    # the mixing factors are undefined: the cubic, d1 and the quasimode-basis
+    # matrix still read the solved quasimodes and couplings
     p = ModelParams(1.3, 1.0, omega_c, lam, xi, kappa)
-    with pytest.raises(DegenerateTwoMode):
+    with pytest.raises(DegenerateTwoMode, match="uncoupled" if kappa == 0 else r"degenerate \("):
         two_mode_spectrum(p)
+    bare = one_excitation_matrix(p).matrix
+    quasi = quasi_basis_matrix(p)
     for x in (0.5, 0.99, 1.01, 2.0):
-        exact = _exact_cubic(p, x)
+        exact = _exact_cubic(bare, x)
         assert abs(Fraction(float(phi(p, x))) - exact) <= Fraction(1e-13) * abs(exact)
+        assert abs(_exact_cubic(quasi, x) - exact) <= Fraction(1e-13) * abs(exact)
+        # d1 = det(x - H) / det(x - B), B the photon-phonon block
+        block = ((Fraction(x) - Fraction(p.omega_b)) * (Fraction(x) - Fraction(p.omega_c))
+                 - Fraction(p.kappa.real) ** 2 - Fraction(p.kappa.imag) ** 2)
+        exact_d1 = exact / block
+        assert abs(Fraction(float(d1(p, x))) - exact_d1) <= Fraction(1e-13) * abs(exact_d1)
 
 
 def test_levels_match_frozen_fixture():
