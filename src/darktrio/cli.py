@@ -55,10 +55,10 @@ from .errors import (
     _STATUS_ERRORS,
     _Status,
 )
-from .model import AtomKind, ModelParams, _assumption_margins, _Batch, _batch_of
+from .model import _MAX_SECTOR_BYTES, AtomKind, ModelParams, _assumption_margins, _Batch
 from .observables import _duality
-from .oracle import _CHECKS, Tolerances, _crosscheck, _sector_residuals
-from .threemode import _dressed
+from .oracle import Tolerances, crosscheck, oscillator_sector_check
+from .threemode import _dressed, _interlacing_margin
 from .twomode import _two_mode
 
 __all__ = ["RunConfig", "ScanAxis", "main", "parse_config", "config_to_dict"]
@@ -206,10 +206,18 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 def _grid(cfg: RunConfig) -> _Batch:
-    """The points of the config's scan as a batch, grid-major (first axis outermost)."""
+    """The points of the config's scan as a batch, grid-major (first axis
+    outermost); none is built where their columns would pass the sector cap."""
+    points = math.prod(axis.steps for axis in cfg.scan)
+    needed = points * (3 * 8 + 3 * 16)  # three float frequencies, three complex couplings
+    if needed > _MAX_SECTOR_BYTES:
+        raise ConfigError(f"scan of {points:,} points needs {needed:,} bytes of parameters; "
+                          f"cap is {_MAX_SECTOR_BYTES:,} bytes")
     fields = {name: np.array([getattr(cfg.params, name)]) for name in _FIELD_FOR.values()}
     for axis in cfg.scan:
-        values = np.linspace(axis.start, axis.stop, axis.steps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a range beyond the float range gives non-finite values, rejected below
+            values = np.linspace(axis.start, axis.stop, axis.steps)
         size = len(fields["omega_a"])
         fields = {name: np.repeat(column, axis.steps) for name, column in fields.items()}
         name = _FIELD_FOR[axis.param]
@@ -300,8 +308,7 @@ def _spectrum_rows(cfg: RunConfig) -> Table:
     e, eps, gamma = spec.e, spec.two.eps, spec.two.gamma
     with np.errstate(invalid="ignore"):
         holds = _assumption_margins(p, spec.two, _tolerances(cfg.tol).ass2) > 0.0
-        interlacing = ((0.0 < e[:, 0]) & (e[:, 0] < eps[:, 0]) & (eps[:, 0] < e[:, 1])
-                       & (e[:, 1] < eps[:, 1]) & (eps[:, 1] < e[:, 2]))
+        interlacing = _interlacing_margin(e, eps) > 0.0
     table = _param_cells(p)
     table.update({
         "E1": _Column(e[:, 0], ok), "E2": _Column(e[:, 1], ok), "E3": _Column(e[:, 2], ok),
@@ -364,29 +371,21 @@ def _duality_rows(cfg: RunConfig) -> Table:
 
 def _verify_rows(cfg: RunConfig) -> Table:
     tol = _tolerances(cfg.tol)
-    p = _batch_of(cfg.params)
-    checks = _crosscheck(p, cfg.kind, tol)
-    checks.status.check()
-    names, reasons = list(_CHECKS), checks.reasons(0)
-    cells = [checks.residual[0], checks.tolerance[0], checks.passed[0], checks.skipped[0]]
+    checks = list(crosscheck(cfg.params, cfg.kind, tol).checks)
     if cfg.sector is not None and cfg.kind is AtomKind.OSCILLATOR and cfg.sector != 2:
-        # the extra sector skips exactly where crosscheck's sector 2, the last check, does
-        names.append(f"sector-{cfg.sector}-spectrum")
-        reasons.append(reasons[-1])
-        if checks.skipped[0, -1]:
-            row = [cell[-1] for cell in cells]
-        else:
-            residual = _sector_residuals(p, checks.modes, checks.spectrum.e, cfg.sector)[0]
-            row = [residual, tol.sector, residual <= tol.sector, False]
-        cells = [np.append(cell, value) for cell, value in zip(cells, row)]
-    residual, tolerance, passed, skipped = cells
+        # the extra sector runs exactly where crosscheck's sector 2, the last check, does
+        sector2 = checks[-1]
+        checks.append(
+            dataclasses.replace(sector2, name=f"sector-{cfg.sector}-spectrum") if sector2.skipped
+            else oscillator_sector_check(cfg.params, cfg.sector, tol=tol.sector).checks[0])
+    skipped = np.array([check.skipped for check in checks])
     return {
-        "check": _text_cells(names),
-        "residual": _Column(residual, ~skipped),
-        "tolerance": _Column(tolerance, ~skipped),
-        "passed": _Column(passed),
+        "check": _text_cells([check.name for check in checks]),
+        "residual": _Column(np.array([check.residual for check in checks]), ~skipped),
+        "tolerance": _Column(np.array([check.tolerance for check in checks]), ~skipped),
+        "passed": _Column(np.array([check.passed for check in checks])),
         "skipped": _Column(skipped),
-        "reason": _text_cells(reasons),
+        "reason": _text_cells([check.reason for check in checks]),
     }
 
 

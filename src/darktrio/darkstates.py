@@ -35,8 +35,9 @@ from .errors import (
     WrongSector,
     _Status,
 )
-from .model import AtomKind, ModelParams, _batch_of, _Batch, _one_excitation_matrices, sector_basis
-from .threemode import GAMMA_RTOL, _bare_vectors, _d1_and_slope, _gamma_sq
+from .model import (GAMMA_RTOL, AtomKind, ModelParams, _batch_of, _Batch,
+                    _one_excitation_matrices, sector_basis)
+from .threemode import _bare_vectors, _d1_and_slope
 from .twomode import _two_mode, _TwoModeBatch
 
 __all__ = [
@@ -158,14 +159,15 @@ def _f_of(x, y, kappa):
     return (kappa / x - x / kappa) * y
 
 
-def _resonant_real(p: _Batch, status: _Status):
+def _resonant_real(p: _Batch, status: _Status, vanishing: type[Exception] = AssumptionViolation):
     """Check the resonant real-coupling regime per point; return (omega, lam, xi, kappa).
 
-    Records :class:`NotResonant` for a photon-phonon detuning above 1e-12
-    relative to ``max(1, omega_b, omega_c)``, :class:`ComplexCouplings`
-    for non-real couplings (real parts are never taken silently) and
-    :class:`AssumptionViolation` for a non-positive photon-phonon
-    coupling on ``status``.
+    Records on ``status``, in order: :class:`NotResonant` for a photon-phonon
+    detuning above 1e-12 relative to ``max(1, omega_b, omega_c)``,
+    :class:`ComplexCouplings` for non-real couplings (real parts are never
+    taken silently), :class:`AssumptionViolation` for a non-positive
+    ``kappa``, and ``vanishing`` where an effective coupling ``(lambda -+ xi)
+    / sqrt(2)`` is at most ``GAMMA_RTOL`` times the coupling scale.
     """
     wb, wc = p.omega_b, p.omega_c
     detuned = np.abs(wb - wc) > 1e-12 * np.maximum(np.maximum(1.0, wb), wc)
@@ -179,17 +181,14 @@ def _resonant_real(p: _Batch, status: _Status):
     status.fail(kappa <= 0.0, lambda i: AssumptionViolation(
         f"kappa must be positive in this analysis, got {kappa[i].item()}"
     ))
-    return 0.5 * (wb + wc), p.lam.real, p.xi.real, kappa
-
-
-def _require_gamma_nonzero(status: _Status, lam, xi, kappa,
-                           exc: type[Exception] = AssumptionViolation) -> None:
+    lam, xi = p.lam.real, p.xi.real
     floor = math.sqrt(2.0) * GAMMA_RTOL * np.maximum(
         np.maximum(np.maximum(np.abs(lam), np.abs(xi)), kappa), 1.0)
-    status.fail((np.abs(lam - xi) <= floor) | (np.abs(lam + xi) <= floor), lambda i: exc(
+    status.fail((np.abs(lam - xi) <= floor) | (np.abs(lam + xi) <= floor), lambda i: vanishing(
         "lambda = +-xi makes an effective coupling vanish; this analysis "
         "needs both couplings nonzero"
     ))
+    return 0.5 * (wb + wc), lam, xi, kappa
 
 
 def dark_tuning(params: ModelParams, tol: float = 1e-9) -> tuple[TuningResult, TuningResult]:
@@ -217,7 +216,6 @@ def _tuning(p: _Batch, tol: float = 1e-9):
     for the dark and the quasi-dark branch, and the status."""
     status = _Status(len(p))
     omega, lam, xi, kappa = _resonant_real(p, status)
-    _require_gamma_nonzero(status, lam, xi, kappa)
     target = omega - p.omega_a
     threshold = tol * np.maximum(1.0, np.abs(target))
 
@@ -259,7 +257,7 @@ def _check_levels(e: np.ndarray, omega_a: np.ndarray, two: _TwoModeBatch, tol: f
     is not a dressed level of the point's solved block within ``tol``:
     :class:`PoleHit` within 1e-10 of a quasimode energy, else
     :class:`NotAnEigenvalue` where ``|d1|`` reaches ``tol``."""
-    eps, gsq = two.eps, _gamma_sq(two.gamma)
+    eps, gsq = two.eps, np.square(two.gamma_abs)
     with np.errstate(all="ignore"):
         pole = np.minimum(np.abs(e - eps[:, :1]), np.abs(e - eps[:, 1:])) <= 1e-10
         residual = np.abs(_d1_and_slope(e, omega_a[:, None], eps[:, :1], eps[:, 1:],

@@ -172,6 +172,11 @@ def _batch_of(params: ModelParams) -> _Batch:
                   couplings[0:1], couplings[1:2], couplings[2:3])
 
 
+#: relative floor, on the scale ``max(|lambda|, |xi|, |kappa|, 1)``, below
+#: which an effective coupling counts as zero
+GAMMA_RTOL = 1e-12
+
+
 # A scan row must equal the single-point row bit for bit, so no kernel's
 # result may depend on the size of its batch:
 # - abs(z) is np.hypot(z.real, z.imag), as numpy's SIMD complex abs can
@@ -216,9 +221,10 @@ def _assumption_report(margins) -> AssumptionReport:
     return AssumptionReport(*(AssumptionCheck(m > 0.0, m) for m in margins.tolist()))
 
 
-def _assumption_margins(p: _Batch, two, ass2_rtol: float = 1e-12) -> np.ndarray:
+def _assumption_margins(p: _Batch, two, ass2_rtol: float = GAMMA_RTOL) -> np.ndarray:
     """Margins of the four standing assumptions, shape (n, 4), from the solved
-    photon-phonon blocks ``two``; rows where ``two`` failed hold NaN."""
+    photon-phonon blocks ``two``; a degenerate block's row comes from the
+    quasimodes its row of ``two`` still holds."""
     margins = np.empty((len(p), 4))
     margins[:, 0] = two.ass1_margin
 

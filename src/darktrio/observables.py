@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .darkstates import _require_gamma_nonzero, _resonant_real
+from .darkstates import _resonant_real
 from .errors import DegenerateSpectrum, GammaZero, NotAnEigenvalue, PoleHit, _Status
 from .model import ModelParams, _batch_of, _Batch
 from .threemode import _dressed, _phi
@@ -85,17 +85,10 @@ def _occupations(p: _Batch, energies: np.ndarray, two: _TwoModeBatch, regime,
     return b, c
 
 
-def _occupation_regime(p: _Batch, status: _Status):
-    """The regime checks of the occupations; returns (omega, lam, xi, kappa)."""
-    regime = _resonant_real(p, status)
-    _require_gamma_nonzero(status, *regime[1:], exc=GammaZero)
-    return regime
-
-
 def _occupation_pair(params: ModelParams, energy: float) -> tuple[float, float]:
     p = _batch_of(params)
     status = _Status(1)
-    regime = _occupation_regime(p, status)
+    regime = _resonant_real(p, status, GammaZero)
     b, c = _occupations(p, np.array([[float(energy)]]), _two_mode(p), regime, status)
     status.check()
     return b[0, 0].item(), c[0, 0].item()
@@ -147,7 +140,6 @@ def _duality(p: _Batch, tol: float = 1e-10) -> tuple[DualityReport, _Status]:
     both = p.and_swapped()
     checks = _Status(2 * n)
     regime = _resonant_real(both, checks)
-    _require_gamma_nonzero(checks, *regime[1:])
     spec = _dressed(both, _two_mode(both))
     status = _Status(n)
     for stage, offset in ((checks, 0), (spec.status, 0), (spec.status, n)):

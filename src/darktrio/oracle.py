@@ -20,8 +20,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import darkstates, observables, threemode, twomode
-from .errors import AssumptionViolation, ConvergenceFailure, NotHermitian, _Status
+from .errors import AssumptionViolation, ConvergenceFailure, GammaZero, NotHermitian, _Status
 from .model import (
+    GAMMA_RTOL,
     AtomKind,
     ModelParams,
     _abs,
@@ -101,7 +102,7 @@ class Tolerances:
     eigenstate: float = 1e-9      # eigen-residual of assembled states, * ||H||
     occupation: float = 1e-10     # closed-form occupations vs amplitudes
     sector: float = 1e-9          # sector spectrum vs level sums
-    ass2: float = 1e-12           # effective-coupling zero floor
+    ass2: float = GAMMA_RTOL      # effective-coupling zero floor
     classify: float = 1e-9        # dark/quasi-dark amplitude cutoff
     tuning: float = 1e-9          # tuning-condition residual
     duality: float = 1e-10        # occupation duality mismatch
@@ -297,9 +298,7 @@ class _Checks(NamedTuple):
     """:func:`crosscheck` per point: ``residual``, ``tolerance``, ``passed``,
     ``skipped`` and the ``reason`` codes have a row per point and a column
     per entry of ``_CHECKS``; ``status`` holds the error a point raises.
-    ``spectrum`` and ``regime`` complete the reasons ending in ": ", and
-    ``spectrum`` and ``modes`` (LAPACK's photon-phonon eigenpairs) serve
-    further sector checks."""
+    ``spectrum`` and ``regime`` complete the reasons ending in ": "."""
 
     residual: np.ndarray
     tolerance: np.ndarray
@@ -307,7 +306,6 @@ class _Checks(NamedTuple):
     skipped: np.ndarray
     reason: np.ndarray
     spectrum: threemode._ThreeModeBatch
-    modes: tuple[np.ndarray, np.ndarray]
     regime: _Status
     status: _Status
 
@@ -359,7 +357,7 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances) -> _Checks:
     darkstates._check_levels(e, wa, two, 1e-6, status)
     regime = _Status(n)
     occupations = observables._occupations(
-        p, e, two, observables._occupation_regime(p, regime), regime)
+        p, e, two, darkstates._resonant_real(p, regime, GammaZero), regime)
 
     with np.errstate(all="ignore"):
         ak = _abs(p.kappa)
@@ -413,8 +411,7 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances) -> _Checks:
             "eigenstate-residuals": (
                 _max_abs(np.linalg.norm(defect, axis=2)
                          / (bare_scale[:, None] * np.linalg.norm(states, axis=2))), tol.eigenstate),
-            "interlacing": (np.min([e[:, 0], eps[:, 0] - e[:, 0], e[:, 1] - eps[:, 0],
-                                    eps[:, 1] - e[:, 1], e[:, 2] - eps[:, 1]], axis=0), 0.0),
+            "interlacing": (threemode._interlacing_margin(e, eps), 0.0),
             "occupation-amplitudes": (_max_abs((closed - amplitude_sq) / np.maximum(
                 np.maximum(np.abs(closed), amplitude_sq), 1.0)), tol.occupation),
             "sector-2-spectrum": (_sector_residuals(p, modes, e, 2) if kind is AtomKind.OSCILLATOR
@@ -436,11 +433,11 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances) -> _Checks:
     reason[:, _COLUMN["occupation-amplitudes"]] = np.where(
         checked, np.where(regime.ok, _RAN, _OFF_REGIME), _NO_SPECTRUM)
     reason[:, _COLUMN["sector-2-spectrum"]] = (
-        np.where(checked & (margins > 0.0).all(axis=1), _RAN, _NOT_SATISFIED)
+        np.where((margins > 0.0).all(axis=1), dressed, _NOT_SATISFIED)
         if kind is AtomKind.OSCILLATOR else _NOT_OSCILLATOR)
     skipped = reason != _RAN
     # a recorded observation keeps its values but never gates the verdict
     blank = skipped & (reason != _RECORDED) & (reason != _SIGN_RECORDED)
     residual[blank] = tolerance[blank] = np.nan
     passed[blank] = True
-    return _Checks(residual, tolerance, passed, skipped, reason, spectrum, modes, regime, status)
+    return _Checks(residual, tolerance, passed, skipped, reason, spectrum, regime, status)

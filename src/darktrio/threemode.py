@@ -51,8 +51,8 @@ from .errors import (
     _Status,
 )
 from .model import (
+    GAMMA_RTOL,
     ModelParams,
-    _abs,
     _batch_of,
     _Batch,
     _max_abs,
@@ -68,9 +68,6 @@ __all__ = [
     "cubic_stationary",
     "quasi_basis_matrix",
 ]
-
-#: relative floor below which an effective coupling counts as zero
-GAMMA_RTOL = 1e-12
 
 _EYE3 = np.eye(3)
 
@@ -158,9 +155,12 @@ def _quasi_matrices(omega_a, eps, gamma) -> np.ndarray:
     return h
 
 
-def _gamma_sq(gamma) -> np.ndarray:
-    """``|Gamma_j|^2`` of effective couplings ``gamma``, elementwise."""
-    return np.square(_abs(np.asarray(gamma)))
+def _interlacing_margin(e, eps) -> np.ndarray:
+    """Least step of the chain ``0 < E_1 < eps_1 < E_2 < eps_2 < E_3`` per
+    point, from the levels ``e`` (n, 3) and quasimode energies ``eps`` (n, 2):
+    positive exactly where the chain holds."""
+    return np.min([e[:, 0], eps[:, 0] - e[:, 0], e[:, 1] - eps[:, 0],
+                   eps[:, 1] - e[:, 1], e[:, 2] - eps[:, 1]], axis=0)
 
 
 def _d1_and_slope(x, omega_a, e1, e2, g1sq, g2sq):

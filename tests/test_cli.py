@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,20 @@ def test_verify_sector_flag_skips_where_assumptions_fail(tmp_path, capsys):
     assert code == run_cli(capsys, "verify", "--config", cfg)[0]
 
 
+def test_verify_sector_flag_gives_the_unsolved_spectrum_reason(tmp_path, capsys):
+    # all assumptions hold, but the dressed levels are too close to solve
+    cfg = write_config(tmp_path, {"atom": "oscillator", "omega_c": 1.3,
+                                  "lambda": 2e-12, "xi": 2e-12, "kappa": 0.0})
+    code, out, _ = run_cli(capsys, "verify", "--config", cfg, "--sector", "3")
+    assert code == 0
+    rows = {r["check"]: r for r in json.loads(out)["rows"]}
+    reason = rows["dressed-levels"]["reason"]
+    assert reason.startswith("dressed spectrum unavailable: dressed levels")
+    for name in ("sector-2-spectrum", "sector-3-spectrum"):
+        assert rows[name]["skipped"]
+        assert rows[name]["reason"] == reason
+
+
 def test_verify_sector_flag_size_limit_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(DARK_POINT, atom="oscillator"))
     code, out, err = run_cli(capsys, "verify", "--config", cfg, "--sector", "141")
@@ -251,10 +266,28 @@ def test_config_errors_exit_one(tmp_path, capsys):
         {"omega_a": 10**400},
         {"kappa": [0, -(10**400)]},
         {"tol": {"b1": 10**400}},
+        # a range beyond the float range: no overflow warning on the way
+        axis(start=-1e308, stop=1e308, steps=3),
     ):
         cfg = write_config(tmp_path, doc)
         for fmt in ("json", "csv"):
             assert_config_error("spectrum", "--config", cfg, "--format", fmt)
+
+    # a grid over the cap is refused before any of it is built
+    huge = write_config(tmp_path, axis(steps=1_000_000_000))
+    tracemalloc.start()
+    try:
+        assert_config_error("scan", "spectrum", "--config", huge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    just_over = write_config(tmp_path, {"scan": [
+        {"param": "xi", "start": 0, "stop": 1, "steps": 11_111_112}]})
+    code, _, err = run_cli(capsys, "scan", "spectrum", "--config", just_over)
+    assert code == 1
+    assert err == ("config error: scan of 11,111,112 points needs 800,000,064 bytes "
+                   "of parameters; cap is 800,000,000 bytes\n")
 
     # flag values pass the checks of the file's own
     tol_list = write_config(tmp_path, {"tol": [1]})

@@ -156,6 +156,24 @@ def test_sector_check_requires_assumptions():
         oscillator_sector_check(ModelParams(1.0, 1.0, 1.0, 0.2, 0.05, 1.5), 2)
 
 
+#: an oscillator point whose standing assumptions all hold, but whose dressed
+#: levels are too close for the closed forms to solve
+WEAK_COUPLING = ModelParams(1.0, 1.0, 1.3, 2e-12, 2e-12, 0.0)
+
+
+def test_sector_row_gives_the_unsolved_spectrum_reason():
+    from darktrio import DegenerateSpectrum, validate
+
+    assert validate(WEAK_COUPLING).all_pass
+    with pytest.raises(DegenerateSpectrum):
+        oscillator_sector_check(WEAK_COUPLING, 2)
+    rows = {c.name: c for c in crosscheck(WEAK_COUPLING, AtomKind.OSCILLATOR).checks}
+    sector, dressed = rows["sector-2-spectrum"], rows["dressed-levels"]
+    assert sector.skipped and dressed.skipped
+    assert sector.reason == dressed.reason
+    assert sector.reason.startswith("dressed spectrum unavailable: dressed levels")
+
+
 def test_two_level_sector_is_not_a_level_sum():
     # the spin sector spectrum must differ from bosonic level sums
     p = ModelParams(1.1, 0.9, 1.3, 0.31, 0.17, 0.23)
