@@ -236,7 +236,9 @@ def _grid(cfg: RunConfig) -> _Batch:
 
 class _Column(NamedTuple):
     """One table column as arrays: ``values`` are floats, complex numbers or
-    bools, or indices into ``names``; cells where ``ok`` is False are empty."""
+    bools, or indices into ``names``; cells where ``ok`` is False are empty.
+    JSON output encodes :meth:`json_cells` with ``json.dumps``; CSV output
+    formats the floats of :meth:`csv_parts` per table, in :func:`_write_csv`."""
 
     values: np.ndarray
     ok: np.ndarray | None = None
@@ -253,31 +255,22 @@ class _Column(NamedTuple):
                 cells[row] = None
         return cells
 
-    def csv_text(self) -> list[list[str]]:
-        """The column's CSV text: one list of cells, or two (``_re``, ``_im``)
-        for a complex column with a nonempty cell."""
+    def csv_parts(self) -> list[np.ndarray]:
+        """The column's CSV columns, hidden cells not yet blanked: one, or two
+        (``_re``, ``_im``) for a complex column with a shown cell.  A float
+        part holds the values, which :func:`_write_csv` formats; any other
+        holds text cells."""
         values = self.values
         if self.names is not None:
-            texts = [np.array([_csv_field(name) for name in self.names], dtype=object)[values]]
-        elif values.dtype.kind == "c":
+            return [np.array([_csv_field(name) for name in self.names], dtype=object)[values]]
+        if values.dtype.kind == "c":
             shown = np.ones(len(values), dtype=bool) if self.ok is None else self.ok
             if not shown.any():
-                return [[""] * len(values)]
-            texts = [_float_text(values.real), _float_text(values.imag)]
-        elif values.dtype.kind == "b":
-            texts = [np.array(["false", "true"], dtype=object)[values.astype(np.intp)]]
-        else:
-            texts = [_float_text(values)]
-        for text in texts:
-            if self.ok is not None:
-                text[~self.ok] = ""
-        return [text.tolist() for text in texts]
-
-
-def _float_text(values: np.ndarray) -> np.ndarray:
-    """``float.__repr__`` of every value, each distinct value formatted once."""
-    distinct, index = np.unique(values.view(np.int64), return_inverse=True)
-    return np.array(list(map(float.__repr__, distinct.view(float).tolist())), dtype=object)[index]
+                return [np.full(len(values), "", dtype=object)]
+            return [values.real, values.imag]
+        if values.dtype.kind == "b":
+            return [np.array(["false", "true"], dtype=object)[values.astype(np.intp)]]
+        return [values]
 
 
 Table = dict[str, _Column]
@@ -399,17 +392,31 @@ def _csv_field(text: str) -> str:
 def _write_csv(table: Table, stream) -> None:
     """Column by column; a complex column splits into ``_re``/``_im`` columns.
 
-    The cells are CSV fields already (text cells quoted by
-    :func:`_csv_field`), so rows are plain joins, which are faster than
-    ``csv.writer.writerows`` over the same strings.
+    The floats of the whole table are formatted together: ``float.__repr__``
+    runs once per distinct bit pattern, so ``-0.0`` and ``0.0`` stay apart
+    and a value repeated across columns, as in the duality's swapped
+    columns, is formatted once.  The cells are CSV fields then (text cells
+    quoted by :func:`_csv_field`), so rows are plain joins, which are faster
+    than ``csv.writer.writerows`` over the same strings.
     """
-    header, text = [], []
+    header, parts, masks = [], [], []
     for name, column in table.items():
-        parts = column.csv_text()
-        header += [f"{name}_re", f"{name}_im"] if len(parts) == 2 else [name]
-        text += parts
-    stream.write(",".join(header) + "\n")
-    stream.writelines(",".join(row) + "\n" for row in zip(*text))
+        columns = column.csv_parts()
+        header += [f"{name}_re", f"{name}_im"] if len(columns) == 2 else [name]
+        parts += columns
+        masks += [column.ok] * len(columns)
+    floats = [i for i, part in enumerate(parts) if part.dtype.kind == "f"]
+    if floats:
+        bits = np.concatenate([parts[i] for i in floats]).view(np.int64)
+        distinct, index = np.unique(bits, return_inverse=True)
+        text = np.array(list(map(float.__repr__, distinct.view(float).tolist())), dtype=object)
+        for i, cells in zip(floats, np.split(text[index], len(floats))):
+            parts[i] = cells
+    for part, ok in zip(parts, masks):
+        if ok is not None:
+            part[~ok] = ""
+    rows = map(",".join, zip(*(part.tolist() for part in parts)))
+    stream.write("\n".join([",".join(header), *rows]) + "\n")
 
 
 def _json_text(cfg: RunConfig, table: Table) -> str:
@@ -432,8 +439,11 @@ def _emit(cfg: RunConfig, table: Table, fmt: str, output: str | None) -> None:
         _write_csv(table, buffer)
         text = buffer.getvalue()
     if output:
-        with open(output, "w", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", newline="") as handle:
+                handle.write(text)
+        except OSError as err:
+            raise ConfigError(f"cannot write output {output!r}: {err}") from err
     else:
         sys.stdout.write(text)
 
@@ -536,11 +546,15 @@ _RUNNERS = {"spectrum": _spectrum_rows, "classify": _classify_rows, "duality": _
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = parse_config(_config_document(args))
+        return _run(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
 
+
+def _run(args: argparse.Namespace) -> int:
+    """Run the parsed command and write its table; the exit code."""
+    cfg = parse_config(_config_document(args))
     command = args.command
     operation = getattr(args, "operation", command)
     if command == "verify":
@@ -557,11 +571,7 @@ def main(argv: list[str] | None = None) -> int:
         return 3 if failed.any() else 0
 
     scan_mode = command == "scan" or bool(cfg.scan)
-    try:
-        table = _RUNNERS[operation](cfg)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 1
+    table = _RUNNERS[operation](cfg)
     _emit(cfg, table, args.format, args.output)
     if scan_mode:
         return 0

@@ -1,8 +1,10 @@
 """Command-line surface: config handling, output formats, exit codes."""
 
 import argparse
+import csv
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -11,6 +13,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import darktrio
 from darktrio import cli
@@ -231,6 +235,7 @@ def test_config_errors_exit_one(tmp_path, capsys):
         assert out == ""
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
+        return err
 
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
@@ -296,6 +301,12 @@ def test_config_errors_exit_one(tmp_path, capsys):
                   ["--config", tol_list, "--tol", "b1=1e-9"]):
         for fmt in ("json", "csv"):
             assert_config_error("verify", *flags, "--format", fmt)
+
+    # an output path that cannot be opened for writing: a missing directory, a directory
+    for argv in (["spectrum"], ["verify"], ["scan", "spectrum", "--format", "csv"]):
+        for path in (tmp_path / "missing" / "out", tmp_path):
+            err = assert_config_error(*argv, "--output", str(path))
+            assert err.startswith(f"config error: cannot write output {str(path)!r}: ")
 
 
 def test_scan_runs_are_byte_identical(tmp_path):
@@ -372,6 +383,86 @@ def test_csv_rows_match_csv_writer():
     for row, (text, value) in enumerate(zip(texts, np.linspace(-1.0, 1.0, len(texts)))):
         writer.writerow([text, repr(value.item()) if row % 3 else ""])
     assert stream.getvalue() == want.getvalue()
+
+
+_SHOWN_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_HIDDEN_FLOATS = st.one_of(_SHOWN_FLOATS, st.sampled_from([math.nan, -math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def _csv_tables(draw):
+    """Tables of float, complex, bool and text columns with random ``ok`` masks;
+    NaN and inf only in hidden cells, a few floats shared across columns."""
+    rows = draw(st.integers(0, 6))
+    shared = draw(st.lists(_SHOWN_FLOATS, min_size=1, max_size=3))
+    shown = st.one_of(_SHOWN_FLOATS, st.sampled_from(shared))
+
+    def floats(ok):
+        return np.array([draw(shown if ok is None or ok[row] else _HIDDEN_FLOATS)
+                         for row in range(rows)], dtype=float)
+
+    def complexes(ok):
+        values = np.empty(rows, dtype=complex)
+        values.real, values.imag = floats(ok), floats(ok)  # no arithmetic: keeps NaN, inf, -0.0
+        return values
+
+    hidden = np.zeros(rows, dtype=bool)
+    table = {"zero": _Column(np.zeros(rows)), "negative_zero": _Column(np.full(rows, -0.0)),
+             "all_hidden": _Column(complexes(hidden), hidden)}
+    for i, kind in enumerate(draw(st.lists(st.sampled_from("fcbt"), max_size=6))):
+        ok = draw(st.none() | st.lists(st.booleans(), min_size=rows, max_size=rows)
+                  .map(lambda mask: np.array(mask, dtype=bool)))
+        names = None
+        if kind == "f":
+            values = floats(ok)
+        elif kind == "c":
+            values = complexes(ok)
+        elif kind == "b":
+            values = np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)),
+                              dtype=bool)
+        else:
+            names = tuple(draw(st.lists(st.text(max_size=4), min_size=1, max_size=3)))
+            values = np.array(draw(st.lists(st.integers(0, len(names) - 1), min_size=rows,
+                                            max_size=rows)), dtype=np.intp)
+        table[f"{kind}{i}"] = _Column(values, ok, names)
+    return table
+
+
+def _reference_csv(table) -> str:
+    """``csv.writer`` over cells formatted one by one with ``float.__repr__``."""
+    header, columns = [], []
+    for name, column in table.items():
+        cells = column.values.tolist()
+        shown = [True] * len(cells) if column.ok is None else column.ok.tolist()
+        if column.names is not None:
+            parts = {name: [column.names[code] for code in cells]}
+        elif column.values.dtype.kind == "c":
+            parts = ({f"{name}_re": [float.__repr__(z.real) for z in cells],
+                      f"{name}_im": [float.__repr__(z.imag) for z in cells]}
+                     if any(shown) else {name: [""] * len(cells)})
+        elif column.values.dtype.kind == "b":
+            parts = {name: ["true" if cell else "false" for cell in cells]}
+        else:
+            parts = {name: [float.__repr__(cell) for cell in cells]}
+        for part_name, part in parts.items():
+            header.append(part_name)
+            columns.append([cell if keep else "" for cell, keep in zip(part, shown)])
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*columns))
+    return buffer.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_tables())
+def test_write_csv_matches_reference_writer(table):
+    stream = io.StringIO()
+    cli._write_csv(table, stream)
+    assert stream.getvalue() == _reference_csv(table)
 
 
 @pytest.mark.parametrize("kappa", [5e-324, 1e-170, 1e-300])
