@@ -35,8 +35,8 @@ from .errors import (
     WrongSector,
     _Status,
 )
-from .model import (GAMMA_RTOL, AtomKind, ModelParams, _batch_of, _Batch,
-                    _one_excitation_matrices, sector_basis)
+from .model import (GAMMA_RTOL, AtomKind, ModelParams, _batch_of, _Batch, _sector_matrices,
+                    sector_basis)
 from .threemode import _bare_vectors, _d1_and_slope
 from .twomode import _two_mode, _TwoModeBatch
 
@@ -182,8 +182,7 @@ def _resonant_real(p: _Batch, status: _Status, vanishing: type[Exception] = Assu
         f"kappa must be positive in this analysis, got {kappa[i].item()}"
     ))
     lam, xi = p.lam.real, p.xi.real
-    floor = math.sqrt(2.0) * GAMMA_RTOL * np.maximum(
-        np.maximum(np.maximum(np.abs(lam), np.abs(xi)), kappa), 1.0)
+    floor = math.sqrt(2.0) * GAMMA_RTOL * p.coupling_scale
     status.fail((np.abs(lam - xi) <= floor) | (np.abs(lam + xi) <= floor), lambda i: vanishing(
         "lambda = +-xi makes an effective coupling vanish; this analysis "
         "needs both couplings nonzero"
@@ -312,17 +311,15 @@ def two_mode_binomial_state(ell: int, modes: tuple[int, int], coeffs: tuple[comp
     i, j = modes
     if i == j or not {i, j} <= {0, 1, 2}:
         raise ValueError(f"modes must be two distinct indices out of (0, 1, 2), got {modes}")
-    basis = sector_basis(kind, ell)
-    index = {state: pos for pos, state in enumerate(basis)}
+    states = np.array(sector_basis(kind, ell))
+    # the states of the expansion: those with the third mode empty
+    rows = np.flatnonzero(states[:, 3 - i - j] == 0)
+    if len(rows) < ell + 1:
+        raise WrongSector(f"the {kind.value} sector {ell} holds {len(rows)} of the "
+                          f"{ell + 1} occupations of modes {modes}")
     u, v = coeffs
-    amps = np.zeros(len(basis), dtype=complex)
-    for k in range(ell + 1):
-        occ = [0, 0, 0]
-        occ[i] = k
-        occ[j] = ell - k
-        pos = index.get(tuple(occ))
-        if pos is None:
-            raise WrongSector(f"occupation {tuple(occ)} is outside the {kind.value} sector {ell}")
+    amps = np.zeros(len(states), dtype=complex)
+    for pos, k in zip(rows.tolist(), states[rows, i].tolist()):
         amps[pos] = math.sqrt(math.comb(ell, k)) * u**k * v ** (ell - k)
     return SectorVector(amps=amps, ell=ell)
 
@@ -435,7 +432,7 @@ class _Classified(NamedTuple):
 def _classified(p: _Batch, tol: float = 1e-9) -> _Classified:
     from .oracle import _eigh
 
-    energies, vectors, status = _eigh(_one_excitation_matrices(p))
+    energies, vectors, status = _eigh(_sector_matrices(p, AtomKind.TWO_LEVEL, 1))
     states = _phase_fixed(vectors)
     magnitudes = np.abs(states)
     cutoff = tol * np.linalg.norm(states, axis=1)

@@ -239,23 +239,15 @@ def _assumption_margins(p: _Batch, two, ass2_rtol: float = GAMMA_RTOL) -> np.nda
 
 
 def one_excitation_matrix(params: ModelParams) -> SectorMatrix:
-    """The 3x3 Hamiltonian block on the one-excitation sector.
+    """The 3x3 Hamiltonian block on the one-excitation sector: sector 1 of
+    :func:`sector_matrix`, the same for both atom kinds.
 
-    Basis order (atom, photon, phonon); the diagonal carries the bare
-    frequencies and the upper triangle the conjugated couplings, e.g.
-    ``entry(atom, photon) = conj(lambda)``.
+    Basis order (atom, photon, phonon).  The upper triangle carries the
+    conjugated couplings times the ladder factor 1.0, e.g. ``entry(atom,
+    photon) = conj(lambda) * 1.0``; a zero part takes its sign from that
+    complex product, not from the coupling.
     """
-    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    return SectorMatrix(ell=1, basis=basis, matrix=_one_excitation_matrices(_batch_of(params))[0])
-
-
-def _one_excitation_matrices(p: _Batch) -> np.ndarray:
-    """:func:`one_excitation_matrix` of every point of the batch ``p``, shape (n, 3, 3)."""
-    h = np.empty((len(p), 3, 3), dtype=complex)
-    h[:, 0, 0], h[:, 1, 1], h[:, 2, 2] = p.omega_a, p.omega_b, p.omega_c
-    h[:, 1, 0], h[:, 2, 0], h[:, 2, 1] = p.lam, p.xi, p.kappa
-    h[:, 0, 1], h[:, 0, 2], h[:, 1, 2] = p.lam.conj(), p.xi.conj(), p.kappa.conj()
-    return h
+    return sector_matrix(params, AtomKind.TWO_LEVEL, 1)
 
 
 def sector_basis(kind: AtomKind, ell: int) -> tuple[tuple[int, int, int], ...]:
@@ -279,16 +271,20 @@ def sector_matrix(params: ModelParams, kind: AtomKind, ell: int) -> SectorMatrix
 
     Bosonic matrix elements carry the usual ladder factors, e.g. the
     photon-phonon hop from ``(na, nb, nc)`` to ``(na, nb+1, nc-1)`` has
-    amplitude ``conj(kappa) * sqrt(nb+1) * sqrt(nc)``.  The matrix is
-    filled pairwise (entry and conjugate together), so it is Hermitian
-    exactly, not after symmetrization.  Raises :class:`SizeLimit`, before
-    building anything, when the complex matrix would exceed 800 MB.
+    amplitude ``conj(kappa) * (sqrt(nb+1) * sqrt(nc))``, a complex product
+    that also sets the sign of a zero part.  The matrix is filled pairwise
+    (entry and conjugate together), so it is Hermitian exactly, not after
+    symmetrization.  Raises :class:`SizeLimit`, before building anything,
+    when the complex matrix would exceed 800 MB.
     """
-    p = _batch_of(params)
-    layout = _sector_layout(kind, ell, complex)
-    h = _sector_block(layout, p.omega_a, p.omega_b, p.omega_c,
-                      np.stack([p.lam, p.xi, p.kappa], axis=1).conj())
-    return SectorMatrix(ell=ell, basis=layout.basis, matrix=h[0])
+    matrix = _sector_matrices(_batch_of(params), kind, ell)[0]
+    return SectorMatrix(ell=ell, basis=_sector_layout(kind, ell, complex).basis, matrix=matrix)
+
+
+def _sector_matrices(p: _Batch, kind: AtomKind, ell: int) -> np.ndarray:
+    """:func:`sector_matrix` of every point of the batch ``p``, shape (n, dim, dim)."""
+    return _sector_block(_sector_layout(kind, ell, complex), p.omega_a, p.omega_b, p.omega_c,
+                         np.stack([p.lam, p.xi, p.kappa], axis=1).conj())
 
 
 class _SectorLayout(NamedTuple):
@@ -298,12 +294,14 @@ class _SectorLayout(NamedTuple):
     move (atom up from photon, atom up from phonon, photon up from phonon)
     takes state ``src`` to state ``dst`` with the ladder factor ``ladder``
     and the conjugate of coupling number ``coupling`` (lambda, xi, kappa).
+    The move's entry sits at the flat position ``entry = dst * dim + src``,
+    its conjugate at ``mirror = src * dim + dst``.
     """
 
     basis: tuple[tuple[int, int, int], ...]
     states: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
+    entry: np.ndarray
+    mirror: np.ndarray
     coupling: np.ndarray
     ladder: np.ndarray
 
@@ -340,9 +338,10 @@ def _sector_layout(kind: AtomKind, ell: int, dtype: type) -> _SectorLayout:
               np.sqrt(up[allowed]) * np.sqrt(down[allowed]))
              for k, (allowed, target, up, down) in enumerate(moves)]
     src, dst, coupling, ladder = map(np.concatenate, zip(*parts))
-    for array in (states, src, dst, coupling, ladder):
+    entry, mirror = dst * len(i) + src, src * len(i) + dst
+    for array in (states, entry, mirror, coupling, ladder):
         array.setflags(write=False)
-    return _SectorLayout(basis, states, src, dst, coupling, ladder)
+    return _SectorLayout(basis, states, entry, mirror, coupling, ladder)
 
 
 def _sector_block(layout: _SectorLayout, wa: np.ndarray, wb: np.ndarray, wc: np.ndarray,
@@ -352,10 +351,10 @@ def _sector_block(layout: _SectorLayout, wa: np.ndarray, wb: np.ndarray, wc: np.
     moves (the conjugated couplings), in the dtype of ``raising``."""
     na, nb, nc = layout.states.T
     n, dim = len(raising), len(na)
-    h = np.zeros((n, dim, dim), dtype=raising.dtype)
-    h.reshape(n, -1)[:, ::dim + 1] = na * wa[:, None] + nb * wb[:, None] + nc * wc[:, None]
+    flat = np.zeros((n, dim * dim), dtype=raising.dtype)
+    flat[:, ::dim + 1] = na * wa[:, None] + nb * wb[:, None] + nc * wc[:, None]
     # each unordered pair once, the entry and its conjugate together
     amp = raising[:, layout.coupling] * layout.ladder
-    h[:, layout.dst, layout.src] = amp
-    h[:, layout.src, layout.dst] = amp.conj()
-    return h
+    flat[:, layout.entry] = amp
+    flat[:, layout.mirror] = amp.conj()
+    return flat.reshape(n, dim, dim)

@@ -31,9 +31,9 @@ from .model import (
     _batch_of,
     _Batch,
     _max_abs,
-    _one_excitation_matrices,
     _sector_block,
     _sector_layout,
+    _sector_matrices,
 )
 
 __all__ = [
@@ -199,7 +199,7 @@ def oscillator_sector_check(params: ModelParams, ell: int, *,
         )
     spectrum = threemode._dressed(p, two)
     spectrum.status.check()
-    modes = np.linalg.eigh(_one_excitation_matrices(p)[:, 1:, 1:])
+    modes = np.linalg.eigh(_sector_matrices(p, AtomKind.TWO_LEVEL, 1)[:, 1:, 1:])
     residual = _sector_residuals(p, modes, spectrum.e, ell)[0].item()
     return ValidationReport(checks=(
         CheckResult(f"sector-{ell}-spectrum", residual, tol, residual <= tol),
@@ -343,7 +343,7 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances) -> _Checks:
 
     # the bare and the quasimode-basis one-excitation matrices, a harmless
     # one where no spectrum is checked
-    dense = np.concatenate([_one_excitation_matrices(p),
+    dense = np.concatenate([_sector_matrices(p, AtomKind.TWO_LEVEL, 1),
                             threemode._quasi_matrices(wa, eps, gamma)])
     # the photon-phonon blocks, taken before that replacement
     blocks = dense[:n, 1:, 1:].copy()

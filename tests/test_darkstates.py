@@ -1,5 +1,6 @@
 """Tuning conditions, eigenstate assembly, classification, relabeling."""
 
+import itertools
 import math
 
 import numpy as np
@@ -31,6 +32,7 @@ from darktrio import (
     one_excitation_matrix,
     phi,
     relabel_modes,
+    sector_basis,
     sector_matrix,
     three_mode_spectrum,
     two_mode_binomial_state,
@@ -293,6 +295,9 @@ def test_relabel_involutions():
 
 
 def test_relabel_matrix_conjugation_exact():
+    # sector ell of the relabeled parameters is sector ell of the original
+    # with the basis permuted by the role's mode swap; the atom-phonon swap
+    # sums each diagonal entry na*wa + nb*wb + nc*wc in another order
     rng = np.random.default_rng(53)
     swaps = {RelabelRole.ATOM_PHOTON: (1, 0, 2), RelabelRole.ATOM_PHONON: (2, 1, 0)}
     for _ in range(20):
@@ -300,11 +305,20 @@ def test_relabel_matrix_conjugation_exact():
         phases = np.exp(2j * np.pi * rng.uniform(size=3))
         freqs = rng.uniform(0.5, 2.0, size=3)
         p = ModelParams(*freqs, *(mags * phases))
-        h = one_excitation_matrix(p).matrix
-        for role, order in swaps.items():
-            relabeled = one_excitation_matrix(relabel_modes(p, role)).matrix
-            permuted = h[np.ix_(order, order)]
-            np.testing.assert_array_equal(relabeled, permuted)
+        for ell in (1, 2, 3, 5, 8):
+            sector = sector_matrix(p, AtomKind.OSCILLATOR, ell)
+            index = {state: pos for pos, state in enumerate(sector.basis)}
+            off_diagonal = ~np.eye(len(index), dtype=bool)
+            for role, order in swaps.items():
+                relabeled = sector_matrix(relabel_modes(p, role), AtomKind.OSCILLATOR, ell).matrix
+                perm = [index[tuple(state[k] for k in order)] for state in sector.basis]
+                permuted = sector.matrix[np.ix_(perm, perm)]
+                if role is RelabelRole.ATOM_PHOTON:
+                    np.testing.assert_array_equal(relabeled, permuted)
+                else:
+                    np.testing.assert_array_equal(relabeled[off_diagonal], permuted[off_diagonal])
+                    np.testing.assert_allclose(np.diag(relabeled), np.diag(permuted),
+                                               rtol=1e-15, atol=0.0)
 
 
 def test_relabeled_dark_analogue_is_eigenstate():
@@ -324,6 +338,31 @@ def test_relabeled_dark_analogue_is_eigenstate():
         for occ, amp in zip(sector.basis, state.amps):
             if occ[0] > 0:
                 assert amp == 0.0  # never populates the atom
+
+
+@pytest.mark.parametrize("kind", list(AtomKind))
+def test_two_mode_binomial_state_places_each_occupation(kind):
+    # the reference looks each occupation up in the basis; a two-level atom
+    # holds one quantum at most, so an expansion over it needs ell <= 1
+    u, v = complex(0.6, -0.0), -0.8j
+    for ell in range(6):
+        basis = sector_basis(kind, ell)
+        for i, j in itertools.permutations(range(3), 2):
+            occupations = []
+            for k in range(ell + 1):
+                occ = [0, 0, 0]
+                occ[i], occ[j] = k, ell - k
+                occupations.append(tuple(occ))
+            if not set(occupations) <= set(basis):
+                assert kind is AtomKind.TWO_LEVEL and 0 in (i, j) and ell >= 2
+                with pytest.raises(WrongSector):
+                    two_mode_binomial_state(ell, (i, j), (u, v), kind)
+                continue
+            expected = np.zeros(len(basis), dtype=complex)
+            for k, occ in enumerate(occupations):
+                expected[basis.index(occ)] = math.sqrt(math.comb(ell, k)) * u**k * v ** (ell - k)
+            state = two_mode_binomial_state(ell, (i, j), (u, v), kind)
+            assert state.amps.tobytes() == expected.tobytes()
 
 
 def test_kappa_zero_example():

@@ -17,12 +17,13 @@ from darktrio import (
     AtomKind,
     ModelParams,
     crosscheck,
+    one_excitation_matrix,
     oscillator_sector_check,
     sector_basis,
     sector_matrix,
     twomode,
 )
-from darktrio.model import _batch_of, _one_excitation_matrices
+from darktrio.model import _batch_of, _sector_matrices
 from darktrio.oracle import _normal_mode_sector_spectra
 
 #: complex couplings with the loop phase arg(xi conj(lambda) conj(kappa)) = -2.1
@@ -84,6 +85,8 @@ def test_builder_matches_loop_bytes(params, kind, ell):
     assert sector.matrix.dtype == expected.dtype
     assert sector.matrix.shape == expected.shape
     assert sector.matrix.tobytes() == expected.tobytes()
+    if ell == 1:
+        assert one_excitation_matrix(params).matrix.tobytes() == sector.matrix.tobytes()
 
 
 @pytest.mark.parametrize("ell", [*range(9), 30])
@@ -95,7 +98,7 @@ def test_loop_phase_sector_check_passes(ell):
 @pytest.mark.parametrize("ell", [*range(9), 30])
 def test_loop_phase_real_route_matches_complex_solve(ell):
     p = _batch_of(LOOP_PHASE)
-    blocks = _one_excitation_matrices(p)[:, 1:, 1:]
+    blocks = _sector_matrices(p, AtomKind.TWO_LEVEL, 1)[:, 1:, 1:]
     _, real_route = _normal_mode_sector_spectra(p, np.linalg.eigh(blocks), ell)
     real_route = real_route[0]
     reference, norm = dense_sector_spectrum(LOOP_PHASE, ell)
