@@ -55,9 +55,9 @@ from .errors import (
     _STATUS_ERRORS,
     _Status,
 )
-from .model import _MAX_SECTOR_BYTES, AtomKind, ModelParams, _assumption_margins, _Batch
+from .model import _MAX_SECTOR_BYTES, AtomKind, ModelParams, _assumption_margins, _Batch, _batch_of
 from .observables import _duality
-from .oracle import Tolerances, crosscheck, oscillator_sector_check
+from .oracle import Tolerances, _crosscheck
 from .threemode import _dressed, _interlacing_margin
 from .twomode import _two_mode
 
@@ -257,16 +257,12 @@ class _Column(NamedTuple):
 
     def csv_parts(self) -> list[np.ndarray]:
         """The column's CSV columns, hidden cells not yet blanked: one, or two
-        (``_re``, ``_im``) for a complex column with a shown cell.  A float
-        part holds the values, which :func:`_write_csv` formats; any other
-        holds text cells."""
+        (``_re``, ``_im``) for a complex column.  A float part holds the
+        values, which :func:`_write_csv` formats; any other holds text cells."""
         values = self.values
         if self.names is not None:
             return [np.array([_csv_field(name) for name in self.names], dtype=object)[values]]
         if values.dtype.kind == "c":
-            shown = np.ones(len(values), dtype=bool) if self.ok is None else self.ok
-            if not shown.any():
-                return [np.full(len(values), "", dtype=object)]
             return [values.real, values.imag]
         if values.dtype.kind == "b":
             return [np.array(["false", "true"], dtype=object)[values.astype(np.intp)]]
@@ -363,22 +359,18 @@ def _duality_rows(cfg: RunConfig) -> Table:
 
 
 def _verify_rows(cfg: RunConfig) -> Table:
-    tol = _tolerances(cfg.tol)
-    checks = list(crosscheck(cfg.params, cfg.kind, tol).checks)
-    if cfg.sector is not None and cfg.kind is AtomKind.OSCILLATOR and cfg.sector != 2:
-        # the extra sector runs exactly where crosscheck's sector 2, the last check, does
-        sector2 = checks[-1]
-        checks.append(
-            dataclasses.replace(sector2, name=f"sector-{cfg.sector}-spectrum") if sector2.skipped
-            else oscillator_sector_check(cfg.params, cfg.sector, tol=tol.sector).checks[0])
-    skipped = np.array([check.skipped for check in checks])
+    extra = cfg.kind is AtomKind.OSCILLATOR and cfg.sector not in (None, 2)
+    checks = _crosscheck(_batch_of(cfg.params), cfg.kind, _tolerances(cfg.tol),
+                         (2, cfg.sector) if extra else (2,))
+    checks.status.check()
+    skipped = checks.skipped[0]
     return {
-        "check": _text_cells([check.name for check in checks]),
-        "residual": _Column(np.array([check.residual for check in checks]), ~skipped),
-        "tolerance": _Column(np.array([check.tolerance for check in checks]), ~skipped),
-        "passed": _Column(np.array([check.passed for check in checks])),
+        "check": _text_cells(list(checks.names)),
+        "residual": _Column(checks.residual[0], ~skipped),
+        "tolerance": _Column(checks.tolerance[0], ~skipped),
+        "passed": _Column(checks.passed[0]),
         "skipped": _Column(skipped),
-        "reason": _text_cells([check.reason for check in checks]),
+        "reason": _text_cells(checks.reasons(0)),
     }
 
 

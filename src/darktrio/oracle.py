@@ -4,11 +4,11 @@ Everything here double-checks the closed forms through an independent
 route: dense Hermitian diagonalization of the exact sector matrices and
 an aggregate report that compares every closed-form quantity against the
 solver output.  The report is one batch kernel, :func:`_crosscheck`,
-which solves its dense references as stacks over all points;
-:func:`crosscheck` runs it on a batch of one.  The oscillator's sector
-spectra are solved densely in the photon-phonon normal-mode basis,
-where the sector matrix is real symmetric (see
-:func:`_normal_mode_sector_spectra`).
+which solves its dense references as stacks over all points, one
+``eigvalsh`` per requested sector; :func:`crosscheck` and ``verify`` run
+it on a batch of one.  The oscillator's sector spectra are solved
+densely in the photon-phonon normal-mode basis, where the sector matrix
+is real symmetric (see :func:`_normal_mode_sector_spectra`).
 """
 
 from __future__ import annotations
@@ -253,22 +253,22 @@ def crosscheck(params: ModelParams, kind: AtomKind = AtomKind.TWO_LEVEL,
     """
     checks = _crosscheck(_batch_of(params), kind, tol)
     checks.status.check()
-    rows = zip(_CHECKS, checks.residual[0].tolist(), checks.tolerance[0].tolist(),
+    rows = zip(checks.names, checks.residual[0].tolist(), checks.tolerance[0].tolist(),
                checks.passed[0].tolist(), checks.skipped[0].tolist(), checks.reasons(0))
     return ValidationReport(checks=tuple(CheckResult(*row) for row in rows))
 
 
-#: the checks of :func:`crosscheck` in report order; those in ``_STRICT``
-#: pass on a positive residual, the others on one within tolerance
+#: the checks before the sector checks, in report order; those in
+#: ``_STRICT`` pass on a positive residual, the others on one within tolerance
 _CHECKS = (
     "assumption-1", "assumption-2", "assumption-3", "assumption-4",
     "quasimode-energies", "mixing-sum", "u-unitarity", "u-diagonalization",
     "pole-identity", "cross-product-identity", "eps1-positive",
     "dressed-levels", "level-trace", "cubic-roots", "v-unitarity", "v-diagonalization",
     "column-orthogonality-rule", "normalizers", "eigenvector-match", "eigenstate-residuals",
-    "interlacing", "occupation-amplitudes", "sector-2-spectrum",
+    "interlacing", "occupation-amplitudes",
 )
-_STRICT = np.isin(_CHECKS, [*_CHECKS[:4], "eps1-positive", "interlacing"])
+_STRICT = (*_CHECKS[:4], "eps1-positive", "interlacing")
 _COLUMN = {name: i for i, name in enumerate(_CHECKS)}
 _EYE2, _EYE3 = np.eye(2), np.eye(3)
 
@@ -295,11 +295,12 @@ _REASONS = (
 
 
 class _Checks(NamedTuple):
-    """:func:`crosscheck` per point: ``residual``, ``tolerance``, ``passed``,
+    """:func:`_crosscheck` per point: ``residual``, ``tolerance``, ``passed``,
     ``skipped`` and the ``reason`` codes have a row per point and a column
-    per entry of ``_CHECKS``; ``status`` holds the error a point raises.
+    per check of ``names``; ``status`` holds the error a point raises.
     ``spectrum`` and ``regime`` complete the reasons ending in ": "."""
 
+    names: tuple[str, ...]
     residual: np.ndarray
     tolerance: np.ndarray
     passed: np.ndarray
@@ -316,15 +317,17 @@ class _Checks(NamedTuple):
                 for code in self.reason[i].tolist()]
 
 
-def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances) -> _Checks:
-    """:func:`crosscheck` for every point of the batch ``p``.
+def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances, sectors=(2,)) -> _Checks:
+    """:func:`crosscheck` for every point of the batch ``p``, with a
+    ``sector-{ell}-spectrum`` check per ``ell`` of ``sectors``.
 
     Every residual is computed for every point, then blanked where its
     check skips.  The dense references come from stacked LAPACK solves,
     never from the closed forms: the photon-phonon blocks in one ``eigh``,
     the bare and the quasimode-basis one-excitation matrices in one
-    :func:`_eigh`, and the oscillator's sector-2 matrices in one
-    ``eigvalsh``.
+    :func:`_eigh`, and the oscillator's matrices of each sector in one
+    ``eigvalsh``, built only if a point that has not failed runs the sector
+    checks (so no :class:`SizeLimit` otherwise).
     """
     n = len(p)
     wa, wb, wc = p.omega_a, p.omega_b, p.omega_c
@@ -338,6 +341,9 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances) -> _Checks:
     dressed[~(eps[:, 0] > 0.0)] = _NOT_POSITIVE
     dressed[~solved] = _DEGENERATE
     checked = dressed == _RAN
+    # the sector checks' skip reason: they need every standing assumption
+    sector = (np.where((margins > 0.0).all(axis=1), dressed, _NOT_SATISFIED)
+              if kind is AtomKind.OSCILLATOR else np.full(n, _NOT_OSCILLATOR))
     # the levels of the points whose three-mode checks run, NaN elsewhere
     e, v = np.where(checked[:, None], spectrum.e, np.nan), spectrum.v
 
@@ -355,6 +361,7 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances) -> _Checks:
     status.inherit(solver)
     status.inherit(solver, n)
     darkstates._check_levels(e, wa, two, 1e-6, status)
+    sector_runs = ((sector == _RAN) & status.ok).any()
     regime = _Status(n)
     occupations = observables._occupations(
         p, e, two, darkstates._resonant_real(p, regime, GammaZero), regime)
@@ -414,15 +421,17 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances) -> _Checks:
             "interlacing": (threemode._interlacing_margin(e, eps), 0.0),
             "occupation-amplitudes": (_max_abs((closed - amplitude_sq) / np.maximum(
                 np.maximum(np.abs(closed), amplitude_sq), 1.0)), tol.occupation),
-            "sector-2-spectrum": (_sector_residuals(p, modes, e, 2) if kind is AtomKind.OSCILLATOR
-                                  else np.full(n, np.nan), tol.sector),
+            **{f"sector-{ell}-spectrum": (_sector_residuals(p, modes, e, ell) if sector_runs
+                                          else np.full(n, np.nan), tol.sector)
+               for ell in sectors},
         }
-        residual, tolerance = np.empty((2, n, len(_CHECKS)))
-        for c, name in enumerate(_CHECKS):
+        names = (*_CHECKS, *(f"sector-{ell}-spectrum" for ell in sectors))
+        residual, tolerance = np.empty((2, n, len(names)))
+        for c, name in enumerate(names):
             residual[:, c], tolerance[:, c] = columns[name]
-        passed = np.where(_STRICT, residual > tolerance, residual <= tolerance)
+        passed = np.where(np.isin(names, _STRICT), residual > tolerance, residual <= tolerance)
 
-    reason = np.zeros((n, len(_CHECKS)), dtype=np.int8)
+    reason = np.zeros((n, len(names)), dtype=np.int8)
     reason[:, :4] = _RECORDED
     reason[~solved, 1:_COLUMN["dressed-levels"]] = _DEGENERATE
     identities = slice(_COLUMN["pole-identity"], _COLUMN["eps1-positive"])
@@ -432,12 +441,10 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances) -> _Checks:
     reason[:, _COLUMN["dressed-levels"]:_COLUMN["occupation-amplitudes"]] = dressed[:, None]
     reason[:, _COLUMN["occupation-amplitudes"]] = np.where(
         checked, np.where(regime.ok, _RAN, _OFF_REGIME), _NO_SPECTRUM)
-    reason[:, _COLUMN["sector-2-spectrum"]] = (
-        np.where((margins > 0.0).all(axis=1), dressed, _NOT_SATISFIED)
-        if kind is AtomKind.OSCILLATOR else _NOT_OSCILLATOR)
+    reason[:, len(_CHECKS):] = sector[:, None]
     skipped = reason != _RAN
     # a recorded observation keeps its values but never gates the verdict
     blank = skipped & (reason != _RECORDED) & (reason != _SIGN_RECORDED)
     residual[blank] = tolerance[blank] = np.nan
     passed[blank] = True
-    return _Checks(residual, tolerance, passed, skipped, reason, spectrum, regime, status)
+    return _Checks(names, residual, tolerance, passed, skipped, reason, spectrum, regime, status)

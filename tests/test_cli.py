@@ -172,12 +172,14 @@ def test_verify_sector_flag(tmp_path, capsys):
 
 def test_verify_sector_flag_skips_where_assumptions_fail(tmp_path, capsys):
     cfg = write_config(tmp_path, {"atom": "oscillator", "kappa": 1.5})
-    code, out, _ = run_cli(capsys, "verify", "--config", cfg, "--sector", "3")
-    assert code == 0
-    rows = {r["check"]: r for r in json.loads(out)["rows"]}
-    for name in ("sector-2-spectrum", "sector-3-spectrum"):
-        assert rows[name]["skipped"]
-        assert rows[name]["reason"] == "standing assumptions not satisfied"
+    # a skipped sector 141 is never built, so it does not meet the size cap
+    for sector in ("3", "141"):
+        code, out, _ = run_cli(capsys, "verify", "--config", cfg, "--sector", sector)
+        assert code == 0
+        rows = {r["check"]: r for r in json.loads(out)["rows"]}
+        for name in ("sector-2-spectrum", f"sector-{sector}-spectrum"):
+            assert rows[name]["skipped"]
+            assert rows[name]["reason"] == "standing assumptions not satisfied"
     assert code == run_cli(capsys, "verify", "--config", cfg)[0]
 
 
@@ -201,6 +203,17 @@ def test_verify_sector_flag_size_limit_exits_two(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "10153x10153" in err
+
+
+def test_verify_sector_flag_failed_point_exits_three(tmp_path, capsys):
+    # the point's PoleHit comes first: its sector 141 is never built, so it
+    # does not meet the size cap
+    cfg = write_config(tmp_path, {"omega_a": 1.1, "omega_b": 1.0, "omega_c": 1.2,
+                                  "lambda": 3e-06, "xi": 0.2, "kappa": 0.0, "atom": "oscillator"})
+    code, out, err = run_cli(capsys, "verify", "--config", cfg, "--sector", "141")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("verification failed:")
 
 
 @pytest.mark.parametrize("command", [["spectrum"], ["classify"], ["duality"],
@@ -440,9 +453,8 @@ def _reference_csv(table) -> str:
         if column.names is not None:
             parts = {name: [column.names[code] for code in cells]}
         elif column.values.dtype.kind == "c":
-            parts = ({f"{name}_re": [float.__repr__(z.real) for z in cells],
-                      f"{name}_im": [float.__repr__(z.imag) for z in cells]}
-                     if any(shown) else {name: [""] * len(cells)})
+            parts = {f"{name}_re": [float.__repr__(z.real) for z in cells],
+                     f"{name}_im": [float.__repr__(z.imag) for z in cells]}
         elif column.values.dtype.kind == "b":
             parts = {name: ["true" if cell else "false" for cell in cells]}
         else:
@@ -474,6 +486,37 @@ def test_verify_underflowing_kappa_reports(tmp_path, capsys, atom, kappa):
     assert code in (0, 3)
     reasons = {r["check"]: r["reason"] for r in json.loads(out)["rows"]}
     assert "underflows" in reasons["pole-identity"]
+
+
+# --- one solve per point ------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [["spectrum"], ["classify"], ["duality"], ["verify"],
+                                  ["verify", "--sector", "3"]],
+                         ids=["spectrum", "classify", "duality", "verify", "verify-sector-3"])
+def test_each_command_solves_its_point_once(monkeypatch, tmp_path, capsys, argv):
+    calls = dict.fromkeys(("_two_mode", "_dressed", "eigh"), 0)
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    originals = {"_two_mode": darktrio.twomode._two_mode, "_dressed": darktrio.threemode._dressed}
+    for name, original in originals.items():
+        wrapper = counted(name, original)
+        for module in [m for key, m in sys.modules.items() if key.startswith("darktrio.")]:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    cfg = write_config(tmp_path, dict(DARK_POINT, atom="oscillator"))
+    assert main([*argv, "--config", cfg]) == 0
+    capsys.readouterr()
+    assert calls["_two_mode"] <= 1 and calls["_dressed"] <= 1, calls
+    if argv[0] == "verify":
+        # the photon-phonon blocks, and the one-excitation matrices
+        assert calls["eigh"] == 2, calls
 
 
 # --- one parser per process ------------------------------------------------

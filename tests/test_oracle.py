@@ -25,7 +25,7 @@ from darktrio import (
     three_mode_spectrum,
 )
 
-from darktrio.oracle import _CHECKS, _REASONS, _crosscheck
+from darktrio.oracle import _REASONS, _crosscheck
 
 from _generators import random_hermitian, stack, valid_batch, valid_params
 
@@ -301,16 +301,17 @@ def _bits(row):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(points=st.lists(st.one_of(st.sampled_from(BRANCH_POINTS), _points()),
                        min_size=1, max_size=12),
-       kind=st.sampled_from(list(AtomKind)), tol=st.sampled_from(TOLERANCES))
-@example(points=list(BRANCH_POINTS), kind=AtomKind.TWO_LEVEL, tol=TOLERANCES[0])
-@example(points=list(BRANCH_POINTS), kind=AtomKind.OSCILLATOR, tol=TOLERANCES[0])
-@example(points=list(BRANCH_POINTS), kind=AtomKind.OSCILLATOR, tol=TOLERANCES[1])
+       kind=st.sampled_from(list(AtomKind)), tol=st.sampled_from(TOLERANCES),
+       sectors=st.sampled_from(((2,), (2, 3))))
+@example(points=list(BRANCH_POINTS), kind=AtomKind.TWO_LEVEL, tol=TOLERANCES[0], sectors=(2, 3))
+@example(points=list(BRANCH_POINTS), kind=AtomKind.OSCILLATOR, tol=TOLERANCES[0], sectors=(2, 3))
+@example(points=list(BRANCH_POINTS), kind=AtomKind.OSCILLATOR, tol=TOLERANCES[1], sectors=(2, 3))
 # 1 / |kappa| overflows: d_j / kappa may not go through numpy's complex division
 @example(points=[ModelParams(0.75, 0.75, 1.0, 0j, 0j, 2.225073858507203e-309 + 0j)],
-         kind=AtomKind.TWO_LEVEL, tol=TOLERANCES[0])
-def test_batch_rows_equal_single_point_crosschecks(points, kind, tol):
+         kind=AtomKind.TWO_LEVEL, tol=TOLERANCES[0], sectors=(2,))
+def test_batch_rows_equal_single_point_crosschecks(points, kind, tol, sectors):
     # a point's row may not depend on the other points of its batch
-    checks = _crosscheck(stack(points), kind, tol)
+    checks = _crosscheck(stack(points), kind, tol, sectors)
     for i, params in enumerate(points):
         try:
             report = crosscheck(params, kind, tol)
@@ -319,10 +320,20 @@ def test_batch_rows_equal_single_point_crosschecks(points, kind, tol):
             assert (type(got), str(got)) == (type(err), str(err))
             continue
         assert not checks.status.code[i]
-        rows = zip(_CHECKS, checks.residual[i].tolist(), checks.tolerance[i].tolist(),
-                   checks.passed[i].tolist(), checks.skipped[i].tolist(), checks.reasons(i))
-        assert [_bits(row) for row in rows] == [_bits(dataclasses.astuple(c))
-                                                for c in report.checks]
+        rows = [_bits(row) for row in zip(
+            checks.names, checks.residual[i].tolist(), checks.tolerance[i].tolist(),
+            checks.passed[i].tolist(), checks.skipped[i].tolist(), checks.reasons(i))]
+        sector3 = rows.pop() if sectors == (2, 3) else None
+        assert rows == [_bits(dataclasses.astuple(c)) for c in report.checks]
+        if sector3 is None:
+            continue
+        # the sector-3 row runs where sector 2 does, and then is the public check's row
+        assert sector3[0] == "sector-3-spectrum"
+        if rows[-1][4]:
+            assert sector3[1:] == rows[-1][1:]
+        else:
+            single = oscillator_sector_check(params, 3, tol=tol.sector).checks[0]
+            assert sector3 == _bits(dataclasses.astuple(single))
 
 
 def test_crosscheck_passes_on_ten_thousand_random_points():
@@ -331,7 +342,7 @@ def test_crosscheck_passes_on_ten_thousand_random_points():
         checks = _crosscheck(batch, kind, Tolerances())
         assert checks.status.ok.all()
         failed = ~checks.skipped & ~checks.passed
-        assert not failed.any(), [(_CHECKS[c], checks.residual[i, c])
+        assert not failed.any(), [(checks.names[c], checks.residual[i, c])
                                   for i, c in np.argwhere(failed)]
         # the points are valid: every two- and three-mode check runs
-        assert not checks.skipped[:, 4:_CHECKS.index("occupation-amplitudes")].any()
+        assert not checks.skipped[:, 4:checks.names.index("occupation-amplitudes")].any()
