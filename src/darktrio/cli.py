@@ -237,23 +237,13 @@ def _grid(cfg: RunConfig) -> _Batch:
 class _Column(NamedTuple):
     """One table column as arrays: ``values`` are floats, complex numbers or
     bools, or indices into ``names``; cells where ``ok`` is False are empty.
-    JSON output encodes :meth:`json_cells` with ``json.dumps``; CSV output
-    formats the floats of :meth:`csv_parts` per table, in :func:`_write_csv`."""
+    Both writers format a whole table at once: :func:`_json_text` all its
+    cells in one encoder call, :func:`_write_csv` the floats of
+    :meth:`csv_parts`."""
 
     values: np.ndarray
     ok: np.ndarray | None = None
     names: tuple[str, ...] | None = None
-
-    def json_cells(self) -> list:
-        cells = self.values.tolist()
-        if self.names is not None:
-            cells = [self.names[code] for code in cells]
-        elif self.values.dtype.kind == "c":
-            cells = [[z.real, z.imag] for z in cells]
-        if self.ok is not None and np.count_nonzero(self.ok) < len(cells):
-            for row in np.flatnonzero(~self.ok).tolist():
-                cells[row] = None
-        return cells
 
     def csv_parts(self) -> list[np.ndarray]:
         """The column's CSV columns, hidden cells not yet blanked: one, or two
@@ -411,16 +401,47 @@ def _write_csv(table: Table, stream) -> None:
     stream.write("\n".join([",".join(header), *rows]) + "\n")
 
 
+#: Formats a flat list of cells, one a line.  ``separators`` keeps the C
+#: encoder, which ``indent`` turns off; with ``ensure_ascii`` no cell holds a
+#: raw newline, so splitting on newlines is exact.
+_CELL_ENCODER = json.JSONEncoder(allow_nan=False, separators=("\n", ": "))
+
+
 def _json_text(cfg: RunConfig, table: Table) -> str:
-    names = list(table)
-    cells = [column.json_cells() for column in table.values()]
-    payload = {
-        "version": __version__,
-        "config": config_to_dict(cfg),
-        "rows": [dict(zip(names, row)) for row in zip(*cells)],
-    }
-    # one join of the encoder's chunks, where json.dump writes each chunk
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """The bytes of ``json.dumps`` at ``indent=2`` of the version, the config
+    and one dict per row.  One encoder call formats every cell of the table,
+    hidden cells as ``null``; the rows are joined through a fixed template.
+    A shown NaN or inf raises ``ValueError``, as in ``json.dumps``."""
+    flat, pairs, n = [], [], 0
+    for column in table.values():
+        values = column.values
+        n = len(values)  # the same in every column
+        pairs.append(values.dtype.kind == "c")
+        shown = None if column.ok is None else column.ok.tolist()
+        # a complex column's real parts, then its imaginary parts
+        for part in (values.real, values.imag) if pairs[-1] else (values,):
+            cells = part.tolist()
+            if column.names is not None:
+                cells = [column.names[code] for code in cells]
+            if shown is not None:
+                cells = [cell if keep else None for cell, keep in zip(cells, shown)]
+            flat += cells
+    text = _CELL_ENCODER.encode(flat)[1:-1].split("\n")
+    columns, start = [], 0
+    for i, (name, pair) in enumerate(zip(table, pairs)):
+        cells = text[start:start + n]
+        start += n
+        if pair:  # a hidden pair is one null
+            cells = [real if real == "null" else f"[\n        {real},\n        {imag}\n      ]"
+                     for real, imag in zip(cells, text[start:start + n])]
+            start += n
+        prefix = (",\n" if i else "    {\n") + f"      {json.dumps(name)}: "
+        columns.append([prefix + cell for cell in cells])
+    rows = "\n    },\n".join(map("".join, zip(*columns)))
+    head = json.dumps({"version": __version__, "config": config_to_dict(cfg)},
+                      indent=2, allow_nan=False)
+    array = "[\n" + rows + "\n    }\n  ]" if rows else "[]"
+    return head[:-2] + ',\n  "rows": ' + array + "\n}\n"
 
 
 def _emit(cfg: RunConfig, table: Table, fmt: str, output: str | None) -> None:

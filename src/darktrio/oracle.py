@@ -429,7 +429,8 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances, sectors=(2,)) -> _Ch
         residual, tolerance = np.empty((2, n, len(names)))
         for c, name in enumerate(names):
             residual[:, c], tolerance[:, c] = columns[name]
-        passed = np.where(np.isin(names, _STRICT), residual > tolerance, residual <= tolerance)
+        passed = np.where([name in _STRICT for name in names], residual > tolerance,
+                          residual <= tolerance)
 
     reason = np.zeros((n, len(names)), dtype=np.int8)
     reason[:, :4] = _RECORDED

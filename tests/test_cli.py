@@ -1,6 +1,7 @@
 """Command-line surface: config handling, output formats, exit codes."""
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -13,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import darktrio
@@ -406,9 +407,10 @@ _HIDDEN_FLOATS = st.one_of(_SHOWN_FLOATS, st.sampled_from([math.nan, -math.nan, 
 
 
 @st.composite
-def _csv_tables(draw):
-    """Tables of float, complex, bool and text columns with random ``ok`` masks;
-    NaN and inf only in hidden cells, a few floats shared across columns."""
+def _tables(draw):
+    """Tables of float, complex, bool and text columns with random ``ok`` masks,
+    for both writers; NaN and inf only in hidden cells, a few floats shared
+    across columns."""
     rows = draw(st.integers(0, 6))
     shared = draw(st.lists(_SHOWN_FLOATS, min_size=1, max_size=3))
     shown = st.one_of(_SHOWN_FLOATS, st.sampled_from(shared))
@@ -470,7 +472,7 @@ def _reference_csv(table) -> str:
 
 
 @settings(max_examples=300, deadline=None)
-@given(_csv_tables())
+@given(_tables())
 def test_write_csv_matches_reference_writer(table):
     stream = io.StringIO()
     cli._write_csv(table, stream)
@@ -665,3 +667,45 @@ def test_emit_json_rejects_non_finite_cells(capsys, bad):
     with pytest.raises(ValueError):
         _emit(RunConfig(), table, "json", None)
     assert capsys.readouterr().out == ""
+
+
+_JSON_CONFIG = parse_config({"lambda": [0.2, -0.0], "tol": {"classify": 1e-8}})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables(), st.data())
+def test_emit_json_matches_json_dumps_on_random_tables(table, data):
+    # keys with quotes, control characters and non-ASCII too
+    table = {name + data.draw(st.text(max_size=3)): column for name, column in table.items()}
+    columns = []
+    for column in table.values():
+        cells = column.values.tolist()
+        if column.names is not None:
+            cells = [column.names[code] for code in cells]
+        elif column.values.dtype.kind == "c":
+            cells = [[z.real, z.imag] for z in cells]
+        shown = [True] * len(cells) if column.ok is None else column.ok.tolist()
+        columns.append([cell if keep else None for cell, keep in zip(cells, shown)])
+    rows = [dict(zip(table, row)) for row in zip(*columns)]
+    want = json.dumps({"version": darktrio.__version__, "config": config_to_dict(_JSON_CONFIG),
+                       "rows": rows}, indent=2, allow_nan=False) + "\n"
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        _emit(_JSON_CONFIG, table, "json", None)
+    assert buffer.getvalue() == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tables(), st.sampled_from([math.nan, math.inf, -math.inf]), st.booleans(), st.data())
+def test_emit_json_rejects_a_shown_non_finite_cell(table, bad, pair, data):
+    rows = len(table["zero"].values)
+    assume(rows > 0)
+    values = np.zeros(rows, dtype=complex if pair else float)
+    (values.imag if pair else values)[data.draw(st.integers(0, rows - 1))] = bad
+    items = list(table.items())
+    position = data.draw(st.integers(0, len(items)))
+    items.insert(position, ("bad", _Column(values, np.ones(rows, dtype=bool))))
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer), pytest.raises(ValueError):
+        _emit(_JSON_CONFIG, dict(items), "json", None)
+    assert buffer.getvalue() == ""
