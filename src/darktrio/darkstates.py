@@ -38,7 +38,7 @@ from .errors import (
 from .model import (GAMMA_RTOL, AtomKind, ModelParams, _batch_of, _Batch, _sector_matrices,
                     sector_basis)
 from .threemode import _bare_vectors, _d1_and_slope
-from .twomode import _two_mode, _TwoModeBatch
+from .twomode import _two_mode
 
 __all__ = [
     "StateClass",
@@ -210,7 +210,7 @@ def dark_tuning(params: ModelParams, tol: float = 1e-9) -> tuple[TuningResult, T
     )
 
 
-def _tuning(p: _Batch, tol: float = 1e-9):
+def _tuning(p: _Batch, tol: float):
     """:func:`dark_tuning` per point: (residual, energy, satisfied) arrays
     for the dark and the quasi-dark branch, and the status."""
     status = _Status(len(p))
@@ -243,29 +243,15 @@ def assemble_eigenstate(params: ModelParams, energy: float) -> SectorVector:
     p = _batch_of(params)
     two = _two_mode(p)
     two.status.check()
-    e = np.array([[float(energy)]])
-    status = _Status(1)
-    _check_levels(e, p.omega_a, two, 1e-8, status)
-    status.check()
-    return SectorVector(amps=_bare_vectors(two.u, two.gamma, two.eps, e)[0, :, 0], ell=1)
-
-
-def _check_levels(e: np.ndarray, omega_a: np.ndarray, two: _TwoModeBatch, tol: float,
-                  status: _Status) -> None:
-    """Record on ``status`` the first energy of each row of ``e`` (n, k) that
-    is not a dressed level of the point's solved block within ``tol``:
-    :class:`PoleHit` within 1e-10 of a quasimode energy, else
-    :class:`NotAnEigenvalue` where ``|d1|`` reaches ``tol``."""
-    eps, gsq = two.eps, np.square(two.gamma_abs)
+    e, eps = float(energy), tuple(two.eps[0].tolist())
+    if abs(e - eps[0]) <= 1e-10 or abs(e - eps[1]) <= 1e-10:
+        raise PoleHit(f"energy {e} sits on a quasimode energy {eps}")
     with np.errstate(all="ignore"):
-        pole = np.minimum(np.abs(e - eps[:, :1]), np.abs(e - eps[:, 1:])) <= 1e-10
-        residual = np.abs(_d1_and_slope(e, omega_a[:, None], eps[:, :1], eps[:, 1:],
-                                        gsq[:, :1], gsq[:, 1:])[0])
-    for j in range(e.shape[1]):
-        status.fail(pole[:, j], lambda i: PoleHit(
-            f"energy {e[i, j].item()} sits on a quasimode energy {tuple(eps[i].tolist())}"))
-        status.fail(residual[:, j] >= tol, lambda i: NotAnEigenvalue(
-            f"spectral function is {residual[i, j]:.3e} at {e[i, j].item()}, above {tol:.1e}"))
+        residual = abs(_d1_and_slope(e, p.omega_a[0], *eps, *np.square(two.gamma_abs[0]))[0])
+    if residual >= 1e-8:
+        raise NotAnEigenvalue(f"spectral function is {residual:.3e} at {e}, above 1.0e-08")
+    return SectorVector(amps=_bare_vectors(two.u, two.gamma, two.eps, np.array([[e]]))[0, :, 0],
+                        ell=1)
 
 
 def classify(state: SectorVector, tol: float = 1e-9) -> Classification:
@@ -429,7 +415,7 @@ class _Classified(NamedTuple):
     status: _Status
 
 
-def _classified(p: _Batch, tol: float = 1e-9) -> _Classified:
+def _classified(p: _Batch, tol: float) -> _Classified:
     from .oracle import _eigh
 
     energies, vectors, status = _eigh(_sector_matrices(p, AtomKind.TWO_LEVEL, 1))

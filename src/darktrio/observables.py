@@ -49,28 +49,35 @@ class DualityReport:
         return self.max_mismatch <= self.tol
 
 
-def _occupations(p: _Batch, energies: np.ndarray, two: _TwoModeBatch, regime,
-                 status: _Status) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized (photon, phonon) occupations at ``energies`` (n, k), one
-    row per point of ``p``.
-
-    ``two`` is the solved photon-phonon block of ``p`` and ``regime`` the
-    (omega, lam, xi, kappa) that :func:`_resonant_real` returned for it.
-    The checks of each energy, in order, record failures on ``status``.
-    """
+def _occupations(p: _Batch, e: np.ndarray, regime) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized (photon, phonon) occupations at the dressed levels ``e``
+    (n, k), one row per point of ``p``, whose (omega, lam, xi, kappa) from
+    :func:`_resonant_real` are ``regime``; :func:`_check_energies` checks ``e``."""
     omega, lam, xi, kappa = regime
-    e = energies
-    wa = p.omega_a[:, None]
+    with np.errstate(all="ignore"):
+        detuned = (e - p.omega_a[:, None]) * (e - omega[:, None])
+        denom = (e - (omega - kappa)[:, None]) * (e - (omega + kappa)[:, None])
+        b = (detuned - np.square(xi)[:, None]) / denom
+        c = (detuned - np.square(lam)[:, None]) / denom
+    return b, c
+
+
+def _check_energies(p: _Batch, e: np.ndarray, two: _TwoModeBatch, regime,
+                    status: _Status) -> None:
+    """Record on ``status``, per point of ``p``, the first of its energies
+    ``e`` (n, k) that :func:`_occupations` may not take as a dressed level:
+    :class:`PoleHit` within 1e-10 of a quasimode energy of ``regime``, then
+    :class:`NotAnEigenvalue` where the cleared cubic of ``two``, the solved
+    photon-phonon block, exceeds ``1e-10 * max(1, |E|^3)``.  ``two``'s own
+    failures follow the first pole check."""
+    omega, _, _, kappa = regime
     eps1, eps2 = (omega - kappa)[:, None], (omega + kappa)[:, None]
     gsq = np.square(two.gamma_abs)
     with np.errstate(all="ignore"):
         pole = np.minimum(np.abs(e - eps1), np.abs(e - eps2)) <= 1e-10
-        residual = np.abs(_phi(e, wa, two.eps[:, :1], two.eps[:, 1:], gsq[:, :1], gsq[:, 1:]))
+        residual = np.abs(_phi(e, p.omega_a[:, None], two.eps[:, :1], two.eps[:, 1:],
+                               gsq[:, :1], gsq[:, 1:]))
         bound = 1e-10 * np.maximum(1.0, np.float_power(np.abs(e), 3.0))
-        detuned = (e - wa) * (e - omega[:, None])
-        denom = (e - eps1) * (e - eps2)
-        b = (detuned - np.square(xi)[:, None]) / denom
-        c = (detuned - np.square(lam)[:, None]) / denom
     for j in range(e.shape[1]):
         status.fail(pole[:, j], lambda i: PoleHit(
             f"energy {e[i, j].item()} sits on a quasimode energy "
@@ -82,15 +89,16 @@ def _occupations(p: _Batch, energies: np.ndarray, two: _TwoModeBatch, regime,
         status.fail(residual[:, j] > bound[:, j], lambda i: NotAnEigenvalue(
             f"cubic residual {residual[i, j]:.3e} at {e[i, j].item()} exceeds {bound[i, j]:.1e}"
         ))
-    return b, c
 
 
 def _occupation_pair(params: ModelParams, energy: float) -> tuple[float, float]:
     p = _batch_of(params)
     status = _Status(1)
     regime = _resonant_real(p, status, GammaZero)
-    b, c = _occupations(p, np.array([[float(energy)]]), _two_mode(p), regime, status)
+    e = np.array([[float(energy)]])
+    _check_energies(p, e, _two_mode(p), regime, status)
     status.check()
+    b, c = _occupations(p, e, regime)
     return b[0, 0].item(), c[0, 0].item()
 
 
@@ -132,7 +140,7 @@ def duality_report(params: ModelParams, tol: float = 1e-10) -> DualityReport:
     )
 
 
-def _duality(p: _Batch, tol: float = 1e-10) -> tuple[DualityReport, _Status]:
+def _duality(p: _Batch, tol: float) -> tuple[DualityReport, _Status]:
     """:func:`duality_report` per point: the report's fields are arrays with
     one row per point (``passed`` too), and the status."""
     # the base points and their swapped copies, solved as one batch
@@ -152,7 +160,8 @@ def _duality(p: _Batch, tol: float = 1e-10) -> tuple[DualityReport, _Status]:
         f"vs {tuple(mirror[i].tolist())}"
     ))
     occupied = _Status(2 * n)
-    b_occ, c_occ = _occupations(both, spec.e, spec.two, regime, occupied)
+    _check_energies(both, spec.e, spec.two, regime, occupied)
+    b_occ, c_occ = _occupations(both, spec.e, regime)
     status.inherit(occupied)
     status.inherit(occupied, n)
     b_occ, c_occ = b_occ[:n], c_occ[n:]

@@ -99,12 +99,13 @@ class ThreeModeSpectrum:
 
 class _ThreeModeBatch(NamedTuple):
     """:class:`ThreeModeSpectrum` of every point of a batch: ``e`` and
-    ``n_norm`` (n, 3), ``v`` (n, 3, 3), ``two`` the photon-phonon batch.
-    Rows of points that failed (see ``status``) hold no solution."""
+    ``n_norm`` (n, 3), ``v`` (n, 3, 3), ``residual`` (n,) the max-norm of
+    ``V'V - I``, ``two``.  Rows of points that failed (``status``) hold no solution."""
 
     e: np.ndarray
     n_norm: np.ndarray
     v: np.ndarray
+    residual: np.ndarray
     two: _TwoModeBatch
     status: _Status
 
@@ -303,7 +304,7 @@ def _dressed(p: _Batch, two: _TwoModeBatch) -> _ThreeModeBatch:
         f"closed-form unitary failed its sanity bound (residual {residual[i]:.3e}); "
         "the spectrum is too ill-conditioned for the closed forms"
     ))
-    return _ThreeModeBatch(e=levels, n_norm=n_norm, v=v, two=two, status=status)
+    return _ThreeModeBatch(levels, n_norm, v, residual, two, status)
 
 
 def cubic_stationary(params: ModelParams) -> CubicShape:

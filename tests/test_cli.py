@@ -206,17 +206,6 @@ def test_verify_sector_flag_size_limit_exits_two(tmp_path, capsys):
     assert "10153x10153" in err
 
 
-def test_verify_sector_flag_failed_point_exits_three(tmp_path, capsys):
-    # the point's PoleHit comes first: its sector 141 is never built, so it
-    # does not meet the size cap
-    cfg = write_config(tmp_path, {"omega_a": 1.1, "omega_b": 1.0, "omega_c": 1.2,
-                                  "lambda": 3e-06, "xi": 0.2, "kappa": 0.0, "atom": "oscillator"})
-    code, out, err = run_cli(capsys, "verify", "--config", cfg, "--sector", "141")
-    assert code == 3
-    assert out == ""
-    assert err.startswith("verification failed:")
-
-
 @pytest.mark.parametrize("command", [["spectrum"], ["classify"], ["duality"],
                                      ["scan", "spectrum"]],
                          ids=["spectrum", "classify", "duality", "scan"])

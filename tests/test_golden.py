@@ -51,7 +51,7 @@ POINT_CONFIGS = (
     "underflowing-kappa-oscillator",
     # a level 3e-11 from a pole: v-unitarity and column-orthogonality-rule fail
     "near-pole-detuned",
-    # a level within the absolute 1e-10 pole guard of the eigenstate check
+    # a level 9e-11 from a pole: v-unitarity and column-orthogonality-rule fail
     "pole-guard-detuned",
     "negative-kappa",
     # assumption 2 decided at tol.ass2 = 0.05
