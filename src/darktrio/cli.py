@@ -61,7 +61,7 @@ from .oracle import Tolerances, _crosscheck
 from .threemode import _dressed, _interlacing_margin
 from .twomode import _two_mode
 
-__all__ = ["RunConfig", "ScanAxis", "main", "parse_config", "config_to_dict"]
+__all__ = ["RunConfig", "ScanAxis", "main", "parse_config"]
 
 #: config and column name -> ModelParams field, in output order
 _FIELD_FOR = {"omega_a": "omega_a", "omega_b": "omega_b", "omega_c": "omega_c",
@@ -139,10 +139,8 @@ def parse_config(doc: dict) -> RunConfig:
                 _number(doc[name], name, "a finite positive number", lambda x: 0 < x < math.inf)
                 if field_name.startswith("omega") else _as_complex(doc[name], name)
             )
-    try:
-        params = dataclasses.replace(DEFAULT_PARAMS, **values)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    # each value is checked above, so ModelParams accepts them
+    params = dataclasses.replace(DEFAULT_PARAMS, **values)
 
     kind = AtomKind.TWO_LEVEL
     if "atom" in doc:
@@ -166,7 +164,8 @@ def parse_config(doc: dict) -> RunConfig:
         base_value = getattr(params, _FIELD_FOR[param])
         if base_value.imag != 0.0:
             raise ConfigError(
-                f"scan[{i}]: {param} has a complex base value {_pair(base_value)}; "
+                f"scan[{i}]: {param} has a complex base value "
+                f"{[base_value.real, base_value.imag]}; "
                 "scan values are real, so its imaginary part would be dropped"
             )
         steps = entry["steps"]
@@ -188,21 +187,6 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"sector must be a nonnegative integer, got {sector!r}")
 
     return RunConfig(params=params, kind=kind, scan=tuple(axes), tol=tol, sector=sector)
-
-
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    """Canonical JSON form of a config; ``parse_config`` round-trips it."""
-    doc = {}
-    for name, field_name in _FIELD_FOR.items():
-        value = getattr(cfg.params, field_name)
-        doc[name] = _pair(value) if isinstance(value, complex) else value
-    doc.update(atom=cfg.kind.value, scan=[dataclasses.asdict(axis) for axis in cfg.scan],
-               tol=dict(cfg.tol), sector=cfg.sector)
-    return doc
 
 
 def _grid(cfg: RunConfig) -> _Batch:
@@ -349,9 +333,9 @@ def _duality_rows(cfg: RunConfig) -> Table:
 
 
 def _verify_rows(cfg: RunConfig) -> Table:
-    extra = cfg.kind is AtomKind.OSCILLATOR and cfg.sector not in (None, 2)
+    # a requested sector gets its row for either atom; a two-level row skips
     checks = _crosscheck(_batch_of(cfg.params), cfg.kind, _tolerances(cfg.tol),
-                         (2, cfg.sector) if extra else (2,))
+                         (2,) if cfg.sector in (None, 2) else (2, cfg.sector))
     checks.status.check()
     skipped = checks.skipped[0]
     return {
@@ -407,12 +391,50 @@ def _write_csv(table: Table, stream) -> None:
 _CELL_ENCODER = json.JSONEncoder(allow_nan=False, separators=("\n", ": "))
 
 
+def _block(brackets: str, items: list[str], indent: str) -> str:
+    """``items`` inside ``brackets`` as ``json.dumps`` lays them out at
+    ``indent=2``, for a container whose own line starts with ``indent``."""
+    if not items:
+        return brackets
+    inner = indent + "  "
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
+
+
+@functools.lru_cache(maxsize=16)
+def _head_template(axes: int, tols: int) -> str:
+    """The document of :func:`_json_text` for a config with ``axes`` scan axes
+    and ``tols`` tolerances: a ``%s`` for the version, every value and
+    tolerance name of the config, and the rows."""
+    pair = _block("[]", ["%s", "%s"], "    ")
+    axis = _block("{}", [f'"{key}": %s' for key in ("param", "start", "stop", "steps")], "      ")
+    config = [f'"{name}": ' + ("%s" if name.startswith("omega") else pair) for name in _FIELD_FOR]
+    config += ['"atom": %s', '"scan": ' + _block("[]", [axis] * axes, "    "),
+               '"tol": ' + _block("{}", ["%s: %s"] * tols, "    "), '"sector": %s']
+    config = '"config": ' + _block("{}", config, "  ")
+    return _block("{}", ['"version": %s', config, '"rows": %s'], "")
+
+
+@functools.lru_cache(maxsize=64)
+def _row_template(names: tuple[str, ...]) -> str:
+    """One row of a table with the columns ``names``, a ``%s`` per cell."""
+    return _block("{}", [f"{json.dumps(name).replace('%', '%%')}: %s" for name in names], "    ")
+
+
 def _json_text(cfg: RunConfig, table: Table) -> str:
     """The bytes of ``json.dumps`` at ``indent=2`` of the version, the config
-    and one dict per row.  One encoder call formats every cell of the table,
-    hidden cells as ``null``; the rows are joined through a fixed template.
-    A shown NaN or inf raises ``ValueError``, as in ``json.dumps``."""
-    flat, pairs, n = [], [], 0
+    and one dict per row.  One encoder call formats the config's values and
+    every cell of the table, hidden cells as ``null``; the document and each
+    row go through a ``%`` template of their shape.  A shown NaN or inf
+    raises ``ValueError``, as in ``json.dumps``."""
+    p = cfg.params  # the version and the config's values, in _head_template's order
+    flat = [__version__, p.omega_a, p.omega_b, p.omega_c, p.lam.real, p.lam.imag,
+            p.xi.real, p.xi.imag, p.kappa.real, p.kappa.imag, cfg.kind.value]
+    for axis in cfg.scan:
+        flat += (axis.param, axis.start, axis.stop, axis.steps)
+    for item in cfg.tol.items():
+        flat += item
+    flat.append(cfg.sector)
+    head, pairs, n = len(flat), [], 0
     for column in table.values():
         values = column.values
         n = len(values)  # the same in every column
@@ -422,26 +444,22 @@ def _json_text(cfg: RunConfig, table: Table) -> str:
         for part in (values.real, values.imag) if pairs[-1] else (values,):
             cells = part.tolist()
             if column.names is not None:
-                cells = [column.names[code] for code in cells]
-            if shown is not None:
+                cells = list(map(column.names.__getitem__, cells))
+            if shown is not None and False in shown:
                 cells = [cell if keep else None for cell, keep in zip(cells, shown)]
             flat += cells
     text = _CELL_ENCODER.encode(flat)[1:-1].split("\n")
-    columns, start = [], 0
-    for i, (name, pair) in enumerate(zip(table, pairs)):
+    columns, start = [], head
+    for pair in pairs:
         cells = text[start:start + n]
         start += n
         if pair:  # a hidden pair is one null
             cells = [real if real == "null" else f"[\n        {real},\n        {imag}\n      ]"
                      for real, imag in zip(cells, text[start:start + n])]
             start += n
-        prefix = (",\n" if i else "    {\n") + f"      {json.dumps(name)}: "
-        columns.append([prefix + cell for cell in cells])
-    rows = "\n    },\n".join(map("".join, zip(*columns)))
-    head = json.dumps({"version": __version__, "config": config_to_dict(cfg)},
-                      indent=2, allow_nan=False)
-    array = "[\n" + rows + "\n    }\n  ]" if rows else "[]"
-    return head[:-2] + ',\n  "rows": ' + array + "\n}\n"
+        columns.append(cells)
+    rows = _block("[]", list(map(_row_template(tuple(table)).__mod__, zip(*columns))), "  ")
+    return _head_template(len(cfg.scan), len(cfg.tol)) % (*text[:head], rows) + "\n"
 
 
 def _emit(cfg: RunConfig, table: Table, fmt: str, output: str | None) -> None:

@@ -35,8 +35,8 @@ from .errors import (
     WrongSector,
     _Status,
 )
-from .model import (GAMMA_RTOL, AtomKind, ModelParams, _batch_of, _Batch, _sector_matrices,
-                    sector_basis)
+from .model import (GAMMA_RTOL, AtomKind, ModelParams, _batch_of, _Batch, _norm,
+                    _sector_matrices, sector_basis)
 from .threemode import _bare_vectors, _d1_and_slope
 from .twomode import _two_mode
 
@@ -217,15 +217,13 @@ def _tuning(p: _Batch, tol: float):
     omega, lam, xi, kappa = _resonant_real(p, status)
     target = omega - p.omega_a
     threshold = tol * np.maximum(1.0, np.abs(target))
-
-    def branch(x, y):
-        # a branch whose leading coupling vanishes is inapplicable
-        with np.errstate(all="ignore"):
-            residual = np.where(x == 0.0, np.inf, np.abs(_f_of(x, y, kappa) - target))
-            energy = np.where(x == 0.0, np.nan, _e_of(x, y, omega, kappa))
-        return residual, energy, residual < threshold
-
-    return (branch(lam, xi), branch(xi, lam)), status
+    # both branches at once: the dark one leads with lambda, the quasi-dark
+    # one with xi, and a branch whose leading coupling vanishes is inapplicable
+    x, y = np.array([lam, xi]), np.array([xi, lam])
+    with np.errstate(all="ignore"):
+        residual = np.where(x == 0.0, np.inf, np.abs(_f_of(x, y, kappa) - target))
+        energy = np.where(x == 0.0, np.nan, _e_of(x, y, omega, kappa))
+    return tuple(zip(residual, energy, residual < threshold)), status
 
 
 def assemble_eigenstate(params: ModelParams, energy: float) -> SectorVector:
@@ -247,7 +245,7 @@ def assemble_eigenstate(params: ModelParams, energy: float) -> SectorVector:
     if abs(e - eps[0]) <= 1e-10 or abs(e - eps[1]) <= 1e-10:
         raise PoleHit(f"energy {e} sits on a quasimode energy {eps}")
     with np.errstate(all="ignore"):
-        residual = abs(_d1_and_slope(e, p.omega_a[0], *eps, *np.square(two.gamma_abs[0]))[0])
+        residual = abs(_d1_and_slope(e, p.omega_a[0], two.eps[0], np.square(two.gamma_abs[0]))[0])
     if residual >= 1e-8:
         raise NotAnEigenvalue(f"spectral function is {residual:.3e} at {e}, above 1.0e-08")
     return SectorVector(amps=_bare_vectors(two.u, two.gamma, two.eps, np.array([[e]]))[0, :, 0],
@@ -274,9 +272,7 @@ _VARIANTS = (StateClass.DEGENERATE, StateClass.DARK, StateClass.QUASI_DARK, Stat
 
 def _variant_codes(photon, phonon, cutoff):
     """Index into ``_VARIANTS`` per state, from amplitude magnitudes and cutoffs."""
-    dark = photon < cutoff
-    quasi = phonon < cutoff
-    return np.where(dark, np.where(quasi, 0, 1), np.where(quasi, 2, 3))
+    return 3 - 2 * (photon < cutoff) - (phonon < cutoff)
 
 
 def duality_swap(params: ModelParams) -> ModelParams:
@@ -371,9 +367,10 @@ def _phase_fixed(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column's global phase so its atom (or largest) component is
     positive; ``vectors`` is a stack of eigenvector matrices."""
     magnitude = np.abs(vectors)
-    no_atom = magnitude[:, 0, :] <= 1e-12 * np.linalg.norm(vectors, axis=1)
+    no_atom = magnitude[:, 0, :] <= 1e-12 * _norm(vectors, 1)
     anchor_row = np.where(no_atom, np.argmax(magnitude, axis=1), 0)
-    anchor = np.take_along_axis(vectors, anchor_row[:, None, :], axis=1)
+    n, _, k = vectors.shape
+    anchor = vectors[np.arange(n)[:, None], anchor_row, np.arange(k)][:, None, :]
     with np.errstate(invalid="ignore"):  # NaN columns of a failed solve
         phase = anchor / np.abs(anchor)
         return vectors / phase + 0.0  # the +0.0 collapses negative zeros
@@ -421,6 +418,6 @@ def _classified(p: _Batch, tol: float) -> _Classified:
     energies, vectors, status = _eigh(_sector_matrices(p, AtomKind.TWO_LEVEL, 1))
     states = _phase_fixed(vectors)
     magnitudes = np.abs(states)
-    cutoff = tol * np.linalg.norm(states, axis=1)
+    cutoff = tol * _norm(states, 1)
     codes = _variant_codes(magnitudes[:, 1, :], magnitudes[:, 2, :], cutoff)
     return _Classified(energies, states, magnitudes, codes, status)

@@ -150,10 +150,14 @@ class _Batch:
         return len(self.omega_a)
 
     @cached_property
+    def coupling_abs(self) -> np.ndarray:
+        """``|lambda|``, ``|xi|`` and ``|kappa|`` per point, shape (3, n)."""
+        return _abs(np.array([self.lam, self.xi, self.kappa]))
+
+    @cached_property
     def coupling_scale(self) -> np.ndarray:
         """``max(|lambda|, |xi|, |kappa|, 1)`` per point, the scale of the zero floors."""
-        return np.maximum(np.maximum(np.maximum(_abs(self.lam), _abs(self.xi)),
-                                     _abs(self.kappa)), 1.0)
+        return np.maximum(np.maximum.reduce(self.coupling_abs), 1.0)
 
     def and_swapped(self) -> "_Batch":
         """The batch followed by its copy with ``lambda`` and ``xi`` exchanged."""
@@ -189,14 +193,15 @@ def _abs(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
+def _norm(x: np.ndarray, axis: int) -> np.ndarray:
+    """Euclidean norms along ``axis``: the sum ``np.linalg.norm`` forms, without
+    its argument handling."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis))
+
+
 def _max_abs(x: np.ndarray) -> np.ndarray:
     """Largest magnitude per point: over all axes of ``x`` but the first."""
     return np.maximum.reduce(np.abs(x).reshape(len(x), -1), axis=1)
-
-
-def ass1_margin(p) -> np.ndarray:
-    """Signed distance of |kappa| below sqrt(omega_b * omega_c), per point of batch ``p``."""
-    return np.sqrt(p.omega_b * p.omega_c) - _abs(p.kappa)
 
 
 def validate(params: ModelParams) -> AssumptionReport:
@@ -232,7 +237,8 @@ def _assumption_margins(p: _Batch, two, ass2_rtol: float = GAMMA_RTOL) -> np.nda
     margins[:, 1] = np.minimum(g1, g2) - ass2_rtol * p.coupling_scale
 
     wa, wb, wc = p.omega_a, p.omega_b, p.omega_c
-    g1sq, g2sq, ksq = np.square(g1), np.square(g2), np.square(_abs(p.kappa))
+    gsq, ksq = np.square(two.gamma_abs), np.square(p.coupling_abs[2])
+    g1sq, g2sq = gsq[:, 0], gsq[:, 1]
     margins[:, 2] = (wa * wb + wb * wc + wc * wa) - (ksq + g1sq + g2sq)
     margins[:, 3] = wa * wb * wc - (wa * ksq + two.eps[:, 0] * g2sq + two.eps[:, 1] * g1sq)
     return margins
@@ -284,7 +290,7 @@ def sector_matrix(params: ModelParams, kind: AtomKind, ell: int) -> SectorMatrix
 def _sector_matrices(p: _Batch, kind: AtomKind, ell: int) -> np.ndarray:
     """:func:`sector_matrix` of every point of the batch ``p``, shape (n, dim, dim)."""
     return _sector_block(_sector_layout(kind, ell, complex), p.omega_a, p.omega_b, p.omega_c,
-                         np.stack([p.lam, p.xi, p.kappa], axis=1).conj())
+                         np.array([p.lam, p.xi, p.kappa]).T.conj())
 
 
 class _SectorLayout(NamedTuple):

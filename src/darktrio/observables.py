@@ -52,13 +52,13 @@ class DualityReport:
 def _occupations(p: _Batch, e: np.ndarray, regime) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized (photon, phonon) occupations at the dressed levels ``e``
     (n, k), one row per point of ``p``, whose (omega, lam, xi, kappa) from
-    :func:`_resonant_real` are ``regime``; :func:`_check_energies` checks ``e``."""
+    :func:`_resonant_real` are ``regime``; :func:`_check_energies` checks ``e``.
+    Like it, it runs under the caller's ``np.errstate(all="ignore")``."""
     omega, lam, xi, kappa = regime
-    with np.errstate(all="ignore"):
-        detuned = (e - p.omega_a[:, None]) * (e - omega[:, None])
-        denom = (e - (omega - kappa)[:, None]) * (e - (omega + kappa)[:, None])
-        b = (detuned - np.square(xi)[:, None]) / denom
-        c = (detuned - np.square(lam)[:, None]) / denom
+    detuned = (e - p.omega_a[:, None]) * (e - omega[:, None])
+    denom = (e - (omega - kappa)[:, None]) * (e - (omega + kappa)[:, None])
+    b = (detuned - np.square(xi)[:, None]) / denom
+    c = (detuned - np.square(lam)[:, None]) / denom
     return b, c
 
 
@@ -69,15 +69,19 @@ def _check_energies(p: _Batch, e: np.ndarray, two: _TwoModeBatch, regime,
     :class:`PoleHit` within 1e-10 of a quasimode energy of ``regime``, then
     :class:`NotAnEigenvalue` where the cleared cubic of ``two``, the solved
     photon-phonon block, exceeds ``1e-10 * max(1, |E|^3)``.  ``two``'s own
-    failures follow the first pole check."""
+    failures follow the first pole check.  Runs under the caller's
+    ``np.errstate(all="ignore")``."""
     omega, _, _, kappa = regime
     eps1, eps2 = (omega - kappa)[:, None], (omega + kappa)[:, None]
     gsq = np.square(two.gamma_abs)
-    with np.errstate(all="ignore"):
-        pole = np.minimum(np.abs(e - eps1), np.abs(e - eps2)) <= 1e-10
-        residual = np.abs(_phi(e, p.omega_a[:, None], two.eps[:, :1], two.eps[:, 1:],
-                               gsq[:, :1], gsq[:, 1:]))
-        bound = 1e-10 * np.maximum(1.0, np.float_power(np.abs(e), 3.0))
+    pole = np.minimum(np.abs(e - eps1), np.abs(e - eps2)) <= 1e-10
+    residual = np.abs(_phi(e, p.omega_a[:, None], two.eps[:, :1], two.eps[:, 1:],
+                           gsq[:, :1], gsq[:, 1:]))
+    bound = 1e-10 * np.maximum(1.0, np.float_power(np.abs(e), 3.0))
+    off = residual > bound
+    if not (np.count_nonzero(pole) or np.count_nonzero(off)):
+        status.inherit(two.status)
+        return
     for j in range(e.shape[1]):
         status.fail(pole[:, j], lambda i: PoleHit(
             f"energy {e[i, j].item()} sits on a quasimode energy "
@@ -86,7 +90,7 @@ def _check_energies(p: _Batch, e: np.ndarray, two: _TwoModeBatch, regime,
         if j == 0:
             # a degenerate photon-phonon block shows after the first pole check
             status.inherit(two.status)
-        status.fail(residual[:, j] > bound[:, j], lambda i: NotAnEigenvalue(
+        status.fail(off[:, j], lambda i: NotAnEigenvalue(
             f"cubic residual {residual[i, j]:.3e} at {e[i, j].item()} exceeds {bound[i, j]:.1e}"
         ))
 
@@ -96,9 +100,10 @@ def _occupation_pair(params: ModelParams, energy: float) -> tuple[float, float]:
     status = _Status(1)
     regime = _resonant_real(p, status, GammaZero)
     e = np.array([[float(energy)]])
-    _check_energies(p, e, _two_mode(p), regime, status)
+    with np.errstate(all="ignore"):
+        _check_energies(p, e, _two_mode(p), regime, status)
+        b, c = _occupations(p, e, regime)
     status.check()
-    b, c = _occupations(p, e, regime)
     return b[0, 0].item(), c[0, 0].item()
 
 
@@ -153,18 +158,18 @@ def _duality(p: _Batch, tol: float) -> tuple[DualityReport, _Status]:
     for stage, offset in ((checks, 0), (spec.status, 0), (spec.status, n)):
         status.inherit(stage, offset)
     base, mirror = spec.e[:n], spec.e[n:]
-    with np.errstate(invalid="ignore"):
+    with np.errstate(all="ignore"):
         apart = np.abs(base - mirror) > 1e-12 * np.maximum(1.0, np.abs(base))
-    status.fail(apart.any(axis=1), lambda i: DegenerateSpectrum(
-        f"swapped spectra failed to match: {tuple(base[i].tolist())} "
-        f"vs {tuple(mirror[i].tolist())}"
-    ))
-    occupied = _Status(2 * n)
-    _check_energies(both, spec.e, spec.two, regime, occupied)
-    b_occ, c_occ = _occupations(both, spec.e, regime)
-    status.inherit(occupied)
-    status.inherit(occupied, n)
-    b_occ, c_occ = b_occ[:n], c_occ[n:]
-    with np.errstate(invalid="ignore"):
-        mismatch = np.max(np.abs(b_occ - c_occ), axis=1)
+        if np.count_nonzero(apart):
+            status.fail(apart.any(axis=1), lambda i: DegenerateSpectrum(
+                f"swapped spectra failed to match: {tuple(base[i].tolist())} "
+                f"vs {tuple(mirror[i].tolist())}"
+            ))
+        occupied = _Status(2 * n)
+        _check_energies(both, spec.e, spec.two, regime, occupied)
+        b_occ, c_occ = _occupations(both, spec.e, regime)
+        status.inherit(occupied)
+        status.inherit(occupied, n)
+        b_occ, c_occ = b_occ[:n], c_occ[n:]
+        mismatch = np.maximum.reduce(np.abs(b_occ - c_occ), axis=1)
     return DualityReport((base, mirror), b_occ, c_occ, mismatch, tol), status

@@ -31,6 +31,7 @@ from .model import (
     _batch_of,
     _Batch,
     _max_abs,
+    _norm,
     _sector_block,
     _sector_layout,
     _sector_matrices,
@@ -364,13 +365,13 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances, sectors=(2,)) -> _Ch
     status.inherit(solver, n)
     sector_runs = ((sector == _RAN) & status.ok).any()
     regime = _Status(n)
-    occupations = observables._occupations(p, e, darkstates._resonant_real(p, regime, GammaZero))
+    resonant = darkstates._resonant_real(p, regime, GammaZero)
 
     with np.errstate(all="ignore"):
-        ak = _abs(p.kappa)
+        ak = p.coupling_abs[2]
         ksq = (ak * ak)[:, None]
-        block_scale = np.linalg.norm(blocks.reshape(n, 4), axis=1)
-        bare_scale = np.linalg.norm(bare.reshape(n, 9), axis=1)
+        block_scale = _norm(blocks.reshape(n, 4), 1)
+        bare_scale = _norm(bare.reshape(n, 9), 1)
         u_h, v_h = u.conj().swapaxes(1, 2), v.conj().swapaxes(1, 2)
         gsq = np.square(two.gamma_abs)
         g1, g2, e1, e2 = gsq[:, :1], gsq[:, 1:], eps[:, :1], eps[:, 1:]
@@ -388,7 +389,7 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances, sectors=(2,)) -> _Ch
         states = threemode._bare_vectors(u, gamma, eps, e).swapaxes(1, 2)
         defect = np.matmul(bare[:, None], states[..., None])[..., 0] - states * e[:, :, None]
         amplitude_sq = np.square(_abs(states[:, :, 1:]))
-        closed = np.stack(occupations, axis=2)
+        closed = np.stack(observables._occupations(p, e, resonant), axis=2)
         columns = {
             **{name: (margins[:, i], 0.0) for i, name in enumerate(_CHECKS[:4])},
             "quasimode-energies": (_max_abs(modes[0] - eps),
@@ -412,12 +413,12 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances, sectors=(2,)) -> _Ch
                                            - e[:, :, None] * _EYE3),
                                   tol.v_diag * np.maximum(1.0, bare_scale)),
             "column-orthogonality-rule": (_max_abs(rule), tol.b1),
-            "normalizers": (_max_abs((n_norm - 1.0 / np.linalg.norm(raw, axis=2)) / n_norm),
+            "normalizers": (_max_abs((n_norm - 1.0 / _norm(raw, 2)) / n_norm),
                             tol.n_norm),
             "eigenvector-match": (_max_abs(1.0 - _abs(overlap)), tol.eigvec),
             "eigenstate-residuals": (
-                _max_abs(np.linalg.norm(defect, axis=2)
-                         / (bare_scale[:, None] * np.linalg.norm(states, axis=2))), tol.eigenstate),
+                _max_abs(_norm(defect, 2)
+                         / (bare_scale[:, None] * _norm(states, 2))), tol.eigenstate),
             "interlacing": (threemode._interlacing_margin(e, eps), 0.0),
             "occupation-amplitudes": (_max_abs((closed - amplitude_sq) / np.maximum(
                 np.maximum(np.abs(closed), amplitude_sq), 1.0)), tol.occupation),

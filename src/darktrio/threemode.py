@@ -37,6 +37,7 @@ never as the root finder.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -151,8 +152,7 @@ def _quasi_matrices(omega_a, eps, gamma) -> np.ndarray:
     """:func:`quasi_basis_matrix` per point: ``omega_a`` (n,), ``eps`` and ``gamma`` (n, 2)."""
     h = np.zeros((len(omega_a), 3, 3), dtype=complex)
     h[:, 0, 0], h[:, 1, 1], h[:, 2, 2] = eps[:, 0], eps[:, 1], omega_a
-    h[:, 0, 2], h[:, 1, 2] = gamma[:, 0], gamma[:, 1]
-    h[:, 2, 0], h[:, 2, 1] = gamma[:, 0].conj(), gamma[:, 1].conj()
+    h[:, :2, 2], h[:, 2, :2] = gamma, gamma.conj()
     return h
 
 
@@ -160,23 +160,25 @@ def _interlacing_margin(e, eps) -> np.ndarray:
     """Least step of the chain ``0 < E_1 < eps_1 < E_2 < eps_2 < E_3`` per
     point, from the levels ``e`` (n, 3) and quasimode energies ``eps`` (n, 2):
     positive exactly where the chain holds."""
-    return np.min([e[:, 0], eps[:, 0] - e[:, 0], e[:, 1] - eps[:, 0],
-                   eps[:, 1] - e[:, 1], e[:, 2] - eps[:, 1]], axis=0)
+    return functools.reduce(np.minimum, (e[:, 0], eps[:, 0] - e[:, 0], e[:, 1] - eps[:, 0],
+                                         eps[:, 1] - e[:, 1], e[:, 2] - eps[:, 1]))
 
 
-def _d1_and_slope(x, omega_a, e1, e2, g1sq, g2sq):
-    """``d1(x)`` and its derivative from quasimode energies ``e1``, ``e2`` and
-    ``|Gamma_j|^2``, elementwise.  ``x`` must not be a quasimode energy.
+def _d1_and_slope(x, omega_a, poles, gsq):
+    """``d1(x)`` and its derivative, elementwise, from the quasimode energies
+    ``poles`` and the ``|Gamma_j|^2`` ``gsq``, each stacked on a leading axis
+    of length 2.  ``x`` must not be a quasimode energy.
     """
-    r1 = x - e1
-    r2 = x - e2
-    value = x - omega_a - g1sq / r1 - g2sq / r2
-    return value, _slope(r1, r2, g1sq, g2sq)
+    r = x - poles
+    q = gsq / r
+    return x - omega_a - q[0] - q[1], _slope(r, gsq)
 
 
-def _slope(r1, r2, g1sq, g2sq):
-    """``d1'(x)`` from the distances ``r_j = x - eps_j`` to the poles."""
-    return 1.0 + g1sq / (r1 * r1) + g2sq / (r2 * r2)
+def _slope(r, gsq):
+    """``d1'(x)`` from the distances ``r = x - eps_j`` to the poles, stacked as in
+    :func:`_d1_and_slope`."""
+    s = gsq / (r * r)
+    return 1.0 + s[0] + s[1]
 
 
 def _bare_vectors(u, gamma, eps, energies) -> np.ndarray:
@@ -202,7 +204,7 @@ def d1(params: ModelParams, x):
     guard = 1e-12 * max(1.0, abs(x))
     if min(abs(x - eps[0]), abs(x - eps[1])) <= guard:
         raise PoleHit(f"x = {x!r} sits on a quasimode energy {eps}")
-    return _d1_and_slope(x, params.omega_a, *eps, *np.square(two.gamma_abs[0]))[0]
+    return _d1_and_slope(x, params.omega_a, two.eps[0], np.square(two.gamma_abs[0]))[0]
 
 
 def phi(params: ModelParams, x: float) -> float:
@@ -268,35 +270,37 @@ def _dressed(p: _Batch, two: _TwoModeBatch) -> _ThreeModeBatch:
     levels = np.linalg.eigvalsh(h)
     # omega_a, eps_1, eps_2, |Gamma_1|^2, |Gamma_2|^2, one copy per level:
     # operands of one shape keep numpy on its fast path
-    per_point = np.empty((5, n))
-    per_point[0], per_point[1:3], per_point[3:] = p.omega_a, two.eps.T, np.square(g_abs).T
-    wa, e1, e2, g1sq, g2sq = np.repeat(per_point[:, :, None], 3, axis=2)
+    per_level = np.empty((5, n, 3))
+    wa, poles, gsq = per_level[0], per_level[1:3], per_level[3:]
+    wa[:], poles[:] = p.omega_a[:, None], two.eps.T[:, :, None]
+    gsq[:] = np.square(g_abs).T[:, :, None]
     with np.errstate(all="ignore"):
         # two Newton steps on d1; the slope is >= 1, so steps are small and
         # safe.  A level that lands on a pole stays there.
         stopped = np.zeros(levels.shape, dtype=bool)
         for _ in range(2):
-            stopped |= (levels == e1) | (levels == e2)
-            value, slope = _d1_and_slope(levels, wa, e1, e2, g1sq, g2sq)
+            at_pole = levels == poles
+            stopped |= at_pole[0] | at_pole[1]
+            value, slope = _d1_and_slope(levels, wa, poles, gsq)
             levels = np.where(stopped, levels, levels - value / slope)
         levels.sort(axis=1)
         gap = np.minimum(levels[:, 1] - levels[:, 0], levels[:, 2] - levels[:, 1])
         status.fail(gap < 1e-10 * scale, lambda i: DegenerateSpectrum(
             f"dressed levels {levels[i].tolist()} are closer than 1.0e-10 * ||H||"
         ))
-        on_pole = (levels == e1) | (levels == e2)
-        status.fail(on_pole.any(axis=1), lambda i: DegenerateSpectrum(
-            f"dressed level {levels[i][on_pole[i]][0].item()} collides with a quasimode "
-            f"energy {tuple(two.eps[i].tolist())}"
-        ))
+        at_pole = levels == poles
+        on_pole = at_pole[0] | at_pole[1]
+        if np.count_nonzero(on_pole):
+            status.fail(on_pole.any(axis=1), lambda i: DegenerateSpectrum(
+                f"dressed level {levels[i][on_pole[i]][0].item()} collides with a quasimode "
+                f"energy {tuple(two.eps[i].tolist())}"
+            ))
 
-        gaps = np.empty((n, 2, 3))
-        gaps[:, 0], gaps[:, 1] = levels - e1, levels - e2
-        n_norm = 1.0 / np.sqrt(_slope(gaps[:, 0], gaps[:, 1], g1sq, g2sq))
+        gaps = levels - poles
+        n_norm = 1.0 / np.sqrt(_slope(gaps, gsq))
         # rows (quasimode 1, quasimode 2): N_j * Gamma / (E_j - eps), shape (n, 2, 3)
-        scaled = np.repeat(n_norm[:, None, :], 2, axis=1) * two.gamma[:, :, None]
         v = np.empty((n, 3, 3), dtype=complex)
-        v[:, :2, :] = scaled / gaps
+        v[:, :2, :] = n_norm[:, None, :] * two.gamma[:, :, None] / gaps.swapaxes(0, 1)
         v[:, 2, :] = n_norm
 
         residual = _max_abs(np.matmul(v.conj().swapaxes(1, 2), v) - _EYE3)

@@ -41,7 +41,6 @@ from .model import (
     _abs,
     _batch_of,
     _Batch,
-    ass1_margin,
 )
 
 __all__ = ["TwoModeSpectrum", "two_mode_spectrum"]
@@ -109,10 +108,12 @@ def _two_mode(p: _Batch) -> _TwoModeBatch:
     """
     n = len(p)
     wb, wc, kappa = p.omega_b, p.omega_c, p.kappa
-    ak = _abs(kappa)
-    split = np.hypot(wb - wc, 2.0 * ak)
+    ak = p.coupling_abs[2]
+    detuning = wc - wb
+    split = np.hypot(detuning, 2.0 * ak)
     status = _Status(n)
-    margin1 = ass1_margin(p)
+    # assumption 1: |kappa| below sqrt(omega_b * omega_c)
+    margin1 = np.sqrt(wb * wc) - ak
     status.fail(split < 1e-12 * (wb + wc), lambda i: DegenerateTwoMode(
         f"photon and phonon are degenerate{' and uncoupled' if kappa[i] == 0 else ''} "
         f"(splitting {split[i]:.3e}); the normal-mode factors are undefined",
@@ -122,7 +123,7 @@ def _two_mode(p: _Batch) -> _TwoModeBatch:
     with np.errstate(all="ignore"):
         # d[:, j] = eps_j - omega_b
         upper = wc >= wb
-        large = 0.5 * ((wc - wb) + np.where(upper, split, -split))
+        large = 0.5 * (detuning + np.copysign(split, detuning))
         small = -(ak * ak) / large
         d = np.empty((n, 2))
         d[:, 0] = np.where(upper, small, large)
@@ -138,12 +139,12 @@ def _two_mode(p: _Batch) -> _TwoModeBatch:
         # numpy divides by a complex through its reciprocal, which overflows
         # for |kappa| below about 1 / DBL_MAX; there the quotients are formed
         # from d_j / |kappa| and the phase kappa / |kappa|
-        lost = ~(np.isfinite(xi_d_by_kappa) & np.isfinite(m_d_by_conj))
-        if np.count_nonzero(lost):
+        kept = np.isfinite(xi_d_by_kappa) & np.isfinite(m_d_by_conj)
+        if np.count_nonzero(kept) < kept.size:
             phase = kappa.real / ak + 1j * (kappa.imag / ak)
-            xi_d_by_kappa = np.where(lost, p.xi[:, None] * (ratio * phase.conj()[:, None]),
-                                     xi_d_by_kappa)
-            m_d_by_conj = np.where(lost, m * ratio * phase[:, None], m_d_by_conj)
+            xi_d_by_kappa = np.where(kept, xi_d_by_kappa,
+                                     p.xi[:, None] * (ratio * phase.conj()[:, None]))
+            m_d_by_conj = np.where(kept, m_d_by_conj, m * ratio * phase[:, None])
         g = m * (p.lam[:, None] + xi_d_by_kappa)
         u = np.empty((n, 2, 2), dtype=complex)
         u[:, 0, :] = m
@@ -152,8 +153,9 @@ def _two_mode(p: _Batch) -> _TwoModeBatch:
     # decoupled modes, or a coupling too weak for d_j / |kappa| to stay
     # finite (|kappa| near the underflow limit): quasimodes are the bare
     # modes, ordered by frequency
-    decoupled = ~np.isfinite(ratio).all(axis=1)
-    if np.count_nonzero(decoupled):
+    coupled = np.isfinite(ratio)
+    if np.count_nonzero(coupled) < coupled.size:
+        decoupled = ~coupled.all(axis=1)
         for mask, first, second in ((decoupled & (wb < wc), 0, 1),
                                     (decoupled & ~(wb < wc), 1, 0)):
             eps[mask, first], eps[mask, second] = wb[mask], wc[mask]

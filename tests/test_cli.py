@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -19,9 +20,21 @@ from hypothesis import strategies as st
 
 import darktrio
 from darktrio import cli
-from darktrio.cli import RunConfig, _Column, _emit, config_to_dict, main, parse_config
+from darktrio.cli import RunConfig, _Column, _emit, main, parse_config
 
 SRC = str(pathlib.Path(darktrio.__file__).parents[1])
+
+
+def config_to_dict(cfg: RunConfig) -> dict:
+    """The config in its JSON form, the reference for the JSON output's head:
+    ``parse_config`` round-trips it."""
+    doc = {}
+    for name, field_name in cli._FIELD_FOR.items():
+        value = getattr(cfg.params, field_name)
+        doc[name] = [value.real, value.imag] if isinstance(value, complex) else value
+    doc.update(atom=cfg.kind.value, scan=[dataclasses.asdict(axis) for axis in cfg.scan],
+               tol=dict(cfg.tol), sector=cfg.sector)
+    return doc
 
 
 def run_cli(capsys, *args):
@@ -182,6 +195,23 @@ def test_verify_sector_flag_skips_where_assumptions_fail(tmp_path, capsys):
             assert rows[name]["skipped"]
             assert rows[name]["reason"] == "standing assumptions not satisfied"
     assert code == run_cli(capsys, "verify", "--config", cfg)[0]
+
+
+def test_verify_sector_flag_two_level_reports_the_row_skipped(tmp_path, capsys):
+    # level sums apply to the oscillator only, so no sector matrix is built:
+    # sector 141 does not meet the size cap either
+    cfg = write_config(tmp_path, DARK_POINT)
+    for argv in (["--sector", "3"], ["--sector", "141"]):
+        code, out, _ = run_cli(capsys, "verify", "--config", cfg, *argv)
+        assert code == 0
+        rows = {r["check"]: r for r in json.loads(out)["rows"]}
+        for name in ("sector-2-spectrum", f"sector-{argv[1]}-spectrum"):
+            assert rows[name]["skipped"]
+            assert rows[name]["reason"] == "level sums apply to the oscillator atom"
+    # the config key asks for the same row
+    cfg = write_config(tmp_path, dict(DARK_POINT, sector=3))
+    rows = json.loads(run_cli(capsys, "verify", "--config", cfg)[1])["rows"]
+    assert [r["check"] for r in rows][-2:] == ["sector-2-spectrum", "sector-3-spectrum"]
 
 
 def test_verify_sector_flag_gives_the_unsolved_spectrum_reason(tmp_path, capsys):
@@ -681,6 +711,45 @@ def test_emit_json_matches_json_dumps_on_random_tables(table, data):
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
         _emit(_JSON_CONFIG, table, "json", None)
+    assert buffer.getvalue() == want
+
+
+@st.composite
+def _config_documents(draw):
+    """Config documents of both atoms: frequencies and coupling parts with
+    ``-0.0`` and extreme exponents, real and complex couplings, 0 to 2 scan
+    axes, tolerance overrides and a sector or none."""
+    doc = {"atom": draw(st.sampled_from(["two-level", "oscillator"]))}
+    for name in ("omega_a", "omega_b", "omega_c"):
+        if draw(st.booleans()):
+            doc[name] = draw(st.sampled_from([5e-324, 1e-300, 1.0, 1.7976931348623157e308])
+                             | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    for name in ("lambda", "xi", "kappa"):
+        if draw(st.booleans()):
+            real, imag = draw(_SHOWN_FLOATS), draw(_SHOWN_FLOATS)
+            doc[name] = draw(st.sampled_from([real, [real, imag]]))
+    # a scanned parameter needs a real base value
+    real = [name for name in cli._FIELD_FOR
+            if not (isinstance(doc.get(name), list) and doc[name][1] != 0.0)]
+    doc["scan"] = [{"param": draw(st.sampled_from(real)), "start": draw(_SHOWN_FLOATS),
+                    "stop": draw(_SHOWN_FLOATS), "steps": draw(st.integers(1, 10**20))}
+                   for _ in range(draw(st.integers(0, 2)))]
+    names = [field.name for field in dataclasses.fields(darktrio.Tolerances)]
+    doc["tol"] = draw(st.dictionaries(st.sampled_from(names),
+                                      st.sampled_from([0.0, -0.0, 5e-324]) | _SHOWN_FLOATS.map(abs)))
+    doc["sector"] = draw(st.none() | st.integers(0, 10**20))
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_config_documents())
+def test_emit_json_head_matches_json_dumps_on_random_configs(doc):
+    cfg = parse_config(doc)
+    want = json.dumps({"version": darktrio.__version__, "config": config_to_dict(cfg),
+                       "rows": [{"value": 1.5}]}, indent=2, allow_nan=False) + "\n"
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        _emit(cfg, {"value": _Column(np.array([1.5]))}, "json", None)
     assert buffer.getvalue() == want
 
 
