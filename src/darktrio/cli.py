@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -117,7 +116,7 @@ def _number(value, where: str, what: str = "a finite number", accepts=math.isfin
 def _as_complex(value, where: str) -> complex:
     parts = value if isinstance(value, list) and len(value) == 2 else [value]
     try:
-        return complex(*(_number(part, where) for part in parts))
+        return complex(*(_number(part, where, accepts=lambda _: True) for part in parts))
     except ConfigError:
         raise ConfigError(
             f"{where} must be a finite number or [re, im] pair, got {value!r}"
@@ -132,15 +131,19 @@ def parse_config(doc: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    values = {}
+    # a parameter here must be a JSON number, or an [re, im] pair for a
+    # coupling; ModelParams checks its value, naming the key
+    values = vars(DEFAULT_PARAMS).copy()
     for name, field_name in _FIELD_FOR.items():
         if name in doc:
             values[field_name] = (
-                _number(doc[name], name, "a finite positive number", lambda x: 0 < x < math.inf)
+                _number(doc[name], name, "a finite positive number", lambda _: True)
                 if field_name.startswith("omega") else _as_complex(doc[name], name)
             )
-    # each value is checked above, so ModelParams accepts them
-    params = dataclasses.replace(DEFAULT_PARAMS, **values)
+    try:
+        params = ModelParams(**values)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
 
     kind = AtomKind.TWO_LEVEL
     if "atom" in doc:
@@ -596,6 +599,13 @@ def _run(args: argparse.Namespace) -> int:
             return 2
         except DarkTrioError as err:
             print(f"verification failed: {err}", file=sys.stderr)
+            return 3
+        # JSON holds no inf or NaN, and a shown cell has no null form
+        bad = ~table["skipped"].values & ~np.isfinite(
+            [table["residual"].values, table["tolerance"].values]).all(axis=0)
+        if args.format == "json" and bad.any():
+            print(f"verification failed: {table['check'].names[bad.argmax()]} has a non-finite "
+                  "residual or tolerance, which JSON cannot hold", file=sys.stderr)
             return 3
         _emit(cfg, table, args.format, args.output)
         failed = ~table["skipped"].values & ~table["passed"].values

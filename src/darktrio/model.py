@@ -71,10 +71,10 @@ class ModelParams:
             if not math.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be a finite positive frequency, got {value!r}")
             object.__setattr__(self, name, value)
-        for name in ("lam", "xi", "kappa"):
+        for name, symbol in (("lam", "lambda"), ("xi", "xi"), ("kappa", "kappa")):
             value = complex(getattr(self, name))
             if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+                raise ValueError(f"{symbol} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
 
 

@@ -14,6 +14,7 @@ is real symmetric (see :func:`_normal_mode_sector_spectra`).
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,7 +28,6 @@ from .model import (
     ModelParams,
     _abs,
     _assumption_margins,
-    _assumption_report,
     _batch_of,
     _Batch,
     _max_abs,
@@ -84,23 +84,25 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Named tolerances for the cross-check suite (CLI-overridable)."""
+    """Named tolerances for the cross-check suite (CLI-overridable); ``||B||``
+    and ``||H||`` are the Frobenius norms of the photon-phonon block and the
+    bare one-excitation matrix, and a bound without ``* x`` is the value."""
 
-    eps_match: float = 1e-12      # quasimode energies vs 2x2 solver
+    eps_match: float = 1e-12      # quasimode energies vs 2x2 solver, * max(1, ||B||)
     m_sum: float = 1e-14          # M_1^2 + M_2^2 = 1
     u_unitarity: float = 1e-14    # max-norm of U'U - I
-    u_diag: float = 1e-12         # 2x2 diagonalization residual, * ||block||
+    u_diag: float = 1e-12         # 2x2 diagonalization residual, * ||B||
     a1: float = 1e-12             # per-mode pole identity, relative
     a2: float = 1e-12             # cross-mode product identity, relative
-    e_match: float = 1e-11        # dressed levels vs 3x3 solver, * ||H||
+    e_match: float = 1e-11        # dressed levels vs 3x3 solver, * max(1, ||H||)
     trace: float = 1e-12          # level sum vs frequency sum, relative
-    root: float = 1e-10           # cubic residual at levels, * max(1, |E|^3)
+    root: float = 1e-10           # cubic residual at levels over max(1, |E|^3)
     v_unitarity: float = 1e-12    # max-norm of V'V - I
-    v_diag: float = 1e-11         # 3x3 diagonalization residual, * ||H||
+    v_diag: float = 1e-11         # 3x3 diagonalization residual, * max(1, ||H||)
     b1: float = 1e-10             # column-orthogonality sum rule
     n_norm: float = 1e-10         # normalizers vs reciprocal vector norms
     eigvec: float = 1e-10         # closed-form columns vs solver columns
-    eigenstate: float = 1e-9      # eigen-residual of assembled states, * ||H||
+    eigenstate: float = 1e-9      # eigen-residual of assembled states over ||H|| |v|
     occupation: float = 1e-10     # closed-form occupations vs amplitudes
     sector: float = 1e-9          # sector spectrum vs level sums
     ass2: float = GAMMA_RTOL      # effective-coupling zero floor
@@ -138,7 +140,7 @@ def _eigh(a: np.ndarray):
     Returns ascending values (n, d), eigenvector columns (n, d, d) and the
     per-matrix status.
     """
-    n, dim = a.shape[0], a.shape[-1]
+    n, _, dim = a.shape
     status = _Status(n)
     flat = np.ascontiguousarray(a).view(float).reshape(n, -1)
     scale = np.sqrt(np.einsum("ij,ij->i", flat, flat))
@@ -153,7 +155,9 @@ def _eigh(a: np.ndarray):
         status.fail(failed, lambda i: ConvergenceFailure(
             f"dense eigensolver failed: {failures[i]}"))
     residual = _max_abs(a @ vectors - vectors * values[:, None, :])
-    ortho = _max_abs(vectors.conj().swapaxes(1, 2) @ vectors - np.eye(dim))
+    gram = vectors.conj().swapaxes(1, 2) @ vectors
+    gram.reshape(n, -1)[:, ::dim + 1] -= 1.0  # V'V - I, without an identity matrix
+    ortho = _max_abs(gram)
     status.fail((residual > 1e-11 * np.maximum(scale, 1.0)) | (ortho > 1e-12),
                 lambda i: ConvergenceFailure(
                     f"decomposition out of tolerance (residual {residual[i]:.3e}, "
@@ -187,24 +191,19 @@ def oscillator_sector_check(params: ModelParams, ell: int, *,
     Requires all four standing assumptions (raises
     :class:`AssumptionViolation` otherwise).  Raises :class:`SizeLimit`
     when the real sector matrix would exceed 800 MB (``ell`` above 139).
+    This is the ``sector-{ell}-spectrum`` row of :func:`_crosscheck`.
     """
-    p = _batch_of(params)
-    two = twomode._two_mode(p)
-    two.status.check()
-    report = _assumption_report(_assumption_margins(p, two)[0])
-    if not report.all_pass:
+    checks = _crosscheck(_batch_of(params), AtomKind.OSCILLATOR, Tolerances(sector=tol), (ell,))
+    checks.spectrum.two.status.check()
+    if checks.reason[0, -1] == _NOT_SATISFIED:
+        margins = checks.residual[0, :4].tolist()
         raise AssumptionViolation(
             "the sector spectrum check needs all standing assumptions; margins: "
-            f"ass1={report.ass1.margin:.3e} ass2={report.ass2.margin:.3e} "
-            f"ass3={report.ass3.margin:.3e} ass4={report.ass4.margin:.3e}"
-        )
-    spectrum = threemode._dressed(p, two)
-    spectrum.status.check()
-    modes = np.linalg.eigh(_sector_matrices(p, AtomKind.TWO_LEVEL, 1)[:, 1:, 1:])
-    residual = _sector_residuals(p, modes, spectrum.e, ell)[0].item()
-    return ValidationReport(checks=(
-        CheckResult(f"sector-{ell}-spectrum", residual, tol, residual <= tol),
-    ))
+            + " ".join(f"ass{i}={margin:.3e}" for i, margin in enumerate(margins, 1)))
+    checks.spectrum.status.check()
+    checks.status.check()
+    residual = checks.residual[0, -1].item()
+    return ValidationReport(checks=(CheckResult(checks.names[-1], residual, tol, residual <= tol),))
 
 
 def _sector_residuals(p: _Batch, modes, levels: np.ndarray, ell: int) -> np.ndarray:
@@ -260,19 +259,43 @@ def crosscheck(params: ModelParams, kind: AtomKind = AtomKind.TWO_LEVEL,
     return ValidationReport(checks=tuple(CheckResult(*row) for row in rows))
 
 
-#: the checks before the sector checks, in report order; those in
-#: ``_STRICT`` pass on a positive residual, the others on one within tolerance
+#: the checks before the sector checks, in report order: name, ``Tolerances``
+#: field of the bound (None: passes on a positive residual), the bound's scale
+#: (an index into 1, max(1, ||B||), ||B||, max(1, ||H||); see ``Tolerances``)
+#: and the number of terms whose largest magnitude is the residual (0: a margin)
 _CHECKS = (
-    "assumption-1", "assumption-2", "assumption-3", "assumption-4",
-    "quasimode-energies", "mixing-sum", "u-unitarity", "u-diagonalization",
-    "pole-identity", "cross-product-identity", "eps1-positive",
-    "dressed-levels", "level-trace", "cubic-roots", "v-unitarity", "v-diagonalization",
-    "column-orthogonality-rule", "normalizers", "eigenvector-match", "eigenstate-residuals",
-    "interlacing", "occupation-amplitudes",
+    ("assumption-1", None, 0, 0), ("assumption-2", None, 0, 0),
+    ("assumption-3", None, 0, 0), ("assumption-4", None, 0, 0),
+    ("quasimode-energies", "eps_match", 1, 2), ("mixing-sum", "m_sum", 0, 1),
+    ("u-unitarity", "u_unitarity", 0, 4), ("u-diagonalization", "u_diag", 2, 4),
+    ("pole-identity", "a1", 0, 2), ("cross-product-identity", "a2", 0, 2),
+    ("eps1-positive", None, 0, 0),
+    ("dressed-levels", "e_match", 3, 3), ("level-trace", "trace", 0, 1),
+    ("cubic-roots", "root", 0, 3), ("v-unitarity", "v_unitarity", 0, 1),
+    ("v-diagonalization", "v_diag", 3, 9), ("column-orthogonality-rule", "b1", 0, 3),
+    ("normalizers", "n_norm", 0, 3), ("eigenvector-match", "eigvec", 0, 3),
+    ("eigenstate-residuals", "eigenstate", 0, 3), ("interlacing", None, 0, 0),
+    ("occupation-amplitudes", "occupation", 0, 6),
 )
-_STRICT = (*_CHECKS[:4], "eps1-positive", "interlacing")
-_COLUMN = {name: i for i, name in enumerate(_CHECKS)}
+#: the columns of the checks with terms, and where their terms start
+_MAXED = np.array([i for i, row in enumerate(_CHECKS) if row[3]])
+_OFFSETS = np.cumsum([0, *(row[3] for row in _CHECKS if row[3])])[:-1]
+_POLE, _EPS1, _INTERLACING, _OCCUPATION = map([row[0] for row in _CHECKS].index, (
+    "pole-identity", "eps1-positive", "interlacing", "occupation-amplitudes"))
 _EYE2, _EYE3 = np.eye(2), np.eye(3)
+_PAIRS = np.array([[0, 0, 1], [1, 2, 2]])  # the level pairs (0, 1), (0, 2), (1, 2)
+
+
+@functools.lru_cache(maxsize=16)
+def _bounds(tol: Tolerances, sectors: tuple[int, ...]):
+    """The check names of a report with a check of each sector of ``sectors``,
+    and per check its bound's base value and scale index and whether it is
+    strict, passing on a positive residual and not on one within bound."""
+    names, fields, scales, _ = zip(*_CHECKS, *((f"sector-{ell}-spectrum", "sector", 0, 0)
+                                               for ell in sectors))
+    return (names, np.array([0.0 if f is None else getattr(tol, f) for f in fields]),
+            np.array(scales), np.array([f is None for f in fields]))
+
 
 #: skip reasons by code, 0 for a check that ran; the two ending in ": " go
 #: on with the point's error
@@ -294,6 +317,8 @@ _REASONS = (
 (_RAN, _RECORDED, _SIGN_RECORDED, _DEGENERATE, _UNCOUPLED, _UNDERFLOW, _NOT_POSITIVE,
  _VANISHES, _NO_SPECTRUM, _UNSOLVED, _OFF_REGIME, _NOT_OSCILLATOR,
  _NOT_SATISFIED) = range(len(_REASONS))
+#: the reasons that blank a check's values
+_BLANK = np.array([code not in (_RAN, _RECORDED, _SIGN_RECORDED) for code in range(len(_REASONS))])
 
 
 class _Checks(NamedTuple):
@@ -325,7 +350,8 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances, sectors=(2,)) -> _Ch
     ``sector-{ell}-spectrum`` check per ``ell`` of ``sectors``.
 
     Every residual is computed for every point, then blanked where its
-    check skips.  The dense references come from stacked LAPACK solves,
+    check skips: one array holds the terms of every check that has them
+    (``_CHECKS``), reduced in one pass.  The dense references come from stacked LAPACK solves,
     never from the closed forms: the photon-phonon blocks in one ``eigh``,
     the bare and the quasimode-basis one-excitation matrices in one
     :func:`_eigh`, and the oscillator's matrices of each sector in one
@@ -334,15 +360,15 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances, sectors=(2,)) -> _Ch
     """
     n = len(p)
     wa, wb, wc = p.omega_a, p.omega_b, p.omega_c
+    names, base, scale, strict = _bounds(tol, tuple(sectors))
     two = twomode._two_mode(p)
     eps, gamma, u, solved = two.eps, two.gamma, two.u, two.status.ok
     margins = _assumption_margins(p, two, tol.ass2)
     spectrum = threemode._dressed(p, two)
     # the three-mode checks' skip reason, the first that applies winning
-    dressed = np.where(spectrum.status.ok, _RAN, _UNSOLVED)
-    dressed[~(margins[:, 1] > 0.0)] = _VANISHES
-    dressed[~(eps[:, 0] > 0.0)] = _NOT_POSITIVE
-    dressed[~solved] = _DEGENERATE
+    dressed = np.where(solved, np.where(eps[:, 0] > 0.0, np.where(
+        margins[:, 1] > 0.0, np.where(spectrum.status.ok, _RAN, _UNSOLVED), _VANISHES),
+        _NOT_POSITIVE), _DEGENERATE)
     checked = dressed == _RAN
     # the sector checks' skip reason: they need every standing assumption
     sector = (np.where((margins > 0.0).all(axis=1), dressed, _NOT_SATISFIED)
@@ -357,96 +383,85 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances, sectors=(2,)) -> _Ch
     # the photon-phonon blocks, taken before that replacement
     blocks = dense[:n, 1:, 1:].copy()
     modes = np.linalg.eigh(blocks)
-    dense[~np.concatenate([checked, checked])] = _EYE3
+    dense.reshape(2, n, 3, 3)[:, ~checked] = _EYE3
     values, vectors, solver = _eigh(dense)
     bare, quasi = dense[:n], dense[n:]
     status = _Status(n)
     status.inherit(solver)
     status.inherit(solver, n)
-    sector_runs = ((sector == _RAN) & status.ok).any()
+    sector_runs = np.count_nonzero((sector == _RAN) & (status.code == 0))
     regime = _Status(n)
     resonant = darkstates._resonant_real(p, regime, GammaZero)
 
     with np.errstate(all="ignore"):
         ak = p.coupling_abs[2]
         ksq = (ak * ak)[:, None]
-        block_scale = _norm(blocks.reshape(n, 4), 1)
-        bare_scale = _norm(bare.reshape(n, 9), 1)
+        # the bounds' scales, in the order of _CHECKS' scale indices
+        scales = np.ones((n, 4))
+        scales[:, 2] = _norm(blocks.reshape(n, 4), 1)
+        scales[:, 3] = bare_scale = _norm(bare.reshape(n, 9), 1)
+        scales[:, 1::2] = np.maximum(1.0, scales[:, 2:])
         u_h, v_h = u.conj().swapaxes(1, 2), v.conj().swapaxes(1, 2)
         gsq = np.square(two.gamma_abs)
         g1, g2, e1, e2 = gsq[:, :1], gsq[:, 1:], eps[:, :1], eps[:, 1:]
-        bare_freqs, n_norm = np.stack([wb, wc], axis=1), spectrum.n_norm
+        bare_freqs, n_norm, total = np.array([wb, wc]).T, spectrum.n_norm, (wa + wb + wc)[:, None]
+        # E - eps per level and quasimode, (n, 3, 2)
+        gaps = e[:, :, None] - eps[:, None, :]
         # the sum rule over the level pairs (0, 1), (0, 2), (1, 2): its terms are symmetric
-        j, k = [0, 0, 1], [1, 2, 2]
-        rule = 1.0 + (g1 / ((e[:, j] - e1) * (e[:, k] - e1))
-                      + g2 / ((e[:, j] - e2) * (e[:, k] - e2)))
+        q = gsq[:, None, :] / (gaps[:, _PAIRS[0]] * gaps[:, _PAIRS[1]])
         # overlaps of the closed-form and the solver's quasimode-basis eigenvectors, level by level
         overlap = np.einsum("ikj,ikj->ij", vectors[n:].conj(), v)
         # per level, the quasimode column (Gamma / (E - eps), 1)
         raw = np.ones((n, 3, 3), dtype=complex)
-        raw[:, :, :2] = gamma[:, None, :] / (e[:, :, None] - eps[:, None, :])
-        # per level, the bare eigenvector over (atom, photon, phonon)
-        states = threemode._bare_vectors(u, gamma, eps, e).swapaxes(1, 2)
+        raw[:, :, :2] = gamma[:, None, :] / gaps
+        # the bare eigenvectors over (atom, photon, phonon), a column per level
+        columns = threemode._bare_vectors(u, gamma, eps, e)
+        states = columns.swapaxes(1, 2)
         defect = np.matmul(bare[:, None], states[..., None])[..., 0] - states * e[:, :, None]
-        amplitude_sq = np.square(_abs(states[:, :, 1:]))
-        closed = np.stack(observables._occupations(p, e, resonant), axis=2)
-        columns = {
-            **{name: (margins[:, i], 0.0) for i, name in enumerate(_CHECKS[:4])},
-            "quasimode-energies": (_max_abs(modes[0] - eps),
-                                   tol.eps_match * np.maximum(1.0, block_scale)),
-            "mixing-sum": (np.abs(np.square(two.m).sum(axis=1) - 1.0), tol.m_sum),
-            "u-unitarity": (_max_abs(np.matmul(u_h, u) - _EYE2), tol.u_unitarity),
-            "u-diagonalization": (_max_abs(np.matmul(np.matmul(u_h, blocks), u)
-                                           - eps[:, :, None] * _EYE2),
-                                  tol.u_diag * block_scale),
-            "pole-identity": (_max_abs(((eps - wb[:, None]) * (eps - wc[:, None]) - ksq) / ksq),
-                              tol.a1),
-            "cross-product-identity": (
-                _max_abs(((e1 - bare_freqs) * (e2 - bare_freqs) + ksq) / ksq), tol.a2),
-            "eps1-positive": (eps[:, 0], 0.0),
-            "dressed-levels": (_max_abs(values[:n] - e), tol.e_match * np.maximum(1.0, bare_scale)),
-            "level-trace": (np.abs(e.sum(axis=1) - (wa + wb + wc)) / (wa + wb + wc), tol.trace),
-            "cubic-roots": (_max_abs(threemode._phi(e, wa[:, None], e1, e2, g1, g2)
-                                     / np.maximum(1.0, np.float_power(np.abs(e), 3.0))), tol.root),
-            "v-unitarity": (spectrum.residual, tol.v_unitarity),
-            "v-diagonalization": (_max_abs(np.matmul(np.matmul(v_h, quasi), v)
-                                           - e[:, :, None] * _EYE3),
-                                  tol.v_diag * np.maximum(1.0, bare_scale)),
-            "column-orthogonality-rule": (_max_abs(rule), tol.b1),
-            "normalizers": (_max_abs((n_norm - 1.0 / _norm(raw, 2)) / n_norm),
-                            tol.n_norm),
-            "eigenvector-match": (_max_abs(1.0 - _abs(overlap)), tol.eigvec),
-            "eigenstate-residuals": (
-                _max_abs(_norm(defect, 2)
-                         / (bare_scale[:, None] * _norm(states, 2))), tol.eigenstate),
-            "interlacing": (threemode._interlacing_margin(e, eps), 0.0),
-            "occupation-amplitudes": (_max_abs((closed - amplitude_sq) / np.maximum(
-                np.maximum(np.abs(closed), amplitude_sq), 1.0)), tol.occupation),
-            **{f"sector-{ell}-spectrum": (_sector_residuals(p, modes, e, ell) if sector_runs
-                                          else np.full(n, np.nan), tol.sector)
-               for ell in sectors},
-        }
-        names = (*_CHECKS, *(f"sector-{ell}-spectrum" for ell in sectors))
-        residual, tolerance = np.empty((2, n, len(names)))
-        for c, name in enumerate(names):
-            residual[:, c], tolerance[:, c] = columns[name]
-        passed = np.where([name in _STRICT for name in names], residual > tolerance,
-                          residual <= tolerance)
+        amplitude_sq = np.square(_abs(columns[:, 1:])).reshape(n, 6)
+        closed = np.concatenate(observables._occupations(p, e, resonant), axis=1)
+        # the terms of the checks with terms, in report order
+        terms = np.concatenate([
+            modes[0] - eps,
+            np.add.reduce(np.square(two.m), axis=1, keepdims=True) - 1.0,
+            (np.matmul(u_h, u) - _EYE2).reshape(n, 4),
+            (np.matmul(np.matmul(u_h, blocks), u) - eps[:, :, None] * _EYE2).reshape(n, 4),
+            ((eps - wb[:, None]) * (eps - wc[:, None]) - ksq) / ksq,
+            ((e1 - bare_freqs) * (e2 - bare_freqs) + ksq) / ksq,
+            values[:n] - e,
+            (np.add.reduce(e, axis=1, keepdims=True) - total) / total,
+            threemode._phi(e, wa[:, None], e1, e2, g1, g2)
+            / np.maximum(1.0, np.float_power(np.abs(e), 3.0)),
+            spectrum.residual[:, None],
+            (np.matmul(np.matmul(v_h, quasi), v) - e[:, :, None] * _EYE3).reshape(n, 9),
+            1.0 + (q[:, :, 0] + q[:, :, 1]),
+            (n_norm - 1.0 / _norm(raw, 2)) / n_norm,
+            1.0 - _abs(overlap),
+            _norm(defect, 2) / (bare_scale[:, None] * _norm(states, 2)),
+            (closed - amplitude_sq) / np.maximum(np.maximum(np.abs(closed), amplitude_sq), 1.0),
+        ], axis=1)
+        residual = np.empty((n, len(names)))
+        residual[:, _MAXED] = np.maximum.reduceat(np.abs(terms), _OFFSETS, axis=1)
+        residual[:, :4], residual[:, _EPS1] = margins, eps[:, 0]
+        residual[:, _INTERLACING] = threemode._interlacing_margin(e, eps)
+        for c, ell in enumerate(sectors, len(_CHECKS)):
+            residual[:, c] = _sector_residuals(p, modes, e, ell) if sector_runs else np.nan
+        tolerance = base * scales[:, scale]
 
-    reason = np.zeros((n, len(names)), dtype=np.int8)
-    reason[:, :4] = _RECORDED
-    reason[~solved, 1:_COLUMN["dressed-levels"]] = _DEGENERATE
-    identities = slice(_COLUMN["pole-identity"], _COLUMN["eps1-positive"])
-    reason[solved & (ak == 0.0), identities] = _UNCOUPLED
-    reason[solved & (ak != 0.0) & (ksq[:, 0] == 0.0), identities] = _UNDERFLOW
-    reason[solved & ~(margins[:, 0] > 0.0), _COLUMN["eps1-positive"]] = _SIGN_RECORDED
-    reason[:, _COLUMN["dressed-levels"]:_COLUMN["occupation-amplitudes"]] = dressed[:, None]
-    reason[:, _COLUMN["occupation-amplitudes"]] = np.where(
-        checked, np.where(regime.ok, _RAN, _OFF_REGIME), _NO_SPECTRUM)
+    reason = np.empty(residual.shape, dtype=np.int8)
+    reason[:, :4], reason[:, 4:_POLE] = _RECORDED, _RAN
+    reason[:, _POLE:_EPS1] = np.where(ak == 0.0, _UNCOUPLED,
+                                      np.where(ksq[:, 0] == 0.0, _UNDERFLOW, _RAN))[:, None]
+    reason[:, _EPS1] = np.where(margins[:, 0] > 0.0, _RAN, _SIGN_RECORDED)
+    # a degenerate block skips the checks after assumption-1 that it feeds
+    reason[:, 1:_EPS1 + 1] = np.where(solved[:, None], reason[:, 1:_EPS1 + 1], _DEGENERATE)
+    reason[:, _EPS1 + 1:_OCCUPATION] = dressed[:, None]
+    reason[:, _OCCUPATION] = np.where(checked, np.where(regime.ok, _RAN, _OFF_REGIME),
+                                      _NO_SPECTRUM)
     reason[:, len(_CHECKS):] = sector[:, None]
-    skipped = reason != _RAN
     # a recorded observation keeps its values but never gates the verdict
-    blank = skipped & (reason != _RECORDED) & (reason != _SIGN_RECORDED)
+    blank = _BLANK[reason]
     residual[blank] = tolerance[blank] = np.nan
-    passed[blank] = True
-    return _Checks(names, residual, tolerance, passed, skipped, reason, spectrum, regime, status)
+    passed = blank | np.where(strict, residual > tolerance, residual <= tolerance)
+    return _Checks(names, residual, tolerance, passed, reason != _RAN, reason, spectrum, regime,
+                   status)

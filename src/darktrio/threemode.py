@@ -221,7 +221,8 @@ def phi(params: ModelParams, x: float) -> float:
 
 def _phi(x, omega_a, e1, e2, g1sq, g2sq):
     """The cleared cubic from quasimode energies and ``|Gamma_j|^2``, elementwise."""
-    return (x - e1) * (x - e2) * (x - omega_a) - g1sq * (x - e2) - g2sq * (x - e1)
+    r1, r2 = x - e1, x - e2
+    return r1 * r2 * (x - omega_a) - g1sq * r2 - g2sq * r1
 
 
 def three_mode_spectrum(params: ModelParams) -> ThreeModeSpectrum:
@@ -261,20 +262,23 @@ def _dressed(p: _Batch, two: _TwoModeBatch) -> _ThreeModeBatch:
     ))
 
     h = _quasi_matrices(p.omega_a, two.eps, two.gamma)
-    failed = status.code != 0
-    if np.count_nonzero(failed):
-        # failed points get a harmless matrix, so the stacked solve never sees NaN
-        h[failed] = _EYE3
     parts = h.view(float).reshape(n, 18)
-    scale = np.sqrt(np.add.reduce(parts * parts, axis=1))
-    levels = np.linalg.eigvalsh(h)
-    # omega_a, eps_1, eps_2, |Gamma_1|^2, |Gamma_2|^2, one copy per level:
-    # operands of one shape keep numpy on its fast path
-    per_level = np.empty((5, n, 3))
-    wa, poles, gsq = per_level[0], per_level[1:3], per_level[3:]
-    wa[:], poles[:] = p.omega_a[:, None], two.eps.T[:, :, None]
-    gsq[:] = np.square(g_abs).T[:, :, None]
     with np.errstate(all="ignore"):
+        scale = np.sqrt(np.add.reduce(parts * parts, axis=1))
+        # LAPACK may not converge on a matrix whose norm overflows
+        status.fail(~np.isfinite(scale), lambda i: DegenerateSpectrum(
+            f"||H|| = {scale[i]} is not finite, so the dressed levels cannot be resolved"))
+        failed = status.code != 0
+        if np.count_nonzero(failed):
+            # failed points get a harmless matrix, so the stacked solve never sees NaN
+            h[failed] = _EYE3
+        levels = np.linalg.eigvalsh(h)
+        # omega_a, eps_1, eps_2, |Gamma_1|^2, |Gamma_2|^2, one copy per level:
+        # operands of one shape keep numpy on its fast path
+        per_level = np.empty((5, n, 3))
+        wa, poles, gsq = per_level[0], per_level[1:3], per_level[3:]
+        wa[:], poles[:] = p.omega_a[:, None], two.eps.T[:, :, None]
+        gsq[:] = np.square(g_abs).T[:, :, None]
         # two Newton steps on d1; the slope is >= 1, so steps are small and
         # safe.  A level that lands on a pole stays there.
         stopped = np.zeros(levels.shape, dtype=bool)

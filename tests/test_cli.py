@@ -342,6 +342,136 @@ def test_config_errors_exit_one(tmp_path, capsys):
             assert err.startswith(f"config error: cannot write output {str(path)!r}: ")
 
 
+@pytest.mark.parametrize("key", list(cli._FIELD_FOR))
+def test_each_rejected_config_value_names_its_key(tmp_path, capsys, key):
+    # a frequency must be a positive number; a coupling a number or a pair
+    texts = ["true", '"0.5"', "1e400", "[1e400, 0.0]", "[0.1]", "[0.1, 0.2, 0.3]",
+             '[0.1, "0.2"]', "[false, 0.1]"]
+    if key.startswith("omega"):
+        texts += ["0", "-0.5", "[1.0, 0.0]"]
+    for text in texts:
+        path = tmp_path / "config.json"
+        path.write_text('{"%s": %s}' % (key, text))
+        code, out, err = run_cli(capsys, "spectrum", "--config", str(path))
+        assert code == 1 and out == "", text
+        assert err.startswith(f"config error: {key} must be ") and err.count("\n") == 1, err
+
+
+#: points at which the quasimode-basis matrix's norm overflows, so LAPACK
+#: may not converge on it: the dressed spectrum fails before the solve
+OVERFLOWING_NORMS = {
+    "xi-max": {"omega_a": 1.0, "omega_b": 0.33, "omega_c": 1.0, "lambda": 0.2,
+               "xi": -1.7976931348623157e+308, "kappa": 0.1},
+    "complex-xi": {"omega_a": 1.0, "omega_b": 0.33055509097692304, "omega_c": 1.0,
+                   "lambda": [-1.5165002935313194, -1e-09],
+                   "xi": [-1e+300, -1.7976931348623157e+308], "kappa": -1e-300,
+                   "atom": "oscillator"},
+    "complex-lambda": {"omega_a": 2.0, "omega_b": 1.0, "omega_c": 1e-300,
+                       "lambda": [0.1, 1e+300], "xi": -1.0, "kappa": [-5e-324, -1e-300],
+                       "atom": "oscillator"},
+}
+
+
+#: the assumption margins of the first point still overflow with a numpy
+#: warning on the way (an open defect of extreme scales)
+OVERFLOW_WARNINGS = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+
+
+def _output_rows(out: str, fmt: str) -> list[dict]:
+    return json.loads(out)["rows"] if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
+
+
+@OVERFLOW_WARNINGS
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("point, command, code, status", [
+    ("xi-max", "spectrum", 3, "DegenerateSpectrum"),
+    ("complex-xi", "spectrum", 3, "DegenerateSpectrum"),
+    # the resonance check comes first; the swapped copy's spectrum fails
+    ("complex-lambda", "duality", 2, "NotResonant"),
+])
+def test_an_overflowing_matrix_norm_fails_the_point(tmp_path, capsys, fmt, point, command,
+                                                     code, status):
+    cfg = write_config(tmp_path, OVERFLOWING_NORMS[point])
+    got, out, err = run_cli(capsys, command, "--config", cfg, "--format", fmt)
+    assert got == code and "Traceback" not in err
+    assert [row["status"] for row in _output_rows(out, fmt)] == [status]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_an_overflowing_matrix_norm_is_a_verify_report(tmp_path, capsys, fmt):
+    cfg = write_config(tmp_path, OVERFLOWING_NORMS["complex-xi"])
+    code, out, err = run_cli(capsys, "verify", "--config", cfg, "--format", fmt)
+    assert code == 0 and err == ""
+    rows = {row["check"]: row for row in _output_rows(out, fmt)}
+    assert rows["dressed-levels"]["reason"] == "an effective coupling vanishes"
+
+
+@OVERFLOW_WARNINGS
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_rows_fail_where_the_matrix_norm_overflows(tmp_path, capsys, fmt):
+    cfg = write_config(tmp_path, dict(OVERFLOWING_NORMS["xi-max"], scan=[
+        {"param": "xi", "start": -1.7976931348623157e+308, "stop": 0.1, "steps": 3}]))
+    code, out, err = run_cli(capsys, "scan", "spectrum", "--config", cfg, "--format", fmt)
+    assert code == 0 and "Traceback" not in err
+    rows = _output_rows(out, fmt)
+    assert [row["status"] for row in rows] == ["DegenerateSpectrum"] * 2 + ["ok"]
+    levels = [float(rows[-1][name]) for name in ("E1", "E2", "E3")]
+    assert all(map(math.isfinite, levels))
+
+
+def test_verify_json_refuses_a_non_finite_shown_cell(tmp_path, capsys):
+    # ||B|| overflows, so two tolerances are inf: CSV prints them, JSON cannot
+    cfg = write_config(tmp_path, {"omega_a": 1.454491339143512, "omega_b": 1e+300,
+                                  "omega_c": 1e-160, "lambda": -2.0, "xi": 1e-300,
+                                  "kappa": 1.0, "atom": "oscillator"})
+    code, out, err = run_cli(capsys, "verify", "--config", cfg, "--format", "csv")
+    assert code == 3
+    rows = {row["check"]: row for row in csv.DictReader(io.StringIO(out))}
+    assert rows["quasimode-energies"]["tolerance"] == "inf"
+    code, out, err = run_cli(capsys, "verify", "--config", cfg)
+    assert (code, out) == (3, "")
+    assert err.startswith("verification failed: quasimode-energies has a non-finite ")
+    assert err.count("\n") == 1
+
+
+def _frobenius(*entries) -> float:
+    return math.sqrt(sum(abs(complex(*z) if isinstance(z, list) else z) ** 2 for z in entries))
+
+
+@pytest.mark.parametrize("tol", [[], ["--tol", "u_diag=3e-12", "--tol", "e_match=2e-11"]])
+@pytest.mark.parametrize("scale", [0.1, 1.0])
+def test_verify_tolerances_follow_their_documented_formulas(tmp_path, capsys, scale, tol):
+    doc = {"omega_a": 1.02 * scale, "omega_b": scale, "omega_c": scale, "lambda": 0.2 * scale,
+           "xi": 0.05 * scale, "kappa": 0.1 * scale, "atom": "oscillator"}
+    kappa = doc["kappa"]
+    block = _frobenius(doc["omega_b"], doc["omega_c"], kappa, kappa)
+    bare = _frobenius(doc["omega_a"], doc["omega_b"], doc["omega_c"],
+                      *[doc[name] for name in ("lambda", "xi", "kappa")] * 2)
+    assert (block < 1.0 and bare < 1.0) if scale < 1.0 else (block > 1.0 and bare > 1.0)
+    t = darktrio.Tolerances().override(
+        {name: float(value) for name, value in (entry.split("=") for entry in tol[1::2])})
+    formulas = {
+        "quasimode-energies": t.eps_match * max(1.0, block), "mixing-sum": t.m_sum,
+        "u-unitarity": t.u_unitarity, "u-diagonalization": t.u_diag * block,
+        "pole-identity": t.a1, "cross-product-identity": t.a2, "eps1-positive": 0.0,
+        "dressed-levels": t.e_match * max(1.0, bare), "level-trace": t.trace,
+        "cubic-roots": t.root, "v-unitarity": t.v_unitarity,
+        "v-diagonalization": t.v_diag * max(1.0, bare), "column-orthogonality-rule": t.b1,
+        "normalizers": t.n_norm, "eigenvector-match": t.eigvec,
+        "eigenstate-residuals": t.eigenstate, "interlacing": 0.0,
+        "occupation-amplitudes": t.occupation, "sector-2-spectrum": t.sector,
+        "sector-3-spectrum": t.sector,
+    }
+    cfg = write_config(tmp_path, doc)
+    code, out, _ = run_cli(capsys, "verify", "--config", cfg, "--sector", "3", *tol)
+    assert code == 0
+    shown = {row["check"]: row["tolerance"] for row in json.loads(out)["rows"]
+             if not row["skipped"]}
+    assert shown.keys() == formulas.keys()
+    for name, tolerance in shown.items():
+        assert tolerance == pytest.approx(formulas[name], rel=1e-15, abs=0.0), name
+
+
 def test_scan_runs_are_byte_identical(tmp_path):
     doc = dict(DARK_POINT, scan=[
         {"param": "lambda", "start": 0.05, "stop": 0.45, "steps": 5},

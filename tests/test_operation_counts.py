@@ -113,11 +113,11 @@ def _kernels():
 #: the operations each kernel runs on ``POINT`` as a batch of one, at most
 BOUNDS = {
     "_two_mode": 66,
-    "_dressed": 156,
+    "_dressed": 161,
     "_classified": 123,
-    "_duality": 367,
-    "_crosscheck two-level": 871,
-    "_crosscheck oscillator": 971,
+    "_duality": 370,
+    "_crosscheck two-level": 700,
+    "_crosscheck oscillator": 800,
 }
 
 
