@@ -31,6 +31,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -52,7 +53,6 @@ from .errors import (
     SizeLimit,
     TuningNotSatisfied,
     _STATUS_ERRORS,
-    _Status,
 )
 from .model import _MAX_SECTOR_BYTES, AtomKind, ModelParams, _assumption_margins, _Batch, _batch_of
 from .observables import _duality
@@ -224,13 +224,14 @@ def _grid(cfg: RunConfig) -> _Batch:
 class _Column(NamedTuple):
     """One table column as arrays: ``values`` are floats, complex numbers or
     bools, or indices into ``names``; cells where ``ok`` is False are empty.
-    Both writers format a whole table at once: :func:`_json_text` all its
-    cells in one encoder call, :func:`_write_csv` the floats of
-    :meth:`csv_parts`."""
+    A per-point column's row ``r`` shows entry ``point[r]``.  Both writers
+    format a whole table at once, a per-point cell once: :func:`_json_text`
+    in one encoder call, :func:`_write_csv` the floats of :meth:`csv_parts`."""
 
     values: np.ndarray
     ok: np.ndarray | None = None
     names: tuple[str, ...] | None = None
+    point: np.ndarray | None = None
 
     def csv_parts(self) -> list[np.ndarray]:
         """The column's CSV columns, hidden cells not yet blanked: one, or two
@@ -251,14 +252,10 @@ Table = dict[str, _Column]
 _STATUS_NAMES = ("ok", *(error.__name__ for error in _STATUS_ERRORS[1:]))
 
 
-def _param_cells(p: _Batch, point=slice(None)) -> Table:
-    """The parameter columns; row ``r`` shows point ``point[r]``."""
-    return {name: _Column(getattr(p, field_name)[point])
+def _param_cells(p: _Batch, point: np.ndarray | None = None) -> Table:
+    """The parameter columns, per point on the rows ``point``, if given."""
+    return {name: _Column(getattr(p, field_name), point=point)
             for name, field_name in _FIELD_FOR.items()}
-
-
-def _status_cells(status: _Status, point=slice(None)) -> _Column:
-    return _Column(status.code[point], names=_STATUS_NAMES)
 
 
 def _text_cells(cells: list[str]) -> _Column:
@@ -284,7 +281,7 @@ def _spectrum_rows(cfg: RunConfig) -> Table:
         # assumption 1 needs no solution, so error rows show it too
         "ass1": _Column(holds[:, 0]),
         **{f"ass{i}": _Column(holds[:, i - 1], ok) for i in (2, 3, 4)},
-        "status": _status_cells(spec.status),
+        "status": _Column(spec.status.code, names=_STATUS_NAMES),
     })
     return table
 
@@ -303,16 +300,15 @@ def _classify_rows(cfg: RunConfig) -> Table:
     table = _param_cells(p, point)
     table.update({
         "energy": _Column(spectra.energies[point, level], ok),
-        "amp_atom": _Column(states[:, 0], ok),
-        "amp_photon": _Column(states[:, 1], ok),
-        "amp_phonon": _Column(states[:, 2], ok),
+        **{f"amp_{mode}": _Column(states[:, i], ok)
+           for i, mode in enumerate(("atom", "photon", "phonon"))},
         "class": _Column(spectra.codes[point, level], ok, _CLASS_NAMES),
     })
     for name, (residual, _, _) in zip(("dark_residual", "quasidark_residual"), branches):
-        # a residual shows where the tuning analysis applies and is finite
-        shown = tuning.ok & np.isfinite(residual)
-        table[name] = _Column(residual[point], ok & shown[point])
-    table["status"] = _status_cells(spectra.status, point)
+        # shown where the point solved and the tuning analysis applies, if finite
+        shown = spectra.status.ok & tuning.ok & np.isfinite(residual)
+        table[name] = _Column(residual, shown, point=point)
+    table["status"] = _Column(spectra.status.code, names=_STATUS_NAMES, point=point)
     return table
 
 
@@ -331,7 +327,7 @@ def _duality_rows(cfg: RunConfig) -> Table:
             table[name.format(j + 1)] = _Column(values[:, j], ok)
     table["max_mismatch"] = _Column(report.max_mismatch, ok)
     table["passed"] = _Column(report.passed, ok)
-    table["status"] = _status_cells(status)
+    table["status"] = _Column(status.code, names=_STATUS_NAMES)
     return table
 
 
@@ -368,24 +364,47 @@ def _write_csv(table: Table, stream) -> None:
     quoted by :func:`_csv_field`), so rows are plain joins, which are faster
     than ``csv.writer.writerows`` over the same strings.
     """
-    header, parts, masks = [], [], []
+    header, parts, owners = [], [], []
     for name, column in table.items():
         columns = column.csv_parts()
         header += [f"{name}_re", f"{name}_im"] if len(columns) == 2 else [name]
         parts += columns
-        masks += [column.ok] * len(columns)
+        owners += [column] * len(columns)
     floats = [i for i, part in enumerate(parts) if part.dtype.kind == "f"]
     if floats:
         bits = np.concatenate([parts[i] for i in floats]).view(np.int64)
-        distinct, index = np.unique(bits, return_inverse=True)
+        distinct, index = _distinct(bits)
         text = np.array(list(map(float.__repr__, distinct.view(float).tolist())), dtype=object)
-        for i, cells in zip(floats, np.split(text[index], len(floats))):
+        ends = np.cumsum([len(parts[i]) for i in floats[:-1]])
+        for i, cells in zip(floats, np.split(text[index], ends)):
             parts[i] = cells
-    for part, ok in zip(parts, masks):
-        if ok is not None:
-            part[~ok] = ""
-    rows = map(",".join, zip(*(part.tolist() for part in parts)))
-    stream.write("\n".join([",".join(header), *rows]) + "\n")
+    for part, column in zip(parts, owners):
+        if column.ok is not None:
+            part[~column.ok] = ""
+    # a run of per-point parts on one index is joined once per point
+    fields = []
+    for _, run in itertools.groupby(zip(owners, parts), key=lambda pair: id(pair[0].point)):
+        columns, run = zip(*run)
+        point = columns[0].point
+        fields += run if point is None else [np.array(_joined(run), dtype=object)[point]]
+    stream.write("\n".join([",".join(header), *_joined(fields)]) + "\n")
+
+
+def _joined(parts: list[np.ndarray]) -> list[str]:
+    """The cells of ``parts`` joined by commas, row by row."""
+    return list(map(",".join, zip(*(part.tolist() for part in parts))))
+
+
+def _distinct(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(bits, return_inverse=True)`` by one stable sort: a timsort,
+    fast on the long runs of a scan's grid-major columns, slow on shuffled bits."""
+    order = bits.argsort(kind="stable")
+    ordered = bits[order]
+    first = np.ones(len(bits), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    index = np.empty_like(order)
+    index[order] = np.cumsum(first) - 1
+    return ordered[first], index
 
 
 #: Formats a flat list of cells, one a line.  ``separators`` keeps the C
@@ -426,9 +445,9 @@ def _row_template(names: tuple[str, ...]) -> str:
 def _json_text(cfg: RunConfig, table: Table) -> str:
     """The bytes of ``json.dumps`` at ``indent=2`` of the version, the config
     and one dict per row.  One encoder call formats the config's values and
-    every cell of the table, hidden cells as ``null``; the document and each
-    row go through a ``%`` template of their shape.  A shown NaN or inf
-    raises ``ValueError``, as in ``json.dumps``."""
+    every cell of the table, hidden cells as ``null`` and a per-point cell
+    once; the document and each row go through a ``%`` template of their
+    shape.  A shown NaN or inf raises ``ValueError``, as in ``json.dumps``."""
     p = cfg.params  # the version and the config's values, in _head_template's order
     flat = [__version__, p.omega_a, p.omega_b, p.omega_c, p.lam.real, p.lam.imag,
             p.xi.real, p.xi.imag, p.kappa.real, p.kappa.imag, cfg.kind.value]
@@ -437,14 +456,12 @@ def _json_text(cfg: RunConfig, table: Table) -> str:
     for item in cfg.tol.items():
         flat += item
     flat.append(cfg.sector)
-    head, pairs, n = len(flat), [], 0
+    head = len(flat)
     for column in table.values():
         values = column.values
-        n = len(values)  # the same in every column
-        pairs.append(values.dtype.kind == "c")
         shown = None if column.ok is None else column.ok.tolist()
         # a complex column's real parts, then its imaginary parts
-        for part in (values.real, values.imag) if pairs[-1] else (values,):
+        for part in (values.real, values.imag) if values.dtype.kind == "c" else (values,):
             cells = part.tolist()
             if column.names is not None:
                 cells = list(map(column.names.__getitem__, cells))
@@ -453,14 +470,15 @@ def _json_text(cfg: RunConfig, table: Table) -> str:
             flat += cells
     text = _CELL_ENCODER.encode(flat)[1:-1].split("\n")
     columns, start = [], head
-    for pair in pairs:
+    for column in table.values():
+        n = len(column.values)
         cells = text[start:start + n]
         start += n
-        if pair:  # a hidden pair is one null
+        if column.values.dtype.kind == "c":  # a hidden pair is one null
             cells = [real if real == "null" else f"[\n        {real},\n        {imag}\n      ]"
                      for real, imag in zip(cells, text[start:start + n])]
             start += n
-        columns.append(cells)
+        columns.append(cells if column.point is None else [cells[i] for i in column.point.tolist()])
     rows = _block("[]", list(map(_row_template(tuple(table)).__mod__, zip(*columns))), "  ")
     return _head_template(len(cfg.scan), len(cfg.tol)) % (*text[:head], rows) + "\n"
 

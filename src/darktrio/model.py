@@ -200,8 +200,9 @@ def _norm(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _max_abs(x: np.ndarray) -> np.ndarray:
-    """Largest magnitude per point: over all axes of ``x`` but the first."""
-    return np.maximum.reduce(np.abs(x).reshape(len(x), -1), axis=1)
+    """Largest magnitude per point: over all axes of ``x`` but the first,
+    reduced down contiguous rows, as numpy loops per point along a short axis."""
+    return np.maximum.reduce(np.abs(x.reshape(len(x), -1).T, order="C"), axis=0)
 
 
 def validate(params: ModelParams) -> AssumptionReport:

@@ -121,12 +121,12 @@ class Tolerances:
 def dense_hermitian_eig(matrix) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, with result validation.
 
-    Raises :class:`NotHermitian` when the input deviates from its own
-    conjugate transpose by more than 1e-13 times its norm,
-    and :class:`ConvergenceFailure` when the solver fails or returns a
+    Raises :class:`NotHermitian` when the input has a non-finite entry or
+    deviates from its own conjugate transpose by more than 1e-13 times its
+    norm, and :class:`ConvergenceFailure` when the solver fails or returns a
     decomposition violating the residual/orthonormality bounds.
     """
-    a = np.asarray(matrix, dtype=complex)
+    a = np.asarray(matrix, dtype=complex, order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     values, vectors, status = _eigh(a[None])
@@ -135,15 +135,25 @@ def dense_hermitian_eig(matrix) -> EigenDecomposition:
 
 
 def _eigh(a: np.ndarray):
-    """:func:`dense_hermitian_eig` of every matrix in the stack ``a`` (n, d, d).
+    """:func:`dense_hermitian_eig` of each matrix in the C-contiguous stack ``a`` (n, d, d).
 
     Returns ascending values (n, d), eigenvector columns (n, d, d) and the
-    per-matrix status.
+    per-matrix status.  A norm ``||A||`` that overflows is taken as
+    ``m ||A / m||``, ``m`` the largest magnitude, held at the largest float.
     """
     n, _, dim = a.shape
     status = _Status(n)
-    flat = np.ascontiguousarray(a).view(float).reshape(n, -1)
-    scale = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+    parts = a.view(float)
+    scale = np.sqrt(np.einsum("ijk,ijk->i", parts, parts))
+    if not np.isfinite(scale).all():
+        top = np.abs(parts).max(axis=(1, 2))
+        bad = ~np.isfinite(top)
+        status.fail(bad, lambda i: NotHermitian("matrix has a non-finite entry"))
+        a = np.where(bad[:, None, None], np.eye(dim), a)  # such a matrix is solved as I
+        with np.errstate(all="ignore"):
+            rest = parts / top[:, None, None]
+            held = top * np.sqrt(np.einsum("ijk,ijk->i", rest, rest))
+        scale = np.where(np.isfinite(scale), scale, np.minimum(held, np.finfo(float).max))
     deviation = _max_abs(a - a.conj().swapaxes(1, 2))
     status.fail(deviation > 1e-13 * np.maximum(scale, 1e-300), lambda i: NotHermitian(
         f"matrix deviates from Hermitian by {deviation[i]:.3e}"

@@ -419,6 +419,18 @@ def test_scan_rows_fail_where_the_matrix_norm_overflows(tmp_path, capsys, fmt):
     assert all(map(math.isfinite, levels))
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_classify_solves_where_the_bare_norm_overflows(tmp_path, capsys, fmt):
+    # the bare matrix's Frobenius norm overflows; its solve is checked
+    # against finite bounds, which it passes
+    cfg = write_config(tmp_path, OVERFLOWING_NORMS["xi-max"])
+    code, out, err = run_cli(capsys, "classify", "--config", cfg, "--format", fmt)
+    assert code == 0 and err == ""
+    rows = _output_rows(out, fmt)
+    assert [row["status"] for row in rows] == ["ok"] * 3
+    assert [row["class"] for row in rows] == ["dark", "quasi-dark", "dark"]
+
+
 def test_verify_json_refuses_a_non_finite_shown_cell(tmp_path, capsys):
     # ||B|| overflows, so two tolerances are inf: CSV prints them, JSON cannot
     cfg = write_config(tmp_path, {"omega_a": 1.454491339143512, "omega_b": 1e+300,
@@ -556,11 +568,11 @@ _HIDDEN_FLOATS = st.one_of(_SHOWN_FLOATS, st.sampled_from([math.nan, -math.nan, 
 
 
 @st.composite
-def _tables(draw):
+def _tables(draw, rows=None):
     """Tables of float, complex, bool and text columns with random ``ok`` masks,
     for both writers; NaN and inf only in hidden cells, a few floats shared
-    across columns."""
-    rows = draw(st.integers(0, 6))
+    across columns.  ``rows`` rows, or 0 to 6."""
+    rows = draw(st.integers(0, 6)) if rows is None else rows
     shared = draw(st.lists(_SHOWN_FLOATS, min_size=1, max_size=3))
     shown = st.one_of(_SHOWN_FLOATS, st.sampled_from(shared))
 
@@ -626,6 +638,79 @@ def test_write_csv_matches_reference_writer(table):
     stream = io.StringIO()
     cli._write_csv(table, stream)
     assert stream.getvalue() == _reference_csv(table)
+
+
+@st.composite
+def _point_tables(draw):
+    """A table that mixes per-row columns with per-point columns of 1-3 rows
+    per point, and the same table with every per-point column expanded to
+    its rows.  Some per-point columns sit on an equal copy of the index."""
+    per_point = draw(_tables())
+    points = len(per_point["zero"].values)
+    counts = draw(st.lists(st.integers(1, 3), min_size=points, max_size=points))
+    point = np.repeat(np.arange(points), counts)
+    items = [(f"r_{name}", column) for name, column in draw(_tables(len(point))).items()]
+    items += [(f"p_{name}", column._replace(point=draw(st.sampled_from([point, point.copy()]))))
+              for name, column in per_point.items()]
+    table = dict(draw(st.permutations(items)))
+    expanded = {name: column if column.point is None else _Column(
+        column.values[column.point], None if column.ok is None else column.ok[column.point],
+        column.names) for name, column in table.items()}
+    return table, expanded
+
+
+@settings(max_examples=300, deadline=None)
+@given(_point_tables())
+def test_per_point_columns_write_as_their_expanded_table(tables):
+    table, expanded = tables
+    csv_text, want = io.StringIO(), io.StringIO()
+    cli._write_csv(table, csv_text)
+    cli._write_csv(expanded, want)
+    assert csv_text.getvalue() == want.getvalue() == _reference_csv(expanded)
+    assert cli._json_text(_JSON_CONFIG, table) == cli._json_text(_JSON_CONFIG, expanded)
+
+
+#: bit patterns of NaNs with payloads and signs, infinities and signed zeros
+_SPECIAL_BITS = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                 0x7FF8DEADBEEF0001, 0xFFFFFFFFFFFFFFFF, 0x7FF0000000000000,
+                 0xFFF0000000000000, 0x0, 0x8000000000000000, 0x1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1) | st.sampled_from(_SPECIAL_BITS), max_size=30),
+       st.lists(st.integers(1, 40), min_size=1, max_size=30), st.integers(1, 4),
+       st.sampled_from(["runs", "grid", "shuffled"]), st.randoms(use_true_random=False))
+def test_distinct_matches_np_unique(values, repeats, tiles, layout, random):
+    values = np.array(values, dtype=np.uint64).view(np.int64)
+    bits = np.repeat(values, np.resize(repeats, len(values)))  # runs of equal values
+    if layout == "grid":  # a grid-major column: ascending runs, tiled
+        bits = np.tile(np.sort(bits), tiles)
+    elif layout == "shuffled":
+        bits = bits[np.array(random.sample(range(len(bits)), len(bits)), dtype=np.intp)]
+    distinct, index = cli._distinct(bits)
+    want_distinct, want_index = np.unique(bits, return_inverse=True)
+    assert distinct.dtype == want_distinct.dtype and index.dtype == want_index.dtype
+    assert distinct.tolist() == want_distinct.tolist()
+    assert index.tolist() == want_index.tolist()
+
+
+def test_single_point_classify_encodes_each_parameter_once(monkeypatch, capsys):
+    calls = []
+    encode = cli._CELL_ENCODER.encode
+    monkeypatch.setattr(cli._CELL_ENCODER, "encode", lambda cells: calls.append(cells) or
+                        encode(cells))
+    code, out, _ = run_cli(capsys, "classify")
+    assert code == 0 and len(json.loads(out)["rows"]) == 3
+    (cells,) = calls
+    p = cli.DEFAULT_PARAMS
+    params = [p.omega_a, p.omega_b, p.omega_c, p.lam.real, p.lam.imag, p.xi.real, p.xi.imag,
+              p.kappa.real, p.kappa.imag]
+    head = 1 + len(params) + 2  # the version, the config's values, its atom and sector
+    assert cells[1:head - 2] == params
+    # the point's 9 parameters, then per row its energy, three complex
+    # amplitudes and class, then the point's two residuals and status
+    assert cells[head:head + 9] == params
+    assert len(cells) == head + 9 + 3 * (1 + 2 * 3 + 1) + 3
 
 
 @pytest.mark.parametrize("kappa", [5e-324, 1e-170, 1e-300])

@@ -63,11 +63,11 @@ FORMATS = ("json", "csv")
 SCAN_CONFIGS = {
     "lambda-xi-scan": FORMATS,
     # resonant real lambda x xi grid, detuned atom, crossing lambda = kappa and lambda = xi
-    "resonant-detuned-grid": ("csv",),
+    "resonant-detuned-grid": FORMATS,
     # off resonance with complex kappa over omega_a x omega_c
     "complex-kappa-off-resonance-grid": ("csv",),
     # omega_b = omega_c, lambda = xi, kappa from 0 past sqrt(omega_b omega_c): error rows
-    "degenerate-kappa-sweep": ("csv",),
+    "degenerate-kappa-sweep": FORMATS,
 }
 SCAN_OPERATIONS = ("spectrum", "classify", "duality")
 

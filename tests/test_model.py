@@ -17,7 +17,7 @@ from darktrio import (
     validate,
 )
 
-from darktrio.model import _sector_layout
+from darktrio.model import _max_abs, _sector_layout
 
 from _generators import valid_params
 
@@ -209,3 +209,22 @@ def test_validate_degenerate_block_reports_ass1():
         validate(ModelParams(1.0, 1.0, 1.0, 0.1, 0.1, 0.0))
     assert info.value.ass1.passed
     assert info.value.ass1.margin == pytest.approx(1.0)
+
+
+def test_max_abs_matches_the_row_wise_reduction():
+    # the reduction runs over a transposed copy; a max is exact, so every
+    # bit, NaN, signed zeros and infinities included, is the row-wise one's
+    rng = np.random.default_rng(18)
+    special = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -1.7976931348623157e308])
+    for n in (*range(1, 12), 100, 999, 1000, 2000):
+        for shape in ((n, 9), (n, 3, 3), (n, 1), (n, 2, 5)):
+            x = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+            picks = rng.random(shape) < 0.2
+            x[picks] = rng.choice(special, picks.sum())
+            z = np.empty(shape, dtype=complex)
+            z.real, z.imag = x, rng.permuted(x)  # no arithmetic: keeps NaN, inf, -0.0
+            for values in (x, z):
+                want = np.maximum.reduce(np.abs(values).reshape(n, -1), axis=1)
+                got = _max_abs(values)
+                assert got.shape == (n,)
+                assert got.view(np.int64).tolist() == want.view(np.int64).tolist()

@@ -24,6 +24,7 @@ from darktrio import (
     three_mode_spectrum,
 )
 
+from darktrio import oracle
 from darktrio.model import _Batch
 from darktrio.oracle import _REASONS, _crosscheck
 
@@ -63,6 +64,50 @@ def test_eig_hermitian_threshold_from_both_sides():
         dense_hermitian_eig(a)
     a[1, 0] = 0.9 * threshold
     np.testing.assert_allclose(dense_hermitian_eig(a).values, [1.0, 2.0], rtol=0, atol=1e-12)
+
+
+#: a point whose bare matrix holds -1.8e308 twice: its Frobenius norm overflows
+FLOAT_MAX_XI = ModelParams(1.0, 0.33, 1.0, 0.2, -1.7976931348623157e308, 0.1)
+
+
+def test_eig_bounds_stay_finite_where_the_norm_overflows(monkeypatch):
+    # the solve passes its finite bounds; an eigenvector turned by 1e-6 at
+    # that scale leaves a residual of about 1e302, far past them
+    assert len(classify_spectrum(FLOAT_MAX_XI)) == 3
+    matrix = one_excitation_matrix(FLOAT_MAX_XI).matrix
+    solve = oracle._lapack_eigh
+
+    def turned(a):
+        values, vectors, failures = solve(a)
+        c, s = np.cos(1e-6), np.sin(1e-6)
+        first, last = vectors[..., 0].copy(), vectors[..., 2].copy()
+        vectors[..., 0], vectors[..., 2] = c * first - s * last, s * first + c * last
+        return values, vectors, failures
+
+    monkeypatch.setattr(oracle, "_lapack_eigh", turned)
+    with pytest.raises(ConvergenceFailure, match="decomposition out of tolerance"):
+        dense_hermitian_eig(matrix)
+    with pytest.raises(ConvergenceFailure):
+        classify_spectrum(FLOAT_MAX_XI)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eig_rejects_a_non_finite_entry_by_name(bad):
+    a = np.eye(3, dtype=complex)
+    a[0, 2] = a[2, 0] = bad
+    with pytest.raises(NotHermitian, match="non-finite entry"):
+        dense_hermitian_eig(a)
+    a[0, 2] = complex(1.0, bad)
+    with pytest.raises(NotHermitian, match="non-finite entry"):
+        dense_hermitian_eig(a)
+
+
+def test_eig_non_finite_matrix_fails_only_its_point():
+    stack = np.array([np.eye(2), [[1.0, np.nan], [np.nan, 1.0]], np.diag([1e200, -1e200])],
+                     dtype=complex)
+    values, _, status = oracle._eigh(stack)
+    assert status.code.tolist()[::2] == [0, 0] and status.code[1] != 0
+    assert values[2].tolist() == [-1e200, 1e200]
 
 
 def _failing_eigh(monkeypatch, fails):
