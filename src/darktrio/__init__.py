@@ -24,8 +24,6 @@ from .darkstates import (
     classify_spectrum,
     dark_tuning,
     duality_swap,
-    e_of,
-    f_of,
     multiquantum_state,
     relabel_modes,
     two_mode_binomial_state,
@@ -53,7 +51,6 @@ from .model import (
     AtomKind,
     ModelParams,
     SectorMatrix,
-    one_excitation_matrix,
     sector_basis,
     sector_matrix,
     validate,
@@ -68,13 +65,5 @@ from .oracle import (
     dense_hermitian_eig,
     oscillator_sector_check,
 )
-from .threemode import (
-    CubicShape,
-    ThreeModeSpectrum,
-    cubic_stationary,
-    d1,
-    phi,
-    quasi_basis_matrix,
-    three_mode_spectrum,
-)
+from .threemode import ThreeModeSpectrum, phi, three_mode_spectrum
 from .twomode import TwoModeSpectrum, two_mode_spectrum

@@ -547,10 +547,16 @@ def _tolerances(overrides: dict[str, float]) -> Tolerances:
     try:
         return _DEFAULT_TOL.override(overrides)
     except KeyError as err:
-        raise ConfigError(str(err)) from err
+        raise ConfigError(err.args[0]) from err
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call and then reused.
+
+    Reuse is safe: argparse looks up ``sys.stdout``/``sys.stderr`` when it
+    prints, and the ``append`` action of ``--tol`` copies its default list.
+    """
     parser = argparse.ArgumentParser(
         prog="darktrio",
         description="spectra and dark/quasi-dark eigenstates of the three-mode model",
@@ -580,16 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
                       nargs="?", default="spectrum")
     common(scan)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of :func:`main`, built on its first call and then reused.
-
-    Reuse is safe: argparse looks up ``sys.stdout``/``sys.stderr`` when it
-    prints, and the ``append`` action of ``--tol`` copies its default list.
-    """
-    return build_parser()
 
 
 _RUNNERS = {"spectrum": _spectrum_rows, "classify": _classify_rows, "duality": _duality_rows}

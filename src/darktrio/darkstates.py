@@ -6,12 +6,12 @@ amplitude on the phonon-excited component.  On photon-phonon resonance
 (``omega = omega_b = omega_c``) with ``kappa > 0`` and real ``lambda``,
 ``xi``, the two closed-form functions
 
-    e_of(x, y) = omega - kappa * y / x
-    f_of(x, y) = (kappa / x - x / kappa) * y
+    e(x, y) = omega - kappa * y / x
+    f(x, y) = (kappa / x - x / kappa) * y
 
-control their existence: ``f_of(lambda, xi) = omega - omega_a`` produces a
-dark eigenstate at energy ``e_of(lambda, xi)``, and the condition with the
-arguments swapped produces a quasi-dark eigenstate at ``e_of(xi, lambda)``.
+control their existence: ``f(lambda, xi) = omega - omega_a`` produces a
+dark eigenstate at energy ``e(lambda, xi)``, and the condition with the
+arguments swapped produces a quasi-dark eigenstate at ``e(xi, lambda)``.
 Swapping the coupling strengths ``lambda <-> xi`` exchanges the two
 conditions and the two states, which is the duality this package verifies.
 """
@@ -47,8 +47,6 @@ __all__ = [
     "Classification",
     "EigenstateRecord",
     "TuningResult",
-    "e_of",
-    "f_of",
     "dark_tuning",
     "assemble_eigenstate",
     "classify",
@@ -129,28 +127,6 @@ class TuningResult:
     residual: float
 
 
-def e_of(x: float, y: float, omega: float, kappa: float) -> float:
-    """Energy of the tuned eigenstate: ``omega - kappa * y / x``.
-
-    Raises :class:`AssumptionViolation` for ``x = 0``.
-    """
-    if x == 0.0:
-        raise AssumptionViolation("e_of requires x != 0")
-    return _e_of(x, y, omega, kappa)
-
-
-def f_of(x: float, y: float, kappa: float) -> float:
-    """Tuning function ``(kappa / x - x / kappa) * y``; zero at ``x = kappa``.
-
-    Raises :class:`AssumptionViolation` for ``x = 0`` or ``kappa = 0``.
-    """
-    if x == 0.0:
-        raise AssumptionViolation("f_of requires x != 0")
-    if kappa == 0.0:
-        raise AssumptionViolation("f_of requires kappa != 0")
-    return _f_of(x, y, kappa)
-
-
 def _e_of(x, y, omega, kappa):
     return omega - kappa * y / x
 
@@ -194,7 +170,7 @@ def dark_tuning(params: ModelParams, tol: float = 1e-9) -> tuple[TuningResult, T
     """Evaluate both tuning branches; returns (dark, quasi-dark) results.
 
     A branch is satisfied when its residual
-    ``|f_of(., .) - (omega - omega_a)|`` is below
+    ``|f(., .) - (omega - omega_a)|`` is below
     ``tol * max(1, |omega - omega_a|)``.  Photon and phonon count as
     resonant within a detuning of 1e-12 relative to ``max(1, omega_b,
     omega_c)``, as for the occupations and the duality report; a larger
@@ -235,13 +211,14 @@ def assemble_eigenstate(params: ModelParams, energy: float) -> SectorVector:
     identity or the swap, which gives the decoupled form
     ``(1, lambda/(E - omega_b), xi/(E - omega_c))``.  The same coefficient
     triple applies to both atom kinds.  Raises :class:`NotAnEigenvalue`
-    when the spectral function at ``energy`` reaches 1e-8 and
-    :class:`PoleHit` within 1e-10 of a pole.
+    when ``energy`` is not finite or the spectral function there reaches
+    1e-8, and :class:`PoleHit` within 1e-10 of a pole.
     """
+    e = _finite_energy(energy)
     p = _batch_of(params)
     two = _two_mode(p)
     two.status.check()
-    e, eps = float(energy), tuple(two.eps[0].tolist())
+    eps = tuple(two.eps[0].tolist())
     if abs(e - eps[0]) <= 1e-10 or abs(e - eps[1]) <= 1e-10:
         raise PoleHit(f"energy {e} sits on a quasimode energy {eps}")
     with np.errstate(all="ignore"):
@@ -250,6 +227,14 @@ def assemble_eigenstate(params: ModelParams, energy: float) -> SectorVector:
         raise NotAnEigenvalue(f"spectral function is {residual:.3e} at {e}, above 1.0e-08")
     return SectorVector(amps=_bare_vectors(two.u, two.gamma, two.eps, np.array([[e]]))[0, :, 0],
                         ell=1)
+
+
+def _finite_energy(energy: float) -> float:
+    """``energy`` as a float; raises :class:`NotAnEigenvalue` unless it is finite."""
+    e = float(energy)
+    if not math.isfinite(e):
+        raise NotAnEigenvalue(f"energy {e} is not finite, so it is no dressed level")
+    return e
 
 
 def classify(state: SectorVector, tol: float = 1e-9) -> Classification:
@@ -311,7 +296,7 @@ def multiquantum_state(params: ModelParams, branch: StateClass, n: int) -> Secto
 
     The dark branch is ``(kappa a' - lambda c')**n`` on the vacuum,
     normalized; it has no amplitude on any photon-occupied basis state and
-    is an exact eigenstate with energy ``n * e_of(lambda, xi)`` when the
+    is an exact eigenstate with energy ``n * e(lambda, xi)`` when the
     dark tuning condition holds.  The quasi-dark branch replaces the
     phonon with the photon and ``lambda`` with ``xi``.  The state lives in
     the oscillator's sector ``n``, and exists only under the matching

@@ -28,7 +28,6 @@ __all__ = [
     "AssumptionReport",
     "SectorMatrix",
     "validate",
-    "one_excitation_matrix",
     "sector_basis",
     "sector_matrix",
 ]
@@ -243,18 +242,6 @@ def _assumption_margins(p: _Batch, two, ass2_rtol: float = GAMMA_RTOL) -> np.nda
     margins[:, 2] = (wa * wb + wb * wc + wc * wa) - (ksq + g1sq + g2sq)
     margins[:, 3] = wa * wb * wc - (wa * ksq + two.eps[:, 0] * g2sq + two.eps[:, 1] * g1sq)
     return margins
-
-
-def one_excitation_matrix(params: ModelParams) -> SectorMatrix:
-    """The 3x3 Hamiltonian block on the one-excitation sector: sector 1 of
-    :func:`sector_matrix`, the same for both atom kinds.
-
-    Basis order (atom, photon, phonon).  The upper triangle carries the
-    conjugated couplings times the ladder factor 1.0, e.g. ``entry(atom,
-    photon) = conj(lambda) * 1.0``; a zero part takes its sign from that
-    complex product, not from the coupling.
-    """
-    return sector_matrix(params, AtomKind.TWO_LEVEL, 1)
 
 
 def sector_basis(kind: AtomKind, ell: int) -> tuple[tuple[int, int, int], ...]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .darkstates import _resonant_real
+from .darkstates import _finite_energy, _resonant_real
 from .errors import DegenerateSpectrum, GammaZero, NotAnEigenvalue, PoleHit, _Status
 from .model import ModelParams, _batch_of, _Batch
 from .threemode import _dressed, _phi
@@ -96,10 +96,10 @@ def _check_energies(p: _Batch, e: np.ndarray, two: _TwoModeBatch, regime,
 
 
 def _occupation_pair(params: ModelParams, energy: float) -> tuple[float, float]:
+    e = np.array([[_finite_energy(energy)]])
     p = _batch_of(params)
     status = _Status(1)
     regime = _resonant_real(p, status, GammaZero)
-    e = np.array([[float(energy)]])
     with np.errstate(all="ignore"):
         _check_energies(p, e, _two_mode(p), regime, status)
         b, c = _occupations(p, e, regime)

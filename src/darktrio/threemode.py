@@ -38,7 +38,6 @@ never as the root finder.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -48,7 +47,6 @@ from .errors import (
     AssumptionViolation,
     DegenerateSpectrum,
     GammaZero,
-    PoleHit,
     _Status,
 )
 from .model import (
@@ -60,15 +58,7 @@ from .model import (
 )
 from .twomode import TwoModeSpectrum, _two_mode, _TwoModeBatch
 
-__all__ = [
-    "ThreeModeSpectrum",
-    "CubicShape",
-    "d1",
-    "phi",
-    "three_mode_spectrum",
-    "cubic_stationary",
-    "quasi_basis_matrix",
-]
+__all__ = ["ThreeModeSpectrum", "phi", "three_mode_spectrum"]
 
 _EYE3 = np.eye(3)
 
@@ -118,38 +108,9 @@ class _ThreeModeBatch(NamedTuple):
                                  v=self.v[i].copy(), two=self.two.point(i))
 
 
-@dataclass(frozen=True)
-class CubicShape:
-    """Stationary points ``f_minus <= f_plus`` of the cleared cubic.
-
-    ``w`` is the nonnegative quantity under the square root,
-
-        w = ((omega_a - omega_b)^2 + (omega_b - omega_c)^2
-             + (omega_c - omega_a)^2) / 2
-            + 3 * (|kappa|^2 + |lambda|^2 + |xi|^2),
-
-    and ``f_pm = (omega_a + omega_b + omega_c +- sqrt(w)) / 3``.  The
-    total squared coupling weight |Gamma_1|^2 + |Gamma_2|^2 equals
-    |lambda|^2 + |xi|^2 because the normal-mode rotation is unitary.
-    """
-
-    f_minus: float
-    f_plus: float
-    w: float
-
-
-def quasi_basis_matrix(params: ModelParams) -> np.ndarray:
-    """One-excitation Hamiltonian in the (quasimode 1, quasimode 2, atom) basis.
-
-    Like :func:`phi`, it reads the solved quasimodes and couplings of a
-    degenerate photon-phonon block.
-    """
-    two = _two_mode(_batch_of(params))
-    return _quasi_matrices(np.array([params.omega_a]), two.eps, two.gamma)[0]
-
-
 def _quasi_matrices(omega_a, eps, gamma) -> np.ndarray:
-    """:func:`quasi_basis_matrix` per point: ``omega_a`` (n,), ``eps`` and ``gamma`` (n, 2)."""
+    """The one-excitation Hamiltonian in the (quasimode 1, quasimode 2, atom)
+    basis, per point: ``omega_a`` (n,), ``eps`` and ``gamma`` (n, 2)."""
     h = np.zeros((len(omega_a), 3, 3), dtype=complex)
     h[:, 0, 0], h[:, 1, 1], h[:, 2, 2] = eps[:, 0], eps[:, 1], omega_a
     h[:, :2, 2], h[:, 2, :2] = gamma, gamma.conj()
@@ -190,21 +151,6 @@ def _bare_vectors(u, gamma, eps, energies) -> np.ndarray:
     # bit the same however many energies and points are passed (a matmul may not)
     rotated = u[..., :, :1] * quasi[..., None, 0, :] + u[..., :, 1:] * quasi[..., None, 1, :]
     return np.concatenate([np.ones_like(rotated[..., :1, :]), rotated], axis=-2)
-
-
-def d1(params: ModelParams, x):
-    """The rational spectral function whose zeros are the dressed levels.
-
-    Real input yields real output.  Raises :class:`PoleHit` when ``x`` is
-    within ``1e-12 * max(1, |x|)`` of a quasimode energy.  Like :func:`phi`,
-    it reads the solved quasimodes and couplings of a degenerate block.
-    """
-    two = _two_mode(_batch_of(params))
-    eps = tuple(two.eps[0].tolist())
-    guard = 1e-12 * max(1.0, abs(x))
-    if min(abs(x - eps[0]), abs(x - eps[1])) <= guard:
-        raise PoleHit(f"x = {x!r} sits on a quasimode energy {eps}")
-    return _d1_and_slope(x, params.omega_a, two.eps[0], np.square(two.gamma_abs[0]))[0]
 
 
 def phi(params: ModelParams, x: float) -> float:
@@ -313,13 +259,3 @@ def _dressed(p: _Batch, two: _TwoModeBatch) -> _ThreeModeBatch:
         "the spectrum is too ill-conditioned for the closed forms"
     ))
     return _ThreeModeBatch(levels, n_norm, v, residual, two, status)
-
-
-def cubic_stationary(params: ModelParams) -> CubicShape:
-    """Stationary points of the cleared cubic and the quantity under the root."""
-    wa, wb, wc = params.omega_a, params.omega_b, params.omega_c
-    weight = abs(params.kappa) ** 2 + abs(params.lam) ** 2 + abs(params.xi) ** 2
-    w = 0.5 * ((wa - wb) ** 2 + (wb - wc) ** 2 + (wc - wa) ** 2) + 3.0 * weight
-    center = wa + wb + wc
-    sqrt_w = math.sqrt(w)
-    return CubicShape(f_minus=(center - sqrt_w) / 3.0, f_plus=(center + sqrt_w) / 3.0, w=w)

@@ -13,8 +13,9 @@ that the dense references diagonalize.
 import numpy as np
 
 from darktrio import (
+    AtomKind,
     ModelParams,
-    one_excitation_matrix,
+    sector_matrix,
     three_mode_spectrum,
     two_mode_spectrum,
     validate,
@@ -133,7 +134,7 @@ def kappa_zero_params(rng, min_gap=1e-3):
         lam = rng.uniform(0.05, 0.5)
         xi = rng.uniform(0.05, 0.5)
         params = ModelParams(omega_a, omega_b, omega_c, lam, xi, 0.0)
-        levels = np.linalg.eigvalsh(one_excitation_matrix(params).matrix)
+        levels = np.linalg.eigvalsh(sector_matrix(params, AtomKind.TWO_LEVEL, 1).matrix)
         if np.diff(levels).min() <= min_gap:
             continue
         return params

@@ -24,12 +24,9 @@ from darktrio import (
     dense_hermitian_eig,
     duality_report,
     duality_swap,
-    e_of,
     multiquantum_state,
-    one_excitation_matrix,
     oscillator_sector_check,
     phi,
-    quasi_basis_matrix,
     relabel_modes,
     sector_matrix,
     three_mode_spectrum,
@@ -37,6 +34,8 @@ from darktrio import (
     two_mode_spectrum,
 )
 from darktrio.cli import main
+from darktrio.darkstates import _e_of
+from darktrio.threemode import _quasi_matrices
 
 from _generators import (
     kappa_zero_params,
@@ -86,7 +85,7 @@ def test_dark_state_reproduction_without_phonon_coupling():
                 state.amps / state.norm, expected, rtol=0, atol=1e-10
             )
             # independent route: dense solver eigenvector, phase aligned
-            eig = dense_hermitian_eig(one_excitation_matrix(p).matrix)
+            eig = dense_hermitian_eig(sector_matrix(p, AtomKind.TWO_LEVEL, 1).matrix)
             column = eig.vectors[:, int(np.argmin(np.abs(eig.values - 1.0)))]
             overlap = np.vdot(expected, column)
             np.testing.assert_allclose(
@@ -106,7 +105,7 @@ def test_quasi_dark_reproduction_without_photon_coupling():
             np.testing.assert_allclose(
                 state.amps / state.norm, expected, rtol=0, atol=1e-10
             )
-            eig = dense_hermitian_eig(one_excitation_matrix(p).matrix)
+            eig = dense_hermitian_eig(sector_matrix(p, AtomKind.TWO_LEVEL, 1).matrix)
             column = eig.vectors[:, int(np.argmin(np.abs(eig.values - 1.0)))]
             overlap = np.vdot(expected, column)
             np.testing.assert_allclose(
@@ -124,7 +123,7 @@ def test_tuned_dark_and_swapped_quasi_dark():
 
             dark, _ = dark_tuning(p)
             assert dark.kind is StateClass.DARK
-            energy = e_of(lam, xi, omega, kappa)
+            energy = _e_of(lam, xi, omega, kappa)
             spectrum = three_mode_spectrum(p)
             assert min(abs(e - energy) for e in spectrum.e) < 1e-10
 
@@ -182,7 +181,8 @@ def test_unitarity_and_sum_rule_identities():
             block = rwa_block_matrix(p)
             diag2 = two.u.conj().T @ block @ two.u - np.diag(two.eps)
             assert np.max(np.abs(diag2)) < 1e-11 * np.linalg.norm(block)
-            quasi = quasi_basis_matrix(p)
+            quasi = _quasi_matrices(np.array([p.omega_a]), np.array([two.eps]),
+                                    np.array([two.gamma]))[0]
             diag3 = spectrum.v.conj().T @ quasi @ spectrum.v - np.diag(spectrum.e)
             assert np.max(np.abs(diag3)) < 1e-11 * np.linalg.norm(quasi)
 
@@ -240,9 +240,9 @@ def test_relabeling_symmetry():
             phases = np.exp(2j * np.pi * rng.uniform(size=3))
             freqs = rng.uniform(0.5, 2.0, size=3)
             p = ModelParams(*freqs, *(mags * phases))
-            h = one_excitation_matrix(p).matrix
+            h = sector_matrix(p, AtomKind.TWO_LEVEL, 1).matrix
             for role, order in swaps.items():
-                relabeled = one_excitation_matrix(relabel_modes(p, role)).matrix
+                relabeled = sector_matrix(relabel_modes(p, role), AtomKind.TWO_LEVEL, 1).matrix
                 assert np.array_equal(relabeled, h[np.ix_(order, order)])
                 assert relabel_modes(relabel_modes(p, role), role) == p
 

@@ -35,7 +35,6 @@ SIGNATURES = {
         "skipped: 'bool' = False, reason: 'str' = '') -> None"
     ),
     "Classification": "(variant: 'StateClass', photon_amp: 'float', phonon_amp: 'float') -> None",
-    "CubicShape": "(f_minus: 'float', f_plus: 'float', w: 'float') -> None",
     "DegenerateTwoMode": "(message, ass1=None)",
     "DualityReport": (
         "(energies: 'tuple[tuple[float, float, float], tuple[float, float, float]]', "
@@ -94,8 +93,6 @@ SIGNATURES = {
         'eigenstate=1e-09, occupation=1e-10, sector=1e-09, ass2=1e-12, classify=1e-09, '
         "tuning=1e-09, duality=1e-10)) -> 'ValidationReport'"
     ),
-    "cubic_stationary": "(params: 'ModelParams') -> 'CubicShape'",
-    "d1": "(params: 'ModelParams', x)",
     "dark_tuning": (
         "(params: 'ModelParams', tol: 'float' = 1e-09) -> 'tuple[TuningResult, "
         "TuningResult]'"
@@ -103,17 +100,13 @@ SIGNATURES = {
     "dense_hermitian_eig": "(matrix) -> 'EigenDecomposition'",
     "duality_report": "(params: 'ModelParams', tol: 'float' = 1e-10) -> 'DualityReport'",
     "duality_swap": "(params: 'ModelParams') -> 'ModelParams'",
-    "e_of": "(x: 'float', y: 'float', omega: 'float', kappa: 'float') -> 'float'",
-    "f_of": "(x: 'float', y: 'float', kappa: 'float') -> 'float'",
     "multiquantum_state": (
         "(params: 'ModelParams', branch: 'StateClass', n: 'int') -> 'SectorVector'"
     ),
-    "one_excitation_matrix": "(params: 'ModelParams') -> 'SectorMatrix'",
     "oscillator_sector_check": (
         "(params: 'ModelParams', ell: 'int', *, tol: 'float' = 1e-09) -> 'ValidationReport'"
     ),
     "phi": "(params: 'ModelParams', x: 'float') -> 'float'",
-    "quasi_basis_matrix": "(params: 'ModelParams') -> 'np.ndarray'",
     "relabel_modes": "(params: 'ModelParams', role: 'RelabelRole | str') -> 'ModelParams'",
     "sector_basis": "(kind: 'AtomKind', ell: 'int') -> 'tuple[tuple[int, int, int], ...]'",
     "sector_matrix": "(params: 'ModelParams', kind: 'AtomKind', ell: 'int') -> 'SectorMatrix'",
@@ -139,7 +132,7 @@ def _has_signature(obj):
 
 def test_public_names_are_pinned():
     assert _public_names() == UNSIGNED | (SIGNATURES.keys() - {"cli.main"})
-    assert len(_public_names()) == 67
+    assert len(_public_names()) == 60
 
 
 def test_public_signatures_are_pinned():

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from darktrio import ModelParams, one_excitation_matrix
+from darktrio import AtomKind, ModelParams, sector_matrix
 
 from _generators import random_hermitian
 
@@ -87,5 +87,5 @@ def test_charpoly_route_agrees_with_dense_solver():
 
 
 def test_charpoly_route_fixture():
-    values = eigvals_charpoly_3x3(one_excitation_matrix(FIXTURE).matrix)
+    values = eigvals_charpoly_3x3(sector_matrix(FIXTURE, AtomKind.TWO_LEVEL, 1).matrix)
     np.testing.assert_allclose(values, FIXTURE_LEVELS, rtol=0, atol=1e-12)

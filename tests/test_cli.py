@@ -776,9 +776,9 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
     finally:
         cli._parser.cache_clear()
     capsys.readouterr()
-    # the parser and one subparser per command, as one build_parser() makes them
+    # the parser and one subparser per command, as one uncached build makes them
     built.clear()
-    cli.build_parser()
+    cli._parser.__wrapped__()
     assert calls == built
     assert calls.count("darktrio") == 1
 
@@ -806,6 +806,11 @@ def test_tol_override_does_not_reach_the_next_call(capsys):
 def test_unknown_tolerance_names_are_config_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, "spectrum", "--tol", "nope=1e-9")
     assert code == 1 and "unknown tolerance names" in err
+    # one unquoted line, from the flag or from the config alike
+    line = "config error: unknown tolerance names: ['nope']\n"
+    assert run_cli(capsys, "spectrum", "--tol", "nope=1") == (1, "", line)
+    cfg = write_config(tmp_path, {"tol": {"nope": 1}})
+    assert run_cli(capsys, "spectrum", "--config", cfg) == (1, "", line)
     cfg = write_config(tmp_path, {"tol": {}})
     assert run_cli(capsys, "spectrum", "--config", cfg)[0] == 0
 

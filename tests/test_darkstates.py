@@ -22,14 +22,10 @@ from darktrio import (
     assemble_eigenstate,
     classify,
     classify_spectrum,
-    d1,
     dark_tuning,
     duality_report,
     duality_swap,
-    e_of,
-    f_of,
     multiquantum_state,
-    one_excitation_matrix,
     phi,
     relabel_modes,
     sector_basis,
@@ -37,6 +33,8 @@ from darktrio import (
     three_mode_spectrum,
     two_mode_binomial_state,
 )
+from darktrio.darkstates import _e_of, _f_of
+from darktrio.threemode import _d1_and_slope
 
 from _generators import kappa_zero_params, resonant_real_params, tuned_dark_params
 
@@ -45,21 +43,15 @@ QUASI_TUNED = ModelParams(1.0, 1.0, 1.0, 0.05, 0.2, 0.2)
 
 
 def test_e_of_values():
-    assert e_of(0.3, 0.0, 1.0, 0.2) == 1.0
-    assert e_of(0.4, 0.4, 1.0, 0.2) == pytest.approx(0.8, abs=1e-15)
-    assert e_of(0.2, 0.05, 1.0, 0.2) == pytest.approx(0.95, abs=1e-15)
-    with pytest.raises(AssumptionViolation):
-        e_of(0.0, 0.1, 1.0, 0.2)
+    assert _e_of(0.3, 0.0, 1.0, 0.2) == 1.0
+    assert _e_of(0.4, 0.4, 1.0, 0.2) == pytest.approx(0.8, abs=1e-15)
+    assert _e_of(0.2, 0.05, 1.0, 0.2) == pytest.approx(0.95, abs=1e-15)
 
 
 def test_f_of_values():
-    assert f_of(0.2, 0.7, 0.2) == 0.0
-    assert f_of(0.3, 0.0, 0.2) == 0.0
-    assert f_of(0.1, 0.05, 0.2) == pytest.approx(0.075, abs=1e-15)
-    with pytest.raises(AssumptionViolation):
-        f_of(0.0, 0.1, 0.2)
-    with pytest.raises(AssumptionViolation):
-        f_of(0.1, 0.1, 0.0)
+    assert _f_of(0.2, 0.7, 0.2) == 0.0
+    assert _f_of(0.3, 0.0, 0.2) == 0.0
+    assert _f_of(0.1, 0.05, 0.2) == pytest.approx(0.075, abs=1e-15)
 
 
 def test_dark_tuning_satisfied_branch():
@@ -141,7 +133,7 @@ def test_assemble_no_phonon_coupling_dark_display():
 
 def test_assemble_decoupled_fields_closed_form():
     p = ModelParams(1.1, 1.0, 1.4, 0.2, 0.1, 0.0)
-    energy = float(np.linalg.eigvalsh(one_excitation_matrix(p).matrix)[0])
+    energy = float(np.linalg.eigvalsh(sector_matrix(p, AtomKind.TWO_LEVEL, 1).matrix)[0])
     state = assemble_eigenstate(p, energy)
     expected = [1.0, 0.2 / (energy - 1.0), 0.1 / (energy - 1.4)]
     np.testing.assert_allclose(state.amps, expected, rtol=0, atol=1e-12)
@@ -155,9 +147,13 @@ def test_assemble_rejects_non_eigenvalue():
 def test_assemble_eigenvalue_threshold_from_both_sides():
     # an energy counts as a level while |d1| stays below 1e-8; d1'(E) = N^-2
     spectrum = three_mode_spectrum(DARK_TUNED)
+    two = spectrum.two
+    gsq = np.square(np.abs(two.gamma))
     for level, norm in zip(spectrum.e, spectrum.n_norm):
         inside, outside = (level + 1e-8 * share * norm**2 for share in (0.9, 1.1))
-        assert abs(d1(DARK_TUNED, inside)) < 1e-8 < abs(d1(DARK_TUNED, outside))
+        d1_inside, d1_outside = _d1_and_slope(np.array([inside, outside]), DARK_TUNED.omega_a,
+                                              np.array(two.eps)[:, None], gsq[:, None])[0]
+        assert abs(d1_inside) < 1e-8 < abs(d1_outside)
         assemble_eigenstate(DARK_TUNED, inside)
         with pytest.raises(NotAnEigenvalue):
             assemble_eigenstate(DARK_TUNED, outside)
@@ -172,7 +168,7 @@ def test_assemble_reproduces_eigen_equation():
     rng = np.random.default_rng(51)
     for _ in range(20):
         p = resonant_real_params(rng)
-        h = one_excitation_matrix(p).matrix
+        h = sector_matrix(p, AtomKind.TWO_LEVEL, 1).matrix
         scale = np.linalg.norm(h)
         for energy in three_mode_spectrum(p).e:
             state = assemble_eigenstate(p, energy)
@@ -401,7 +397,7 @@ def test_kappa_zero_eigen_residuals():
     rng = np.random.default_rng(55)
     for _ in range(20):
         p = kappa_zero_params(rng)
-        h = one_excitation_matrix(p).matrix
+        h = sector_matrix(p, AtomKind.TWO_LEVEL, 1).matrix
         scale = np.linalg.norm(h)
         for record in classify_spectrum(p):
             defect = h @ record.state.amps - record.energy * record.state.amps
@@ -418,12 +414,12 @@ def test_tuning_condition_matches_cubic_factorization():
         lam, xi, kappa = p.lam.real, p.xi.real, p.kappa.real
         for x, y in ((lam, xi), (xi, lam)):
             z = y / x
-            energy = e_of(x, y, omega, kappa)
+            energy = _e_of(x, y, omega, kappa)
             expected = (
                 -(kappa**2)
                 * (1.0 - z)
                 * (1.0 + z)
-                * ((omega - p.omega_a) - f_of(x, y, kappa))
+                * ((omega - p.omega_a) - _f_of(x, y, kappa))
             )
             assert phi(p, energy) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 

@@ -10,7 +10,6 @@ from darktrio import (
     DegenerateTwoMode,
     ModelParams,
     SizeLimit,
-    one_excitation_matrix,
     oscillator_sector_check,
     sector_basis,
     sector_matrix,
@@ -35,23 +34,25 @@ def test_frequencies_must_be_positive_and_finite():
         ModelParams(1.0, 1.0, 1.0, complex("nan"), 0.1, 0.1)
 
 
+#: sector 1 of FIXTURE over (atom, photon, phonon)
+FIXTURE_SECTOR_1 = np.array([[1.0, 0.2, 0.05], [0.2, 1.0, 0.1], [0.05, 0.1, 1.0]], dtype=complex)
+
+
 def test_one_excitation_matrix_real_couplings():
-    expected = np.array(
-        [[1.0, 0.2, 0.05], [0.2, 1.0, 0.1], [0.05, 0.1, 1.0]], dtype=complex
-    )
-    np.testing.assert_array_equal(one_excitation_matrix(FIXTURE).matrix, expected)
+    np.testing.assert_array_equal(sector_matrix(FIXTURE, AtomKind.TWO_LEVEL, 1).matrix,
+                                  FIXTURE_SECTOR_1)
 
 
 def test_one_excitation_matrix_decoupled_is_diagonal():
     p = ModelParams(1.0, 2.0, 3.0, 0.0, 0.0, 0.0)
     np.testing.assert_array_equal(
-        one_excitation_matrix(p).matrix, np.diag([1.0, 2.0, 3.0]).astype(complex)
+        sector_matrix(p, AtomKind.TWO_LEVEL, 1).matrix, np.diag([1.0, 2.0, 3.0]).astype(complex)
     )
 
 
 def test_one_excitation_matrix_imaginary_kappa():
     p = ModelParams(1.0, 1.0, 1.0, 0.0, 0.0, 0.1j)
-    h = one_excitation_matrix(p).matrix
+    h = sector_matrix(p, AtomKind.TWO_LEVEL, 1).matrix
     assert h[1, 2] == -0.1j
     assert h[2, 1] == 0.1j
 
@@ -59,7 +60,7 @@ def test_one_excitation_matrix_imaginary_kappa():
 @pytest.mark.parametrize("kind", list(AtomKind))
 def test_sector_one_matches_one_excitation(kind):
     sector = sector_matrix(FIXTURE, kind, 1)
-    np.testing.assert_array_equal(sector.matrix, one_excitation_matrix(FIXTURE).matrix)
+    np.testing.assert_array_equal(sector.matrix, FIXTURE_SECTOR_1)
     assert sector.basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 

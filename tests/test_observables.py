@@ -94,6 +94,18 @@ def test_occupation_regime_guards():
         b_occupation(FIXTURE, 1.05)
 
 
+@pytest.mark.parametrize("energy", [float("nan"), float("inf"), float("-inf")])
+def test_a_non_finite_energy_is_not_an_eigenvalue(energy):
+    # refused with one error, before any arithmetic could warn or return NaN
+    message = rf"^energy {energy} is not finite"
+    with pytest.raises(NotAnEigenvalue, match=message):
+        assemble_eigenstate(FIXTURE, energy)
+    for occupation in (b_occupation, c_occupation):
+        for normalized in (False, True):
+            with pytest.raises(NotAnEigenvalue, match=message):
+                occupation(FIXTURE, energy, normalized=normalized)
+
+
 def test_quasi_dark_self_consistency_with_zero_lambda():
     # lam = 0 with kappa = xi tuning: closed form still equals the squared
     # amplitude at every level (no specific number asserted)
@@ -184,7 +196,8 @@ def test_assembled_states_match_unitary_columns():
     # the spin-sector eigenvector and the oscillator quasi-boson column are
     # the same coefficient triple up to the normalizer, so the occupation
     # formulas apply to both paths; check the two routes agree numerically
-    from darktrio import quasi_basis_matrix, two_mode_spectrum
+    from darktrio import two_mode_spectrum
+    from darktrio.threemode import _quasi_matrices
 
     rng = np.random.default_rng(65)
     for _ in range(20):
@@ -199,9 +212,11 @@ def test_assembled_states_match_unitary_columns():
                 state.amps, [column[2], photon, phonon], rtol=0, atol=1e-10
             )
             np.testing.assert_array_equal(spectrum.bare_vectors[:, j], state.amps)
+        quasi = _quasi_matrices(np.array([p.omega_a]), np.array([two.eps]),
+                                np.array([two.gamma]))[0]
         assert np.max(np.abs(
-            quasi_basis_matrix(p) @ spectrum.v - spectrum.v * np.array(spectrum.e)
-        )) < 1e-11 * np.linalg.norm(quasi_basis_matrix(p))
+            quasi @ spectrum.v - spectrum.v * np.array(spectrum.e)
+        )) < 1e-11 * np.linalg.norm(quasi)
 
 
 def test_duality_swap_round_trip_through_report():

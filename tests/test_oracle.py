@@ -18,7 +18,6 @@ from darktrio import (
     classify_spectrum,
     crosscheck,
     dense_hermitian_eig,
-    one_excitation_matrix,
     oscillator_sector_check,
     sector_matrix,
     three_mode_spectrum,
@@ -46,7 +45,7 @@ def test_eig_spin_flip_block():
 
 
 def test_eig_fixture_matches_frozen_roots():
-    out = dense_hermitian_eig(one_excitation_matrix(FIXTURE).matrix)
+    out = dense_hermitian_eig(sector_matrix(FIXTURE, AtomKind.TWO_LEVEL, 1).matrix)
     np.testing.assert_allclose(out.values, FIXTURE_LEVELS, rtol=0, atol=1e-12)
 
 
@@ -74,7 +73,7 @@ def test_eig_bounds_stay_finite_where_the_norm_overflows(monkeypatch):
     # the solve passes its finite bounds; an eigenvector turned by 1e-6 at
     # that scale leaves a residual of about 1e302, far past them
     assert len(classify_spectrum(FLOAT_MAX_XI)) == 3
-    matrix = one_excitation_matrix(FLOAT_MAX_XI).matrix
+    matrix = sector_matrix(FLOAT_MAX_XI, AtomKind.TWO_LEVEL, 1).matrix
     solve = oracle._lapack_eigh
 
     def turned(a):
@@ -140,7 +139,8 @@ def test_eig_solver_failure_fails_only_its_point(monkeypatch, tmp_path, capsys):
 
     # the atom frequency sits in the first diagonal entry
     _failing_eigh(monkeypatch, lambda a: a[0, 0].real == 1.0)
-    stack = np.array([one_excitation_matrix(dataclasses.replace(FIXTURE, omega_a=w)).matrix
+    stack = np.array([sector_matrix(dataclasses.replace(FIXTURE, omega_a=w), AtomKind.TWO_LEVEL,
+                                    1).matrix
                       for w in (0.9, 1.0, 1.1)])
     values, _, status = _eigh(stack)
     assert status.code.tolist()[::2] == [0, 0] and status.code[1] != 0

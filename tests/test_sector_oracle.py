@@ -17,7 +17,6 @@ from darktrio import (
     AtomKind,
     ModelParams,
     crosscheck,
-    one_excitation_matrix,
     oscillator_sector_check,
     sector_basis,
     sector_matrix,
@@ -86,7 +85,9 @@ def test_builder_matches_loop_bytes(params, kind, ell):
     assert sector.matrix.shape == expected.shape
     assert sector.matrix.tobytes() == expected.tobytes()
     if ell == 1:
-        assert one_excitation_matrix(params).matrix.tobytes() == sector.matrix.tobytes()
+        # the one-excitation block is the same for both atom kinds
+        for other in AtomKind:
+            assert sector_matrix(params, other, 1).matrix.tobytes() == sector.matrix.tobytes()
 
 
 @pytest.mark.parametrize("ell", [*range(9), 30])

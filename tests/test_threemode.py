@@ -1,6 +1,5 @@
 """Dressed one-excitation spectrum: spectral functions, levels, unitary."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,20 +7,20 @@ import pytest
 
 from darktrio import (
     AssumptionViolation,
+    AtomKind,
     DegenerateSpectrum,
     DegenerateTwoMode,
     GammaZero,
     ModelParams,
-    PoleHit,
-    cubic_stationary,
-    d1,
     duality_swap,
-    one_excitation_matrix,
     phi,
-    quasi_basis_matrix,
+    sector_matrix,
     three_mode_spectrum,
     two_mode_spectrum,
 )
+from darktrio.model import _batch_of
+from darktrio.threemode import _d1_and_slope, _quasi_matrices
+from darktrio.twomode import _two_mode
 
 from _generators import resonant_real_params, valid_params
 
@@ -33,40 +32,28 @@ FIXTURE_NORMS = (0.6572701819296309, 0.4203436090340387, 0.6255454885861053)
 DARK_TUNED = ModelParams(1.0, 1.0, 1.0, 0.2, 0.05, 0.2)
 
 
+def _poles(p):
+    """Quasimode energies and ``|Gamma_j|^2`` of ``p``'s solved photon-phonon
+    block, degenerate or not: the poles and weights of d1."""
+    two = _two_mode(_batch_of(p))
+    return two.eps[0], np.square(two.gamma_abs[0])
+
+
 def test_spectral_function_no_phonon_coupling_resonant():
     # with xi = 0 and omega_a free, d1 at the resonant frequency collapses
     # to the bare detuning
     p = ModelParams(0.7, 1.0, 1.0, 0.3, 0.0, 0.25)
-    assert d1(p, 1.0) == pytest.approx(1.0 - 0.7, abs=1e-15)
+    assert _d1_and_slope(1.0, p.omega_a, *_poles(p))[0] == pytest.approx(1.0 - 0.7, abs=1e-15)
 
 
 def test_spectral_function_decoupled_atom():
     p = ModelParams(0.8, 1.0, 1.2, 0.0, 0.0, 0.2)
     for x in (-1.0, 0.3, 2.5):
-        assert d1(p, x) == pytest.approx(x - 0.8, abs=1e-15)
+        assert _d1_and_slope(x, p.omega_a, *_poles(p))[0] == pytest.approx(x - 0.8, abs=1e-15)
 
 
 def test_spectral_function_near_zero_at_top_level():
-    assert abs(d1(FIXTURE, 1.2462)) < 1e-3
-
-
-def test_spectral_function_pole_guard():
-    with pytest.raises(PoleHit):
-        d1(FIXTURE, 0.9)
-    with pytest.raises(PoleHit):
-        d1(FIXTURE, 1.1 + 1e-14)
-
-
-@pytest.mark.parametrize("scale", [1.0, 100.0])
-def test_spectral_function_pole_guard_from_both_sides(scale):
-    # the guard reaches 1e-12 max(1, |x|) from each quasimode energy
-    p = ModelParams(*(scale * np.array([1.0, 1.0, 1.0, 0.2, 0.05, 0.1])))
-    for eps in two_mode_spectrum(p).eps:
-        guard = 1e-12 * max(1.0, eps)
-        for side in (-1.0, 1.0):
-            with pytest.raises(PoleHit):
-                d1(p, eps + side * 0.9 * guard)
-            assert math.isfinite(d1(p, eps + side * 1.1 * guard))
+    assert abs(_d1_and_slope(1.2462, FIXTURE.omega_a, *_poles(FIXTURE))[0]) < 1e-3
 
 
 def test_cubic_resonant_value_at_omega():
@@ -98,7 +85,7 @@ def test_cubic_matches_cleared_spectral_function():
         x = rng.uniform(-1.0, 4.0)
         if min(abs(x - e) for e in two.eps) < 1e-3:
             continue
-        cleared = (x - two.eps[0]) * (x - two.eps[1]) * d1(p, x)
+        cleared = (x - two.eps[0]) * (x - two.eps[1]) * _d1_and_slope(x, p.omega_a, *_poles(p))[0]
         assert phi(p, x) == pytest.approx(cleared, rel=1e-12, abs=1e-15)
 
 
@@ -133,8 +120,9 @@ def test_cubic_on_near_degenerate_blocks_is_exact(omega_c, kappa, lam, xi):
     p = ModelParams(1.3, 1.0, omega_c, lam, xi, kappa)
     with pytest.raises(DegenerateTwoMode, match="uncoupled" if kappa == 0 else r"degenerate \("):
         two_mode_spectrum(p)
-    bare = one_excitation_matrix(p).matrix
-    quasi = quasi_basis_matrix(p)
+    bare = sector_matrix(p, AtomKind.TWO_LEVEL, 1).matrix
+    two = _two_mode(_batch_of(p))
+    quasi = _quasi_matrices(np.array([p.omega_a]), two.eps, two.gamma)[0]
     for x in (0.5, 0.99, 1.01, 2.0):
         exact = _exact_cubic(bare, x)
         assert abs(Fraction(float(phi(p, x))) - exact) <= Fraction(1e-13) * abs(exact)
@@ -143,7 +131,8 @@ def test_cubic_on_near_degenerate_blocks_is_exact(omega_c, kappa, lam, xi):
         block = ((Fraction(x) - Fraction(p.omega_b)) * (Fraction(x) - Fraction(p.omega_c))
                  - Fraction(p.kappa.real) ** 2 - Fraction(p.kappa.imag) ** 2)
         exact_d1 = exact / block
-        assert abs(Fraction(float(d1(p, x))) - exact_d1) <= Fraction(1e-13) * abs(exact_d1)
+        d1 = Fraction(float(_d1_and_slope(x, p.omega_a, *_poles(p))[0]))
+        assert abs(d1 - exact_d1) <= Fraction(1e-13) * abs(exact_d1)
 
 
 def test_levels_match_frozen_fixture():
@@ -214,7 +203,8 @@ def test_unitary_diagonalizes_quasi_matrix():
     for _ in range(25):
         p = valid_params(rng)
         spectrum = three_mode_spectrum(p)
-        h = quasi_basis_matrix(p)
+        two = spectrum.two
+        h = _quasi_matrices(np.array([p.omega_a]), np.array([two.eps]), np.array([two.gamma]))[0]
         scale = np.linalg.norm(h)
         assert np.max(np.abs(spectrum.v.conj().T @ spectrum.v - np.eye(3))) < 1e-12
         diag = spectrum.v.conj().T @ h @ spectrum.v
@@ -256,45 +246,9 @@ def test_quasi_and_bare_matrices_share_spectrum():
     rng = np.random.default_rng(40)
     for _ in range(10):
         p = valid_params(rng)
-        bare = np.linalg.eigvalsh(one_excitation_matrix(p).matrix)
-        quasi = np.linalg.eigvalsh(quasi_basis_matrix(p))
+        bare = np.linalg.eigvalsh(sector_matrix(p, AtomKind.TWO_LEVEL, 1).matrix)
+        two = two_mode_spectrum(p)
+        quasi = _quasi_matrices(np.array([p.omega_a]), np.array([two.eps]), np.array([two.gamma]))
+        quasi = np.linalg.eigvalsh(quasi[0])
         np.testing.assert_allclose(bare, quasi, rtol=0, atol=1e-13)
 
-
-def test_stationary_points_symmetric_degenerate_corner():
-    shape = cubic_stationary(ModelParams(1.0, 1.0, 1.0, 0.0, 0.0, 0.0))
-    assert shape.w == 0.0
-    assert shape.f_minus == shape.f_plus == 1.0
-
-
-def test_stationary_points_fixture():
-    shape = cubic_stationary(FIXTURE)
-    assert shape.w == pytest.approx(0.1575, abs=1e-15)
-    np.testing.assert_allclose(
-        (shape.f_minus, shape.f_plus),
-        (0.8677124344467705, 1.1322875655532295),
-        rtol=0,
-        atol=1e-14,
-    )
-
-
-def _cubic_slope(p, x):
-    """Analytic derivative of the cleared cubic plus its natural scale."""
-    two = two_mode_spectrum(p)
-    e1, e2 = two.eps
-    g1sq = abs(two.gamma[0]) ** 2
-    g2sq = abs(two.gamma[1]) ** 2
-    terms = ((x - e2) * (x - p.omega_a), (x - e1) * (x - p.omega_a), (x - e1) * (x - e2))
-    return sum(terms) - g1sq - g2sq, sum(abs(t) for t in terms) + g1sq + g2sq
-
-
-def test_cubic_slope_vanishes_at_stationary_points():
-    rng = np.random.default_rng(41)
-    for _ in range(25):
-        p = valid_params(rng)
-        shape = cubic_stationary(p)
-        assert shape.w >= 0.0
-        assert shape.f_minus <= shape.f_plus
-        for point in (shape.f_minus, shape.f_plus):
-            slope, scale = _cubic_slope(p, point)
-            assert abs(slope) <= 1e-9 * max(1.0, scale)
