@@ -66,6 +66,8 @@ __all__ = ["RunConfig", "ScanAxis", "main", "parse_config"]
 _FIELD_FOR = {"omega_a": "omega_a", "omega_b": "omega_b", "omega_c": "omega_c",
               "lambda": "lam", "xi": "xi", "kappa": "kappa"}
 
+_CONFIG_KEYS = frozenset({*_FIELD_FOR, "atom", "scan", "tol", "sector"})
+
 DEFAULT_PARAMS = ModelParams(
     omega_a=1.0, omega_b=1.0, omega_c=1.0, lam=0.2, xi=0.05, kappa=0.1
 )
@@ -127,19 +129,20 @@ def parse_config(doc: dict) -> RunConfig:
     """Build a :class:`RunConfig` from a JSON document, validating keys."""
     if not isinstance(doc, dict):
         raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
-    unknown = set(doc) - {*_FIELD_FOR, "atom", "scan", "tol", "sector"}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    if not _CONFIG_KEYS.issuperset(doc):
+        raise ConfigError(f"unknown config keys: {sorted(set(doc) - _CONFIG_KEYS)}")
 
     # a parameter here must be a JSON number, or an [re, im] pair for a
-    # coupling; ModelParams checks its value, naming the key
+    # coupling; ModelParams checks its value, naming the key, and takes a
+    # float as it is
     values = vars(DEFAULT_PARAMS).copy()
     for name, field_name in _FIELD_FOR.items():
         if name in doc:
-            values[field_name] = (
-                _number(doc[name], name, "a finite positive number", lambda _: True)
-                if field_name.startswith("omega") else _as_complex(doc[name], name)
-            )
+            value = doc[name]
+            if type(value) is not float:
+                value = (_number(value, name, "a finite positive number", lambda _: True)
+                         if field_name.startswith("omega") else _as_complex(value, name))
+            values[field_name] = value
     try:
         params = ModelParams(**values)
     except ValueError as err:
@@ -337,10 +340,11 @@ def _verify_rows(cfg: RunConfig) -> Table:
                          (2,) if cfg.sector in (None, 2) else (2, cfg.sector))
     checks.status.check()
     skipped = checks.skipped[0]
+    shown = ~skipped
     return {
         "check": _text_cells(list(checks.names)),
-        "residual": _Column(checks.residual[0], ~skipped),
-        "tolerance": _Column(checks.tolerance[0], ~skipped),
+        "residual": _Column(checks.residual[0], shown),
+        "tolerance": _Column(checks.tolerance[0], shown),
         "passed": _Column(checks.passed[0]),
         "skipped": _Column(skipped),
         "reason": _text_cells(checks.reasons(0)),
@@ -409,8 +413,10 @@ def _distinct(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 #: Formats a flat list of cells, one a line.  ``separators`` keeps the C
 #: encoder, which ``indent`` turns off; with ``ensure_ascii`` no cell holds a
-#: raw newline, so splitting on newlines is exact.
-_CELL_ENCODER = json.JSONEncoder(allow_nan=False, separators=("\n", ": "))
+#: raw newline, so splitting on newlines is exact.  The list holds no other
+#: container, so no circular reference to check for.
+_CELL_ENCODER = json.JSONEncoder(allow_nan=False, check_circular=False,
+                                 separators=("\n", ": "))
 
 
 def _block(brackets: str, items: list[str], indent: str) -> str:
@@ -420,6 +426,12 @@ def _block(brackets: str, items: list[str], indent: str) -> str:
         return brackets
     inner = indent + "  "
     return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
+
+
+#: a complex cell's two slots in a row, and what a hidden one fills them
+#: with; no other cell holds a raw newline, so replacing it is exact
+_PAIR = _block("[]", ["%s", "%s"], "      ")
+_NULL_PAIR = _PAIR % ("null", "null")
 
 
 @functools.lru_cache(maxsize=16)
@@ -433,20 +445,30 @@ def _head_template(axes: int, tols: int) -> str:
     config += ['"atom": %s', '"scan": ' + _block("[]", [axis] * axes, "    "),
                '"tol": ' + _block("{}", ["%s: %s"] * tols, "    "), '"sector": %s']
     config = '"config": ' + _block("{}", config, "  ")
-    return _block("{}", ['"version": %s', config, '"rows": %s'], "")
+    return _block("{}", ['"version": %s', config, '"rows": %s'], "") + "\n"
 
 
 @functools.lru_cache(maxsize=64)
-def _row_template(names: tuple[str, ...]) -> str:
-    """One row of a table with the columns ``names``, a ``%s`` per cell."""
-    return _block("{}", [f"{json.dumps(name).replace('%', '%%')}: %s" for name in names], "    ")
+def _row_pieces(names: tuple[str, ...], pairs: tuple[bool, ...],
+                starts: tuple[int, ...]) -> tuple[str, ...]:
+    """A row of a table with the columns ``names`` as one template per block
+    of columns from each of ``starts`` on: a ``%s`` per cell and a
+    :data:`_PAIR` per complex cell (where ``pairs`` is True).  Joined by
+    ``",\\n      "``, the pieces of one row make it."""
+    slots = [f"{json.dumps(name).replace('%', '%%')}: " + (_PAIR if pair else "%s")
+             for name, pair in zip(names, pairs)]
+    pieces = [",\n      ".join(slots[start:end]) for start, end in zip(starts, starts[1:] + (None,))]
+    if pieces:
+        pieces[0] = "{\n      " + pieces[0]
+        pieces[-1] += "\n    }"
+    return tuple(pieces)
 
 
 def _json_text(cfg: RunConfig, table: Table) -> str:
     """The bytes of ``json.dumps`` at ``indent=2`` of the version, the config
     and one dict per row.  One encoder call formats the config's values and
     every cell of the table, hidden cells as ``null`` and a per-point cell
-    once; the document and each row go through a ``%`` template of their
+    once; the document and each row go through ``%`` templates of their
     shape.  A shown NaN or inf raises ``ValueError``, as in ``json.dumps``."""
     p = cfg.params  # the version and the config's values, in _head_template's order
     flat = [__version__, p.omega_a, p.omega_b, p.omega_c, p.lam.real, p.lam.imag,
@@ -457,30 +479,47 @@ def _json_text(cfg: RunConfig, table: Table) -> str:
         flat += item
     flat.append(cfg.sector)
     head = len(flat)
-    for column in table.values():
-        values = column.values
-        shown = None if column.ok is None else column.ok.tolist()
-        # a complex column's real parts, then its imaginary parts
-        for part in (values.real, values.imag) if values.dtype.kind == "c" else (values,):
-            cells = part.tolist()
-            if column.names is not None:
-                cells = list(map(column.names.__getitem__, cells))
-            if shown is not None and False in shown:
+    # the cells of each column, hidden ones None, a complex column's real
+    # parts then its imaginary parts; a mask that the column before shares
+    # is read once.  Adjacent columns on one point index (or none) make a
+    # block: its start in flat, its entries (rows or points), its point
+    # index and the entries where it hides a complex cell; starts holds its
+    # first column.
+    blocks, pairs, starts = [], [], []
+    ok_read = point_read = False
+    for values, ok, names, point in table.values():
+        if point is not point_read:
+            point_read = point
+            block = (len(flat), len(values), point, set())
+            blocks.append(block)
+            starts.append(len(pairs))
+        if ok is not ok_read:
+            ok_read, shown = ok, None if ok is None else ok.tolist()
+            if shown is not None and False not in shown:
+                shown = None
+        cells = values.tolist()
+        pair = values.dtype.kind == "c"
+        pairs.append(pair)
+        if pair and shown is not None:
+            block[3].update(entry for entry, keep in enumerate(shown) if not keep)
+        for cells in ([z.real for z in cells], [z.imag for z in cells]) if pair else (cells,):
+            if names is not None:
+                cells = list(map(names.__getitem__, cells))
+            if shown is not None:
                 cells = [cell if keep else None for cell, keep in zip(cells, shown)]
             flat += cells
-    text = _CELL_ENCODER.encode(flat)[1:-1].split("\n")
-    columns, start = [], head
-    for column in table.values():
-        n = len(column.values)
-        cells = text[start:start + n]
-        start += n
-        if column.values.dtype.kind == "c":  # a hidden pair is one null
-            cells = [real if real == "null" else f"[\n        {real},\n        {imag}\n      ]"
-                     for real, imag in zip(cells, text[start:start + n])]
-            start += n
-        columns.append(cells if column.point is None else [cells[i] for i in column.point.tolist()])
-    rows = _block("[]", list(map(_row_template(tuple(table)).__mod__, zip(*columns))), "  ")
-    return _head_template(len(cfg.scan), len(cfg.tol)) % (*text[:head], rows) + "\n"
+    text = tuple(_CELL_ENCODER.encode(flat)[1:-1].split("\n"))
+    # each block's piece of a row, formatted once per entry from every n-th
+    # of the block's cells
+    pieces = _row_pieces(tuple(table), tuple(pairs), tuple(starts))
+    ends, parts = [block[0] for block in blocks[1:]] + [len(text)], []
+    for (start, n, point, hidden), end, piece in zip(blocks, ends, pieces):
+        entries = [piece % text[entry:end:n] for entry in range(start, start + n)]
+        for entry in hidden:  # a hidden complex cell is one null
+            entries[entry] = entries[entry].replace(_NULL_PAIR, "null")
+        parts.append(entries if point is None else list(map(entries.__getitem__, point.tolist())))
+    rows = parts[0] if len(parts) == 1 else list(map(",\n      ".join, zip(*parts)))
+    return _head_template(len(cfg.scan), len(cfg.tol)) % (*text[:head], _block("[]", rows, "  "))
 
 
 def _emit(cfg: RunConfig, table: Table, fmt: str, output: str | None) -> None:
@@ -507,13 +546,18 @@ def _config_document(args: argparse.Namespace):
     doc = {}
     if args.config is not None:
         try:
-            with open(args.config) as handle:
-                doc = json.load(handle)
+            with open(args.config, "rb", buffering=0) as handle:
+                data = handle.read()
         except OSError as err:
             raise ConfigError(f"cannot read config {args.config!r}: {err}") from err
+        try:
+            text = data.decode("utf-8")
+            if "\r" in text:  # the newlines of text mode, for the error positions
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            doc = json.loads(text)
         except ValueError as err:
-            # malformed JSON, text that is not UTF-8, or an integer longer
-            # than Python converts
+            # malformed JSON, a byte-order mark, text that is not UTF-8, or
+            # an integer longer than Python converts
             raise ConfigError(f"config {args.config!r} is not valid JSON: {err}") from err
     overrides = _parse_tol_flags(args.tol)
     sector = getattr(args, "sector", None)
@@ -551,8 +595,9 @@ def _tolerances(overrides: dict[str, float]) -> Tolerances:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of :func:`main`, built on its first call and then reused.
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser of :func:`main` and the subparser of each command, built on
+    its first call and then reused.
 
     Reuse is safe: argparse looks up ``sys.stdout``/``sys.stderr`` when it
     prints, and the ``append`` action of ``--tol`` copies its default list.
@@ -585,14 +630,30 @@ def _parser() -> argparse.ArgumentParser:
     scan.add_argument("operation", choices=("spectrum", "classify", "duality"),
                       nargs="?", default="spectrum")
     common(scan)
-    return parser
+    return parser, sub.choices
 
 
 _RUNNERS = {"spectrum": _spectrum_rows, "classify": _classify_rows, "duality": _duality_rows}
 
 
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """``argv`` as the full parser parses it: by the subparser of the command
+    that comes first alone, or by the full parser where none does
+    (``--help``, ``--version``, nothing, a typo), where the subparser leaves
+    an argument over, or where an argument starts with ``--=``, which the
+    full parser's ``--help`` and ``--version`` both match."""
+    parser, commands = _parser()
+    args = sys.argv[1:] if argv is None else argv
+    if args and args[0] in commands and not any(arg.startswith("--=") for arg in args):
+        namespace, extras = commands[args[0]].parse_known_args(
+            args[1:], argparse.Namespace(command=args[0]))
+        if not extras:
+            return namespace
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return _run(args)
     except ConfigError as err:
@@ -614,16 +675,21 @@ def _run(args: argparse.Namespace) -> int:
         except DarkTrioError as err:
             print(f"verification failed: {err}", file=sys.stderr)
             return 3
-        # JSON holds no inf or NaN, and a shown cell has no null form
-        bad = ~table["skipped"].values & ~np.isfinite(
-            [table["residual"].values, table["tolerance"].values]).all(axis=0)
-        if args.format == "json" and bad.any():
+        try:
+            _emit(cfg, table, args.format, args.output)
+        except ValueError:
+            # JSON holds no inf or NaN, and a shown cell has no null form;
+            # the text is refused before anything is written
+            bad = ~table["skipped"].values & ~np.isfinite(
+                [table["residual"].values, table["tolerance"].values]).all(axis=0)
+            if not bad.any():
+                raise
             print(f"verification failed: {table['check'].names[bad.argmax()]} has a non-finite "
                   "residual or tolerance, which JSON cannot hold", file=sys.stderr)
             return 3
-        _emit(cfg, table, args.format, args.output)
-        failed = ~table["skipped"].values & ~table["passed"].values
-        return 3 if failed.any() else 0
+        # a row that neither passed nor was skipped failed
+        rows = zip(table["passed"].values.tolist(), table["skipped"].values.tolist())
+        return 3 if (False, False) in rows else 0
 
     scan_mode = command == "scan" or bool(cfg.scan)
     table = _RUNNERS[operation](cfg)
@@ -631,11 +697,12 @@ def _run(args: argparse.Namespace) -> int:
     if scan_mode:
         return 0
 
-    errored = {_STATUS_NAMES[code] for code in table["status"].values.tolist()} - {"ok"}
-    if errored:
+    codes = table["status"].values.tolist()
+    if any(codes):  # a point that is not ok
+        errored = {_STATUS_NAMES[code] for code in codes} - {"ok"}
         precondition = {e.__name__ for e in _PRECONDITION_ERRORS}
         return 2 if errored <= precondition else 3
-    if operation == "duality" and not table["passed"].values.all():
+    if operation == "duality" and False in table["passed"].values.tolist():
         return 3
     return 0
 

@@ -88,6 +88,10 @@ class SectorVector:
         amps = np.array(self.amps, dtype=complex)
         if amps.ndim != 1 or amps.size == 0:
             raise ValueError("amplitudes must form a nonempty vector")
+        finite = np.isfinite(amps)
+        if not finite.all():
+            i = int(finite.argmin())
+            raise ValueError(f"sector vector amplitudes must be finite, got {amps[i]} at {i}")
         if not np.any(amps):
             raise ValueError("sector vector must not be identically zero")
         amps.setflags(write=False)
@@ -176,7 +180,7 @@ def dark_tuning(params: ModelParams, tol: float = 1e-9) -> tuple[TuningResult, T
     omega_c)``, as for the occupations and the duality report; a larger
     one raises :class:`NotResonant`.
     """
-    branches, status = _tuning(_batch_of(params), tol)
+    branches, status = _tuning(_batch_of(params), _checked_tol(tol))
     status.check()
     return tuple(
         TuningResult(kind=kind if met[0] else None, energy=energy[0].item(),
@@ -184,6 +188,14 @@ def dark_tuning(params: ModelParams, tol: float = 1e-9) -> tuple[TuningResult, T
         for kind, (residual, energy, met) in zip((StateClass.DARK, StateClass.QUASI_DARK),
                                                  branches)
     )
+
+
+def _checked_tol(tol: float) -> float:
+    """``tol``, if it is a finite nonnegative number and not a bool, as the CLI
+    requires of every tolerance; otherwise a ``ValueError`` naming it."""
+    if isinstance(tol, bool) or not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite nonnegative number, got {tol!r}")
+    return tol
 
 
 def _tuning(p: _Batch, tol: float):

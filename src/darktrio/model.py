@@ -41,10 +41,13 @@ class AtomKind(Enum):
 
     @classmethod
     def from_string(cls, text: str) -> "AtomKind":
-        for kind in cls:
-            if kind.value == text:
-                return kind
-        raise ValueError(f"unknown atom kind {text!r}; use 'two-level' or 'oscillator'")
+        kind = _KIND_OF.get(text) if isinstance(text, str) else None
+        if kind is None:
+            raise ValueError(f"unknown atom kind {text!r}; use 'two-level' or 'oscillator'")
+        return kind
+
+
+_KIND_OF = {kind.value: kind for kind in AtomKind}
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,7 @@ class ModelParams:
     def __post_init__(self):
         for name in ("omega_a", "omega_b", "omega_c"):
             value = float(getattr(self, name))
-            if not math.isfinite(value) or value <= 0.0:
+            if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be a finite positive frequency, got {value!r}")
             object.__setattr__(self, name, value)
         for name, symbol in (("lam", "lambda"), ("xi", "xi"), ("kappa", "kappa")):

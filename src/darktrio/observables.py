@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .darkstates import _finite_energy, _resonant_real
+from .darkstates import _checked_tol, _finite_energy, _resonant_real
 from .errors import DegenerateSpectrum, GammaZero, NotAnEigenvalue, PoleHit, _Status
 from .model import ModelParams, _batch_of, _Batch
 from .threemode import _dressed, _phi
@@ -133,7 +133,7 @@ def duality_report(params: ModelParams, tol: float = 1e-10) -> DualityReport:
     too ill-conditioned there), and compares the photon occupation of the
     base set with the phonon occupation of the swapped set at every level.
     """
-    report, status = _duality(_batch_of(params), tol)
+    report, status = _duality(_batch_of(params), _checked_tol(tol))
     status.check()
     base, mirror = report.energies
     return DualityReport(

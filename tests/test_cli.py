@@ -342,6 +342,38 @@ def test_config_errors_exit_one(tmp_path, capsys):
             assert err.startswith(f"config error: cannot write output {str(path)!r}: ")
 
 
+@pytest.mark.parametrize("data", [
+    b"\xef\xbb\xbf{}",  # a byte-order mark
+    b'{"omega_a": 1.0, "xi": "\xff"}',  # not UTF-8
+    b'{\r\n  "omega_a": 1.0,\r\n  x\r\n}',  # CRLF lines, an error on the third
+    b'{\r  "xi": 0.1,\r  "kappa": }',  # CR lines
+    b"",
+    b'{"kappa": 0.2,\r\n "xi": "\xc3\xa9"}\r\n',
+    b'{"kappa": 0.2,\r\n "lambda": 0.1}\r\n',
+])
+def test_a_config_file_reads_as_a_utf8_text_file(tmp_path, capsys, data):
+    # the file is read as bytes and decoded as UTF-8; its errors and their
+    # positions are those of a text-mode read
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except ValueError as err:
+        want = (1, "", f"config error: config {str(path)!r} is not valid JSON: {err}\n")
+    else:
+        want = run_cli(capsys, "spectrum", "--config", write_config(tmp_path, doc, "clean.json"))
+    assert run_cli(capsys, "spectrum", "--config", str(path)) == want
+
+
+def test_a_config_path_that_is_no_file_is_a_config_error(tmp_path, capsys):
+    for path in (tmp_path, tmp_path / "missing.json"):
+        with pytest.raises(OSError) as err:
+            open(path)
+        want = f"config error: cannot read config {str(path)!r}: {err.value}\n"
+        assert run_cli(capsys, "spectrum", "--config", str(path)) == (1, "", want)
+
+
 @pytest.mark.parametrize("key", list(cli._FIELD_FOR))
 def test_each_rejected_config_value_names_its_key(tmp_path, capsys, key):
     # a frequency must be a positive number; a coupling a number or a pair
@@ -667,7 +699,8 @@ def test_per_point_columns_write_as_their_expanded_table(tables):
     cli._write_csv(table, csv_text)
     cli._write_csv(expanded, want)
     assert csv_text.getvalue() == want.getvalue() == _reference_csv(expanded)
-    assert cli._json_text(_JSON_CONFIG, table) == cli._json_text(_JSON_CONFIG, expanded)
+    text = cli._json_text(_JSON_CONFIG, table)
+    assert text == cli._json_text(_JSON_CONFIG, expanded)
 
 
 #: bit patterns of NaNs with payloads and signs, infinities and signed zeros
@@ -840,6 +873,56 @@ def test_help_is_the_same_on_every_call(capsys, argv):
         texts.append(capsys.readouterr().out)
     assert texts[0].startswith("usage: darktrio")
     assert texts[0] == texts[1]
+
+
+def _parsed(parse, argv):
+    """``parse(argv)`` as ``(vars of the namespace, None, "", "")``, or as
+    ``(None, exit code, stdout, stderr)`` where argparse exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv)), None, out.getvalue(), err.getvalue()
+        except SystemExit as exc:
+            return None, exc.code, out.getvalue(), err.getvalue()
+
+
+#: argument pieces: every option whole, abbreviated and as --opt=value, their
+#: values good and bad, commands, help, version, "--", unknown options, and
+#: strings that look like options to one parser and not to the other
+_ARGV_PIECES = st.sampled_from([
+    "spectrum", "classify", "duality", "verify", "scan", "nope",
+    "--config", "--conf", "--c", "--config=cfg.json", "--conf=cfg.json", "cfg.json",
+    "--output", "--out", "--output=out.json", "out.json",
+    "--format", "--form", "--f", "--format=csv", "--format=json", "--format=xml", "csv", "json",
+    "xml", "--tol", "--to", "--tol=classify=1e-9", "classify=1e-9", "nope=1",
+    "--sector", "--sec", "--sector=3", "--sector=x", "3", "-1", "1e3",
+    "--", "-h", "--help", "--he", "--h=1", "--version", "--vers", "--v",
+    "--nope", "-x", "-", "", "--=", "--=x", "---", "-c", "a b", "--config x",
+]) | st.text(max_size=4)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(["spectrum", "classify", "duality", "verify", "scan"]) | _ARGV_PIECES,
+       st.lists(_ARGV_PIECES, max_size=6))
+def test_argv_dispatch_matches_the_full_parser(first, rest):
+    # main hands the arguments after a command to that command's subparser;
+    # the namespace, or the exit code and every byte printed, are the full
+    # parser's
+    argv = [first, *rest]
+    assert _parsed(cli._parse_args, argv) == _parsed(cli._parser()[0].parse_args, argv)
+
+
+@pytest.mark.parametrize("argv, code, stream, text", [
+    (["spectrum", "--format", "xml"], 2, "err", "usage: darktrio spectrum"),
+    (["spectrum", "--sector", "2"], 2, "err", "usage: darktrio [-h]"),
+    (["verify", "--help"], 0, "out", "usage: darktrio verify"),
+])
+def test_main_reads_sys_argv(monkeypatch, capsys, argv, code, stream, text):
+    monkeypatch.setattr(sys, "argv", ["darktrio", *argv])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == code
+    assert getattr(capsys.readouterr(), stream).startswith(text)
 
 
 def test_in_process_calls_match_fresh_processes(tmp_path, capsys):

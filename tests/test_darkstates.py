@@ -427,3 +427,23 @@ def test_tuning_condition_matches_cubic_factorization():
 def test_sector_vector_rejects_zero():
     with pytest.raises(ValueError):
         SectorVector(np.zeros(3), ell=1)
+
+
+@pytest.mark.parametrize("amps", [[math.nan, 0, 0], [math.inf, 1, 0], [1, -math.inf, 0],
+                                  [1, 0, complex(0, math.nan)], [0, 0, complex(math.nan, 1)]])
+def test_sector_vector_rejects_a_non_finite_amplitude(amps):
+    # before, classify gave these a label: BRIGHT for [nan, 0, 0], DEGENERATE for [inf, 1, 0]
+    with pytest.raises(ValueError, match="must be finite"):
+        SectorVector(np.array(amps, dtype=complex), ell=1)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-9, -0.0 - 1e-300, math.inf, True])
+@pytest.mark.parametrize("call", [dark_tuning, duality_report])
+def test_a_tolerance_must_be_a_finite_nonnegative_number(call, tol):
+    tuned = ModelParams(1.0, 1.0, 1.0, 0.2, 0.05, 0.2)
+    with pytest.raises(ValueError, match="^tol must be a finite nonnegative number"):
+        call(tuned, tol=tol)
+    # zero is a tolerance: the exactly tuned dark branch has a zero residual
+    dark, _ = dark_tuning(tuned, tol=0.0)
+    assert dark.residual == 0.0
+    assert duality_report(tuned, tol=0).tol == 0

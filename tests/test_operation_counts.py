@@ -4,7 +4,9 @@ A single point does almost no arithmetic: its time is the number of
 operations the kernels run, each a numpy call on length-1 arrays with a
 fixed cost.  This module counts the operations each kernel runs on a batch
 of one, its helpers included, and pins the counts as upper bounds, so an
-added operation shows here before it shows in a benchmark.
+added operation shows here before it shows in a benchmark.  It pins the
+CLI layer around the kernels the same way: the config check and the JSON
+writer on single-point tables.
 
 An operation is a call, an arithmetic or comparison operator or a
 subscript in the package's source.  A statement that runs adds the
@@ -128,6 +130,41 @@ def test_kernel_operations_on_a_batch_of_one_stay_pinned(name):
     p = _batch_of(POINT)
     count = operations(functools.partial(kernel, p))
     assert 0 < count <= BOUNDS[name], f"{name} ran {count} operations, pinned at {BOUNDS[name]}"
+
+
+def _cli_layer():
+    from darktrio import cli
+
+    point = {name: getattr(POINT, field).real for name, field in cli._FIELD_FOR.items()}
+    point["atom"] = "oscillator"
+    cfg = cli.parse_config(point)
+    spectrum, classify, verify = (rows(cfg) for rows in (
+        cli._spectrum_rows, cli._classify_rows, cli._verify_rows))
+    return {
+        "parse_config": lambda: cli.parse_config(dict(point)),
+        "_json_text spectrum": lambda: cli._json_text(cfg, spectrum),
+        "_json_text classify": lambda: cli._json_text(cfg, classify),
+        "_json_text verify": lambda: cli._json_text(cfg, verify),
+    }
+
+
+#: the operations of the CLI layer around the kernels on ``POINT``'s config
+#: (oscillator atom) and its single-point tables, at most
+CLI_BOUNDS = {
+    "parse_config": 105,
+    "_json_text spectrum": 290,
+    "_json_text classify": 280,
+    "_json_text verify": 140,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_BOUNDS))
+def test_cli_layer_operations_on_a_point_stay_pinned(name):
+    run = _cli_layer()[name]
+    run()  # fills the template caches
+    count = operations(run)
+    bound = CLI_BOUNDS[name]
+    assert 0 < count <= bound, f"{name} ran {count} operations, pinned at {bound}"
 
 
 def test_operation_counter_counts_each_statement_once_per_execution():
