@@ -38,8 +38,9 @@ class DegenerateSpectrum(DarkTrioError):
     """Dressed levels are too ill-conditioned for the closed forms.
 
     Raised when two dressed levels nearly coincide, a level sits on a
-    quasimode energy, the closed-form unitary misses its sanity bound, or
-    the spectra of the coupling-swapped pair fail to match.
+    quasimode energy, the closed-form unitary misses its sanity bound, the
+    spectra of the coupling-swapped pair fail to match, or an effective
+    coupling or the matrix norm is not finite.
     """
 
 

@@ -214,13 +214,15 @@ def validate(params: ModelParams) -> AssumptionReport:
     :class:`DegenerateTwoMode` when the photon-phonon block is degenerate
     (``kappa = 0`` and ``omega_b = omega_c``): the quasimode quantities
     behind assumptions 2-4 are then undefined.  The raised error carries
-    the assumption-1 result in its ``ass1`` attribute.
+    the assumption-1 result in its ``ass1`` attribute.  Raises
+    :class:`DegenerateSpectrum` when an effective coupling is not finite,
+    as assumptions 2-4 are then undecided.
     """
     from .twomode import _two_mode
 
     p = _batch_of(params)
     two = _two_mode(p)
-    two.status.check()
+    two.check()
     return _assumption_report(_assumption_margins(p, two)[0])
 
 

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateTwoMode, _Status
+from .errors import DegenerateSpectrum, DegenerateTwoMode, _Status
 from .model import (
     AssumptionCheck,
     ModelParams,
@@ -70,7 +70,9 @@ class _TwoModeBatch(NamedTuple):
     ``eps``, ``m`` (n, 2), ``gamma`` (n, 2) complex, ``u`` (n, 2, 2), and
     ``gamma_abs`` the ``|Gamma_j|``.  The one failure (see ``status``) is a
     degenerate block, whose row still holds its quasimodes: the bare modes
-    where ``kappa = 0``.  ``ass1_margin`` is known for every point."""
+    where ``kappa = 0``.  ``ass1_margin`` is known for every point.  A row
+    whose effective couplings overflow is refused by :meth:`check`, and by
+    ``threemode._dressed`` through its matrix norm."""
 
     eps: np.ndarray
     m: np.ndarray
@@ -80,9 +82,17 @@ class _TwoModeBatch(NamedTuple):
     ass1_margin: np.ndarray
     status: _Status
 
-    def point(self, i: int) -> TwoModeSpectrum:
-        """Point ``i``'s solution; raises its error if it has one."""
+    def check(self, i: int = 0) -> None:
+        """Raise point ``i``'s error, if it has one, or
+        :class:`DegenerateSpectrum` where an effective coupling overflows."""
         self.status.check(i)
+        if not np.isfinite(self.gamma_abs[i]).all():
+            raise DegenerateSpectrum(
+                f"effective couplings {tuple(self.gamma[i].tolist())} are not finite")
+
+    def point(self, i: int) -> TwoModeSpectrum:
+        """Point ``i``'s solution; raises as :meth:`check` does."""
+        self.check(i)
         return TwoModeSpectrum(eps=tuple(self.eps[i].tolist()), m=tuple(self.m[i].tolist()),
                                gamma=tuple(self.gamma[i].tolist()), u=self.u[i].copy())
 
@@ -95,6 +105,8 @@ def two_mode_spectrum(params: ModelParams) -> TwoModeSpectrum:
     ``1e-12 * (omega_b + omega_c)``; the mixing factors are
     ill-conditioned there (and undefined at the exact degeneracy).  The
     error carries the assumption-1 result in its ``ass1`` attribute.
+    Raises :class:`DegenerateSpectrum` when an effective coupling is not
+    finite, which finite parameters near the float range can give.
     """
     return _two_mode(_batch_of(params)).point(0)
 

@@ -163,6 +163,40 @@ def test_verify_corrupted_tolerance_exits_three(capsys):
     assert code == 3
 
 
+def test_verify_dense_solver_failure_exits_three(monkeypatch, capsys):
+    from darktrio import oracle
+
+    lapack_eigh = oracle._lapack_eigh
+
+    def not_converging(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    def failing(a):  # the dense solves fail as LAPACK's do when it does not converge
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", not_converging)
+            return lapack_eigh(a)
+
+    monkeypatch.setattr(oracle, "_lapack_eigh", failing)
+    for fmt in ("json", "csv"):
+        code, out, err = run_cli(capsys, "verify", "--format", fmt)
+        assert (code, out) == (3, "")
+        assert err == ("verification failed: dense eigensolver failed: "
+                       "Eigenvalues did not converge\n")
+
+
+def test_single_point_duality_past_its_tolerance_exits_three(tmp_path, capsys):
+    # a resonant real point of the resonant-detuned-grid fixture whose
+    # occupations differ by 1.5e-12
+    cfg = write_config(tmp_path, {"omega_a": 1.03, "omega_b": 1.0, "omega_c": 1.0,
+                                  "lambda": 0.25999999999999995, "xi": 0.20666666666666664,
+                                  "kappa": 0.1})
+    code, out, err = run_cli(capsys, "duality", "--config", cfg, "--tol", "duality=0")
+    assert (code, err) == (3, "")
+    row = json.loads(out)["rows"][0]
+    assert (row["status"], row["passed"]) == ("ok", False)
+    assert row["max_mismatch"] == 1.4779288903810084e-12
+
+
 def test_verify_decoupled_atom_skips_and_exits_zero(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -306,6 +340,9 @@ def test_config_errors_exit_one(tmp_path, capsys):
         {"tol": {"b1": 10**400}},
         # a range beyond the float range: no overflow warning on the way
         axis(start=-1e308, stop=1e308, steps=3),
+        [1],
+        {"atom": "qubit"},
+        {"scan": [5]},
     ):
         cfg = write_config(tmp_path, doc)
         for fmt in ("json", "csv"):
@@ -330,7 +367,7 @@ def test_config_errors_exit_one(tmp_path, capsys):
     # flag values pass the checks of the file's own
     tol_list = write_config(tmp_path, {"tol": [1]})
     for flags in (["--tol", "b1"], ["--tol", "classify=nan"], ["--tol", "classify=inf"],
-                  ["--tol", "sector=-1"], ["--sector", "-1"],
+                  ["--tol", "sector=-1"], ["--tol", "b1=abc"], ["--sector", "-1"],
                   ["--config", tol_list, "--tol", "b1=1e-9"]):
         for fmt in ("json", "csv"):
             assert_config_error("verify", *flags, "--format", fmt)
@@ -664,27 +701,42 @@ def _reference_csv(table) -> str:
     return buffer.getvalue()
 
 
-@settings(max_examples=300, deadline=None)
-@given(_tables())
-def test_write_csv_matches_reference_writer(table):
-    stream = io.StringIO()
-    cli._write_csv(table, stream)
-    assert stream.getvalue() == _reference_csv(table)
+_JSON_CONFIG = parse_config({"lambda": [0.2, -0.0], "tol": {"classify": 1e-8}})
+
+
+def _reference_json(table) -> str:
+    """``json.dumps`` at ``indent=2`` of the version, :data:`_JSON_CONFIG`
+    and one dict per row, hidden cells ``None``."""
+    columns = []
+    for column in table.values():
+        cells = column.values.tolist()
+        if column.names is not None:
+            cells = [column.names[code] for code in cells]
+        elif column.values.dtype.kind == "c":
+            cells = [[z.real, z.imag] for z in cells]
+        shown = [True] * len(cells) if column.ok is None else column.ok.tolist()
+        columns.append([cell if keep else None for cell, keep in zip(cells, shown)])
+    rows = [dict(zip(table, row)) for row in zip(*columns)]
+    return json.dumps({"version": darktrio.__version__, "config": config_to_dict(_JSON_CONFIG),
+                       "rows": rows}, indent=2, allow_nan=False) + "\n"
 
 
 @st.composite
-def _point_tables(draw):
-    """A table that mixes per-row columns with per-point columns of 1-3 rows
-    per point, and the same table with every per-point column expanded to
-    its rows.  Some per-point columns sit on an equal copy of the index."""
-    per_point = draw(_tables())
-    points = len(per_point["zero"].values)
-    counts = draw(st.lists(st.integers(1, 3), min_size=points, max_size=points))
-    point = np.repeat(np.arange(points), counts)
-    items = [(f"r_{name}", column) for name, column in draw(_tables(len(point))).items()]
-    items += [(f"p_{name}", column._replace(point=draw(st.sampled_from([point, point.copy()]))))
-              for name, column in per_point.items()]
-    table = dict(draw(st.permutations(items)))
+def _writer_tables(draw):
+    """A table for both writers, and the same table with every per-point
+    column expanded to its rows.  Either per-row columns alone, the shape of
+    ``spectrum``, ``duality`` and ``verify`` tables, or per-row columns
+    mixed with per-point columns of 1-3 rows per point, some of them on an
+    equal copy of the index."""
+    table = draw(_tables())
+    if draw(st.booleans()):
+        points = len(table["zero"].values)
+        counts = draw(st.lists(st.integers(1, 3), min_size=points, max_size=points))
+        point = np.repeat(np.arange(points), counts)
+        items = [(f"r_{name}", column) for name, column in draw(_tables(len(point))).items()]
+        items += [(f"p_{name}", column._replace(point=draw(st.sampled_from([point, point.copy()]))))
+                  for name, column in table.items()]
+        table = dict(draw(st.permutations(items)))
     expanded = {name: column if column.point is None else _Column(
         column.values[column.point], None if column.ok is None else column.ok[column.point],
         column.names) for name, column in table.items()}
@@ -692,15 +744,20 @@ def _point_tables(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_point_tables())
-def test_per_point_columns_write_as_their_expanded_table(tables):
+@given(_writer_tables(), st.data())
+def test_both_writers_match_their_stdlib_references(tables, data):
     table, expanded = tables
-    csv_text, want = io.StringIO(), io.StringIO()
-    cli._write_csv(table, csv_text)
-    cli._write_csv(expanded, want)
-    assert csv_text.getvalue() == want.getvalue() == _reference_csv(expanded)
-    text = cli._json_text(_JSON_CONFIG, table)
-    assert text == cli._json_text(_JSON_CONFIG, expanded)
+    stream = io.StringIO()
+    cli._write_csv(table, stream)
+    assert stream.getvalue() == _reference_csv(expanded)
+
+    # JSON keys with quotes, control characters and non-ASCII too; CSV
+    # writes its column names as they are, so its keys stay plain
+    keys = [name + data.draw(st.text(max_size=3)) for name in table]
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        _emit(_JSON_CONFIG, dict(zip(keys, table.values())), "json", None)
+    assert buffer.getvalue() == _reference_json(dict(zip(keys, expanded.values())))
 
 
 #: bit patterns of NaNs with payloads and signs, infinities and signed zeros
@@ -989,32 +1046,6 @@ def test_emit_json_rejects_non_finite_cells(capsys, bad):
     with pytest.raises(ValueError):
         _emit(RunConfig(), table, "json", None)
     assert capsys.readouterr().out == ""
-
-
-_JSON_CONFIG = parse_config({"lambda": [0.2, -0.0], "tol": {"classify": 1e-8}})
-
-
-@settings(max_examples=300, deadline=None)
-@given(_tables(), st.data())
-def test_emit_json_matches_json_dumps_on_random_tables(table, data):
-    # keys with quotes, control characters and non-ASCII too
-    table = {name + data.draw(st.text(max_size=3)): column for name, column in table.items()}
-    columns = []
-    for column in table.values():
-        cells = column.values.tolist()
-        if column.names is not None:
-            cells = [column.names[code] for code in cells]
-        elif column.values.dtype.kind == "c":
-            cells = [[z.real, z.imag] for z in cells]
-        shown = [True] * len(cells) if column.ok is None else column.ok.tolist()
-        columns.append([cell if keep else None for cell, keep in zip(cells, shown)])
-    rows = [dict(zip(table, row)) for row in zip(*columns)]
-    want = json.dumps({"version": darktrio.__version__, "config": config_to_dict(_JSON_CONFIG),
-                       "rows": rows}, indent=2, allow_nan=False) + "\n"
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
-        _emit(_JSON_CONFIG, table, "json", None)
-    assert buffer.getvalue() == want
 
 
 @st.composite

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from darktrio import (
+    DegenerateSpectrum,
     DegenerateTwoMode,
     ModelParams,
+    three_mode_spectrum,
     two_mode_spectrum,
+    validate,
 )
 
 from _generators import rwa_block_matrix, valid_params
@@ -127,6 +130,16 @@ def test_degenerate_block_raises():
         two_mode_spectrum(ModelParams(1.0, 1.0, 1.0, 0.1, 0.1, 0.0))
     with pytest.raises(DegenerateTwoMode):
         two_mode_spectrum(ModelParams(1.0, 1.0, 1.0 + 1e-14, 0.1, 0.1, 1e-14))
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_effective_coupling_is_refused():
+    # finite parameters whose Gamma_2 = M_2 * xi * d_2 / kappa overflows to
+    # -inf+nanj; validate would overflow in the margins and pass assumption 2
+    p = ModelParams(1.0, 0.33, 1.0, 0.2, -1.7976931348623157e308, 0.1)
+    for call in (two_mode_spectrum, validate, three_mode_spectrum):
+        with pytest.raises(DegenerateSpectrum, match="not finite"):
+            call(p)
 
 
 @pytest.mark.parametrize("omega", [1e-3, 1.0, 1e3])
