@@ -721,13 +721,19 @@ def _reference_json(table) -> str:
                        "rows": rows}, indent=2, allow_nan=False) + "\n"
 
 
+def _expanded(table):
+    """The table with every per-point column expanded to its rows."""
+    return {name: column if column.point is None else _Column(
+        column.values[column.point], None if column.ok is None else column.ok[column.point],
+        column.names) for name, column in table.items()}
+
+
 @st.composite
 def _writer_tables(draw):
-    """A table for both writers, and the same table with every per-point
-    column expanded to its rows.  Either per-row columns alone, the shape of
-    ``spectrum``, ``duality`` and ``verify`` tables, or per-row columns
-    mixed with per-point columns of 1-3 rows per point, some of them on an
-    equal copy of the index."""
+    """A table for both writers, and the same table expanded.  Either per-row
+    columns alone, the shape of ``spectrum``, ``duality`` and ``verify``
+    tables, or per-row columns mixed with per-point columns of 1-3 rows per
+    point, some of them on an equal copy of the index."""
     table = draw(_tables())
     if draw(st.booleans()):
         points = len(table["zero"].values)
@@ -737,27 +743,51 @@ def _writer_tables(draw):
         items += [(f"p_{name}", column._replace(point=draw(st.sampled_from([point, point.copy()]))))
                   for name, column in table.items()]
         table = dict(draw(st.permutations(items)))
-    expanded = {name: column if column.point is None else _Column(
-        column.values[column.point], None if column.ok is None else column.ok[column.point],
-        column.names) for name, column in table.items()}
-    return table, expanded
+    return table, _expanded(table)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_writer_tables(), st.data())
-def test_both_writers_match_their_stdlib_references(tables, data):
+@given(_writer_tables())
+def test_write_csv_matches_reference_writer(tables):
     table, expanded = tables
     stream = io.StringIO()
     cli._write_csv(table, stream)
     assert stream.getvalue() == _reference_csv(expanded)
 
-    # JSON keys with quotes, control characters and non-ASCII too; CSV
-    # writes its column names as they are, so its keys stay plain
+
+@settings(max_examples=300, deadline=None)
+@given(_writer_tables(), st.data())
+def test_emit_json_matches_json_dumps_on_random_tables(tables, data):
+    table, expanded = tables
+    # keys with quotes, control characters and non-ASCII too; CSV writes
+    # its column names as they are, so only the JSON test draws them
     keys = [name + data.draw(st.text(max_size=3)) for name in table]
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
         _emit(_JSON_CONFIG, dict(zip(keys, table.values())), "json", None)
     assert buffer.getvalue() == _reference_json(dict(zip(keys, expanded.values())))
+
+
+def test_per_point_columns_write_as_their_expanded_table():
+    # three points of 2, 1 and 3 rows; per-point columns on the index and on
+    # an equal copy of it, hidden cells holding NaN and inf
+    point = np.array([0, 0, 1, 2, 2, 2])
+    table = {
+        "row": _Column(np.array([0.5, -0.0, math.nan, 1e300, 5e-324, 2.0]),
+                       np.array([True, True, False, True, True, True])),
+        "label": _Column(np.array([1, 0, 1]), names=("dark", 'say "x", y'), point=point),
+        "gamma": _Column(np.array([0.25 - 1j, complex(math.inf, math.nan), -0.0 + 0.5j]),
+                         np.array([True, False, True]), point=point.copy()),
+        "flag": _Column(np.array([True, False, True]), point=point),
+        "level": _Column(np.array([-0.0, 1.5, 0.1]), np.array([False, True, True]), point=point),
+    }
+    expanded = _expanded(table)
+    csv_text, want = io.StringIO(), io.StringIO()
+    cli._write_csv(table, csv_text)
+    cli._write_csv(expanded, want)
+    assert csv_text.getvalue() == want.getvalue() == _reference_csv(expanded)
+    text = cli._json_text(_JSON_CONFIG, table)
+    assert text == cli._json_text(_JSON_CONFIG, expanded) == _reference_json(expanded)
 
 
 #: bit patterns of NaNs with payloads and signs, infinities and signed zeros
