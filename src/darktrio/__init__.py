@@ -51,6 +51,7 @@ from .model import (
     AtomKind,
     ModelParams,
     SectorMatrix,
+    Tolerances,
     sector_basis,
     sector_matrix,
     validate,
@@ -59,7 +60,6 @@ from .observables import DualityReport, b_occupation, c_occupation, duality_repo
 from .oracle import (
     CheckResult,
     EigenDecomposition,
-    Tolerances,
     ValidationReport,
     crosscheck,
     dense_hermitian_eig,

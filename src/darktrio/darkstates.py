@@ -35,8 +35,8 @@ from .errors import (
     WrongSector,
     _Status,
 )
-from .model import (GAMMA_RTOL, AtomKind, ModelParams, _batch_of, _Batch, _norm,
-                    _sector_matrices, sector_basis)
+from .model import (GAMMA_RTOL, AtomKind, ModelParams, Tolerances, _batch_of, _Batch,
+                    _checked_tol, _norm, _sector_matrices, sector_basis)
 from .threemode import _bare_vectors, _d1_and_slope
 from .twomode import _two_mode
 
@@ -170,7 +170,8 @@ def _resonant_real(p: _Batch, status: _Status, vanishing: type[Exception] = Assu
     return 0.5 * (wb + wc), lam, xi, kappa
 
 
-def dark_tuning(params: ModelParams, tol: float = 1e-9) -> tuple[TuningResult, TuningResult]:
+def dark_tuning(params: ModelParams,
+                tol: float = Tolerances.tuning) -> tuple[TuningResult, TuningResult]:
     """Evaluate both tuning branches; returns (dark, quasi-dark) results.
 
     A branch is satisfied when its residual
@@ -188,14 +189,6 @@ def dark_tuning(params: ModelParams, tol: float = 1e-9) -> tuple[TuningResult, T
         for kind, (residual, energy, met) in zip((StateClass.DARK, StateClass.QUASI_DARK),
                                                  branches)
     )
-
-
-def _checked_tol(tol: float) -> float:
-    """``tol``, if it is a finite nonnegative number and not a bool, as the CLI
-    requires of every tolerance; otherwise a ``ValueError`` naming it."""
-    if isinstance(tol, bool) or not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be a finite nonnegative number, got {tol!r}")
-    return tol
 
 
 def _tuning(p: _Batch, tol: float):
@@ -249,7 +242,7 @@ def _finite_energy(energy: float) -> float:
     return e
 
 
-def classify(state: SectorVector, tol: float = 1e-9) -> Classification:
+def classify(state: SectorVector, tol: float = Tolerances.classify) -> Classification:
     """Label a one-excitation state dark / quasi-dark / bright / degenerate.
 
     Dark means the photon amplitude is below ``tol`` times the state
@@ -260,7 +253,7 @@ def classify(state: SectorVector, tol: float = 1e-9) -> Classification:
         raise WrongSector(f"classification needs a one-excitation state, got ell={state.ell}")
     photon = abs(state.amps[1])
     phonon = abs(state.amps[2])
-    variant = _VARIANTS[_variant_codes(photon, phonon, tol * state.norm)]
+    variant = _VARIANTS[_variant_codes(photon, phonon, _checked_tol(tol) * state.norm)]
     return Classification(variant=variant, photon_amp=photon, phonon_amp=phonon)
 
 
@@ -373,7 +366,8 @@ def _phase_fixed(vectors: np.ndarray) -> np.ndarray:
         return vectors / phase + 0.0  # the +0.0 collapses negative zeros
 
 
-def classify_spectrum(params: ModelParams, tol: float = 1e-9) -> list[EigenstateRecord]:
+def classify_spectrum(params: ModelParams,
+                      tol: float = Tolerances.classify) -> list[EigenstateRecord]:
     """Diagonalize the one-excitation block and classify every eigenstate.
 
     Brute-force path: works for any parameters, ``kappa = 0`` included.
@@ -381,7 +375,7 @@ def classify_spectrum(params: ModelParams, tol: float = 1e-9) -> list[Eigenstate
     positive (falling back to the largest component for states with no
     atom weight).
     """
-    spectrum = _classified(_batch_of(params), tol)
+    spectrum = _classified(_batch_of(params), _checked_tol(tol))
     spectrum.status.check()
     return [
         EigenstateRecord(

@@ -12,7 +12,7 @@ dense Hermitian matrix that can be written down exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -27,6 +27,7 @@ __all__ = [
     "AssumptionCheck",
     "AssumptionReport",
     "SectorMatrix",
+    "Tolerances",
     "validate",
     "sector_basis",
     "sector_matrix",
@@ -181,6 +182,54 @@ def _batch_of(params: ModelParams) -> _Batch:
 #: relative floor, on the scale ``max(|lambda|, |xi|, |kappa|, 1)``, below
 #: which an effective coupling counts as zero
 GAMMA_RTOL = 1e-12
+
+
+def _checked_tol(tol: float, name: str = "tol") -> float:
+    """``tol``, if it is a finite nonnegative number and not a bool, as every
+    tolerance must be; otherwise a ``ValueError`` naming it ``name``."""
+    if isinstance(tol, bool) or not 0.0 <= tol < math.inf:
+        raise ValueError(f"{name} must be a finite nonnegative number, got {tol!r}")
+    return tol
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """Named tolerances for the cross-check suite (CLI-overridable), whose defaults are those
+    of the functions that take one alone; ``||B||`` and ``||H||`` are the Frobenius norms of
+    the photon-phonon block and the bare one-excitation matrix, and a bound without ``* x``
+    is the value.  Each must pass :func:`_checked_tol`."""
+
+    eps_match: float = 1e-12      # quasimode energies vs 2x2 solver, * max(1, ||B||)
+    m_sum: float = 1e-14          # M_1^2 + M_2^2 = 1
+    u_unitarity: float = 1e-14    # max-norm of U'U - I
+    u_diag: float = 1e-12         # 2x2 diagonalization residual, * ||B||
+    a1: float = 1e-12             # per-mode pole identity, relative
+    a2: float = 1e-12             # cross-mode product identity, relative
+    e_match: float = 1e-11        # dressed levels vs 3x3 solver, * max(1, ||H||)
+    trace: float = 1e-12          # level sum vs frequency sum, relative
+    root: float = 1e-10           # cubic residual at levels over max(1, |E|^3)
+    v_unitarity: float = 1e-12    # max-norm of V'V - I
+    v_diag: float = 1e-11         # 3x3 diagonalization residual, * max(1, ||H||)
+    b1: float = 1e-10             # column-orthogonality sum rule
+    n_norm: float = 1e-10         # normalizers vs reciprocal vector norms
+    eigvec: float = 1e-10         # closed-form columns vs solver columns
+    eigenstate: float = 1e-9      # eigen-residual of assembled states over ||H|| |v|
+    occupation: float = 1e-10     # closed-form occupations vs amplitudes
+    sector: float = 1e-9          # sector spectrum vs level sums
+    ass2: float = GAMMA_RTOL      # effective-coupling zero floor
+    classify: float = 1e-9        # dark/quasi-dark amplitude cutoff
+    tuning: float = 1e-9          # tuning-condition residual
+    duality: float = 1e-10        # occupation duality mismatch
+
+    def __post_init__(self):
+        for f in fields(self):
+            _checked_tol(getattr(self, f.name), f.name)
+
+    def override(self, updates: dict[str, float]) -> "Tolerances":
+        unknown = set(updates) - {f.name for f in fields(self)}
+        if unknown:
+            raise KeyError(f"unknown tolerance names: {sorted(unknown)}")
+        return replace(self, **updates)
 
 
 # A scan row must equal the single-point row bit for bit, so no kernel's

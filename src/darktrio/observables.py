@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .darkstates import _checked_tol, _finite_energy, _resonant_real
+from .darkstates import _finite_energy, _resonant_real
 from .errors import DegenerateSpectrum, GammaZero, NotAnEigenvalue, PoleHit, _Status
-from .model import ModelParams, _batch_of, _Batch
+from .model import ModelParams, Tolerances, _batch_of, _Batch, _checked_tol
 from .threemode import _dressed, _phi
 from .twomode import _two_mode, _TwoModeBatch
 
@@ -67,9 +67,9 @@ def _check_energies(p: _Batch, e: np.ndarray, two: _TwoModeBatch, regime,
     """Record on ``status``, per point of ``p``, the first of its energies
     ``e`` (n, k) that :func:`_occupations` may not take as a dressed level:
     :class:`PoleHit` within 1e-10 of a quasimode energy of ``regime``, then
-    :class:`NotAnEigenvalue` where the cleared cubic of ``two``, the solved
-    photon-phonon block, exceeds ``1e-10 * max(1, |E|^3)``.  ``two``'s own
-    failures follow the first pole check.  Runs under the caller's
+    :class:`NotAnEigenvalue` where the cleared cubic of ``two``, the solved photon-phonon
+    block, exceeds ``Tolerances.root * max(1, |E|^3)``, ``verify``'s default ``cubic-roots``
+    bound.  ``two``'s own failures follow the first pole check.  Runs under the caller's
     ``np.errstate(all="ignore")``."""
     omega, _, _, kappa = regime
     eps1, eps2 = (omega - kappa)[:, None], (omega + kappa)[:, None]
@@ -77,7 +77,7 @@ def _check_energies(p: _Batch, e: np.ndarray, two: _TwoModeBatch, regime,
     pole = np.minimum(np.abs(e - eps1), np.abs(e - eps2)) <= 1e-10
     residual = np.abs(_phi(e, p.omega_a[:, None], two.eps[:, :1], two.eps[:, 1:],
                            gsq[:, :1], gsq[:, 1:]))
-    bound = 1e-10 * np.maximum(1.0, np.float_power(np.abs(e), 3.0))
+    bound = Tolerances.root * np.maximum(1.0, np.float_power(np.abs(e), 3.0))
     off = residual > bound
     if not (np.count_nonzero(pole) or np.count_nonzero(off)):
         status.inherit(two.status)
@@ -124,7 +124,7 @@ def c_occupation(params: ModelParams, energy: float, *, normalized: bool = False
     return c / (1.0 + c + b) if normalized else c
 
 
-def duality_report(params: ModelParams, tol: float = 1e-10) -> DualityReport:
+def duality_report(params: ModelParams, tol: float = Tolerances.duality) -> DualityReport:
     """Verify the occupation duality level by level.
 
     Computes the dressed levels of the base and the coupling-swapped

@@ -8,12 +8,11 @@ which solves its dense references as stacks over all points, one
 ``eigvalsh`` per requested sector; :func:`crosscheck` and ``verify`` run
 it on a batch of one.  The oscillator's sector spectra are solved
 densely in the photon-phonon normal-mode basis, where the sector matrix
-is real symmetric (see :func:`_normal_mode_sector_spectra`).
+is real symmetric (see :func:`_normal_mode_sector_spectra`).  Bounds: ``model.Tolerances``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -23,13 +22,14 @@ import numpy as np
 from . import darkstates, observables, threemode, twomode
 from .errors import AssumptionViolation, ConvergenceFailure, GammaZero, NotHermitian, _Status
 from .model import (
-    GAMMA_RTOL,
     AtomKind,
     ModelParams,
+    Tolerances,
     _abs,
     _assumption_margins,
     _batch_of,
     _Batch,
+    _checked_tol,
     _max_abs,
     _norm,
     _sector_block,
@@ -41,7 +41,6 @@ __all__ = [
     "EigenDecomposition",
     "CheckResult",
     "ValidationReport",
-    "Tolerances",
     "dense_hermitian_eig",
     "oscillator_sector_check",
     "crosscheck",
@@ -80,42 +79,6 @@ class ValidationReport:
 
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.skipped and not c.passed]
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Named tolerances for the cross-check suite (CLI-overridable); ``||B||``
-    and ``||H||`` are the Frobenius norms of the photon-phonon block and the
-    bare one-excitation matrix, and a bound without ``* x`` is the value."""
-
-    eps_match: float = 1e-12      # quasimode energies vs 2x2 solver, * max(1, ||B||)
-    m_sum: float = 1e-14          # M_1^2 + M_2^2 = 1
-    u_unitarity: float = 1e-14    # max-norm of U'U - I
-    u_diag: float = 1e-12         # 2x2 diagonalization residual, * ||B||
-    a1: float = 1e-12             # per-mode pole identity, relative
-    a2: float = 1e-12             # cross-mode product identity, relative
-    e_match: float = 1e-11        # dressed levels vs 3x3 solver, * max(1, ||H||)
-    trace: float = 1e-12          # level sum vs frequency sum, relative
-    root: float = 1e-10           # cubic residual at levels over max(1, |E|^3)
-    v_unitarity: float = 1e-12    # max-norm of V'V - I
-    v_diag: float = 1e-11         # 3x3 diagonalization residual, * max(1, ||H||)
-    b1: float = 1e-10             # column-orthogonality sum rule
-    n_norm: float = 1e-10         # normalizers vs reciprocal vector norms
-    eigvec: float = 1e-10         # closed-form columns vs solver columns
-    eigenstate: float = 1e-9      # eigen-residual of assembled states over ||H|| |v|
-    occupation: float = 1e-10     # closed-form occupations vs amplitudes
-    sector: float = 1e-9          # sector spectrum vs level sums
-    ass2: float = GAMMA_RTOL      # effective-coupling zero floor
-    classify: float = 1e-9        # dark/quasi-dark amplitude cutoff
-    tuning: float = 1e-9          # tuning-condition residual
-    duality: float = 1e-10        # occupation duality mismatch
-
-    def override(self, updates: dict[str, float]) -> "Tolerances":
-        names = {f.name for f in dataclasses.fields(self)}
-        unknown = set(updates) - names
-        if unknown:
-            raise KeyError(f"unknown tolerance names: {sorted(unknown)}")
-        return dataclasses.replace(self, **updates)
 
 
 def dense_hermitian_eig(matrix) -> EigenDecomposition:
@@ -160,10 +123,7 @@ def _eigh(a: np.ndarray):
     ))
     values, vectors, failures = _lapack_eigh(a)
     if failures:
-        failed = np.zeros(n, dtype=bool)
-        failed[list(failures)] = True
-        status.fail(failed, lambda i: ConvergenceFailure(
-            f"dense eigensolver failed: {failures[i]}"))
+        _record_failures(status, failures)
     residual = _max_abs(a @ vectors - vectors * values[:, None, :])
     gram = vectors.conj().swapaxes(1, 2) @ vectors
     gram.reshape(n, -1)[:, ::dim + 1] -= 1.0  # V'V - I, without an identity matrix
@@ -191,8 +151,16 @@ def _lapack_eigh(a: np.ndarray):
             {**e1, **{i + half: err for i, err in e2.items()}})
 
 
+def _record_failures(status: _Status, failures: dict) -> None:
+    """Record on ``status`` a :class:`ConvergenceFailure` for each matrix that
+    :func:`_lapack_eigh` failed on, from its ``failures``."""
+    failed = np.zeros(len(status.code), dtype=bool)
+    failed[list(failures)] = True
+    status.fail(failed, lambda i: ConvergenceFailure(f"dense eigensolver failed: {failures[i]}"))
+
+
 def oscillator_sector_check(params: ModelParams, ell: int, *,
-                            tol: float = 1e-9) -> ValidationReport:
+                            tol: float = Tolerances.sector) -> ValidationReport:
     """Compare an exact sector spectrum with sums of dressed levels.
 
     For the oscillator atom the sector-``ell`` eigenvalues are exactly the
@@ -203,7 +171,8 @@ def oscillator_sector_check(params: ModelParams, ell: int, *,
     when the real sector matrix would exceed 800 MB (``ell`` above 139).
     This is the ``sector-{ell}-spectrum`` row of :func:`_crosscheck`.
     """
-    checks = _crosscheck(_batch_of(params), AtomKind.OSCILLATOR, Tolerances(sector=tol), (ell,))
+    checks = _crosscheck(_batch_of(params), AtomKind.OSCILLATOR,
+                         Tolerances(sector=_checked_tol(tol)), (ell,))
     checks.spectrum.two.status.check()
     if checks.reason[0, -1] == _NOT_SATISFIED:
         margins = checks.residual[0, :4].tolist()
@@ -362,8 +331,8 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances, sectors=(2,)) -> _Ch
     Every residual is computed for every point, then blanked where its
     check skips: one array holds the terms of every check that has them
     (``_CHECKS``), reduced in one pass.  The dense references come from stacked LAPACK solves,
-    never from the closed forms: the photon-phonon blocks in one ``eigh``,
-    the bare and the quasimode-basis one-excitation matrices in one
+    never from the closed forms: the photon-phonon blocks in one :func:`_lapack_eigh`, the
+    bare and the quasimode-basis (``threemode._dressed``'s) one-excitation matrices in one
     :func:`_eigh`, and the oscillator's matrices of each sector in one
     ``eigvalsh``, built only if a point that has not failed runs the sector
     checks (so no :class:`SizeLimit` otherwise).
@@ -388,15 +357,18 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances, sectors=(2,)) -> _Ch
 
     # the bare and the quasimode-basis one-excitation matrices, a harmless
     # one where no spectrum is checked
-    dense = np.concatenate([_sector_matrices(p, AtomKind.TWO_LEVEL, 1),
-                            threemode._quasi_matrices(wa, eps, gamma)])
+    dense = np.concatenate([_sector_matrices(p, AtomKind.TWO_LEVEL, 1), spectrum.h])
     # the photon-phonon blocks, taken before that replacement
     blocks = dense[:n, 1:, 1:].copy()
-    modes = np.linalg.eigh(blocks)
+    status = _Status(n)
+    *modes, failures = _lapack_eigh(blocks)
+    if failures:
+        _record_failures(status, failures)
+        # the NaN modes of a failed solve would fail the other points' sector solves
+        modes[0][list(failures)], modes[1][list(failures)] = 1.0, _EYE2
     dense.reshape(2, n, 3, 3)[:, ~checked] = _EYE3
     values, vectors, solver = _eigh(dense)
     bare, quasi = dense[:n], dense[n:]
-    status = _Status(n)
     status.inherit(solver)
     status.inherit(solver, n)
     sector_runs = np.count_nonzero((sector == _RAN) & (status.code == 0))
@@ -433,7 +405,7 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances, sectors=(2,)) -> _Ch
         # the terms of the checks with terms, in report order
         terms = np.concatenate([
             modes[0] - eps,
-            np.add.reduce(np.square(two.m), axis=1, keepdims=True) - 1.0,
+            np.add.reduce(np.square(u[:, 0].real), axis=1, keepdims=True) - 1.0,
             (np.matmul(u_h, u) - _EYE2).reshape(n, 4),
             (np.matmul(np.matmul(u_h, blocks), u) - eps[:, :, None] * _EYE2).reshape(n, 4),
             ((eps - wb[:, None]) * (eps - wc[:, None]) - ksq) / ksq,

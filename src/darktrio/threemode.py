@@ -89,14 +89,16 @@ class ThreeModeSpectrum:
 
 
 class _ThreeModeBatch(NamedTuple):
-    """:class:`ThreeModeSpectrum` of every point of a batch: ``e`` and
-    ``n_norm`` (n, 3), ``v`` (n, 3, 3), ``residual`` (n,) the max-norm of
-    ``V'V - I``, ``two``.  Rows of points that failed (``status``) hold no solution."""
+    """:class:`ThreeModeSpectrum` of every point of a batch: ``e`` and ``n_norm`` (n, 3),
+    ``v`` (n, 3, 3), ``residual`` (n,) the max-norm of ``V'V - I``, ``h`` (n, 3, 3) the
+    solved quasimode-basis matrices (the identity where a point failed before the solve),
+    ``two``.  Rows of points that failed (``status``) hold no solution."""
 
     e: np.ndarray
     n_norm: np.ndarray
     v: np.ndarray
     residual: np.ndarray
+    h: np.ndarray
     two: _TwoModeBatch
     status: _Status
 
@@ -159,9 +161,11 @@ def phi(params: ModelParams, x: float) -> float:
     Off the quasimode energies it equals
     ``(x - eps_1) * (x - eps_2) * d1(x)``.  A degenerate photon-phonon
     block needs no mixing factors here: its quasimodes and couplings are
-    still solved, and are the bare modes where ``kappa = 0``.
+    still solved, and are the bare modes where ``kappa = 0``.  Raises
+    :class:`DegenerateSpectrum` when an effective coupling is not finite.
     """
     two = _two_mode(_batch_of(params))
+    two.check_finite()
     return _phi(x, params.omega_a, *two.eps[0], *np.square(two.gamma_abs[0]))
 
 
@@ -258,4 +262,4 @@ def _dressed(p: _Batch, two: _TwoModeBatch) -> _ThreeModeBatch:
         f"closed-form unitary failed its sanity bound (residual {residual[i]:.3e}); "
         "the spectrum is too ill-conditioned for the closed forms"
     ))
-    return _ThreeModeBatch(levels, n_norm, v, residual, two, status)
+    return _ThreeModeBatch(levels, n_norm, v, residual, h, two, status)

@@ -66,16 +66,15 @@ class TwoModeSpectrum:
 
 
 class _TwoModeBatch(NamedTuple):
-    """:class:`TwoModeSpectrum` of every point of a batch, one row per point:
-    ``eps``, ``m`` (n, 2), ``gamma`` (n, 2) complex, ``u`` (n, 2, 2), and
-    ``gamma_abs`` the ``|Gamma_j|``.  The one failure (see ``status``) is a
-    degenerate block, whose row still holds its quasimodes: the bare modes
-    where ``kappa = 0``.  ``ass1_margin`` is known for every point.  A row
-    whose effective couplings overflow is refused by :meth:`check`, and by
-    ``threemode._dressed`` through its matrix norm."""
+    """:class:`TwoModeSpectrum` of every point of a batch, one row per point: ``eps``
+    (n, 2), ``gamma`` (n, 2) complex, ``u`` (n, 2, 2), whose row 0 holds the mixing factors
+    ``M_j``, and ``gamma_abs`` the ``|Gamma_j|``.  The one failure (see ``status``) is a
+    degenerate block, whose row still holds its quasimodes: the bare modes where
+    ``kappa = 0``.  ``ass1_margin`` is known for every point.  A row whose effective
+    couplings overflow is refused by :meth:`check_finite`, and by ``threemode._dressed``
+    through its matrix norm."""
 
     eps: np.ndarray
-    m: np.ndarray
     gamma: np.ndarray
     u: np.ndarray
     gamma_abs: np.ndarray
@@ -83,9 +82,13 @@ class _TwoModeBatch(NamedTuple):
     status: _Status
 
     def check(self, i: int = 0) -> None:
-        """Raise point ``i``'s error, if it has one, or
-        :class:`DegenerateSpectrum` where an effective coupling overflows."""
+        """Raise point ``i``'s error, if it has one, or as :meth:`check_finite` does."""
         self.status.check(i)
+        self.check_finite(i)
+
+    def check_finite(self, i: int = 0) -> None:
+        """Raise :class:`DegenerateSpectrum` where an effective coupling of
+        point ``i`` overflows; a degenerate block passes."""
         if not np.isfinite(self.gamma_abs[i]).all():
             raise DegenerateSpectrum(
                 f"effective couplings {tuple(self.gamma[i].tolist())} are not finite")
@@ -93,7 +96,8 @@ class _TwoModeBatch(NamedTuple):
     def point(self, i: int) -> TwoModeSpectrum:
         """Point ``i``'s solution; raises as :meth:`check` does."""
         self.check(i)
-        return TwoModeSpectrum(eps=tuple(self.eps[i].tolist()), m=tuple(self.m[i].tolist()),
+        m = tuple(self.u[i, 0].real.tolist())  # row 0 of u holds the mixing factors
+        return TwoModeSpectrum(eps=tuple(self.eps[i].tolist()), m=m,
                                gamma=tuple(self.gamma[i].tolist()), u=self.u[i].copy())
 
 
@@ -172,7 +176,6 @@ def _two_mode(p: _Batch) -> _TwoModeBatch:
                                     (decoupled & ~(wb < wc), 1, 0)):
             eps[mask, first], eps[mask, second] = wb[mask], wc[mask]
             g[mask, first], g[mask, second] = p.lam[mask], p.xi[mask]
-            m[mask, first], m[mask, second] = 1.0, 0.0
             u[mask] = np.eye(2)[:, [first, second]]
-    return _TwoModeBatch(eps=eps, m=m, gamma=g, u=u, gamma_abs=_abs(g), ass1_margin=margin1,
+    return _TwoModeBatch(eps=eps, gamma=g, u=u, gamma_abs=_abs(g), ass1_margin=margin1,
                          status=status)

@@ -184,6 +184,23 @@ def test_verify_dense_solver_failure_exits_three(monkeypatch, capsys):
                        "Eigenvalues did not converge\n")
 
 
+def test_verify_photon_phonon_solver_failure_exits_three(monkeypatch, capsys):
+    # only the photon-phonon reference solve fails
+    eigh = np.linalg.eigh
+
+    def failing_on_2x2(a, *args, **kwargs):
+        if np.shape(a)[-1] == 2:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_on_2x2)
+    for fmt in ("json", "csv"):
+        code, out, err = run_cli(capsys, "verify", "--format", fmt)
+        assert (code, out) == (3, "")
+        assert err == ("verification failed: dense eigensolver failed: "
+                       "Eigenvalues did not converge\n")
+
+
 def test_single_point_duality_past_its_tolerance_exits_three(tmp_path, capsys):
     # a resonant real point of the resonant-detuned-grid fixture whose
     # occupations differ by 1.5e-12

@@ -17,15 +17,18 @@ from darktrio import (
     RelabelRole,
     SectorVector,
     StateClass,
+    Tolerances,
     TuningNotSatisfied,
     WrongSector,
     assemble_eigenstate,
     classify,
     classify_spectrum,
     dark_tuning,
+    dense_hermitian_eig,
     duality_report,
     duality_swap,
     multiquantum_state,
+    oscillator_sector_check,
     phi,
     relabel_modes,
     sector_basis,
@@ -437,13 +440,55 @@ def test_sector_vector_rejects_a_non_finite_amplitude(amps):
         SectorVector(np.array(amps, dtype=complex), ell=1)
 
 
+def classify_atom_state(params, tol):
+    return classify(SectorVector(np.array([1.0, 0.0, 0.0]), 1), tol=tol)
+
+
+def oscillator_sector_2(params, tol):
+    return oscillator_sector_check(params, 2, tol=tol)
+
+
+def tolerances_field(params, tol):
+    return Tolerances(e_match=tol)
+
+
+def tolerances_override(params, tol):
+    return Tolerances().override({"classify": tol})
+
+
+#: the name each call's error gives the tolerance, where it is not ``tol``
+TOL_NAMES = {tolerances_field: "e_match", tolerances_override: "classify"}
+
+
 @pytest.mark.parametrize("tol", [math.nan, -1e-9, -0.0 - 1e-300, math.inf, True])
-@pytest.mark.parametrize("call", [dark_tuning, duality_report])
+@pytest.mark.parametrize("call", [dark_tuning, duality_report, classify_spectrum,
+                                  classify_atom_state, oscillator_sector_2, tolerances_field,
+                                  tolerances_override])
 def test_a_tolerance_must_be_a_finite_nonnegative_number(call, tol):
     tuned = ModelParams(1.0, 1.0, 1.0, 0.2, 0.05, 0.2)
-    with pytest.raises(ValueError, match="^tol must be a finite nonnegative number"):
+    name = TOL_NAMES.get(call, "tol")
+    with pytest.raises(ValueError, match=f"^{name} must be a finite nonnegative number"):
         call(tuned, tol=tol)
     # zero is a tolerance: the exactly tuned dark branch has a zero residual
     dark, _ = dark_tuning(tuned, tol=0.0)
     assert dark.residual == 0.0
     assert duality_report(tuned, tol=0).tol == 0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda p: SectorVector(np.array([]), 1), "^amplitudes must form a nonempty vector$"),
+    (lambda p: two_mode_binomial_state(2, (1, 1), (1, 0)),
+     r"^modes must be two distinct indices out of \(0, 1, 2\), got \(1, 1\)$"),
+    (lambda p: multiquantum_state(p, StateClass.DARK, -1),
+     "^quantum number must be nonnegative, got -1$"),
+    (lambda p: multiquantum_state(p, StateClass.BRIGHT, 1),
+     "^branch must be DARK or QUASI_DARK, got StateClass.BRIGHT$"),
+    (lambda p: sector_matrix(p, AtomKind.TWO_LEVEL, -1),
+     "^excitation number must be nonnegative, got -1$"),
+    (lambda p: dense_hermitian_eig(np.ones((2, 3))),
+     r"^expected a square matrix, got shape \(2, 3\)$"),
+], ids=["empty-vector", "same-mode-twice", "negative-quanta", "bright-branch",
+        "negative-sector", "non-square-matrix"])
+def test_a_malformed_argument_is_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(ModelParams(1.0, 1.0, 1.0, 0.2, 0.05, 0.2))

@@ -14,6 +14,7 @@ from darktrio import (
     assemble_eigenstate,
     b_occupation,
     c_occupation,
+    classify_spectrum,
     duality_report,
     duality_swap,
     three_mode_spectrum,
@@ -228,3 +229,14 @@ def test_duality_swap_round_trip_through_report():
         assert forward.max_mismatch < 1e-10
         assert backward.max_mismatch < 1e-10
         np.testing.assert_allclose(forward.energies[0], backward.energies[1], rtol=1e-12)
+
+
+def test_normalized_occupations_are_squared_amplitudes_of_the_normalized_states():
+    rng = np.random.default_rng(67)
+    points = [ModelParams(1.02, 1.0, 1.0, 0.05, 0.08, 0.04)]
+    points += [resonant_real_params(rng) for _ in range(20)]
+    for p in points:
+        for record in classify_spectrum(p):
+            photon, phonon = np.square(np.abs(record.state.amps[1:]))
+            assert abs(b_occupation(p, record.energy, normalized=True) - photon) <= 1e-13
+            assert abs(c_occupation(p, record.energy, normalized=True) - phonon) <= 1e-13

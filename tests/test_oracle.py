@@ -159,6 +159,19 @@ def test_eig_solver_failure_fails_only_its_point(monkeypatch, tmp_path, capsys):
     assert {row["status"] for row in rows if row["omega_a"] != 1.0} == {"ok"}
 
 
+def test_a_failed_photon_phonon_solve_fails_only_its_point(monkeypatch):
+    points = [ModelParams(1.02, 1.0, 1.0, 0.2, 0.05, 0.1),
+              ModelParams(1.1, 0.9, 1.0, 0.2, 0.05, 0.1)]
+    alone = _crosscheck(stack(points[1:]), AtomKind.OSCILLATOR, Tolerances())
+    # omega_b sits in the first entry of the photon-phonon block
+    _failing_eigh(monkeypatch, lambda a: a.shape == (2, 2) and a[0, 0].real == 1.0)
+    checks = _crosscheck(stack(points), AtomKind.OSCILLATOR, Tolerances())
+    with pytest.raises(ConvergenceFailure, match="^dense eigensolver failed: Eigenvalues did not"):
+        checks.status.check(0)
+    assert checks.status.code[1] == 0
+    np.testing.assert_array_equal(checks.residual[1], alone.residual[0])
+
+
 def test_eig_invariants_random():
     rng = np.random.default_rng(71)
     for dim in (2, 3, 5, 8):

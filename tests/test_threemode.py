@@ -1,5 +1,6 @@
 """Dressed one-excitation spectrum: spectral functions, levels, unitary."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -252,3 +253,13 @@ def test_quasi_and_bare_matrices_share_spectrum():
         quasi = np.linalg.eigvalsh(quasi[0])
         np.testing.assert_allclose(bare, quasi, rtol=0, atol=1e-13)
 
+
+
+def test_phi_refuses_an_effective_coupling_that_overflows():
+    overflowing = ModelParams(1.0, 0.33, 1.0, 0.2, -1.7976931348623157e308, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateSpectrum, match="^effective couplings .* are not finite$"):
+            phi(overflowing, 0.5)
+        # a degenerate block still has a cubic
+        assert phi(ModelParams(1.0, 1.0, 1.0, 0.2, 0.05, 0.0), 0.5) == -0.10375
