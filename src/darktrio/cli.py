@@ -272,7 +272,7 @@ def _spectrum_rows(cfg: RunConfig) -> Table:
     spec = _dressed(p, _two_mode(p))
     ok = spec.status.ok
     e, eps, gamma = spec.e, spec.two.eps, spec.two.gamma
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         holds = _assumption_margins(p, spec.two, _tolerances(cfg.tol).ass2) > 0.0
         interlacing = _interlacing_margin(e, eps) > 0.0
     table = _param_cells(p)
@@ -533,7 +533,7 @@ def _emit(cfg: RunConfig, table: Table, fmt: str, output: str | None) -> None:
         try:
             with open(output, "w", newline="") as handle:
                 handle.write(text)
-        except OSError as err:
+        except (OSError, ValueError) as err:  # ValueError: a null byte in the path
             raise ConfigError(f"cannot write output {output!r}: {err}") from err
     else:
         sys.stdout.write(text)
@@ -548,7 +548,7 @@ def _config_document(args: argparse.Namespace):
         try:
             with open(args.config, "rb", buffering=0) as handle:
                 data = handle.read()
-        except OSError as err:
+        except (OSError, ValueError) as err:  # ValueError: a null byte in the path
             raise ConfigError(f"cannot read config {args.config!r}: {err}") from err
         try:
             text = data.decode("utf-8")

@@ -36,7 +36,7 @@ from .errors import (
     _Status,
 )
 from .model import (GAMMA_RTOL, AtomKind, ModelParams, Tolerances, _batch_of, _Batch,
-                    _checked_tol, _norm, _sector_matrices, sector_basis)
+                    _checked_tol, _eigh, _norm, _sector_matrices, sector_basis)
 from .threemode import _bare_vectors, _d1_and_slope
 from .twomode import _two_mode
 
@@ -404,8 +404,6 @@ class _Classified(NamedTuple):
 
 
 def _classified(p: _Batch, tol: float) -> _Classified:
-    from .oracle import _eigh
-
     energies, vectors, status = _eigh(_sector_matrices(p, AtomKind.TWO_LEVEL, 1))
     states = _phase_fixed(vectors)
     magnitudes = np.abs(states)

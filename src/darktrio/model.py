@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SizeLimit
+from .errors import ConvergenceFailure, NotHermitian, SizeLimit, _Status
 
 __all__ = [
     "AtomKind",
@@ -264,8 +264,8 @@ def validate(params: ModelParams) -> AssumptionReport:
     (``kappa = 0`` and ``omega_b = omega_c``): the quasimode quantities
     behind assumptions 2-4 are then undefined.  The raised error carries
     the assumption-1 result in its ``ass1`` attribute.  Raises
-    :class:`DegenerateSpectrum` when an effective coupling is not finite,
-    as assumptions 2-4 are then undecided.
+    :class:`DegenerateSpectrum` when an effective coupling or its square is
+    not finite, as assumptions 2-4 are then undecided.
     """
     from .twomode import _two_mode
 
@@ -281,9 +281,9 @@ def _assumption_report(margins) -> AssumptionReport:
 
 
 def _assumption_margins(p: _Batch, two, ass2_rtol: float = GAMMA_RTOL) -> np.ndarray:
-    """Margins of the four standing assumptions, shape (n, 4), from the solved
-    photon-phonon blocks ``two``; a degenerate block's row comes from the
-    quasimodes its row of ``two`` still holds."""
+    """Margins of the four standing assumptions, shape (n, 4), from the solved photon-phonon
+    blocks ``two`` (a degenerate block's from the quasimodes its row still holds); batches run
+    it under ``np.errstate``, where a square that overflows makes a margin infinite."""
     margins = np.empty((len(p), 4))
     margins[:, 0] = two.ass1_margin
 
@@ -406,3 +406,71 @@ def _sector_block(layout: _SectorLayout, wa: np.ndarray, wb: np.ndarray, wc: np.
     flat[:, layout.entry] = amp
     flat[:, layout.mirror] = amp.conj()
     return flat.reshape(n, dim, dim)
+
+
+def _eigensolve(a: np.ndarray, status: _Status, solve=np.True_, vectors: bool = True):
+    """LAPACK's ascending eigenvalues (n, d) of the Hermitian stack ``a`` (n, d, d), and
+    with ``vectors`` its eigenvector columns: every LAPACK call of the package.  A point
+    outside the mask ``solve`` is left out, and a matrix LAPACK fails on fails alone, with a
+    :class:`ConvergenceFailure` on ``status``; both get NaN results.  A stacked solve gives
+    each matrix the bits of its own call, so neither changes the other results."""
+    lapack = np.linalg.eigh if vectors else np.linalg.eigvalsh
+    if solve.all():
+        try:
+            return lapack(a)
+        except np.linalg.LinAlgError:
+            solve = np.ones(len(a), dtype=bool)
+    values = np.full(a.shape[:2], np.nan)
+    columns = np.full(a.shape, np.nan, a.dtype) if vectors else None
+    todo = [np.flatnonzero(solve)]
+    while todo:
+        rows = todo.pop()
+        try:
+            solved = lapack(a[rows])
+        except np.linalg.LinAlgError as err:
+            if len(rows) > 1:
+                todo += np.array_split(rows, 2)
+            else:
+                status.fail(np.arange(len(a)) == rows[0], lambda i: ConvergenceFailure(
+                    f"dense eigensolver failed: {err}"))
+            continue
+        if vectors:
+            values[rows], columns[rows] = solved
+        else:
+            values[rows] = solved
+    return (values, columns) if vectors else values
+
+
+def _eigh(a: np.ndarray, solve=np.True_):
+    """``oracle.dense_hermitian_eig`` of each matrix of the C-contiguous stack ``a``
+    (n, d, d): ascending values, eigenvector columns and the per-matrix status.  A matrix
+    with a non-finite entry fails unsolved; a point outside the mask ``solve`` is neither
+    checked nor solved (:func:`_eigensolve`)."""
+    n, _, dim = a.shape
+    status = _Status(n)
+    parts = a.view(float)
+    scale = np.sqrt(np.einsum("ijk,ijk->i", parts, parts))
+    if np.isfinite(scale).all():
+        deviation = _max_abs(a - a.conj().swapaxes(1, 2))
+    else:
+        # ||A|| as m ||A / m||, m the largest magnitude: held finite, or NaN for a non-finite A
+        with np.errstate(all="ignore"):
+            top = np.abs(parts).max(axis=(1, 2))
+            finite = np.isfinite(top)
+            status.fail(~finite & solve, lambda i: NotHermitian("matrix has a non-finite entry"))
+            solve = finite & solve
+            rest = parts / top[:, None, None]
+            held = top * np.sqrt(np.einsum("ijk,ijk->i", rest, rest))
+            scale = np.where(np.isfinite(scale), scale, np.minimum(held, np.finfo(float).max))
+            deviation = _max_abs(a - a.conj().swapaxes(1, 2))
+    status.fail((deviation > 1e-13 * np.maximum(scale, 1e-300)) & solve, lambda i: NotHermitian(
+        f"matrix deviates from Hermitian by {deviation[i]:.3e}"))
+    values, vectors = _eigensolve(a, status, solve)
+    residual = _max_abs(a @ vectors - vectors * values[:, None, :])
+    gram = vectors.conj().swapaxes(1, 2) @ vectors
+    gram.reshape(n, -1)[:, ::dim + 1] -= 1.0  # V'V - I, without an identity matrix
+    ortho = _max_abs(gram)
+    status.fail((residual > 1e-11 * np.maximum(scale, 1.0)) | (ortho > 1e-12),
+                lambda i: ConvergenceFailure(f"decomposition out of tolerance (residual "
+                                             f"{residual[i]:.3e}, orthonormality {ortho[i]:.3e})"))
+    return values, vectors, status

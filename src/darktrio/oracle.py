@@ -4,11 +4,11 @@ Everything here double-checks the closed forms through an independent
 route: dense Hermitian diagonalization of the exact sector matrices and
 an aggregate report that compares every closed-form quantity against the
 solver output.  The report is one batch kernel, :func:`_crosscheck`,
-which solves its dense references as stacks over all points, one
-``eigvalsh`` per requested sector; :func:`crosscheck` and ``verify`` run
-it on a batch of one.  The oscillator's sector spectra are solved
+which solves its dense references as stacks over all points through
+``model._eigensolve``; :func:`crosscheck` and ``verify`` run it on a
+batch of one.  The oscillator's sector spectra are solved
 densely in the photon-phonon normal-mode basis, where the sector matrix
-is real symmetric (see :func:`_normal_mode_sector_spectra`).  Bounds: ``model.Tolerances``.
+is real symmetric (see :func:`_normal_mode_sector_matrices`).  Bounds: ``model.Tolerances``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import darkstates, observables, threemode, twomode
-from .errors import AssumptionViolation, ConvergenceFailure, GammaZero, NotHermitian, _Status
+from .errors import AssumptionViolation, GammaZero, _Status
 from .model import (
     AtomKind,
     ModelParams,
@@ -30,7 +30,8 @@ from .model import (
     _batch_of,
     _Batch,
     _checked_tol,
-    _max_abs,
+    _eigensolve,
+    _eigh,
     _norm,
     _sector_block,
     _sector_layout,
@@ -97,68 +98,6 @@ def dense_hermitian_eig(matrix) -> EigenDecomposition:
     return EigenDecomposition(values=values[0], vectors=vectors[0])
 
 
-def _eigh(a: np.ndarray):
-    """:func:`dense_hermitian_eig` of each matrix in the C-contiguous stack ``a`` (n, d, d).
-
-    Returns ascending values (n, d), eigenvector columns (n, d, d) and the
-    per-matrix status.  A norm ``||A||`` that overflows is taken as
-    ``m ||A / m||``, ``m`` the largest magnitude, held at the largest float.
-    """
-    n, _, dim = a.shape
-    status = _Status(n)
-    parts = a.view(float)
-    scale = np.sqrt(np.einsum("ijk,ijk->i", parts, parts))
-    if not np.isfinite(scale).all():
-        top = np.abs(parts).max(axis=(1, 2))
-        bad = ~np.isfinite(top)
-        status.fail(bad, lambda i: NotHermitian("matrix has a non-finite entry"))
-        a = np.where(bad[:, None, None], np.eye(dim), a)  # such a matrix is solved as I
-        with np.errstate(all="ignore"):
-            rest = parts / top[:, None, None]
-            held = top * np.sqrt(np.einsum("ijk,ijk->i", rest, rest))
-        scale = np.where(np.isfinite(scale), scale, np.minimum(held, np.finfo(float).max))
-    deviation = _max_abs(a - a.conj().swapaxes(1, 2))
-    status.fail(deviation > 1e-13 * np.maximum(scale, 1e-300), lambda i: NotHermitian(
-        f"matrix deviates from Hermitian by {deviation[i]:.3e}"
-    ))
-    values, vectors, failures = _lapack_eigh(a)
-    if failures:
-        _record_failures(status, failures)
-    residual = _max_abs(a @ vectors - vectors * values[:, None, :])
-    gram = vectors.conj().swapaxes(1, 2) @ vectors
-    gram.reshape(n, -1)[:, ::dim + 1] -= 1.0  # V'V - I, without an identity matrix
-    ortho = _max_abs(gram)
-    status.fail((residual > 1e-11 * np.maximum(scale, 1.0)) | (ortho > 1e-12),
-                lambda i: ConvergenceFailure(
-                    f"decomposition out of tolerance (residual {residual[i]:.3e}, "
-                    f"orthonormality {ortho[i]:.3e})"
-                ))
-    return values, vectors, status
-
-
-def _lapack_eigh(a: np.ndarray):
-    """``np.linalg.eigh`` of the stack ``a``, and the solver's error for each
-    matrix it fails on, whose results are NaN.  A failing stack is split in
-    halves, so only the failing matrices fail, after a few solves."""
-    try:
-        return (*np.linalg.eigh(a), {})
-    except np.linalg.LinAlgError as err:
-        if len(a) == 1:
-            return np.full(a.shape[:2], np.nan), np.full(a.shape, np.nan, complex), {0: err}
-    half = len(a) // 2
-    (v1, w1, e1), (v2, w2, e2) = _lapack_eigh(a[:half]), _lapack_eigh(a[half:])
-    return (np.concatenate([v1, v2]), np.concatenate([w1, w2]),
-            {**e1, **{i + half: err for i, err in e2.items()}})
-
-
-def _record_failures(status: _Status, failures: dict) -> None:
-    """Record on ``status`` a :class:`ConvergenceFailure` for each matrix that
-    :func:`_lapack_eigh` failed on, from its ``failures``."""
-    failed = np.zeros(len(status.code), dtype=bool)
-    failed[list(failures)] = True
-    status.fail(failed, lambda i: ConvergenceFailure(f"dense eigensolver failed: {failures[i]}"))
-
-
 def oscillator_sector_check(params: ModelParams, ell: int, *,
                             tol: float = Tolerances.sector) -> ValidationReport:
     """Compare an exact sector spectrum with sums of dressed levels.
@@ -185,18 +124,22 @@ def oscillator_sector_check(params: ModelParams, ell: int, *,
     return ValidationReport(checks=(CheckResult(checks.names[-1], residual, tol, residual <= tol),))
 
 
-def _sector_residuals(p: _Batch, modes, levels: np.ndarray, ell: int) -> np.ndarray:
-    """Largest distance, per point, between the oscillator's sector-``ell``
-    spectrum and the sums of the dressed ``levels`` (n, 3); ``modes`` are
-    LAPACK's eigenpairs of the points' photon-phonon blocks."""
-    states, computed = _normal_mode_sector_spectra(p, modes, ell)
+def _sector_residuals(p: _Batch, modes, levels: np.ndarray, ell: int, status: _Status,
+                      solve) -> np.ndarray:
+    """Largest distance, per point in the mask ``solve`` (NaN elsewhere), between
+    the oscillator's sector-``ell`` spectrum and the sums of the dressed ``levels``
+    (n, 3); ``modes`` are LAPACK's eigenpairs of the photon-phonon blocks, and a
+    failed solve is recorded on ``status``."""
+    states, real = _normal_mode_sector_matrices(p, modes, ell)
+    computed = _eigensolve(real, status, solve, vectors=False)
     sums = np.sort(np.matmul(states, levels[:, :, None])[:, :, 0], axis=1)
     return np.max(np.abs(computed - sums), axis=1)
 
 
-def _normal_mode_sector_spectra(p: _Batch, modes, ell: int):
-    """The oscillator's sector-``ell`` basis as a (dim, 3) array, and the
-    ascending spectra (n, dim) of the sector matrices of the points of ``p``.
+def _normal_mode_sector_matrices(p: _Batch, modes, ell: int):
+    """The oscillator's sector-``ell`` basis as a (dim, 3) array, and real
+    symmetric matrices (n, dim, dim) with the spectra of the points' sector
+    matrices.
 
     The photon and phonon are rotated into the normal modes of the
     photon-phonon block: ``modes`` are its eigenpairs ``(eps, u)``, taken
@@ -214,8 +157,7 @@ def _normal_mode_sector_spectra(p: _Batch, modes, ell: int):
     gamma = p.lam[:, None] * u[:, 0].conj() + p.xi[:, None] * u[:, 1].conj()
     raising = np.zeros((len(p), 3))
     raising[:, :2] = _abs(gamma)
-    real = _sector_block(layout, p.omega_a, eps[:, 0], eps[:, 1], raising)
-    return layout.states, np.linalg.eigvalsh(real)
+    return layout.states, _sector_block(layout, p.omega_a, eps[:, 0], eps[:, 1], raising)
 
 
 def crosscheck(params: ModelParams, kind: AtomKind = AtomKind.TWO_LEVEL,
@@ -330,52 +272,41 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances, sectors=(2,)) -> _Ch
 
     Every residual is computed for every point, then blanked where its
     check skips: one array holds the terms of every check that has them
-    (``_CHECKS``), reduced in one pass.  The dense references come from stacked LAPACK solves,
-    never from the closed forms: the photon-phonon blocks in one :func:`_lapack_eigh`, the
-    bare and the quasimode-basis (``threemode._dressed``'s) one-excitation matrices in one
-    :func:`_eigh`, and the oscillator's matrices of each sector in one
-    ``eigvalsh``, built only if a point that has not failed runs the sector
-    checks (so no :class:`SizeLimit` otherwise).
+    (``_CHECKS``), reduced in one pass.  The dense references are LAPACK's, never the
+    closed forms': the photon-phonon blocks, the one-excitation matrices (bare and
+    ``threemode._dressed``'s) where the spectrum is checked, and each sector's matrices where
+    the sector check runs, built only if one does (so no :class:`SizeLimit` otherwise).
     """
     n = len(p)
     wa, wb, wc = p.omega_a, p.omega_b, p.omega_c
     names, base, scale, strict = _bounds(tol, tuple(sectors))
     two = twomode._two_mode(p)
     eps, gamma, u, solved = two.eps, two.gamma, two.u, two.status.ok
-    margins = _assumption_margins(p, two, tol.ass2)
     spectrum = threemode._dressed(p, two)
-    # the three-mode checks' skip reason, the first that applies winning
-    dressed = np.where(solved, np.where(eps[:, 0] > 0.0, np.where(
-        margins[:, 1] > 0.0, np.where(spectrum.status.ok, _RAN, _UNSOLVED), _VANISHES),
-        _NOT_POSITIVE), _DEGENERATE)
-    checked = dressed == _RAN
-    # the sector checks' skip reason: they need every standing assumption
-    sector = (np.where((margins > 0.0).all(axis=1), dressed, _NOT_SATISFIED)
-              if kind is AtomKind.OSCILLATOR else np.full(n, _NOT_OSCILLATOR))
-    # the levels of the points whose three-mode checks run, NaN elsewhere
-    e, v = np.where(checked[:, None], spectrum.e, np.nan), spectrum.v
-
-    # the bare and the quasimode-basis one-excitation matrices, a harmless
-    # one where no spectrum is checked
-    dense = np.concatenate([_sector_matrices(p, AtomKind.TWO_LEVEL, 1), spectrum.h])
-    # the photon-phonon blocks, taken before that replacement
-    blocks = dense[:n, 1:, 1:].copy()
-    status = _Status(n)
-    *modes, failures = _lapack_eigh(blocks)
-    if failures:
-        _record_failures(status, failures)
-        # the NaN modes of a failed solve would fail the other points' sector solves
-        modes[0][list(failures)], modes[1][list(failures)] = 1.0, _EYE2
-    dense.reshape(2, n, 3, 3)[:, ~checked] = _EYE3
-    values, vectors, solver = _eigh(dense)
-    bare, quasi = dense[:n], dense[n:]
-    status.inherit(solver)
-    status.inherit(solver, n)
-    sector_runs = np.count_nonzero((sector == _RAN) & (status.code == 0))
     regime = _Status(n)
     resonant = darkstates._resonant_real(p, regime, GammaZero)
 
     with np.errstate(all="ignore"):
+        margins = _assumption_margins(p, two, tol.ass2)
+        # the three-mode checks' skip reason, the first that applies winning
+        dressed = np.where(solved, np.where(eps[:, 0] > 0.0, np.where(
+            margins[:, 1] > 0.0, np.where(spectrum.status.ok, _RAN, _UNSOLVED), _VANISHES),
+            _NOT_POSITIVE), _DEGENERATE)
+        checked = dressed == _RAN
+        # the sector checks' skip reason: they need every standing assumption
+        sector = (np.where((margins > 0.0).all(axis=1), dressed, _NOT_SATISFIED)
+                  if kind is AtomKind.OSCILLATOR else np.full(n, _NOT_OSCILLATOR))
+        e, v = spectrum.e, spectrum.v
+        # the dense references: the one-excitation matrices only where the spectrum is checked
+        bare, quasi = _sector_matrices(p, AtomKind.TWO_LEVEL, 1), spectrum.h
+        blocks = bare[:, 1:, 1:].copy()
+        status = _Status(n)
+        modes = _eigensolve(blocks, status)
+        values, vectors, solver = _eigh(np.concatenate([bare, quasi]),
+                                        np.concatenate([checked, checked]))
+        status.inherit(solver)
+        status.inherit(solver, n)
+        runs = (sector == _RAN) & status.ok
         ak = p.coupling_abs[2]
         ksq = (ak * ak)[:, None]
         # the bounds' scales, in the order of _CHECKS' scale indices
@@ -427,7 +358,8 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances, sectors=(2,)) -> _Ch
         residual[:, :4], residual[:, _EPS1] = margins, eps[:, 0]
         residual[:, _INTERLACING] = threemode._interlacing_margin(e, eps)
         for c, ell in enumerate(sectors, len(_CHECKS)):
-            residual[:, c] = _sector_residuals(p, modes, e, ell) if sector_runs else np.nan
+            residual[:, c] = (_sector_residuals(p, modes, e, ell, status, runs) if runs.any()
+                              else np.nan)
         tolerance = base * scales[:, scale]
 
     reason = np.empty(residual.shape, dtype=np.int8)

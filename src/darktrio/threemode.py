@@ -54,6 +54,7 @@ from .model import (
     ModelParams,
     _batch_of,
     _Batch,
+    _eigensolve,
     _max_abs,
 )
 from .twomode import TwoModeSpectrum, _two_mode, _TwoModeBatch
@@ -91,8 +92,8 @@ class ThreeModeSpectrum:
 class _ThreeModeBatch(NamedTuple):
     """:class:`ThreeModeSpectrum` of every point of a batch: ``e`` and ``n_norm`` (n, 3),
     ``v`` (n, 3, 3), ``residual`` (n,) the max-norm of ``V'V - I``, ``h`` (n, 3, 3) the
-    solved quasimode-basis matrices (the identity where a point failed before the solve),
-    ``two``.  Rows of points that failed (``status``) hold no solution."""
+    quasimode-basis matrices, ``two``.  Rows of points that failed (``status``) hold no
+    solution: a point that failed before the solve is not solved."""
 
     e: np.ndarray
     n_norm: np.ndarray
@@ -162,7 +163,8 @@ def phi(params: ModelParams, x: float) -> float:
     ``(x - eps_1) * (x - eps_2) * d1(x)``.  A degenerate photon-phonon
     block needs no mixing factors here: its quasimodes and couplings are
     still solved, and are the bare modes where ``kappa = 0``.  Raises
-    :class:`DegenerateSpectrum` when an effective coupling is not finite.
+    :class:`DegenerateSpectrum` when an effective coupling or its square is
+    not finite.
     """
     two = _two_mode(_batch_of(params))
     two.check_finite()
@@ -218,11 +220,7 @@ def _dressed(p: _Batch, two: _TwoModeBatch) -> _ThreeModeBatch:
         # LAPACK may not converge on a matrix whose norm overflows
         status.fail(~np.isfinite(scale), lambda i: DegenerateSpectrum(
             f"||H|| = {scale[i]} is not finite, so the dressed levels cannot be resolved"))
-        failed = status.code != 0
-        if np.count_nonzero(failed):
-            # failed points get a harmless matrix, so the stacked solve never sees NaN
-            h[failed] = _EYE3
-        levels = np.linalg.eigvalsh(h)
+        levels = _eigensolve(h, status, status.ok, vectors=False)
         # omega_a, eps_1, eps_2, |Gamma_1|^2, |Gamma_2|^2, one copy per level:
         # operands of one shape keep numpy on its fast path
         per_level = np.empty((5, n, 3))

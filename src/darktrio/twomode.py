@@ -71,8 +71,8 @@ class _TwoModeBatch(NamedTuple):
     ``M_j``, and ``gamma_abs`` the ``|Gamma_j|``.  The one failure (see ``status``) is a
     degenerate block, whose row still holds its quasimodes: the bare modes where
     ``kappa = 0``.  ``ass1_margin`` is known for every point.  A row whose effective
-    couplings overflow is refused by :meth:`check_finite`, and by ``threemode._dressed``
-    through its matrix norm."""
+    couplings or their squares overflow is refused by :meth:`check_finite`, and by
+    ``threemode._dressed`` through its matrix norm."""
 
     eps: np.ndarray
     gamma: np.ndarray
@@ -87,11 +87,13 @@ class _TwoModeBatch(NamedTuple):
         self.check_finite(i)
 
     def check_finite(self, i: int = 0) -> None:
-        """Raise :class:`DegenerateSpectrum` where an effective coupling of
-        point ``i`` overflows; a degenerate block passes."""
-        if not np.isfinite(self.gamma_abs[i]).all():
-            raise DegenerateSpectrum(
-                f"effective couplings {tuple(self.gamma[i].tolist())} are not finite")
+        """Raise :class:`DegenerateSpectrum` where an effective coupling of point ``i``
+        or its square, which the kernels form, overflows; a degenerate block passes."""
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(np.square(self.gamma_abs[i])).all()
+        if not finite:
+            raise DegenerateSpectrum(f"effective couplings {tuple(self.gamma[i].tolist())} "
+                                     "or their squares are not finite")
 
     def point(self, i: int) -> TwoModeSpectrum:
         """Point ``i``'s solution; raises as :meth:`check` does."""
@@ -109,8 +111,9 @@ def two_mode_spectrum(params: ModelParams) -> TwoModeSpectrum:
     ``1e-12 * (omega_b + omega_c)``; the mixing factors are
     ill-conditioned there (and undefined at the exact degeneracy).  The
     error carries the assumption-1 result in its ``ass1`` attribute.
-    Raises :class:`DegenerateSpectrum` when an effective coupling is not
-    finite, which finite parameters near the float range can give.
+    Raises :class:`DegenerateSpectrum` when an effective coupling or its
+    square is not finite, which finite parameters near the float range can
+    give.
     """
     return _two_mode(_batch_of(params)).point(0)
 

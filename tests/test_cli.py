@@ -12,6 +12,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -164,19 +165,22 @@ def test_verify_corrupted_tolerance_exits_three(capsys):
 
 
 def test_verify_dense_solver_failure_exits_three(monkeypatch, capsys):
-    from darktrio import oracle
+    from darktrio import model, oracle
 
-    lapack_eigh = oracle._lapack_eigh
+    eigensolve = model._eigensolve
 
     def not_converging(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    def failing(a):  # the dense solves fail as LAPACK's do when it does not converge
+    def failing(*args, **kwargs):  # the dense solves fail as LAPACK's do when it does not converge
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigh", not_converging)
-            return lapack_eigh(a)
+            patch.setattr(np.linalg, "eigvalsh", not_converging)
+            return eigensolve(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "_lapack_eigh", failing)
+    # the oracle's solves: model._eigh's, and the photon-phonon and sector stacks
+    for module in (model, oracle):
+        monkeypatch.setattr(module, "_eigensolve", failing)
     for fmt in ("json", "csv"):
         code, out, err = run_cli(capsys, "verify", "--format", fmt)
         assert (code, out) == (3, "")
@@ -420,6 +424,14 @@ def test_a_config_file_reads_as_a_utf8_text_file(tmp_path, capsys, data):
     assert run_cli(capsys, "spectrum", "--config", str(path)) == want
 
 
+@pytest.mark.parametrize("option, want", [
+    ("--output", "cannot write output 'a\\x00b': embedded null byte"),
+    ("--config", "cannot read config 'a\\x00b': embedded null byte"),
+], ids=["output", "config"])
+def test_a_path_with_a_null_byte_is_a_config_error(capsys, option, want):
+    assert run_cli(capsys, "spectrum", option, "a\0b") == (1, "", f"config error: {want}\n")
+
+
 def test_a_config_path_that_is_no_file_is_a_config_error(tmp_path, capsys):
     for path in (tmp_path, tmp_path / "missing.json"):
         with pytest.raises(OSError) as err:
@@ -458,16 +470,10 @@ OVERFLOWING_NORMS = {
 }
 
 
-#: the assumption margins of the first point still overflow with a numpy
-#: warning on the way (an open defect of extreme scales)
-OVERFLOW_WARNINGS = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-
-
 def _output_rows(out: str, fmt: str) -> list[dict]:
     return json.loads(out)["rows"] if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
 
 
-@OVERFLOW_WARNINGS
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("point, command, code, status", [
     ("xi-max", "spectrum", 3, "DegenerateSpectrum"),
@@ -492,7 +498,6 @@ def test_an_overflowing_matrix_norm_is_a_verify_report(tmp_path, capsys, fmt):
     assert rows["dressed-levels"]["reason"] == "an effective coupling vanishes"
 
 
-@OVERFLOW_WARNINGS
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_scan_rows_fail_where_the_matrix_norm_overflows(tmp_path, capsys, fmt):
     cfg = write_config(tmp_path, dict(OVERFLOWING_NORMS["xi-max"], scan=[
@@ -503,6 +508,23 @@ def test_scan_rows_fail_where_the_matrix_norm_overflows(tmp_path, capsys, fmt):
     assert [row["status"] for row in rows] == ["DegenerateSpectrum"] * 2 + ["ok"]
     levels = [float(rows[-1][name]) for name in ("E1", "E2", "E3")]
     assert all(map(math.isfinite, levels))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_squared_coupling_that_overflows_prints_no_warning(tmp_path, capsys, fmt):
+    # |Gamma_2| is finite and |Gamma_2|^2 overflows: the margins of the
+    # spectrum's and the report's rows are formed without a numpy warning
+    cfg = write_config(tmp_path, {"omega_a": 1.0, "omega_b": 0.33, "omega_c": 1.0,
+                                  "lambda": 0.2, "xi": 1e200, "kappa": 0.1})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "spectrum", "--config", cfg, "--format", fmt)
+        assert (code, err) == (3, "")
+        assert [row["status"] for row in _output_rows(out, fmt)] == ["DegenerateSpectrum"]
+        code, out, err = run_cli(capsys, "verify", "--config", cfg, "--format", fmt)
+        assert (code, err) == (0, "")
+        rows = {row["check"]: row for row in _output_rows(out, fmt)}
+        assert rows["dressed-levels"]["reason"].startswith("dressed spectrum unavailable: ||H||")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

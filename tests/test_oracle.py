@@ -23,7 +23,7 @@ from darktrio import (
     three_mode_spectrum,
 )
 
-from darktrio import oracle
+from darktrio import model, oracle, threemode, twomode
 from darktrio.model import _Batch
 from darktrio.oracle import _REASONS, _crosscheck
 
@@ -74,16 +74,16 @@ def test_eig_bounds_stay_finite_where_the_norm_overflows(monkeypatch):
     # that scale leaves a residual of about 1e302, far past them
     assert len(classify_spectrum(FLOAT_MAX_XI)) == 3
     matrix = sector_matrix(FLOAT_MAX_XI, AtomKind.TWO_LEVEL, 1).matrix
-    solve = oracle._lapack_eigh
+    solve = model._eigensolve
 
-    def turned(a):
-        values, vectors, failures = solve(a)
+    def turned(*args, **kwargs):
+        values, vectors = solve(*args, **kwargs)
         c, s = np.cos(1e-6), np.sin(1e-6)
         first, last = vectors[..., 0].copy(), vectors[..., 2].copy()
         vectors[..., 0], vectors[..., 2] = c * first - s * last, s * first + c * last
-        return values, vectors, failures
+        return values, vectors
 
-    monkeypatch.setattr(oracle, "_lapack_eigh", turned)
+    monkeypatch.setattr(model, "_eigensolve", turned)
     with pytest.raises(ConvergenceFailure, match="decomposition out of tolerance"):
         dense_hermitian_eig(matrix)
     with pytest.raises(ConvergenceFailure):
@@ -109,17 +109,17 @@ def test_eig_non_finite_matrix_fails_only_its_point():
     assert values[2].tolist() == [-1e200, 1e200]
 
 
-def _failing_eigh(monkeypatch, fails):
-    """Make the eigensolver raise on stacks of several matrices and on every
-    stack of one whose matrix ``fails`` accepts."""
-    solve = np.linalg.eigh
+def _failing_eigh(monkeypatch, fails, name="eigh"):
+    """Make the eigensolver ``np.linalg.<name>`` raise on stacks of several
+    matrices and on every stack of one whose matrix ``fails`` accepts."""
+    solve = getattr(np.linalg, name)
 
-    def eigh(a):
+    def failing(a):
         if len(a) > 1 or fails(a[0]):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return solve(a)
 
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(np.linalg, name, failing)
 
 
 def test_eig_solver_failure_is_convergence_failure(monkeypatch):
@@ -170,6 +170,67 @@ def test_a_failed_photon_phonon_solve_fails_only_its_point(monkeypatch):
         checks.status.check(0)
     assert checks.status.code[1] == 0
     np.testing.assert_array_equal(checks.residual[1], alone.residual[0])
+
+
+def test_a_failed_dressed_solve_fails_only_its_point(monkeypatch, tmp_path, capsys):
+    import json
+
+    from darktrio.cli import main
+
+    p = stack([dataclasses.replace(FIXTURE, omega_a=w) for w in (0.9, 1.0, 1.1)])
+    before = threemode._dressed(p, twomode._two_mode(p))
+    # the atom frequency sits in the last diagonal entry of the quasimode-basis matrix
+    _failing_eigh(monkeypatch, lambda a: a[2, 2].real == 1.0, "eigvalsh")
+    after = threemode._dressed(p, twomode._two_mode(p))
+    with pytest.raises(ConvergenceFailure, match="^dense eigensolver failed: Eigenvalues did not"):
+        after.status.check(1)
+    assert after.status.code[::2].tolist() == [0, 0]
+    for name in ("e", "n_norm", "v", "residual"):
+        assert getattr(after, name)[::2].tobytes() == getattr(before, name)[::2].tobytes()
+
+    point = {"omega_a": 1.0, "omega_b": 1.0, "omega_c": 1.0, "lambda": 0.2, "xi": 0.05,
+             "kappa": 0.1}
+    config = tmp_path / "scan.json"
+    config.write_text(json.dumps(dict(point, scan=[
+        {"param": "omega_a", "start": 0.9, "stop": 1.1, "steps": 3}])))
+    assert main(["scan", "spectrum", "--config", str(config)]) == 0
+    captured = capsys.readouterr()
+    rows = json.loads(captured.out)["rows"]
+    assert [row["status"] for row in rows] == ["ok", "ConvergenceFailure", "ok"]
+    assert captured.err == ""
+    config.write_text(json.dumps(point))
+    assert main(["spectrum", "--config", str(config)]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["rows"][0]["status"] == "ConvergenceFailure"
+    assert captured.err == ""
+
+
+def test_a_failed_sector_solve_fails_only_its_point(monkeypatch):
+    points = [ModelParams(1.02, 1.0, 1.0, 0.2, 0.05, 0.1),
+              ModelParams(1.1, 0.9, 1.0, 0.2, 0.05, 0.1)]
+    alone = _crosscheck(stack(points[1:]), AtomKind.OSCILLATOR, Tolerances())
+    # the sector-2 matrix starts with the two atom quanta, 2 omega_a
+    _failing_eigh(monkeypatch, lambda a: a[0, 0] == 2 * 1.02, "eigvalsh")
+    checks = _crosscheck(stack(points), AtomKind.OSCILLATOR, Tolerances())
+    with pytest.raises(ConvergenceFailure, match="^dense eigensolver failed: Eigenvalues did not"):
+        checks.status.check(0)
+    assert checks.status.code[1] == 0
+    np.testing.assert_array_equal(checks.residual[1], alone.residual[0])
+
+
+def test_a_point_whose_norm_overflows_leaves_the_oscillator_batch_standing():
+    # point 1's sector matrix would be infinite; it skips its sector check,
+    # which leaves it out of the stacked sector solve
+    points = [ModelParams(1.0, 1.0, 1.0, 0.2, 0.05, 0.1), FLOAT_MAX_XI]
+    checks = _crosscheck(stack(points), AtomKind.OSCILLATOR, Tolerances(), (2,))
+    for i, params in enumerate(points):
+        report = crosscheck(params, AtomKind.OSCILLATOR)
+        alone = np.array([check.residual for check in report.checks])
+        assert alone.tobytes() == checks.residual[i].tobytes()
+        assert [check.reason for check in report.checks] == checks.reasons(i)
+    assert checks.names[-1] == "sector-2-spectrum"
+    assert checks.residual[0, -1] == 8.881784197001252e-16
+    assert checks.skipped[1, -1] and checks.reasons(1)[-1] == "standing assumptions not satisfied"
 
 
 def test_eig_invariants_random():

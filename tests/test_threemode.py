@@ -18,6 +18,7 @@ from darktrio import (
     sector_matrix,
     three_mode_spectrum,
     two_mode_spectrum,
+    validate,
 )
 from darktrio.model import _batch_of
 from darktrio.threemode import _d1_and_slope, _quasi_matrices
@@ -263,3 +264,14 @@ def test_phi_refuses_an_effective_coupling_that_overflows():
             phi(overflowing, 0.5)
         # a degenerate block still has a cubic
         assert phi(ModelParams(1.0, 1.0, 1.0, 0.2, 0.05, 0.0), 0.5) == -0.10375
+
+
+def test_a_coupling_whose_square_overflows_is_refused():
+    # |Gamma_2| is about 9.9e199: finite, but its square overflows
+    overflowing = ModelParams(1.0, 0.33, 1.0, 0.2, 1e200, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (validate, two_mode_spectrum, lambda p: phi(p, 0.5)):
+            with pytest.raises(DegenerateSpectrum,
+                               match="^effective couplings .* or their squares are not finite$"):
+                call(overflowing)
