@@ -272,9 +272,8 @@ def _spectrum_rows(cfg: RunConfig) -> Table:
     spec = _dressed(p, _two_mode(p))
     ok = spec.status.ok
     e, eps, gamma = spec.e, spec.two.eps, spec.two.gamma
-    with np.errstate(over="ignore", invalid="ignore"):
-        holds = _assumption_margins(p, spec.two, _tolerances(cfg.tol).ass2) > 0.0
-        interlacing = _interlacing_margin(e, eps) > 0.0
+    holds = _assumption_margins(p, spec.two, _tolerances(cfg.tol).ass2) > 0.0
+    interlacing = _interlacing_margin(e, spec.r) > 0.0
     table = _param_cells(p)
     table.update({
         "E1": _Column(e[:, 0], ok), "E2": _Column(e[:, 1], ok), "E3": _Column(e[:, 2], ok),

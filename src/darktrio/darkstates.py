@@ -223,15 +223,14 @@ def assemble_eigenstate(params: ModelParams, energy: float) -> SectorVector:
     p = _batch_of(params)
     two = _two_mode(p)
     two.status.check()
-    eps = tuple(two.eps[0].tolist())
-    if abs(e - eps[0]) <= 1e-10 or abs(e - eps[1]) <= 1e-10:
-        raise PoleHit(f"energy {e} sits on a quasimode energy {eps}")
     with np.errstate(all="ignore"):
-        residual = abs(_d1_and_slope(e, p.omega_a[0], two.eps[0], np.square(two.gamma_abs[0]))[0])
+        r = e - two.eps[:, :, None]  # the offsets E - eps_j, (1, 2, 1)
+        if (np.abs(r) <= 1e-10).any():
+            raise PoleHit(f"energy {e} sits on a quasimode energy {tuple(two.eps[0].tolist())}")
+        residual = abs(_d1_and_slope(e, p.omega_a[0], two.eps[0], two.gamma_sq[0])[0])
     if residual >= 1e-8:
         raise NotAnEigenvalue(f"spectral function is {residual:.3e} at {e}, above 1.0e-08")
-    return SectorVector(amps=_bare_vectors(two.u, two.gamma, two.eps, np.array([[e]]))[0, :, 0],
-                        ell=1)
+    return SectorVector(amps=_bare_vectors(two.u, two.gamma, r)[0, :, 0], ell=1)
 
 
 def _finite_energy(energy: float) -> float:

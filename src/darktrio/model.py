@@ -264,8 +264,8 @@ def validate(params: ModelParams) -> AssumptionReport:
     (``kappa = 0`` and ``omega_b = omega_c``): the quasimode quantities
     behind assumptions 2-4 are then undefined.  The raised error carries
     the assumption-1 result in its ``ass1`` attribute.  Raises
-    :class:`DegenerateSpectrum` when an effective coupling or its square is
-    not finite, as assumptions 2-4 are then undecided.
+    :class:`DegenerateSpectrum` when a quasimode energy, an effective coupling
+    or its square is not finite, as assumptions 2-4 are then undecided.
     """
     from .twomode import _two_mode
 
@@ -282,19 +282,18 @@ def _assumption_report(margins) -> AssumptionReport:
 
 def _assumption_margins(p: _Batch, two, ass2_rtol: float = GAMMA_RTOL) -> np.ndarray:
     """Margins of the four standing assumptions, shape (n, 4), from the solved photon-phonon
-    blocks ``two`` (a degenerate block's from the quasimodes its row still holds); batches run
-    it under ``np.errstate``, where a square that overflows makes a margin infinite."""
+    blocks ``two`` (a degenerate block's from the quasimodes its row still holds); a product
+    or square that overflows makes a margin infinite."""
     margins = np.empty((len(p), 4))
     margins[:, 0] = two.ass1_margin
 
     g1, g2 = two.gamma_abs[:, 0], two.gamma_abs[:, 1]
-    margins[:, 1] = np.minimum(g1, g2) - ass2_rtol * p.coupling_scale
-
     wa, wb, wc = p.omega_a, p.omega_b, p.omega_c
-    gsq, ksq = np.square(two.gamma_abs), np.square(p.coupling_abs[2])
-    g1sq, g2sq = gsq[:, 0], gsq[:, 1]
-    margins[:, 2] = (wa * wb + wb * wc + wc * wa) - (ksq + g1sq + g2sq)
-    margins[:, 3] = wa * wb * wc - (wa * ksq + two.eps[:, 0] * g2sq + two.eps[:, 1] * g1sq)
+    ksq, g1sq, g2sq = two.kappa_sq, two.gamma_sq[:, 0], two.gamma_sq[:, 1]
+    with np.errstate(all="ignore"):
+        margins[:, 1] = np.minimum(g1, g2) - ass2_rtol * p.coupling_scale
+        margins[:, 2] = (wa * wb + wb * wc + wc * wa) - (ksq + g1sq + g2sq)
+        margins[:, 3] = wa * wb * wc - (wa * ksq + two.eps[:, 0] * g2sq + two.eps[:, 1] * g1sq)
     return margins
 
 
@@ -418,26 +417,27 @@ def _eigensolve(a: np.ndarray, status: _Status, solve=np.True_, vectors: bool = 
     if solve.all():
         try:
             return lapack(a)
-        except np.linalg.LinAlgError:
-            solve = np.ones(len(a), dtype=bool)
+        except np.linalg.LinAlgError as err:
+            todo = [(np.arange(len(a)), err)]
+    else:
+        todo = [(np.flatnonzero(solve), None)]  # stacks to solve, each with LAPACK's error if known
     values = np.full(a.shape[:2], np.nan)
     columns = np.full(a.shape, np.nan, a.dtype) if vectors else None
-    todo = [np.flatnonzero(solve)]
     while todo:
-        rows = todo.pop()
+        rows, err = todo.pop()
         try:
-            solved = lapack(a[rows])
-        except np.linalg.LinAlgError as err:
-            if len(rows) > 1:
-                todo += np.array_split(rows, 2)
-            else:
-                status.fail(np.arange(len(a)) == rows[0], lambda i: ConvergenceFailure(
-                    f"dense eigensolver failed: {err}"))
-            continue
-        if vectors:
+            solved = lapack(a[rows]) if err is None else None
+        except np.linalg.LinAlgError as error:
+            err = error
+        if err is None and vectors:
             values[rows], columns[rows] = solved
-        else:
+        elif err is None:
             values[rows] = solved
+        elif len(rows) > 1:  # a stack that fails goes on as its halves, unsolved
+            todo += [(half, None) for half in np.array_split(rows, 2)]
+        else:
+            status.fail(np.arange(len(a)) == rows[0], lambda i: ConvergenceFailure(
+                f"dense eigensolver failed: {err}"))
     return (values, columns) if vectors else values
 
 

@@ -62,21 +62,21 @@ def _occupations(p: _Batch, e: np.ndarray, regime) -> tuple[np.ndarray, np.ndarr
     return b, c
 
 
-def _check_energies(p: _Batch, e: np.ndarray, two: _TwoModeBatch, regime,
+def _check_energies(p: _Batch, e: np.ndarray, r: np.ndarray, two: _TwoModeBatch, regime,
                     status: _Status) -> None:
     """Record on ``status``, per point of ``p``, the first of its energies
     ``e`` (n, k) that :func:`_occupations` may not take as a dressed level:
     :class:`PoleHit` within 1e-10 of a quasimode energy of ``regime``, then
     :class:`NotAnEigenvalue` where the cleared cubic of ``two``, the solved photon-phonon
-    block, exceeds ``Tolerances.root * max(1, |E|^3)``, ``verify``'s default ``cubic-roots``
-    bound.  ``two``'s own failures follow the first pole check.  Runs under the caller's
+    block, from the offsets ``r`` (n, 2, k) of ``e`` from its quasimode energies, exceeds
+    ``Tolerances.root * max(1, |E|^3)``, ``verify``'s default ``cubic-roots`` bound.
+    ``two``'s own failures follow the first pole check.  Runs under the caller's
     ``np.errstate(all="ignore")``."""
     omega, _, _, kappa = regime
     eps1, eps2 = (omega - kappa)[:, None], (omega + kappa)[:, None]
-    gsq = np.square(two.gamma_abs)
+    gsq = two.gamma_sq
     pole = np.minimum(np.abs(e - eps1), np.abs(e - eps2)) <= 1e-10
-    residual = np.abs(_phi(e, p.omega_a[:, None], two.eps[:, :1], two.eps[:, 1:],
-                           gsq[:, :1], gsq[:, 1:]))
+    residual = np.abs(_phi(e, p.omega_a[:, None], r[:, 0], r[:, 1], gsq[:, :1], gsq[:, 1:]))
     bound = Tolerances.root * np.maximum(1.0, np.float_power(np.abs(e), 3.0))
     off = residual > bound
     if not (np.count_nonzero(pole) or np.count_nonzero(off)):
@@ -100,8 +100,9 @@ def _occupation_pair(params: ModelParams, energy: float) -> tuple[float, float]:
     p = _batch_of(params)
     status = _Status(1)
     regime = _resonant_real(p, status, GammaZero)
+    two = _two_mode(p)
     with np.errstate(all="ignore"):
-        _check_energies(p, e, _two_mode(p), regime, status)
+        _check_energies(p, e, e[:, None] - two.eps[:, :, None], two, regime, status)
         b, c = _occupations(p, e, regime)
     status.check()
     return b[0, 0].item(), c[0, 0].item()
@@ -166,7 +167,7 @@ def _duality(p: _Batch, tol: float) -> tuple[DualityReport, _Status]:
                 f"vs {tuple(mirror[i].tolist())}"
             ))
         occupied = _Status(2 * n)
-        _check_energies(both, spec.e, spec.two, regime, occupied)
+        _check_energies(both, spec.e, spec.r, spec.two, regime, occupied)
         b_occ, c_occ = _occupations(both, spec.e, regime)
         status.inherit(occupied)
         status.inherit(occupied, n)

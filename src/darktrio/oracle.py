@@ -308,18 +308,18 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances, sectors=(2,)) -> _Ch
         status.inherit(solver, n)
         runs = (sector == _RAN) & status.ok
         ak = p.coupling_abs[2]
-        ksq = (ak * ak)[:, None]
+        ksq = two.kappa_sq[:, None]
         # the bounds' scales, in the order of _CHECKS' scale indices
         scales = np.ones((n, 4))
         scales[:, 2] = _norm(blocks.reshape(n, 4), 1)
         scales[:, 3] = bare_scale = _norm(bare.reshape(n, 9), 1)
         scales[:, 1::2] = np.maximum(1.0, scales[:, 2:])
         u_h, v_h = u.conj().swapaxes(1, 2), v.conj().swapaxes(1, 2)
-        gsq = np.square(two.gamma_abs)
+        gsq, r = two.gamma_sq, spectrum.r
         g1, g2, e1, e2 = gsq[:, :1], gsq[:, 1:], eps[:, :1], eps[:, 1:]
         bare_freqs, n_norm, total = np.array([wb, wc]).T, spectrum.n_norm, (wa + wb + wc)[:, None]
         # E - eps per level and quasimode, (n, 3, 2)
-        gaps = e[:, :, None] - eps[:, None, :]
+        gaps = r.swapaxes(1, 2)
         # the sum rule over the level pairs (0, 1), (0, 2), (1, 2): its terms are symmetric
         q = gsq[:, None, :] / (gaps[:, _PAIRS[0]] * gaps[:, _PAIRS[1]])
         # overlaps of the closed-form and the solver's quasimode-basis eigenvectors, level by level
@@ -328,7 +328,7 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances, sectors=(2,)) -> _Ch
         raw = np.ones((n, 3, 3), dtype=complex)
         raw[:, :, :2] = gamma[:, None, :] / gaps
         # the bare eigenvectors over (atom, photon, phonon), a column per level
-        columns = threemode._bare_vectors(u, gamma, eps, e)
+        columns = threemode._bare_vectors(u, gamma, r)
         states = columns.swapaxes(1, 2)
         defect = np.matmul(bare[:, None], states[..., None])[..., 0] - states * e[:, :, None]
         amplitude_sq = np.square(_abs(columns[:, 1:])).reshape(n, 6)
@@ -343,7 +343,7 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances, sectors=(2,)) -> _Ch
             ((e1 - bare_freqs) * (e2 - bare_freqs) + ksq) / ksq,
             values[:n] - e,
             (np.add.reduce(e, axis=1, keepdims=True) - total) / total,
-            threemode._phi(e, wa[:, None], e1, e2, g1, g2)
+            threemode._phi(e, wa[:, None], r[:, 0], r[:, 1], g1, g2)
             / np.maximum(1.0, np.float_power(np.abs(e), 3.0)),
             spectrum.residual[:, None],
             (np.matmul(np.matmul(v_h, quasi), v) - e[:, :, None] * _EYE3).reshape(n, 9),
@@ -356,7 +356,7 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances, sectors=(2,)) -> _Ch
         residual = np.empty((n, len(names)))
         residual[:, _MAXED] = np.maximum.reduceat(np.abs(terms), _OFFSETS, axis=1)
         residual[:, :4], residual[:, _EPS1] = margins, eps[:, 0]
-        residual[:, _INTERLACING] = threemode._interlacing_margin(e, eps)
+        residual[:, _INTERLACING] = threemode._interlacing_margin(e, r)
         for c, ell in enumerate(sectors, len(_CHECKS)):
             residual[:, c] = (_sector_residuals(p, modes, e, ell, status, runs) if runs.any()
                               else np.nan)

@@ -86,13 +86,15 @@ class ThreeModeSpectrum:
     def bare_vectors(self) -> np.ndarray:
         """Eigenvectors over (atom, photon, phonon), atom amplitude 1; column j is level j."""
         two = self.two
-        return _bare_vectors(two.u, np.array(two.gamma), np.array(two.eps), np.array(self.e))
+        return _bare_vectors(two.u, np.array(two.gamma),
+                             np.array(self.e) - np.array(two.eps)[:, None])
 
 
 class _ThreeModeBatch(NamedTuple):
     """:class:`ThreeModeSpectrum` of every point of a batch: ``e`` and ``n_norm`` (n, 3),
     ``v`` (n, 3, 3), ``residual`` (n,) the max-norm of ``V'V - I``, ``h`` (n, 3, 3) the
-    quasimode-basis matrices, ``two``.  Rows of points that failed (``status``) hold no
+    quasimode-basis matrices, ``r`` (n, 2, 3) the offsets ``r[:, nu, j] = E_j - eps_nu``
+    (their one statement), ``two``.  Rows of points that failed (``status``) hold no
     solution: a point that failed before the solve is not solved."""
 
     e: np.ndarray
@@ -100,6 +102,7 @@ class _ThreeModeBatch(NamedTuple):
     v: np.ndarray
     residual: np.ndarray
     h: np.ndarray
+    r: np.ndarray
     two: _TwoModeBatch
     status: _Status
 
@@ -120,12 +123,12 @@ def _quasi_matrices(omega_a, eps, gamma) -> np.ndarray:
     return h
 
 
-def _interlacing_margin(e, eps) -> np.ndarray:
+def _interlacing_margin(e, r) -> np.ndarray:
     """Least step of the chain ``0 < E_1 < eps_1 < E_2 < eps_2 < E_3`` per
-    point, from the levels ``e`` (n, 3) and quasimode energies ``eps`` (n, 2):
+    point, from the levels ``e`` (n, 3) and their offsets ``r`` (n, 2, 3):
     positive exactly where the chain holds."""
-    return functools.reduce(np.minimum, (e[:, 0], eps[:, 0] - e[:, 0], e[:, 1] - eps[:, 0],
-                                         eps[:, 1] - e[:, 1], e[:, 2] - eps[:, 1]))
+    return functools.reduce(np.minimum, (e[:, 0], -r[:, 0, 0], r[:, 0, 1], -r[:, 1, 1],
+                                         r[:, 1, 2]))
 
 
 def _d1_and_slope(x, omega_a, poles, gsq):
@@ -145,11 +148,11 @@ def _slope(r, gsq):
     return 1.0 + s[0] + s[1]
 
 
-def _bare_vectors(u, gamma, eps, energies) -> np.ndarray:
+def _bare_vectors(u, gamma, r) -> np.ndarray:
     """Columns ``(1, u @ (Gamma / (E - eps)))`` over (atom, photon, phonon), one
-    per energy in ``energies`` (..., k); leading axes are batch axes of ``u``
-    (..., 2, 2) and of ``gamma`` and ``eps`` (..., 2)."""
-    quasi = gamma[..., :, None] / (energies[..., None, :] - eps[..., :, None])
+    per energy ``E``, from the offsets ``r`` (..., 2, k), ``r[..., nu, j] = E_j -
+    eps_nu``; leading axes are batch axes of ``u`` (..., 2, 2) and ``gamma`` (..., 2)."""
+    quasi = gamma[..., :, None] / r
     # u @ quasi as an explicit two-term sum, so every column comes out bit for
     # bit the same however many energies and points are passed (a matmul may not)
     rotated = u[..., :, :1] * quasi[..., None, 0, :] + u[..., :, 1:] * quasi[..., None, 1, :]
@@ -163,17 +166,16 @@ def phi(params: ModelParams, x: float) -> float:
     ``(x - eps_1) * (x - eps_2) * d1(x)``.  A degenerate photon-phonon
     block needs no mixing factors here: its quasimodes and couplings are
     still solved, and are the bare modes where ``kappa = 0``.  Raises
-    :class:`DegenerateSpectrum` when an effective coupling or its square is
-    not finite.
+    :class:`DegenerateSpectrum` when a quasimode energy, an effective coupling
+    or its square is not finite.
     """
     two = _two_mode(_batch_of(params))
     two.check_finite()
-    return _phi(x, params.omega_a, *two.eps[0], *np.square(two.gamma_abs[0]))
+    return _phi(x, params.omega_a, *(x - two.eps[0]), *two.gamma_sq[0])
 
 
-def _phi(x, omega_a, e1, e2, g1sq, g2sq):
-    """The cleared cubic from quasimode energies and ``|Gamma_j|^2``, elementwise."""
-    r1, r2 = x - e1, x - e2
+def _phi(x, omega_a, r1, r2, g1sq, g2sq):
+    """The cleared cubic from the offsets ``r_j = x - eps_j`` and ``|Gamma_j|^2``, elementwise."""
     return r1 * r2 * (x - omega_a) - g1sq * r2 - g2sq * r1
 
 
@@ -226,7 +228,7 @@ def _dressed(p: _Batch, two: _TwoModeBatch) -> _ThreeModeBatch:
         per_level = np.empty((5, n, 3))
         wa, poles, gsq = per_level[0], per_level[1:3], per_level[3:]
         wa[:], poles[:] = p.omega_a[:, None], two.eps.T[:, :, None]
-        gsq[:] = np.square(g_abs).T[:, :, None]
+        gsq[:] = two.gamma_sq.T[:, :, None]
         # two Newton steps on d1; the slope is >= 1, so steps are small and
         # safe.  A level that lands on a pole stays there.
         stopped = np.zeros(levels.shape, dtype=bool)
@@ -249,10 +251,11 @@ def _dressed(p: _Batch, two: _TwoModeBatch) -> _ThreeModeBatch:
             ))
 
         gaps = levels - poles
+        r = gaps.swapaxes(0, 1)
         n_norm = 1.0 / np.sqrt(_slope(gaps, gsq))
         # rows (quasimode 1, quasimode 2): N_j * Gamma / (E_j - eps), shape (n, 2, 3)
         v = np.empty((n, 3, 3), dtype=complex)
-        v[:, :2, :] = n_norm[:, None, :] * two.gamma[:, :, None] / gaps.swapaxes(0, 1)
+        v[:, :2, :] = n_norm[:, None, :] * two.gamma[:, :, None] / r
         v[:, 2, :] = n_norm
 
         residual = _max_abs(np.matmul(v.conj().swapaxes(1, 2), v) - _EYE3)
@@ -260,4 +263,4 @@ def _dressed(p: _Batch, two: _TwoModeBatch) -> _ThreeModeBatch:
         f"closed-form unitary failed its sanity bound (residual {residual[i]:.3e}); "
         "the spectrum is too ill-conditioned for the closed forms"
     ))
-    return _ThreeModeBatch(levels, n_norm, v, residual, h, two, status)
+    return _ThreeModeBatch(levels, n_norm, v, residual, h, r, two, status)

@@ -68,16 +68,19 @@ class TwoModeSpectrum:
 class _TwoModeBatch(NamedTuple):
     """:class:`TwoModeSpectrum` of every point of a batch, one row per point: ``eps``
     (n, 2), ``gamma`` (n, 2) complex, ``u`` (n, 2, 2), whose row 0 holds the mixing factors
-    ``M_j``, and ``gamma_abs`` the ``|Gamma_j|``.  The one failure (see ``status``) is a
-    degenerate block, whose row still holds its quasimodes: the bare modes where
-    ``kappa = 0``.  ``ass1_margin`` is known for every point.  A row whose effective
-    couplings or their squares overflow is refused by :meth:`check_finite`, and by
-    ``threemode._dressed`` through its matrix norm."""
+    ``M_j``, ``gamma_abs`` the ``|Gamma_j|`` and ``gamma_sq`` their squares, and ``kappa_sq``
+    (n,) ``|kappa|^2``: the one statement of each square, infinite where it overflows.  The
+    one failure (see ``status``) is a degenerate block, whose row still holds its quasimodes:
+    the bare modes where ``kappa = 0``.  ``ass1_margin`` is known for every point.  A row whose
+    quasimode energies, effective couplings or their squares overflow is refused by
+    :meth:`check_finite`, and by ``threemode._dressed`` through its matrix norm."""
 
     eps: np.ndarray
     gamma: np.ndarray
     u: np.ndarray
     gamma_abs: np.ndarray
+    gamma_sq: np.ndarray
+    kappa_sq: np.ndarray
     ass1_margin: np.ndarray
     status: _Status
 
@@ -87,11 +90,12 @@ class _TwoModeBatch(NamedTuple):
         self.check_finite(i)
 
     def check_finite(self, i: int = 0) -> None:
-        """Raise :class:`DegenerateSpectrum` where an effective coupling of point ``i``
-        or its square, which the kernels form, overflows; a degenerate block passes."""
-        with np.errstate(over="ignore"):
-            finite = np.isfinite(np.square(self.gamma_abs[i])).all()
-        if not finite:
+        """Raise :class:`DegenerateSpectrum` where a quasimode energy of point ``i``, an
+        effective coupling or its square overflows; a degenerate block passes."""
+        if not np.isfinite(self.eps[i]).all():
+            raise DegenerateSpectrum(f"quasimode energies {tuple(self.eps[i].tolist())} "
+                                     "are not finite")
+        if not np.isfinite(self.gamma_sq[i]).all():
             raise DegenerateSpectrum(f"effective couplings {tuple(self.gamma[i].tolist())} "
                                      "or their squares are not finite")
 
@@ -111,9 +115,9 @@ def two_mode_spectrum(params: ModelParams) -> TwoModeSpectrum:
     ``1e-12 * (omega_b + omega_c)``; the mixing factors are
     ill-conditioned there (and undefined at the exact degeneracy).  The
     error carries the assumption-1 result in its ``ass1`` attribute.
-    Raises :class:`DegenerateSpectrum` when an effective coupling or its
-    square is not finite, which finite parameters near the float range can
-    give.
+    Raises :class:`DegenerateSpectrum` when a quasimode energy, an effective
+    coupling or its square is not finite, which finite parameters near the
+    float range can give.
     """
     return _two_mode(_batch_of(params)).point(0)
 
@@ -129,21 +133,28 @@ def _two_mode(p: _Batch) -> _TwoModeBatch:
     wb, wc, kappa = p.omega_b, p.omega_c, p.kappa
     ak = p.coupling_abs[2]
     detuning = wc - wb
-    split = np.hypot(detuning, 2.0 * ak)
     status = _Status(n)
-    # assumption 1: |kappa| below sqrt(omega_b * omega_c)
-    margin1 = np.sqrt(wb * wc) - ak
-    status.fail(split < 1e-12 * (wb + wc), lambda i: DegenerateTwoMode(
-        f"photon and phonon are degenerate{' and uncoupled' if kappa[i] == 0 else ''} "
-        f"(splitting {split[i]:.3e}); the normal-mode factors are undefined",
-        ass1=AssumptionCheck(bool(margin1[i] > 0.0), margin1[i].item()),
-    ))
-
     with np.errstate(all="ignore"):
+        split = np.hypot(detuning, 2.0 * ak)
+        # assumption 1: |kappa| below sqrt(omega_b * omega_c)
+        margin1 = np.sqrt(wb * wc) - ak
+        status.fail(split < 1e-12 * (wb + wc), lambda i: DegenerateTwoMode(
+            f"photon and phonon are degenerate{' and uncoupled' if kappa[i] == 0 else ''} "
+            f"(splitting {split[i]:.3e}); the normal-mode factors are undefined",
+            ass1=AssumptionCheck(bool(margin1[i] > 0.0), margin1[i].item()),
+        ))
+
         # d[:, j] = eps_j - omega_b
         upper = wc >= wb
         large = 0.5 * (detuning + np.copysign(split, detuning))
-        small = -(ak * ak) / large
+        kappa_sq = ak * ak
+        small = -kappa_sq / large
+        over = np.isinf(kappa_sq)
+        if over.any():
+            # |kappa|^2 overflows (and 2|kappa| from 8.99e307): the roots from halved terms
+            h = 0.5 * detuning
+            large = np.where(over, h + np.copysign(np.hypot(h, ak), detuning), large)
+            small = np.where(over, -ak * (ak / large), small)
         d = np.empty((n, 2))
         d[:, 0] = np.where(upper, small, large)
         d[:, 1] = np.where(upper, large, small)
@@ -169,16 +180,16 @@ def _two_mode(p: _Batch) -> _TwoModeBatch:
         u[:, 0, :] = m
         u[:, 1, :] = m_d_by_conj
 
-    # decoupled modes, or a coupling too weak for d_j / |kappa| to stay
-    # finite (|kappa| near the underflow limit): quasimodes are the bare
-    # modes, ordered by frequency
-    coupled = np.isfinite(ratio)
-    if np.count_nonzero(coupled) < coupled.size:
-        decoupled = ~coupled.all(axis=1)
-        for mask, first, second in ((decoupled & (wb < wc), 0, 1),
-                                    (decoupled & ~(wb < wc), 1, 0)):
-            eps[mask, first], eps[mask, second] = wb[mask], wc[mask]
-            g[mask, first], g[mask, second] = p.lam[mask], p.xi[mask]
-            u[mask] = np.eye(2)[:, [first, second]]
-    return _TwoModeBatch(eps=eps, gamma=g, u=u, gamma_abs=_abs(g), ass1_margin=margin1,
-                         status=status)
+        # decoupled modes, or a coupling too weak for d_j / |kappa| to stay
+        # finite (|kappa| near the underflow limit): quasimodes are the bare
+        # modes, ordered by frequency; a large root that overflows is no such case
+        coupled = np.isfinite(ratio)
+        if np.count_nonzero(coupled) < coupled.size:
+            decoupled = ~coupled.all(axis=1) & np.isfinite(large)
+            for mask, first, second in ((decoupled & (wb < wc), 0, 1),
+                                        (decoupled & ~(wb < wc), 1, 0)):
+                eps[mask, first], eps[mask, second] = wb[mask], wc[mask]
+                g[mask, first], g[mask, second] = p.lam[mask], p.xi[mask]
+                u[mask] = np.eye(2)[:, [first, second]]
+        gamma_abs = _abs(g)
+        return _TwoModeBatch(eps, g, u, gamma_abs, np.square(gamma_abs), kappa_sq, margin1, status)

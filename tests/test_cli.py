@@ -237,6 +237,13 @@ def test_verify_sector_flag(tmp_path, capsys):
     names = [r["check"] for r in json.loads(out)["rows"]]
     assert "sector-2-spectrum" in names
     assert "sector-3-spectrum" in names
+    # the flag replaces the sector of a config that names one, and its check passes
+    golden = pathlib.Path(__file__).parent / "golden" / "oscillator-sector-3.config.json"
+    code, out, _ = run_cli(capsys, "verify", "--config", str(golden), "--sector", "4")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["check"] for r in rows][-2:] == ["sector-2-spectrum", "sector-4-spectrum"]
+    assert rows[-1]["passed"] and not rows[-1]["skipped"]
 
 
 def test_verify_sector_flag_skips_where_assumptions_fail(tmp_path, capsys):
@@ -392,6 +399,9 @@ def test_config_errors_exit_one(tmp_path, capsys):
                   ["--config", tol_list, "--tol", "b1=1e-9"]):
         for fmt in ("json", "csv"):
             assert_config_error("verify", *flags, "--format", fmt)
+    # and under a command without the verify rows
+    for fmt in ("json", "csv"):
+        assert_config_error("spectrum", "--tol", "classify=nan", "--format", fmt)
 
     # an output path that cannot be opened for writing: a missing directory, a directory
     for argv in (["spectrum"], ["verify"], ["scan", "spectrum", "--format", "csv"]):

@@ -1,6 +1,7 @@
 """Parameter validation, assumption checks, and sector matrix construction."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,18 @@ def test_validate_degenerate_block_reports_ass1():
         validate(ModelParams(1.0, 1.0, 1.0, 0.1, 0.1, 0.0))
     assert info.value.ass1.passed
     assert info.value.ass1.margin == pytest.approx(1.0)
+
+
+def test_validate_where_products_of_frequencies_overflow():
+    # omega_b * omega_c and the pairwise products overflow: their margins are infinite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = validate(ModelParams(1e300, 1e300, 1.3e300, 0.2, 0.05, 0.1))
+        # a splitting of 0.2 is below 1e-12 (omega_b + omega_c), which overflows to inf
+        with pytest.raises(DegenerateTwoMode, match=r"\(splitting 2\.000e-01\)"):
+            validate(ModelParams(1e300, 1e300, 1e300, 0.2, 0.05, 0.1))
+    assert report.ass1.margin == report.ass3.margin == report.ass4.margin == np.inf
+    assert report.ass2.passed and report.all_pass
 
 
 def test_max_abs_matches_the_row_wise_reduction():

@@ -115,12 +115,12 @@ def _kernels():
 
 #: the operations each kernel runs on ``POINT`` as a batch of one, at most
 BOUNDS = {
-    "_two_mode": 66,
-    "_dressed": 162,
+    "_two_mode": 69,
+    "_dressed": 161,
     "_classified": 124,
-    "_duality": 371,
-    "_crosscheck two-level": 688,
-    "_crosscheck oscillator": 793,
+    "_duality": 370,
+    "_crosscheck two-level": 676,
+    "_crosscheck oscillator": 781,
 }
 
 

@@ -122,6 +122,39 @@ def _failing_eigh(monkeypatch, fails, name="eigh"):
     monkeypatch.setattr(np.linalg, name, failing)
 
 
+def test_a_failing_stack_goes_on_as_its_halves_unsolved(monkeypatch):
+    # LAPACK fails on every stack that holds the matrix with 2.0 in its first entry
+    from darktrio.errors import _Status
+
+    calls, solve = [], np.linalg.eigvalsh
+
+    def failing(a):
+        calls.append(len(a))
+        if (a[:, 0, 0] == 2.0).any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    stack = np.array([np.diag([w, 5.0]) for w in (0.0, 1.0, 2.0, 3.0)])
+    status = _Status(4)
+    values = model._eigensolve(stack, status, vectors=False)
+    # the stack, its halves (2, 3) and (0, 1), and the halves of (2, 3): none twice
+    assert calls == [4, 2, 1, 1, 2]
+    np.testing.assert_array_equal(values[[0, 1, 3]], [[0.0, 5.0], [1.0, 5.0], [3.0, 5.0]])
+    assert np.isnan(values[2]).all() and status.code.tolist()[::3] == [0, 0]
+    with pytest.raises(ConvergenceFailure, match="^dense eigensolver failed: Eigenvalues did not"):
+        status.check(2)
+    # a single matrix fails at once
+    calls.clear()
+    single = _Status(1)
+    assert np.isnan(model._eigensolve(stack[2:3], single, vectors=False)).all()
+    assert calls == [1] and single.code[0] != 0
+    # with a point left out: the rest (0, 2, 3), then (3), (0, 2), (2) and (0)
+    calls.clear()
+    model._eigensolve(stack, _Status(4), np.array([True, False, True, True]), vectors=False)
+    assert calls == [3, 1, 2, 1, 1]
+
+
 def test_eig_solver_failure_is_convergence_failure(monkeypatch):
     _failing_eigh(monkeypatch, lambda a: True)
     with pytest.raises(ConvergenceFailure, match="dense eigensolver failed: Eigenvalues did not"):

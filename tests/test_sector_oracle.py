@@ -125,7 +125,8 @@ def test_sector_oracle_ignores_closed_form_couplings(monkeypatch):
     def skewed(p, *args):
         two = two_mode(p, *args)
         scale = 1.0 + 1e-6
-        return two._replace(gamma=two.gamma * scale, gamma_abs=two.gamma_abs * scale)
+        return two._replace(gamma=two.gamma * scale, gamma_abs=two.gamma_abs * scale,
+                            gamma_sq=two.gamma_sq * scale**2)
 
     monkeypatch.setattr(twomode, "_two_mode", skewed)
     for params in (LOOP_PHASE, ModelParams(1.0, 1.0, 1.0, 0.2, 0.05, 0.1)):

@@ -1,5 +1,7 @@
 """Photon-phonon normal modes: energies, mixing factors, unitary."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from darktrio import (
     DegenerateSpectrum,
     DegenerateTwoMode,
     ModelParams,
+    phi,
     three_mode_spectrum,
     two_mode_spectrum,
     validate,
@@ -181,3 +184,34 @@ def test_strong_detuning_remains_accurate():
     block = rwa_block_matrix(p)
     np.testing.assert_allclose(np.linalg.eigvalsh(block), two.eps, rtol=1e-13)
     assert np.max(np.abs(two.u.conj().T @ two.u - np.eye(2))) < 1e-14
+
+
+@pytest.mark.parametrize("kappa", [2e154, 1e200, 1e308, 1.7976931348623157e308])
+@pytest.mark.parametrize("omega_b", [1.0, 1.3])
+def test_a_coupling_whose_square_overflows_keeps_its_modes(omega_b, kappa):
+    # |kappa|^2 overflows from about 1.34e154 and 2|kappa| from about 8.99e307;
+    # the modes are still finite: eps_j = (omega_b + 1)/2 -+ |kappa| to float
+    # precision, with equal mixing
+    p = ModelParams(1.0, omega_b, 1.0, 0.2, 0.05, kappa)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        two = two_mode_spectrum(p)
+        report = validate(p)
+    np.testing.assert_allclose(two.eps, (-kappa, kappa), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(two.m, (2.0**-0.5,) * 2, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(np.abs(two.gamma), np.abs(np.array([0.2 - 0.05, 0.2 + 0.05]))
+                               / np.sqrt(2.0), rtol=1e-15)
+    assert report.ass1.margin == np.sqrt(omega_b) - kappa
+    assert report.ass3.margin == report.ass4.margin == -np.inf
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(1.0, 1e308, 1e308, 0.2, 0.05, 1e308),  # eps_2 = 2e308 overflows
+    ModelParams(1.0, 1.0, 1.7e308, 0.2, 0.05, 1e308),  # the large root overflows
+], ids=["eps-overflows", "root-overflows"])
+def test_modes_beyond_the_float_range_are_refused(params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (two_mode_spectrum, validate, lambda p: phi(p, 0.5)):
+            with pytest.raises(DegenerateSpectrum, match="^quasimode energies .* are not finite$"):
+                call(params)
