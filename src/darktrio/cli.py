@@ -19,7 +19,10 @@ A JSON config supplies the model point and optional scan axes::
 Complex couplings are written as two-element arrays ``[re, im]`` in both
 config and JSON output; CSV output splits them into ``_re``/``_im``
 columns.  Floats are emitted with shortest round-trip formatting and row
-order is grid-major, so identical configs give byte-identical output.
+order is grid-major, so identical configs give byte-identical output.  A
+scan of at least ``2 * _CHUNK_POINTS`` points is split by points across
+the CPUs of the affinity mask, each chunk after the first solved and
+formatted in a forked worker process, with the same bytes.
 
 Exit codes: 0 success, 1 config error, 2 model-precondition violation in
 single-point mode, 3 numerical or validation failure.
@@ -34,7 +37,10 @@ import io
 import itertools
 import json
 import math
+import os
+import signal
 import sys
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -265,10 +271,9 @@ def _text_cells(cells: list[str]) -> _Column:
     return _Column(np.arange(len(cells)), names=tuple(cells))
 
 
-# Each runner inserts its columns in output order.
+# Each runner takes the config and its points and inserts its columns in output order.
 
-def _spectrum_rows(cfg: RunConfig) -> Table:
-    p = _grid(cfg)
+def _spectrum_rows(cfg: RunConfig, p: _Batch) -> Table:
     spec = _dressed(p, _two_mode(p))
     ok = spec.status.ok
     e, eps, gamma = spec.e, spec.two.eps, spec.two.gamma
@@ -288,9 +293,8 @@ def _spectrum_rows(cfg: RunConfig) -> Table:
     return table
 
 
-def _classify_rows(cfg: RunConfig) -> Table:
+def _classify_rows(cfg: RunConfig, p: _Batch) -> Table:
     tol = _tolerances(cfg.tol)
-    p = _grid(cfg)
     branches, tuning = _tuning(p, tol=tol.tuning)
     spectra = _classified(p, tol=tol.classify)
     # three rows (one per eigenstate) per solved point, one error row otherwise
@@ -317,8 +321,7 @@ def _classify_rows(cfg: RunConfig) -> Table:
 _CLASS_NAMES = tuple(variant.value for variant in _VARIANTS)
 
 
-def _duality_rows(cfg: RunConfig) -> Table:
-    p = _grid(cfg)
+def _duality_rows(cfg: RunConfig, p: _Batch) -> Table:
     report, status = _duality(p, _tolerances(cfg.tol).duality)
     ok = status.ok
     base, swapped = report.energies
@@ -521,13 +524,19 @@ def _json_text(cfg: RunConfig, table: Table) -> str:
     return _head_template(len(cfg.scan), len(cfg.tol)) % (*text[:head], _block("[]", rows, "  "))
 
 
-def _emit(cfg: RunConfig, table: Table, fmt: str, output: str | None) -> None:
+def _text(cfg: RunConfig, table: Table, fmt: str) -> str:
     if fmt == "json":
-        text = _json_text(cfg, table)
-    else:
-        buffer = io.StringIO()
-        _write_csv(table, buffer)
-        text = buffer.getvalue()
+        return _json_text(cfg, table)
+    buffer = io.StringIO()
+    _write_csv(table, buffer)
+    return buffer.getvalue()
+
+
+def _emit(cfg: RunConfig, table: Table, fmt: str, output: str | None) -> None:
+    _write(_text(cfg, table, fmt), output)
+
+
+def _write(text: str, output: str | None) -> None:
     if output:
         try:
             with open(output, "w", newline="") as handle:
@@ -536,6 +545,105 @@ def _emit(cfg: RunConfig, table: Table, fmt: str, output: str | None) -> None:
             raise ConfigError(f"cannot write output {output!r}: {err}") from err
     else:
         sys.stdout.write(text)
+
+
+#: the fewest points a scan gives each process: below it the task round
+#: trip and the joining of texts cost more than the second process saves
+_CHUNK_POINTS = 500
+
+#: what comes before the first row and after the last row of a JSON document
+_ROWS_OPEN, _ROWS_CLOSE = '"rows": [\n', "\n  ]\n}\n"
+
+#: (pid, [(process, connection)]): the workers of this process's split scans
+_POOL = None
+#: held by the split that is using the workers' pipes
+_POOL_LOCK = threading.Lock()
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, which ``taskset`` limits."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _scan_text(cfg: RunConfig, operation: str, fmt: str, p: _Batch) -> str:
+    """The output of ``operation`` on the points ``p``."""
+    return _text(cfg, _RUNNERS[operation](cfg, p), fmt)
+
+
+def _serve(conn, caller) -> None:
+    """A worker: answers each task ``conn`` receives with its :func:`_scan_text` or its
+    error, until every copy of the caller's end of the pipe is closed."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    caller.close()  # so that the pipe closes with the caller, however it ends
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = _scan_text(*task)
+        except Exception as err:
+            reply = err
+        conn.send(reply)
+
+
+def _workers(count: int) -> list:
+    """``count`` workers of this process's pool, which starts on the first split and
+    grows to the largest; a forked child starts its own."""
+    global _POOL
+    if _POOL is None or _POOL[0] != os.getpid():
+        _POOL = (os.getpid(), [])
+    pool = _POOL[1]
+    if len(pool) < count:
+        import multiprocessing
+
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork" if fork else None)
+        while len(pool) < count:
+            caller, conn = context.Pipe()
+            # a daemon: multiprocessing's exit handler ends and joins it with this process
+            process = context.Process(target=_serve, args=(conn, caller), daemon=True)
+            process.start()
+            conn.close()
+            pool.append((process, caller))
+    return pool[:count]
+
+
+def _split_text(cfg: RunConfig, operation: str, fmt: str, p: _Batch, chunks: int) -> str:
+    """:func:`_scan_text` of ``p``, run as ``chunks`` contiguous chunks of points:
+    chunk 0 here, each other one in a worker.  The kernels are batch-size invariant,
+    so the chunks' rows, joined, are the bytes of one unsplit run."""
+    global _POOL
+    bounds = [len(p) * k // chunks for k in range(chunks + 1)]
+    batches = [_Batch(**{name: getattr(p, name)[start:stop] for name in _FIELD_FOR.values()})
+               for start, stop in zip(bounds, bounds[1:])]
+    with _POOL_LOCK:
+        workers = _workers(chunks - 1)
+        try:
+            for (_, caller), batch in zip(workers, batches[1:]):
+                caller.send((cfg, operation, fmt, batch))
+            texts = [_scan_text(cfg, operation, fmt, batches[0])]
+            texts += [caller.recv() for _, caller in workers]
+        except BaseException:
+            # a reply may be left unread, so no later split may use these workers
+            for process, caller in _POOL[1]:
+                process.terminate()
+                process.join()
+                caller.close()
+            _POOL = None
+            raise
+    for text in texts:
+        if isinstance(text, Exception):  # a worker's error
+            raise text
+    if fmt == "csv":  # each later chunk without its header line
+        return texts[0] + "".join(text[text.index("\n") + 1:] for text in texts[1:])
+    # each chunk's rows, between its head (the same in every chunk) and the end
+    start = texts[0].index(_ROWS_OPEN) + len(_ROWS_OPEN)
+    rows = ",\n".join(text[start:-len(_ROWS_CLOSE)] for text in texts)
+    return texts[0][:start] + rows + _ROWS_CLOSE
 
 
 def _config_document(args: argparse.Namespace):
@@ -691,7 +799,12 @@ def _run(args: argparse.Namespace) -> int:
         return 3 if (False, False) in rows else 0
 
     scan_mode = command == "scan" or bool(cfg.scan)
-    table = _RUNNERS[operation](cfg)
+    p = _grid(cfg)
+    chunks = min(_usable_cpus(), len(p) // _CHUNK_POINTS)
+    if chunks > 1:  # a scan, since it has more than one point
+        _write(_split_text(cfg, operation, args.format, p, chunks), args.output)
+        return 0
+    table = _RUNNERS[operation](cfg, p)
     _emit(cfg, table, args.format, args.output)
     if scan_mode:
         return 0

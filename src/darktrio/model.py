@@ -154,8 +154,10 @@ class _Batch:
 
     @cached_property
     def coupling_abs(self) -> np.ndarray:
-        """``|lambda|``, ``|xi|`` and ``|kappa|`` per point, shape (3, n)."""
-        return _abs(np.array([self.lam, self.xi, self.kappa]))
+        """``|lambda|``, ``|xi|`` and ``|kappa|`` per point, shape (3, n); infinite where
+        a modulus overflows."""
+        with np.errstate(over="ignore"):
+            return _abs(np.array([self.lam, self.xi, self.kappa]))
 
     @cached_property
     def coupling_scale(self) -> np.ndarray:
@@ -470,7 +472,9 @@ def _eigh(a: np.ndarray, solve=np.True_):
     gram = vectors.conj().swapaxes(1, 2) @ vectors
     gram.reshape(n, -1)[:, ::dim + 1] -= 1.0  # V'V - I, without an identity matrix
     ortho = _max_abs(gram)
-    status.fail((residual > 1e-11 * np.maximum(scale, 1.0)) | (ortho > 1e-12),
-                lambda i: ConvergenceFailure(f"decomposition out of tolerance (residual "
-                                             f"{residual[i]:.3e}, orthonormality {ortho[i]:.3e})"))
+    # a solved point passes only where both are within their bounds, which NaN never is
+    within = (residual <= 1e-11 * np.maximum(scale, 1.0)) & (ortho <= 1e-12)
+    status.fail(~within & solve, lambda i: ConvergenceFailure(
+        f"decomposition out of tolerance (residual {residual[i]:.3e}, "
+        f"orthonormality {ortho[i]:.3e})"))
     return values, vectors, status

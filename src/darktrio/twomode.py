@@ -138,7 +138,7 @@ def _two_mode(p: _Batch) -> _TwoModeBatch:
         split = np.hypot(detuning, 2.0 * ak)
         # assumption 1: |kappa| below sqrt(omega_b * omega_c)
         margin1 = np.sqrt(wb * wc) - ak
-        status.fail(split < 1e-12 * (wb + wc), lambda i: DegenerateTwoMode(
+        status.fail(split < 1e-12 * wb + 1e-12 * wc, lambda i: DegenerateTwoMode(
             f"photon and phonon are degenerate{' and uncoupled' if kappa[i] == 0 else ''} "
             f"(splitting {split[i]:.3e}); the normal-mode factors are undefined",
             ass1=AssumptionCheck(bool(margin1[i] > 0.0), margin1[i].item()),

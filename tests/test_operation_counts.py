@@ -115,12 +115,12 @@ def _kernels():
 
 #: the operations each kernel runs on ``POINT`` as a batch of one, at most
 BOUNDS = {
-    "_two_mode": 69,
-    "_dressed": 161,
-    "_classified": 124,
-    "_duality": 370,
-    "_crosscheck two-level": 676,
-    "_crosscheck oscillator": 781,
+    "_two_mode": 72,
+    "_dressed": 163,
+    "_classified": 126,
+    "_duality": 373,
+    "_crosscheck two-level": 681,
+    "_crosscheck oscillator": 786,
 }
 
 
@@ -139,8 +139,9 @@ def _cli_layer():
     point = {name: getattr(POINT, field).real for name, field in cli._FIELD_FOR.items()}
     point["atom"] = "oscillator"
     cfg = cli.parse_config(point)
-    spectrum, classify, verify = (rows(cfg) for rows in (
-        cli._spectrum_rows, cli._classify_rows, cli._verify_rows))
+    spectrum, classify = (rows(cfg, cli._grid(cfg)) for rows in (
+        cli._spectrum_rows, cli._classify_rows))
+    verify = cli._verify_rows(cfg)
     return {
         "parse_config": lambda: cli.parse_config(dict(point)),
         "_json_text spectrum": lambda: cli._json_text(cfg, spectrum),

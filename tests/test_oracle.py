@@ -192,6 +192,28 @@ def test_eig_solver_failure_fails_only_its_point(monkeypatch, tmp_path, capsys):
     assert {row["status"] for row in rows if row["omega_a"] != 1.0} == {"ok"}
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_decomposition_with_nan_values_fails(tmp_path, capsys):
+    import json
+
+    from darktrio.cli import main
+
+    # LAPACK returns NaN values without an error where |z| of an entry
+    # overflows; NaN is beyond no bound, so a decomposition passes only where
+    # its residual and orthonormality are shown to be within theirs
+    with pytest.raises(ConvergenceFailure, match="out of tolerance"):
+        dense_hermitian_eig(np.array([[1, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 1]]))
+    with pytest.raises(ConvergenceFailure, match="out of tolerance"):
+        classify_spectrum(ModelParams(1, 1, 1, 1.5e308 + 1.5e308j, 0.05, 0.1))
+
+    config = tmp_path / "scan.json"
+    config.write_text(json.dumps({"lambda": [1.5e308, 1.5e308], "scan": [
+        {"param": "xi", "start": 0.05, "stop": 0.1, "steps": 2}]}))
+    assert main(["scan", "classify", "--config", str(config)]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["status"] for row in rows] == ["ConvergenceFailure"] * 2
+
+
 def test_a_failed_photon_phonon_solve_fails_only_its_point(monkeypatch):
     points = [ModelParams(1.02, 1.0, 1.0, 0.2, 0.05, 0.1),
               ModelParams(1.1, 0.9, 1.0, 0.2, 0.05, 0.1)]

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from darktrio import (
+    DarkTrioError,
     DegenerateSpectrum,
     DegenerateTwoMode,
     ModelParams,
+    crosscheck,
+    dark_tuning,
+    duality_report,
     phi,
     three_mode_spectrum,
     two_mode_spectrum,
@@ -203,6 +207,28 @@ def test_a_coupling_whose_square_overflows_keeps_its_modes(omega_b, kappa):
                                / np.sqrt(2.0), rtol=1e-15)
     assert report.ass1.margin == np.sqrt(omega_b) - kappa
     assert report.ass3.margin == report.ass4.margin == -np.inf
+
+
+def test_a_coupling_whose_modulus_overflows_warns_nowhere():
+    # both parts finite, |kappa| beyond the float range: a result or a named error
+    p = ModelParams(1.0, 1.0, 1.0, 0.2, 0.05, 1.5e308 + 1.5e308j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (two_mode_spectrum, validate, three_mode_spectrum, crosscheck, dark_tuning,
+                     duality_report):
+            try:
+                call(p)
+            except DarkTrioError:
+                pass
+
+
+def test_a_split_block_near_the_float_range_is_not_degenerate():
+    # the threshold 1e-12 (omega_b + omega_c) overflowed here, flagging a
+    # splitting of 5e307 as degenerate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = validate(ModelParams(1.0, 1e308, 1.5e308, 0.2, 0.05, 0.1))
+    assert report.ass2.passed
 
 
 @pytest.mark.parametrize("params", [
