@@ -20,9 +20,12 @@ Complex couplings are written as two-element arrays ``[re, im]`` in both
 config and JSON output; CSV output splits them into ``_re``/``_im``
 columns.  Floats are emitted with shortest round-trip formatting and row
 order is grid-major, so identical configs give byte-identical output.  A
-scan of at least ``2 * _CHUNK_POINTS`` points is split by points across
-the CPUs of the affinity mask, each chunk after the first solved and
-formatted in a forked worker process, with the same bytes.
+CSV table formats each distinct float once, by ``float.__repr__`` or, from
+``_BULK_FLOATS`` distinct values on, by :mod:`darktrio._floattext`'s array
+formatter, which gives the same text.  A scan of at least
+``2 * _CHUNK_POINTS`` points is split by points across the CPUs of the
+affinity mask, each chunk after the first solved and formatted in a forked
+worker process, with the same bytes.
 
 Exit codes: 0 success, 1 config error, 2 model-precondition violation in
 single-point mode, 3 numerical or validation failure.
@@ -360,13 +363,20 @@ def _csv_field(text: str) -> str:
     return buffer.getvalue()[:-2]
 
 
+#: the fewest distinct floats a CSV table formats with array operations:
+#: below it their fixed cost exceeds one ``float.__repr__`` call per value
+_BULK_FLOATS = 450
+
+
 def _write_csv(table: Table, stream) -> None:
     """Column by column; a complex column splits into ``_re``/``_im`` columns.
 
-    The floats of the whole table are formatted together: ``float.__repr__``
-    runs once per distinct bit pattern, so ``-0.0`` and ``0.0`` stay apart
-    and a value repeated across columns, as in the duality's swapped
-    columns, is formatted once.  The cells are CSV fields then (text cells
+    The floats of the whole table are formatted together, once per distinct
+    bit pattern, so ``-0.0`` and ``0.0`` stay apart and a value repeated
+    across columns, as in the duality's swapped columns, is formatted once:
+    by ``float.__repr__`` one at a time, or from :data:`_BULK_FLOATS`
+    distinct values on by :func:`._floattext.float_reprs` all at once, with
+    the same text.  The cells are CSV fields then (text cells
     quoted by :func:`_csv_field`), so rows are plain joins, which are faster
     than ``csv.writer.writerows`` over the same strings.
     """
@@ -380,7 +390,14 @@ def _write_csv(table: Table, stream) -> None:
     if floats:
         bits = np.concatenate([parts[i] for i in floats]).view(np.int64)
         distinct, index = _distinct(bits)
-        text = np.array(list(map(float.__repr__, distinct.view(float).tolist())), dtype=object)
+        values = distinct.view(float)
+        if len(values) < _BULK_FLOATS:
+            text = list(map(float.__repr__, values.tolist()))
+        else:  # imported here, so that a run without a large table builds none of its tables
+            from ._floattext import float_reprs
+
+            text = float_reprs(values)
+        text = np.array(text, dtype=object)
         ends = np.cumsum([len(parts[i]) for i in floats[:-1]])
         for i, cells in zip(floats, np.split(text[index], ends)):
             parts[i] = cells

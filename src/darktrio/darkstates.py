@@ -139,6 +139,11 @@ def _f_of(x, y, kappa):
     return (kappa / x - x / kappa) * y
 
 
+#: the bound on ``|lambda -+ xi|``, relative to the coupling scale, at which an
+#: effective coupling ``(lambda -+ xi) / sqrt(2)`` counts as vanishing
+_VANISHING_RTOL = math.sqrt(2.0) * GAMMA_RTOL
+
+
 def _resonant_real(p: _Batch, status: _Status, vanishing: type[Exception] = AssumptionViolation):
     """Check the resonant real-coupling regime per point; return (omega, lam, xi, kappa).
 
@@ -147,7 +152,10 @@ def _resonant_real(p: _Batch, status: _Status, vanishing: type[Exception] = Assu
     :class:`ComplexCouplings` for non-real couplings (real parts are never
     taken silently), :class:`AssumptionViolation` for a non-positive
     ``kappa``, and ``vanishing`` where an effective coupling ``(lambda -+ xi)
-    / sqrt(2)`` is at most ``GAMMA_RTOL`` times the coupling scale.
+    / sqrt(2)`` is at most ``GAMMA_RTOL`` times the coupling scale.  ``omega``
+    is the mean of ``omega_b`` and ``omega_c`` from their halves, which does
+    not overflow and has the bits of ``(omega_b + omega_c) / 2`` wherever
+    that is finite and the frequencies are normal.
     """
     wb, wc = p.omega_b, p.omega_c
     detuned = np.abs(wb - wc) > 1e-12 * np.maximum(np.maximum(1.0, wb), wc)
@@ -162,12 +170,12 @@ def _resonant_real(p: _Batch, status: _Status, vanishing: type[Exception] = Assu
         f"kappa must be positive in this analysis, got {kappa[i].item()}"
     ))
     lam, xi = p.lam.real, p.xi.real
-    floor = math.sqrt(2.0) * GAMMA_RTOL * p.coupling_scale
+    floor = _VANISHING_RTOL * p.coupling_scale
     status.fail((np.abs(lam - xi) <= floor) | (np.abs(lam + xi) <= floor), lambda i: vanishing(
         "lambda = +-xi makes an effective coupling vanish; this analysis "
         "needs both couplings nonzero"
     ))
-    return 0.5 * (wb + wc), lam, xi, kappa
+    return 0.5 * wb + 0.5 * wc, lam, xi, kappa
 
 
 def dark_tuning(params: ModelParams,

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -538,6 +539,24 @@ def test_a_squared_coupling_that_overflows_prints_no_warning(tmp_path, capsys, f
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_resonant_frequencies_near_the_float_limit_print_no_warning(tmp_path, capsys, fmt):
+    # omega_b + omega_c overflows; the resonant frequency, their mean, does not
+    cfg = write_config(tmp_path, {"omega_a": 1e308, "omega_b": 1e308, "omega_c": 1e308})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "duality", "--config", cfg, "--format", fmt)
+        assert (code, err) == (2, "")
+        assert [row["status"] for row in _output_rows(out, fmt)] == ["DegenerateTwoMode"]
+        code, out, err = run_cli(capsys, "classify", "--config", cfg, "--format", fmt)
+        assert (code, err) == (0, "")
+        # omega - omega_a is 0, so the residuals are |f(lambda, xi)| and |f(xi, lambda)|
+        assert {(float(row["dark_residual"]), float(row["quasidark_residual"]))
+                for row in _output_rows(out, fmt)} == {(0.07500000000000001, 0.30000000000000004)}
+        code, out, err = run_cli(capsys, "verify", "--config", cfg, "--format", fmt)
+        assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_classify_solves_where_the_bare_norm_overflows(tmp_path, capsys, fmt):
     # the bare matrix's Frobenius norm overflows; its solve is checked
     # against finite bounds, which it passes
@@ -801,6 +820,18 @@ def test_write_csv_matches_reference_writer(tables):
     table, expanded = tables
     stream = io.StringIO()
     cli._write_csv(table, stream)
+    assert stream.getvalue() == _reference_csv(expanded)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_writer_tables())
+def test_write_csv_matches_reference_writer_in_bulk(tables):
+    # every table's floats through the array formatter: hidden NaN and inf,
+    # both zeros, subnormals and the largest float
+    table, expanded = tables
+    stream = io.StringIO()
+    with mock.patch.object(cli, "_BULK_FLOATS", 0):
+        cli._write_csv(table, stream)
     assert stream.getvalue() == _reference_csv(expanded)
 
 

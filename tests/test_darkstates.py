@@ -36,7 +36,9 @@ from darktrio import (
     three_mode_spectrum,
     two_mode_binomial_state,
 )
-from darktrio.darkstates import _e_of, _f_of
+from darktrio.darkstates import _e_of, _f_of, _resonant_real
+from darktrio.errors import _Status
+from darktrio.model import _Batch
 from darktrio.threemode import _d1_and_slope
 
 from _generators import kappa_zero_params, resonant_real_params, tuned_dark_params
@@ -102,6 +104,24 @@ def test_dark_tuning_judges_resonance_like_the_duality_report():
             dark_tuning(near, tol=tol)
     with pytest.raises(NotResonant):
         duality_report(near)
+
+
+def test_resonant_frequency_is_the_mean_of_omega_b_and_omega_c():
+    # resonant pairs from 1e-20 to 1e300, where (omega_b + omega_c) / 2 is
+    # finite and both are normal: the overflow-free form keeps its bits
+    rng = np.random.default_rng(7)
+    wb = 10.0 ** rng.uniform(-20, 300, 100_000)
+    wc = np.abs(wb + rng.uniform(-1e-12, 1e-12, wb.size) * np.maximum(1.0, wb))
+    wc[::10] = wb[::10]
+    n = wb.size
+    batch = _Batch(np.ones(n), wb, wc, np.full(n, 0.2 + 0j), np.full(n, 0.05 + 0j),
+                   np.full(n, 0.1 + 0j))
+    status = _Status(n)
+    omega = _resonant_real(batch, status)[0]
+    resonant = status.ok
+    assert resonant.mean() > 0.99
+    assert np.array_equal(omega[resonant].view(np.int64),
+                          (0.5 * (wb + wc))[resonant].view(np.int64))
 
 
 def test_dark_tuning_zero_lambda_leaves_branch_unset():

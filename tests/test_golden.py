@@ -23,6 +23,7 @@ A rewritten ``verify`` fixture keeps the committed text of its free
 residual cells, so a re-record shows only the intended changes.
 """
 
+import io
 import json
 import re
 import shutil
@@ -31,6 +32,7 @@ from pathlib import Path
 
 import pytest
 
+from darktrio import cli
 from darktrio.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -143,6 +145,23 @@ def test_golden_output(tmp_path, capsys, name, argv, fmt):
         got = _mask_free_residuals(got, fmt)
         expected = _mask_free_residuals(expected, fmt)
     assert got == expected
+
+
+def test_golden_scans_hold_tables_on_both_sides_of_the_bulk_threshold(monkeypatch):
+    # so the CSV scans above check both ways of formatting a table's floats
+    sizes, distinct = [], cli._distinct
+
+    def counted(bits):
+        values, index = distinct(bits)
+        sizes.append(len(values))
+        return values, index
+
+    monkeypatch.setattr(cli, "_distinct", counted)
+    for name in (name for name, formats in SCAN_CONFIGS.items() if "csv" in formats):
+        cfg = cli.parse_config(json.loads((GOLDEN / f"{name}.config.json").read_text()))
+        for operation in SCAN_OPERATIONS:
+            cli._write_csv(cli._RUNNERS[operation](cfg, cli._grid(cfg)), io.StringIO())
+    assert min(sizes) < cli._BULK_FLOATS <= max(sizes)
 
 
 def test_rerecording_keeps_the_committed_free_residuals(tmp_path, monkeypatch, capsys):
