@@ -19,13 +19,14 @@ A JSON config supplies the model point and optional scan axes::
 Complex couplings are written as two-element arrays ``[re, im]`` in both
 config and JSON output; CSV output splits them into ``_re``/``_im``
 columns.  Floats are emitted with shortest round-trip formatting and row
-order is grid-major, so identical configs give byte-identical output.  A
-CSV table formats each distinct float once, by ``float.__repr__`` or, from
-``_BULK_FLOATS`` distinct values on, by :mod:`darktrio._floattext`'s array
-formatter, which gives the same text.  A scan of at least
-``2 * _CHUNK_POINTS`` points is split by points across the CPUs of the
-affinity mask, each chunk after the first solved and formatted in a forked
-worker process, with the same bytes.
+order is grid-major, so identical configs give byte-identical output.
+Both formats get every cell's text from one stage, :func:`_cells`, which
+formats a table's floats, and JSON's config floats, in one pool: by
+``float.__repr__`` each, or, from ``_BULK_FLOATS`` floats on, each distinct
+one by :mod:`darktrio._floattext`'s array formatter, with the same text.  A
+scan of at least ``2 * _CHUNK_POINTS`` points is split by points across the
+CPUs of the affinity mask, each chunk after the first solved and formatted
+in a forked worker, which sends back its rows for one document.
 
 Exit codes: 0 success, 1 config error, 2 model-precondition violation in
 single-point mode, 3 numerical or validation failure.
@@ -45,7 +46,7 @@ import signal
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -236,27 +237,14 @@ def _grid(cfg: RunConfig) -> _Batch:
 class _Column(NamedTuple):
     """One table column as arrays: ``values`` are floats, complex numbers or
     bools, or indices into ``names``; cells where ``ok`` is False are empty.
-    A per-point column's row ``r`` shows entry ``point[r]``.  Both writers
-    format a whole table at once, a per-point cell once: :func:`_json_text`
-    in one encoder call, :func:`_write_csv` the floats of :meth:`csv_parts`."""
+    A per-point column's row ``r`` shows entry ``point[r]``.  Both writers get
+    every cell's text from :func:`_cells`, a per-point cell's once, and lay
+    the texts out; a complex column's real and imaginary parts are two parts."""
 
     values: np.ndarray
     ok: np.ndarray | None = None
     names: tuple[str, ...] | None = None
     point: np.ndarray | None = None
-
-    def csv_parts(self) -> list[np.ndarray]:
-        """The column's CSV columns, hidden cells not yet blanked: one, or two
-        (``_re``, ``_im``) for a complex column.  A float part holds the
-        values, which :func:`_write_csv` formats; any other holds text cells."""
-        values = self.values
-        if self.names is not None:
-            return [np.array([_csv_field(name) for name in self.names], dtype=object)[values]]
-        if values.dtype.kind == "c":
-            return [values.real, values.imag]
-        if values.dtype.kind == "b":
-            return [np.array(["false", "true"], dtype=object)[values.astype(np.intp)]]
-        return [values]
 
 
 Table = dict[str, _Column]
@@ -363,59 +351,34 @@ def _csv_field(text: str) -> str:
     return buffer.getvalue()[:-2]
 
 
-#: the fewest distinct floats a CSV table formats with array operations:
-#: below it their fixed cost exceeds one ``float.__repr__`` call per value
+#: per format: how it quotes a name, its hidden cell, and what comes between two rows
+_FORMATS = {"csv": (_csv_field, "", "\n"), "json": (json.dumps, "null", ",\n    ")}
+
+#: the texts ``float.__repr__`` gives NaN and the infinities
+_NON_FINITE = frozenset({"nan", "inf", "-inf"})
+
+
+@functools.lru_cache(maxsize=64)
+def _names(names: tuple[str, ...] | None, quote: Callable[[str], str]) -> tuple[str, ...]:
+    """A names column's cell texts as ``quote`` writes them, or a bool column's (``names`` None)."""
+    return ("false", "true") if names is None else tuple(map(quote, names))
+
+
+#: the fewest floats a table formats with array operations: below it their
+#: fixed cost exceeds one ``float.__repr__`` call per value
 _BULK_FLOATS = 450
 
 
-def _write_csv(table: Table, stream) -> None:
-    """Column by column; a complex column splits into ``_re``/``_im`` columns.
+def _float_texts(pool: np.ndarray) -> list[str]:
+    """The ``float.__repr__`` text of each float of ``pool``: below
+    :data:`_BULK_FLOATS` floats formed one by one, else once per distinct bit
+    pattern (``-0.0`` apart from ``0.0``) by :func:`._floattext.float_reprs`."""
+    if len(pool) < _BULK_FLOATS:
+        return list(map(float.__repr__, pool.tolist()))
+    from ._floattext import float_reprs  # so that a run of small tables builds none of its tables
 
-    The floats of the whole table are formatted together, once per distinct
-    bit pattern, so ``-0.0`` and ``0.0`` stay apart and a value repeated
-    across columns, as in the duality's swapped columns, is formatted once:
-    by ``float.__repr__`` one at a time, or from :data:`_BULK_FLOATS`
-    distinct values on by :func:`._floattext.float_reprs` all at once, with
-    the same text.  The cells are CSV fields then (text cells
-    quoted by :func:`_csv_field`), so rows are plain joins, which are faster
-    than ``csv.writer.writerows`` over the same strings.
-    """
-    header, parts, owners = [], [], []
-    for name, column in table.items():
-        columns = column.csv_parts()
-        header += [f"{name}_re", f"{name}_im"] if len(columns) == 2 else [name]
-        parts += columns
-        owners += [column] * len(columns)
-    floats = [i for i, part in enumerate(parts) if part.dtype.kind == "f"]
-    if floats:
-        bits = np.concatenate([parts[i] for i in floats]).view(np.int64)
-        distinct, index = _distinct(bits)
-        values = distinct.view(float)
-        if len(values) < _BULK_FLOATS:
-            text = list(map(float.__repr__, values.tolist()))
-        else:  # imported here, so that a run without a large table builds none of its tables
-            from ._floattext import float_reprs
-
-            text = float_reprs(values)
-        text = np.array(text, dtype=object)
-        ends = np.cumsum([len(parts[i]) for i in floats[:-1]])
-        for i, cells in zip(floats, np.split(text[index], ends)):
-            parts[i] = cells
-    for part, column in zip(parts, owners):
-        if column.ok is not None:
-            part[~column.ok] = ""
-    # a run of per-point parts on one index is joined once per point
-    fields = []
-    for _, run in itertools.groupby(zip(owners, parts), key=lambda pair: id(pair[0].point)):
-        columns, run = zip(*run)
-        point = columns[0].point
-        fields += run if point is None else [np.array(_joined(run), dtype=object)[point]]
-    stream.write("\n".join([",".join(header), *_joined(fields)]) + "\n")
-
-
-def _joined(parts: list[np.ndarray]) -> list[str]:
-    """The cells of ``parts`` joined by commas, row by row."""
-    return list(map(",".join, zip(*(part.tolist() for part in parts))))
+    distinct, index = _distinct(pool.view(np.int64))
+    return np.array(float_reprs(distinct.view(float)), dtype=object)[index].tolist()
 
 
 def _distinct(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -430,12 +393,58 @@ def _distinct(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[first], index
 
 
-#: Formats a flat list of cells, one a line.  ``separators`` keeps the C
-#: encoder, which ``indent`` turns off; with ``ensure_ascii`` no cell holds a
-#: raw newline, so splitting on newlines is exact.  The list holds no other
-#: container, so no circular reference to check for.
-_CELL_ENCODER = json.JSONEncoder(allow_nan=False, check_circular=False,
-                                 separators=("\n", ": "))
+def _cells(table: Table, fmt: str, head: list[float] = ()) -> tuple[list, list[str], list[str]]:
+    """The text in ``fmt`` of each cell of ``table`` and float of ``head``, the one
+    stage of both writers.  The float parts (float columns, and the real and
+    imaginary parts of complex ones) and ``head`` make one pool for
+    :func:`_float_texts`; other cells take :func:`_names`' texts.  A mask is
+    read once and applied only if it hides a cell.  A shown NaN or inf raises
+    ``ValueError`` in JSON.  Returns the blocks of adjacent columns on one point
+    index (or none), each as its first column, point index and parts' cell
+    lists; each column's dtype kind; and the texts of ``head``."""
+    quote, hidden, _ = _FORMATS[fmt]
+    parts, blocks, kinds = [], [], []
+    size, point_read, ok_read = 0, False, False
+    for values, ok, names, point in table.values():
+        if point is not point_read:
+            point_read = point
+            blocks.append((len(kinds), len(parts), point))
+        if ok is not ok_read:  # each mask is read once, and one that hides no cell is dropped
+            ok_read, shown = ok, None if ok is None else ok.tolist()
+            if shown is not None and False not in shown:
+                shown = None
+        kind = values.dtype.kind
+        kinds.append(kind)
+        if kind in "fc":  # a float part holds its place, with its slice of the pool and its mask
+            split, n = (values.real, values.imag) if kind == "c" else (values,), len(values)
+            for part in split:
+                parts.append((part, slice(size, size := size + n), shown))
+        else:
+            cells = list(map(_names(names, quote).__getitem__, values.tolist()))
+            if shown:
+                cells = [cell if keep else hidden for cell, keep in zip(cells, shown)]
+            parts.append(cells)
+    floats = [part[0] for part in parts if type(part) is tuple]
+    texts = _float_texts(np.concatenate([*floats, head]))
+    parts = [part if type(part) is list else texts[part[1]] if part[2] is None else
+             [text if keep else hidden for text, keep in zip(texts[part[1]], part[2])]
+             for part in parts]
+    # JSON holds no NaN or infinity, so a shown one is refused before anything is written
+    if fmt == "json" and not _NON_FINITE.isdisjoint(texts) and not all(
+            map(_NON_FINITE.isdisjoint, parts)):
+        raise ValueError("a shown cell is NaN or infinite")
+    # a block's parts run up to the next block's first part
+    return ([(column, point, parts[first:end]) for (column, first, point), (_, end, _)
+             in zip(blocks, [*blocks[1:], (0, None, 0)])], kinds, texts[size:])
+
+
+def _rows(blocks: list, lays: list[Callable], sep: str) -> list[str]:
+    """A table's rows from its :func:`_cells` blocks: each block laid out by its ``lay``,
+    once per row or per point, and the blocks of a row joined by ``sep``."""
+    fields = [list(map(lay, zip(*parts))) for (_, _, parts), lay in zip(blocks, lays)]
+    fields = [entries if point is None else list(map(entries.__getitem__, point.tolist()))
+              for (_, point, _), entries in zip(blocks, fields)]
+    return fields[0] if len(fields) == 1 else list(map(sep.join, zip(*fields)))
 
 
 def _block(brackets: str, items: list[str], indent: str) -> str:
@@ -448,105 +457,81 @@ def _block(brackets: str, items: list[str], indent: str) -> str:
 
 
 #: a complex cell's two slots in a row, and what a hidden one fills them
-#: with; no other cell holds a raw newline, so replacing it is exact
+#: with; no other text of a document holds it, so replacing it is exact
 _PAIR = _block("[]", ["%s", "%s"], "      ")
 _NULL_PAIR = _PAIR % ("null", "null")
 
 
 @functools.lru_cache(maxsize=16)
-def _head_template(axes: int, tols: int) -> str:
-    """The document of :func:`_json_text` for a config with ``axes`` scan axes
-    and ``tols`` tolerances: a ``%s`` for the version, every value and
-    tolerance name of the config, and the rows."""
+def _head_template(atom: AtomKind, axes: tuple[ScanAxis, ...], tols: tuple[str, ...],
+                   sector: int | None) -> str:
+    """The head of :func:`_json_text`'s document for a config of ``atom``, the scan
+    ``axes``, the tolerances named ``tols`` and ``sector``, up to the list of rows:
+    a ``%s`` for each of the config's floats, in turn."""
+    def text(value):  # a value as json.dumps writes it, inside a % template
+        return json.dumps(value).replace("%", "%%")
+
     pair = _block("[]", ["%s", "%s"], "    ")
-    axis = _block("{}", [f'"{key}": %s' for key in ("param", "start", "stop", "steps")], "      ")
+    axes = [_block("{}", [f'"param": {text(axis.param)}', '"start": %s', '"stop": %s',
+                          f'"steps": {text(axis.steps)}'], "      ") for axis in axes]
     config = [f'"{name}": ' + ("%s" if name.startswith("omega") else pair) for name in _FIELD_FOR]
-    config += ['"atom": %s', '"scan": ' + _block("[]", [axis] * axes, "    "),
-               '"tol": ' + _block("{}", ["%s: %s"] * tols, "    "), '"sector": %s']
+    config += [f'"atom": {text(atom.value)}', '"scan": ' + _block("[]", axes, "    "),
+               '"tol": ' + _block("{}", [f"{text(name)}: %s" for name in tols], "    "),
+               f'"sector": {text(sector)}']
     config = '"config": ' + _block("{}", config, "  ")
-    return _block("{}", ['"version": %s', config, '"rows": %s'], "") + "\n"
+    return "{\n  " + ",\n  ".join([f'"version": {text(__version__)}', config, '"rows": '])
 
 
 @functools.lru_cache(maxsize=64)
-def _row_pieces(names: tuple[str, ...], pairs: tuple[bool, ...],
+def _row_pieces(names: tuple[str, ...], kinds: tuple[str, ...],
                 starts: tuple[int, ...]) -> tuple[str, ...]:
     """A row of a table with the columns ``names`` as one template per block
     of columns from each of ``starts`` on: a ``%s`` per cell and a
-    :data:`_PAIR` per complex cell (where ``pairs`` is True).  Joined by
+    :data:`_PAIR` per complex cell (where ``kinds`` holds ``c``).  Joined by
     ``",\\n      "``, the pieces of one row make it."""
-    slots = [f"{json.dumps(name).replace('%', '%%')}: " + (_PAIR if pair else "%s")
-             for name, pair in zip(names, pairs)]
+    slots = [f"{json.dumps(name).replace('%', '%%')}: " + (_PAIR if kind == "c" else "%s")
+             for name, kind in zip(names, kinds)]
     pieces = [",\n      ".join(slots[start:end]) for start, end in zip(starts, starts[1:] + (None,))]
-    if pieces:
-        pieces[0] = "{\n      " + pieces[0]
-        pieces[-1] += "\n    }"
+    pieces[0] = "{\n      " + pieces[0]
+    pieces[-1] += "\n    }"
     return tuple(pieces)
 
 
-def _json_text(cfg: RunConfig, table: Table) -> str:
-    """The bytes of ``json.dumps`` at ``indent=2`` of the version, the config
-    and one dict per row.  One encoder call formats the config's values and
-    every cell of the table, hidden cells as ``null`` and a per-point cell
-    once; the document and each row go through ``%`` templates of their
-    shape.  A shown NaN or inf raises ``ValueError``, as in ``json.dumps``."""
-    p = cfg.params  # the version and the config's values, in _head_template's order
-    flat = [__version__, p.omega_a, p.omega_b, p.omega_c, p.lam.real, p.lam.imag,
-            p.xi.real, p.xi.imag, p.kappa.real, p.kappa.imag, cfg.kind.value]
-    for axis in cfg.scan:
-        flat += (axis.param, axis.start, axis.stop, axis.steps)
-    for item in cfg.tol.items():
-        flat += item
-    flat.append(cfg.sector)
-    head = len(flat)
-    # the cells of each column, hidden ones None, a complex column's real
-    # parts then its imaginary parts; a mask that the column before shares
-    # is read once.  Adjacent columns on one point index (or none) make a
-    # block: its start in flat, its entries (rows or points), its point
-    # index and the entries where it hides a complex cell; starts holds its
-    # first column.
-    blocks, pairs, starts = [], [], []
-    ok_read = point_read = False
-    for values, ok, names, point in table.values():
-        if point is not point_read:
-            point_read = point
-            block = (len(flat), len(values), point, set())
-            blocks.append(block)
-            starts.append(len(pairs))
-        if ok is not ok_read:
-            ok_read, shown = ok, None if ok is None else ok.tolist()
-            if shown is not None and False not in shown:
-                shown = None
-        cells = values.tolist()
-        pair = values.dtype.kind == "c"
-        pairs.append(pair)
-        if pair and shown is not None:
-            block[3].update(entry for entry, keep in enumerate(shown) if not keep)
-        for cells in ([z.real for z in cells], [z.imag for z in cells]) if pair else (cells,):
-            if names is not None:
-                cells = list(map(names.__getitem__, cells))
-            if shown is not None:
-                cells = [cell if keep else None for cell, keep in zip(cells, shown)]
-            flat += cells
-    text = tuple(_CELL_ENCODER.encode(flat)[1:-1].split("\n"))
-    # each block's piece of a row, formatted once per entry from every n-th
-    # of the block's cells
-    pieces = _row_pieces(tuple(table), tuple(pairs), tuple(starts))
-    ends, parts = [block[0] for block in blocks[1:]] + [len(text)], []
-    for (start, n, point, hidden), end, piece in zip(blocks, ends, pieces):
-        entries = [piece % text[entry:end:n] for entry in range(start, start + n)]
-        for entry in hidden:  # a hidden complex cell is one null
-            entries[entry] = entries[entry].replace(_NULL_PAIR, "null")
-        parts.append(entries if point is None else list(map(entries.__getitem__, point.tolist())))
-    rows = parts[0] if len(parts) == 1 else list(map(",\n      ".join, zip(*parts)))
-    return _head_template(len(cfg.scan), len(cfg.tol)) % (*text[:head], _block("[]", rows, "  "))
+def _layout(cfg: RunConfig, table: Table, fmt: str) -> tuple[Callable[[list[str]], str], list[str]]:
+    """The rows of ``table``'s document in ``fmt`` (the bytes of ``csv.writer``, or
+    of ``json.dumps`` at ``indent=2`` of the version, the config and a dict per
+    row) and the function that lays it out around row texts, each one or more rows."""
+    if fmt == "csv":
+        blocks, kinds, _ = _cells(table, fmt)
+        header = ",".join([part for name, kind in zip(table, kinds)
+                           for part in ((f"{name}_re", f"{name}_im") if kind == "c" else (name,))])
+        return (lambda rows: "\n".join([header, *rows, ""]),
+                _rows(blocks, [",".join] * len(blocks), ","))
+    p = cfg.params  # the config's floats, in _head_template's order
+    blocks, kinds, head = _cells(table, fmt, [
+        p.omega_a, p.omega_b, p.omega_c, p.lam.real, p.lam.imag, p.xi.real, p.xi.imag,
+        p.kappa.real, p.kappa.imag, *(x for axis in cfg.scan for x in (axis.start, axis.stop)),
+        *cfg.tol.values()])
+    template = _head_template(cfg.kind, cfg.scan, tuple(cfg.tol), cfg.sector)
+    pieces = _row_pieces(tuple(table), tuple(kinds), tuple([first for first, _, _ in blocks]))
+    return (lambda rows: "".join([template % tuple(head), "[\n    " if rows else "[",
+                                  ",\n    ".join(rows), "\n  ]\n}\n" if rows else "]\n}\n"]
+                                 ).replace(_NULL_PAIR, "null"),
+            _rows(blocks, [piece.__mod__ for piece in pieces], ",\n      "))
 
 
-def _text(cfg: RunConfig, table: Table, fmt: str) -> str:
-    if fmt == "json":
-        return _json_text(cfg, table)
-    buffer = io.StringIO()
-    _write_csv(table, buffer)
-    return buffer.getvalue()
+def _text(cfg: RunConfig | None, table: Table, fmt: str) -> str:
+    """``table``'s document in ``fmt``; CSV needs no config."""
+    frame, rows = _layout(cfg, table, fmt)
+    return frame(rows)
+
+
+def _write_csv(table: Table, stream) -> None:
+    stream.write(_text(None, table, "csv"))
+
+
+#: ``_json_text(cfg, table)``: the JSON document
+_json_text = functools.partial(_text, fmt="json")
 
 
 def _emit(cfg: RunConfig, table: Table, fmt: str, output: str | None) -> None:
@@ -568,9 +553,6 @@ def _write(text: str, output: str | None) -> None:
 #: trip and the joining of texts cost more than the second process saves
 _CHUNK_POINTS = 500
 
-#: what comes before the first row and after the last row of a JSON document
-_ROWS_OPEN, _ROWS_CLOSE = '"rows": [\n', "\n  ]\n}\n"
-
 #: (pid, [(process, connection)]): the workers of this process's split scans
 _POOL = None
 #: held by the split that is using the workers' pipes
@@ -585,13 +567,14 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _scan_text(cfg: RunConfig, operation: str, fmt: str, p: _Batch) -> str:
-    """The output of ``operation`` on the points ``p``."""
-    return _text(cfg, _RUNNERS[operation](cfg, p), fmt)
+def _scan_rows(cfg: RunConfig, operation: str, fmt: str, p: _Batch) -> str:
+    """The rows of ``operation``'s output on the points ``p``, joined as in its document."""
+    _, rows = _layout(cfg, _RUNNERS[operation](cfg, p), fmt)
+    return _FORMATS[fmt][2].join(rows)
 
 
 def _serve(conn, caller) -> None:
-    """A worker: answers each task ``conn`` receives with its :func:`_scan_text` or its
+    """A worker: answers each task ``conn`` receives with its :func:`_scan_rows` or its
     error, until every copy of the caller's end of the pipe is closed."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     caller.close()  # so that the pipe closes with the caller, however it ends
@@ -601,7 +584,7 @@ def _serve(conn, caller) -> None:
         except EOFError:
             return
         try:
-            reply = _scan_text(*task)
+            reply = _scan_rows(*task)
         except Exception as err:
             reply = err
         conn.send(reply)
@@ -617,6 +600,8 @@ def _workers(count: int) -> list:
     if len(pool) < count:
         import multiprocessing
 
+        from . import _floattext  # so that every worker inherits its tables
+
         fork = "fork" in multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context("fork" if fork else None)
         while len(pool) < count:
@@ -630,9 +615,10 @@ def _workers(count: int) -> list:
 
 
 def _split_text(cfg: RunConfig, operation: str, fmt: str, p: _Batch, chunks: int) -> str:
-    """:func:`_scan_text` of ``p``, run as ``chunks`` contiguous chunks of points:
-    chunk 0 here, each other one in a worker.  The kernels are batch-size invariant,
-    so the chunks' rows, joined, are the bytes of one unsplit run."""
+    """The output of ``operation`` on ``p``, run as ``chunks`` contiguous chunks of
+    points: chunk 0 here, each other one in a worker, which sends back its rows.  The
+    kernels are batch-size invariant, so the chunks' rows in one document are the
+    bytes of one unsplit run."""
     global _POOL
     bounds = [len(p) * k // chunks for k in range(chunks + 1)]
     batches = [_Batch(**{name: getattr(p, name)[start:stop] for name in _FIELD_FOR.values()})
@@ -642,8 +628,8 @@ def _split_text(cfg: RunConfig, operation: str, fmt: str, p: _Batch, chunks: int
         try:
             for (_, caller), batch in zip(workers, batches[1:]):
                 caller.send((cfg, operation, fmt, batch))
-            texts = [_scan_text(cfg, operation, fmt, batches[0])]
-            texts += [caller.recv() for _, caller in workers]
+            frame, rows = _layout(cfg, _RUNNERS[operation](cfg, batches[0]), fmt)
+            texts = [caller.recv() for _, caller in workers]
         except BaseException:
             # a reply may be left unread, so no later split may use these workers
             for process, caller in _POOL[1]:
@@ -655,12 +641,7 @@ def _split_text(cfg: RunConfig, operation: str, fmt: str, p: _Batch, chunks: int
     for text in texts:
         if isinstance(text, Exception):  # a worker's error
             raise text
-    if fmt == "csv":  # each later chunk without its header line
-        return texts[0] + "".join(text[text.index("\n") + 1:] for text in texts[1:])
-    # each chunk's rows, between its head (the same in every chunk) and the end
-    start = texts[0].index(_ROWS_OPEN) + len(_ROWS_OPEN)
-    rows = ",\n".join(text[start:-len(_ROWS_CLOSE)] for text in texts)
-    return texts[0][:start] + rows + _ROWS_CLOSE
+    return frame(rows + texts)
 
 
 def _config_document(args: argparse.Namespace):

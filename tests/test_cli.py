@@ -848,6 +848,18 @@ def test_emit_json_matches_json_dumps_on_random_tables(tables, data):
     assert buffer.getvalue() == _reference_json(dict(zip(keys, expanded.values())))
 
 
+@settings(max_examples=60, deadline=None)
+@given(_writer_tables(), st.data())
+def test_emit_json_matches_json_dumps_on_random_tables_in_bulk(tables, data):
+    # every table's floats, the head's too, through the array formatter
+    table, expanded = tables
+    keys = [name + data.draw(st.text(max_size=3)) for name in table]
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer), mock.patch.object(cli, "_BULK_FLOATS", 0):
+        _emit(_JSON_CONFIG, dict(zip(keys, table.values())), "json", None)
+    assert buffer.getvalue() == _reference_json(dict(zip(keys, expanded.values())))
+
+
 def test_per_point_columns_write_as_their_expanded_table():
     # three points of 2, 1 and 3 rows; per-point columns on the index and on
     # an equal copy of it, hidden cells holding NaN and inf
@@ -894,23 +906,33 @@ def test_distinct_matches_np_unique(values, repeats, tiles, layout, random):
     assert index.tolist() == want_index.tolist()
 
 
-def test_single_point_classify_encodes_each_parameter_once(monkeypatch, capsys):
-    calls = []
-    encode = cli._CELL_ENCODER.encode
-    monkeypatch.setattr(cli._CELL_ENCODER, "encode", lambda cells: calls.append(cells) or
-                        encode(cells))
-    code, out, _ = run_cli(capsys, "classify")
-    assert code == 0 and len(json.loads(out)["rows"]) == 3
-    (cells,) = calls
-    p = cli.DEFAULT_PARAMS
-    params = [p.omega_a, p.omega_b, p.omega_c, p.lam.real, p.lam.imag, p.xi.real, p.xi.imag,
-              p.kappa.real, p.kappa.imag]
-    head = 1 + len(params) + 2  # the version, the config's values, its atom and sector
-    assert cells[1:head - 2] == params
-    # the point's 9 parameters, then per row its energy, three complex
-    # amplitudes and class, then the point's two residuals and status
-    assert cells[head:head + 9] == params
-    assert len(cells) == head + 9 + 3 * (1 + 2 * 3 + 1) + 3
+def test_a_table_formats_its_floats_in_one_pass(monkeypatch, capsys):
+    # for both writers one pool holds every float cell of the table, a
+    # per-point cell once, and for JSON the config's floats of the head
+    pools = []
+    float_texts = cli._float_texts
+    monkeypatch.setattr(cli, "_float_texts", lambda pool: pools.append(pool.copy()) or
+                        float_texts(pool))
+    cfg = parse_config({})
+    table = cli._classify_rows(cfg, cli._grid(cfg))
+    cells = []
+    for column in table.values():
+        kind = column.values.dtype.kind
+        if column.names is None and kind in "fc":
+            cells += [column.values.real, column.values.imag] if kind == "c" else [column.values]
+    p = cfg.params
+    head = [p.omega_a, p.omega_b, p.omega_c, p.lam.real, p.lam.imag, p.xi.real, p.xi.imag,
+            p.kappa.real, p.kappa.imag]
+    for fmt, want in (("csv", cells), ("json", cells + [head])):
+        code, out, _ = run_cli(capsys, "classify", "--format", fmt)
+        assert code == 0 and len(out.splitlines()) > 3
+        (pool,) = pools
+        pools.clear()
+        want = np.concatenate(want)
+        # the point's 9 parameters, per row its energy and three complex
+        # amplitudes, the point's two residuals, and the head's 9
+        assert len(want) == 9 + 3 * (1 + 2 * 3) + 2 + 9 * (fmt == "json")
+        assert pool.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 @pytest.mark.parametrize("kappa", [5e-324, 1e-170, 1e-300])
@@ -1209,5 +1231,22 @@ def test_emit_json_rejects_a_shown_non_finite_cell(table, bad, pair, data):
     items.insert(position, ("bad", _Column(values, np.ones(rows, dtype=bool))))
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer), pytest.raises(ValueError):
+        _emit(_JSON_CONFIG, dict(items), "json", None)
+    assert buffer.getvalue() == ""
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tables(), st.sampled_from([math.nan, math.inf, -math.inf]), st.booleans(), st.data())
+def test_emit_json_rejects_a_shown_non_finite_cell_in_bulk(table, bad, pair, data):
+    rows = len(table["zero"].values)
+    assume(rows > 0)
+    values = np.zeros(rows, dtype=complex if pair else float)
+    (values.imag if pair else values)[data.draw(st.integers(0, rows - 1))] = bad
+    items = list(table.items())
+    position = data.draw(st.integers(0, len(items)))
+    items.insert(position, ("bad", _Column(values, np.ones(rows, dtype=bool))))
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer), pytest.raises(ValueError), \
+            mock.patch.object(cli, "_BULK_FLOATS", 0):
         _emit(_JSON_CONFIG, dict(items), "json", None)
     assert buffer.getvalue() == ""

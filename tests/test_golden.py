@@ -23,7 +23,6 @@ A rewritten ``verify`` fixture keeps the committed text of its free
 residual cells, so a re-record shows only the intended changes.
 """
 
-import io
 import json
 import re
 import shutil
@@ -147,21 +146,22 @@ def test_golden_output(tmp_path, capsys, name, argv, fmt):
     assert got == expected
 
 
-def test_golden_scans_hold_tables_on_both_sides_of_the_bulk_threshold(monkeypatch):
-    # so the CSV scans above check both ways of formatting a table's floats
-    sizes, distinct = [], cli._distinct
+def test_golden_cases_hold_tables_on_both_sides_of_the_bulk_threshold(monkeypatch):
+    # so the cases above check both ways of formatting a table's floats, in
+    # both formats: the single points below the threshold, the scans from it on
+    sizes, float_texts = {"csv": [], "json": []}, cli._float_texts
 
-    def counted(bits):
-        values, index = distinct(bits)
-        sizes.append(len(values))
-        return values, index
+    def counted(pool):
+        sizes[fmt].append(len(pool))
+        return float_texts(pool)
 
-    monkeypatch.setattr(cli, "_distinct", counted)
-    for name in (name for name, formats in SCAN_CONFIGS.items() if "csv" in formats):
-        cfg = cli.parse_config(json.loads((GOLDEN / f"{name}.config.json").read_text()))
-        for operation in SCAN_OPERATIONS:
-            cli._write_csv(cli._RUNNERS[operation](cfg, cli._grid(cfg)), io.StringIO())
-    assert min(sizes) < cli._BULK_FLOATS <= max(sizes)
+    monkeypatch.setattr(cli, "_float_texts", counted)
+    for name, argv, fmt in CASES:
+        if argv != ["verify"]:
+            cfg = cli.parse_config(json.loads((GOLDEN / f"{name}.config.json").read_text()))
+            cli._text(cfg, cli._RUNNERS[argv[-1]](cfg, cli._grid(cfg)), fmt)
+    for pools in sizes.values():
+        assert min(pools) < cli._BULK_FLOATS <= max(pools)
 
 
 def test_rerecording_keeps_the_committed_free_residuals(tmp_path, monkeypatch, capsys):

@@ -158,12 +158,12 @@ def _cli_layer():
 #: (oscillator atom) and its single-point tables, at most
 CLI_BOUNDS = {
     "parse_config": 105,
-    "_json_text spectrum": 290,
-    "_json_text classify": 280,
-    "_json_text verify": 140,
-    "_write_csv spectrum": 508,
-    "_write_csv classify": 469,
-    "_write_csv verify": 437,
+    "_json_text spectrum": 287,
+    "_json_text classify": 246,
+    "_json_text verify": 134,
+    "_write_csv spectrum": 287,
+    "_write_csv classify": 246,
+    "_write_csv verify": 134,
 }
 
 

@@ -176,6 +176,19 @@ def test_workers_end_with_the_interpreter(tmp_path):
             os.kill(pid, 0)
 
 
+def test_workers_inherit_the_float_formatter():
+    # the caller imports the array formatter before its first fork, so no
+    # worker imports it and builds its tables again
+    out = _python("""if True:
+        import sys
+        from darktrio import cli
+        assert "darktrio._floattext" not in sys.modules
+        cli._workers(1)
+        print("darktrio._floattext" in sys.modules)
+        """)
+    assert out == "True\n"
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity mask")
 def test_one_usable_cpu_starts_no_process(tmp_path):
     out = _python("""if True:
