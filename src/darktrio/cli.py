@@ -20,16 +20,18 @@ Complex couplings are written as two-element arrays ``[re, im]`` in both
 config and JSON output; CSV output splits them into ``_re``/``_im``
 columns.  Floats are emitted with shortest round-trip formatting and row
 order is grid-major, so identical configs give byte-identical output.
-Both formats get every cell's text from one stage, :func:`_cells`, which
-formats a table's floats, and JSON's config floats, in one pool: by
+One function, :func:`_text`, makes a table's document in either format.
+Both get every cell's text from one stage, :func:`_cells`, which formats
+a table's floats, and JSON's config floats, in one pool: by
 ``float.__repr__`` each, or, from ``_BULK_FLOATS`` floats on, each distinct
 one by :mod:`darktrio._floattext`'s array formatter, with the same text.  A
 scan of at least ``2 * _CHUNK_POINTS`` points is split by points across the
 CPUs of the affinity mask, each chunk after the first solved and formatted
 in a forked worker, which sends back its rows for one document.
 
-Exit codes: 0 success, 1 config error, 2 model-precondition violation in
-single-point mode, 3 numerical or validation failure.
+Exit codes: 0 success, 1 config error (``verify`` on a config with scan
+axes is one), 2 model-precondition violation in single-point mode, 3
+numerical or validation failure.
 """
 
 from __future__ import annotations
@@ -110,6 +112,16 @@ class RunConfig:
     scan: tuple[ScanAxis, ...] = ()
     tol: dict[str, float] = field(default_factory=dict)
     sector: int | None = None
+
+    @functools.cached_property
+    def tolerances(self) -> Tolerances:
+        """The default tolerances with ``tol``; an unknown name is a :class:`ConfigError`."""
+        if not self.tol:
+            return _DEFAULT_TOL
+        try:
+            return _DEFAULT_TOL.override(self.tol)
+        except KeyError as err:
+            raise ConfigError(err.args[0]) from err
 
 
 def _number(value, where: str, what: str = "a finite number", accepts=math.isfinite) -> float:
@@ -195,14 +207,14 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"tol must be an object of NAME: VALUE pairs, got {tol!r}")
     tol = {name: _number(value, f"tol[{name!r}]", "a finite nonnegative number",
                          lambda x: 0 <= x < math.inf) for name, value in tol.items()}
-    _tolerances(tol)
 
     sector = doc.get("sector")
+    cfg = RunConfig(params=params, kind=kind, scan=tuple(axes), tol=tol, sector=sector)
+    cfg.tolerances  # an unknown tolerance name is an error here, before a bad sector
     if sector is not None and (not isinstance(sector, int) or isinstance(sector, bool)
                                or sector < 0):
         raise ConfigError(f"sector must be a nonnegative integer, got {sector!r}")
-
-    return RunConfig(params=params, kind=kind, scan=tuple(axes), tol=tol, sector=sector)
+    return cfg
 
 
 def _grid(cfg: RunConfig) -> _Batch:
@@ -268,7 +280,7 @@ def _spectrum_rows(cfg: RunConfig, p: _Batch) -> Table:
     spec = _dressed(p, _two_mode(p))
     ok = spec.status.ok
     e, eps, gamma = spec.e, spec.two.eps, spec.two.gamma
-    holds = _assumption_margins(p, spec.two, _tolerances(cfg.tol).ass2) > 0.0
+    holds = _assumption_margins(p, spec.two, cfg.tolerances.ass2) > 0.0
     interlacing = _interlacing_margin(e, spec.r) > 0.0
     table = _param_cells(p)
     table.update({
@@ -285,9 +297,8 @@ def _spectrum_rows(cfg: RunConfig, p: _Batch) -> Table:
 
 
 def _classify_rows(cfg: RunConfig, p: _Batch) -> Table:
-    tol = _tolerances(cfg.tol)
-    branches, tuning = _tuning(p, tol=tol.tuning)
-    spectra = _classified(p, tol=tol.classify)
+    branches, tuning = _tuning(p, tol=cfg.tolerances.tuning)
+    spectra = _classified(p, tol=cfg.tolerances.classify)
     # three rows (one per eigenstate) per solved point, one error row otherwise
     counts = np.where(spectra.status.ok, 3, 1)
     point = np.repeat(np.arange(len(p)), counts)
@@ -313,7 +324,7 @@ _CLASS_NAMES = tuple(variant.value for variant in _VARIANTS)
 
 
 def _duality_rows(cfg: RunConfig, p: _Batch) -> Table:
-    report, status = _duality(p, _tolerances(cfg.tol).duality)
+    report, status = _duality(p, cfg.tolerances.duality)
     ok = status.ok
     base, swapped = report.energies
     table = _param_cells(p)
@@ -329,7 +340,7 @@ def _duality_rows(cfg: RunConfig, p: _Batch) -> Table:
 
 def _verify_rows(cfg: RunConfig) -> Table:
     # a requested sector gets its row for either atom; a two-level row skips
-    checks = _crosscheck(_batch_of(cfg.params), cfg.kind, _tolerances(cfg.tol),
+    checks = _crosscheck(_batch_of(cfg.params), cfg.kind, cfg.tolerances,
                          (2,) if cfg.sector in (None, 2) else (2, cfg.sector))
     checks.status.check()
     skipped = checks.skipped[0]
@@ -465,7 +476,7 @@ _NULL_PAIR = _PAIR % ("null", "null")
 @functools.lru_cache(maxsize=16)
 def _head_template(atom: AtomKind, axes: tuple[ScanAxis, ...], tols: tuple[str, ...],
                    sector: int | None) -> str:
-    """The head of :func:`_json_text`'s document for a config of ``atom``, the scan
+    """The head of :func:`_text`'s JSON document for a config of ``atom``, the scan
     ``axes``, the tolerances named ``tols`` and ``sector``, up to the list of rows:
     a ``%s`` for each of the config's floats, in turn."""
     def text(value):  # a value as json.dumps writes it, inside a % template
@@ -521,21 +532,9 @@ def _layout(cfg: RunConfig, table: Table, fmt: str) -> tuple[Callable[[list[str]
 
 
 def _text(cfg: RunConfig | None, table: Table, fmt: str) -> str:
-    """``table``'s document in ``fmt``; CSV needs no config."""
+    """``table``'s document in ``fmt``, the one document function; CSV needs no config."""
     frame, rows = _layout(cfg, table, fmt)
     return frame(rows)
-
-
-def _write_csv(table: Table, stream) -> None:
-    stream.write(_text(None, table, "csv"))
-
-
-#: ``_json_text(cfg, table)``: the JSON document
-_json_text = functools.partial(_text, fmt="json")
-
-
-def _emit(cfg: RunConfig, table: Table, fmt: str, output: str | None) -> None:
-    _write(_text(cfg, table, fmt), output)
 
 
 def _write(text: str, output: str | None) -> None:
@@ -689,16 +688,6 @@ def _parse_tol_flags(entries: list[str]) -> dict[str, float]:
     return overrides
 
 
-def _tolerances(overrides: dict[str, float]) -> Tolerances:
-    """The default tolerances with ``overrides``; an unknown name is a :class:`ConfigError`."""
-    if not overrides:
-        return _DEFAULT_TOL
-    try:
-        return _DEFAULT_TOL.override(overrides)
-    except KeyError as err:
-        raise ConfigError(err.args[0]) from err
-
-
 @functools.cache
 def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The parser of :func:`main` and the subparser of each command, built on
@@ -772,6 +761,8 @@ def _run(args: argparse.Namespace) -> int:
     command = args.command
     operation = getattr(args, "operation", command)
     if command == "verify":
+        if cfg.scan:  # rather than check the base point and drop the axes
+            raise ConfigError("verify checks a single point; the config has scan axes")
         try:
             table = _verify_rows(cfg)
         except _PRECONDITION_ERRORS as err:
@@ -781,7 +772,7 @@ def _run(args: argparse.Namespace) -> int:
             print(f"verification failed: {err}", file=sys.stderr)
             return 3
         try:
-            _emit(cfg, table, args.format, args.output)
+            _write(_text(cfg, table, args.format), args.output)
         except ValueError:
             # JSON holds no inf or NaN, and a shown cell has no null form;
             # the text is refused before anything is written
@@ -793,28 +784,22 @@ def _run(args: argparse.Namespace) -> int:
                   "residual or tolerance, which JSON cannot hold", file=sys.stderr)
             return 3
         # a row that neither passed nor was skipped failed
-        rows = zip(table["passed"].values.tolist(), table["skipped"].values.tolist())
-        return 3 if (False, False) in rows else 0
+        return 3 if (~table["passed"].values & ~table["skipped"].values).any() else 0
 
-    scan_mode = command == "scan" or bool(cfg.scan)
     p = _grid(cfg)
     chunks = min(_usable_cpus(), len(p) // _CHUNK_POINTS)
     if chunks > 1:  # a scan, since it has more than one point
         _write(_split_text(cfg, operation, args.format, p, chunks), args.output)
         return 0
     table = _RUNNERS[operation](cfg, p)
-    _emit(cfg, table, args.format, args.output)
-    if scan_mode:
+    _write(_text(cfg, table, args.format), args.output)
+    if command == "scan" or cfg.scan:
         return 0
 
-    codes = table["status"].values.tolist()
-    if any(codes):  # a point that is not ok
-        errored = {_STATUS_NAMES[code] for code in codes} - {"ok"}
-        precondition = {e.__name__ for e in _PRECONDITION_ERRORS}
-        return 2 if errored <= precondition else 3
-    if operation == "duality" and False in table["passed"].values.tolist():
-        return 3
-    return 0
+    error = _STATUS_ERRORS[table["status"].values[0]]  # a single point's
+    if error is not None:
+        return 2 if issubclass(error, _PRECONDITION_ERRORS) else 3
+    return 3 if operation == "duality" and not table["passed"].values[0] else 0
 
 
 if __name__ == "__main__":

@@ -136,8 +136,13 @@ def _two_mode(p: _Batch) -> _TwoModeBatch:
     status = _Status(n)
     with np.errstate(all="ignore"):
         split = np.hypot(detuning, 2.0 * ak)
-        # assumption 1: |kappa| below sqrt(omega_b * omega_c)
-        margin1 = np.sqrt(wb * wc) - ak
+        # assumption 1: |kappa| below sqrt(omega_b * omega_c); where the product
+        # overflows (from about 1e154 each), the root is a product of roots
+        root = np.sqrt(wb * wc)
+        inf_root = np.isinf(root)
+        if np.count_nonzero(inf_root):
+            root = np.where(inf_root, np.sqrt(wb) * np.sqrt(wc), root)
+        margin1 = root - ak
         status.fail(split < 1e-12 * wb + 1e-12 * wc, lambda i: DegenerateTwoMode(
             f"photon and phonon are degenerate{' and uncoupled' if kappa[i] == 0 else ''} "
             f"(splitting {split[i]:.3e}); the normal-mode factors are undefined",
@@ -155,9 +160,7 @@ def _two_mode(p: _Batch) -> _TwoModeBatch:
             h = 0.5 * detuning
             large = np.where(over, h + np.copysign(np.hypot(h, ak), detuning), large)
             small = np.where(over, -ak * (ak / large), small)
-        d = np.empty((n, 2))
-        d[:, 0] = np.where(upper, small, large)
-        d[:, 1] = np.where(upper, large, small)
+        d = np.where(upper, [small, large], [large, small]).T.copy()
         eps = wb[:, None] + d
         ratio = d / ak[:, None]
         # M_j = |kappa| / sqrt(|kappa|^2 + d_j^2), the positive root

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import darktrio
 from darktrio import cli
-from darktrio.cli import RunConfig, _Column, _emit, main, parse_config
+from darktrio.cli import RunConfig, _Column, main, parse_config
 
 SRC = str(pathlib.Path(darktrio.__file__).parents[1])
 
@@ -37,6 +37,11 @@ def config_to_dict(cfg: RunConfig) -> dict:
     doc.update(atom=cfg.kind.value, scan=[dataclasses.asdict(axis) for axis in cfg.scan],
                tol=dict(cfg.tol), sector=cfg.sector)
     return doc
+
+
+def _emit(cfg, table, fmt, output):
+    """Write ``table``'s document as ``main`` does: to ``output``, or to stdout."""
+    cli._write(cli._text(cfg, table, fmt), output)
 
 
 def run_cli(capsys, *args):
@@ -310,6 +315,26 @@ def test_sector_flag_is_verify_only(tmp_path, capsys, command):
     # the config key stays valid for every command
     cfg = write_config(tmp_path, {"sector": 2})
     assert run_cli(capsys, *command, "--config", cfg)[0] == 0
+
+
+def test_verify_refuses_a_config_with_scan_axes(tmp_path, capsys):
+    # rather than check the base point and drop the axes
+    cfg = write_config(tmp_path, {"scan": [{"param": "xi", "start": 0, "stop": 1, "steps": 2}]})
+    line = "config error: verify checks a single point; the config has scan axes\n"
+    for fmt in ("json", "csv"):
+        assert run_cli(capsys, "verify", "--config", cfg, "--format", fmt) == (1, "", line)
+    assert run_cli(capsys, "scan", "--config", cfg)[0] == 0
+
+
+@pytest.mark.parametrize("argv", [["scan", "duality", "--tol", "duality=1e-9"],
+                                  ["classify", "--tol", "classify=1e-8"],
+                                  ["verify", "--tol", "b1=1e-9"]],
+                         ids=["scan", "point", "verify"])
+def test_a_run_forms_its_tolerances_once(capsys, argv):
+    with mock.patch.object(darktrio.Tolerances, "override", autospec=True,
+                           side_effect=darktrio.Tolerances.override) as override:
+        assert run_cli(capsys, *argv)[0] == 0
+    assert override.call_count == 1
 
 
 def test_single_point_assumption_violation_exits_two(tmp_path, capsys):
@@ -676,25 +701,18 @@ def test_json_output_parses_as_strict_json(capsys):
 def test_csv_rows_match_csv_writer():
     # text cells are quoted once per distinct text and rows joined by hand;
     # the result must be what csv.writer writes for the same row
-    import csv
-    import io
-
-    from darktrio.cli import _Column, _write_csv
-
     texts = ("plain", "", "a,b", 'say "x"', "two\nlines", "cr\rhere", " padded ")
     table = {
         "text": _Column(np.arange(len(texts)), names=texts),
         "value": _Column(np.linspace(-1.0, 1.0, len(texts)),
                          ok=np.arange(len(texts)) % 3 != 0),
     }
-    stream = io.StringIO()
-    _write_csv(table, stream)
     want = io.StringIO()
     writer = csv.writer(want, lineterminator="\n")
     writer.writerow(["text", "value"])
     for row, (text, value) in enumerate(zip(texts, np.linspace(-1.0, 1.0, len(texts)))):
         writer.writerow([text, repr(value.item()) if row % 3 else ""])
-    assert stream.getvalue() == want.getvalue()
+    assert cli._text(None, table, "csv") == want.getvalue()
 
 
 _SHOWN_FLOATS = st.one_of(
@@ -818,9 +836,7 @@ def _writer_tables(draw):
 @given(_writer_tables())
 def test_write_csv_matches_reference_writer(tables):
     table, expanded = tables
-    stream = io.StringIO()
-    cli._write_csv(table, stream)
-    assert stream.getvalue() == _reference_csv(expanded)
+    assert cli._text(None, table, "csv") == _reference_csv(expanded)
 
 
 @settings(max_examples=60, deadline=None)
@@ -829,10 +845,8 @@ def test_write_csv_matches_reference_writer_in_bulk(tables):
     # every table's floats through the array formatter: hidden NaN and inf,
     # both zeros, subnormals and the largest float
     table, expanded = tables
-    stream = io.StringIO()
     with mock.patch.object(cli, "_BULK_FLOATS", 0):
-        cli._write_csv(table, stream)
-    assert stream.getvalue() == _reference_csv(expanded)
+        assert cli._text(None, table, "csv") == _reference_csv(expanded)
 
 
 @settings(max_examples=300, deadline=None)
@@ -842,10 +856,8 @@ def test_emit_json_matches_json_dumps_on_random_tables(tables, data):
     # keys with quotes, control characters and non-ASCII too; CSV writes
     # its column names as they are, so only the JSON test draws them
     keys = [name + data.draw(st.text(max_size=3)) for name in table]
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
-        _emit(_JSON_CONFIG, dict(zip(keys, table.values())), "json", None)
-    assert buffer.getvalue() == _reference_json(dict(zip(keys, expanded.values())))
+    text = cli._text(_JSON_CONFIG, dict(zip(keys, table.values())), "json")
+    assert text == _reference_json(dict(zip(keys, expanded.values())))
 
 
 @settings(max_examples=60, deadline=None)
@@ -854,10 +866,9 @@ def test_emit_json_matches_json_dumps_on_random_tables_in_bulk(tables, data):
     # every table's floats, the head's too, through the array formatter
     table, expanded = tables
     keys = [name + data.draw(st.text(max_size=3)) for name in table]
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer), mock.patch.object(cli, "_BULK_FLOATS", 0):
-        _emit(_JSON_CONFIG, dict(zip(keys, table.values())), "json", None)
-    assert buffer.getvalue() == _reference_json(dict(zip(keys, expanded.values())))
+    with mock.patch.object(cli, "_BULK_FLOATS", 0):
+        text = cli._text(_JSON_CONFIG, dict(zip(keys, table.values())), "json")
+    assert text == _reference_json(dict(zip(keys, expanded.values())))
 
 
 def test_per_point_columns_write_as_their_expanded_table():
@@ -874,12 +885,10 @@ def test_per_point_columns_write_as_their_expanded_table():
         "level": _Column(np.array([-0.0, 1.5, 0.1]), np.array([False, True, True]), point=point),
     }
     expanded = _expanded(table)
-    csv_text, want = io.StringIO(), io.StringIO()
-    cli._write_csv(table, csv_text)
-    cli._write_csv(expanded, want)
-    assert csv_text.getvalue() == want.getvalue() == _reference_csv(expanded)
-    text = cli._json_text(_JSON_CONFIG, table)
-    assert text == cli._json_text(_JSON_CONFIG, expanded) == _reference_json(expanded)
+    text = cli._text(None, table, "csv")
+    assert text == cli._text(None, expanded, "csv") == _reference_csv(expanded)
+    text = cli._text(_JSON_CONFIG, table, "json")
+    assert text == cli._text(_JSON_CONFIG, expanded, "json") == _reference_json(expanded)
 
 
 #: bit patterns of NaNs with payloads and signs, infinities and signed zeros
@@ -1213,10 +1222,7 @@ def test_emit_json_head_matches_json_dumps_on_random_configs(doc):
     cfg = parse_config(doc)
     want = json.dumps({"version": darktrio.__version__, "config": config_to_dict(cfg),
                        "rows": [{"value": 1.5}]}, indent=2, allow_nan=False) + "\n"
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
-        _emit(cfg, {"value": _Column(np.array([1.5]))}, "json", None)
-    assert buffer.getvalue() == want
+    assert cli._text(cfg, {"value": _Column(np.array([1.5]))}, "json") == want
 
 
 @settings(max_examples=100, deadline=None)

@@ -18,8 +18,9 @@ from darktrio import (
 )
 
 from darktrio.model import _max_abs, _sector_layout
+from darktrio.twomode import _two_mode
 
-from _generators import valid_params
+from _generators import stack, valid_params
 
 FIXTURE = ModelParams(1.0, 1.0, 1.0, 0.2, 0.05, 0.1)
 
@@ -188,6 +189,11 @@ def test_validate_boundary_kappa_fails_strictly():
     report = validate(ModelParams(1.0, 1.0, 1.0, 0.1, 0.1, 1.0))
     assert not report.ass1.passed
     assert report.ass1.margin == 0.0
+    # omega_b * omega_c a perfect square: sqrt(2) * sqrt(2) would round above 2
+    for omega_b, omega_c, kappa in ((2.0, 2.0, 2.0), (2.0, 8.0, 4.0)):
+        report = validate(ModelParams(1.0, omega_b, omega_c, 0.2, 0.05, kappa))
+        assert not report.ass1.passed
+        assert report.ass1.margin == 0.0
 
 
 def test_validate_fixture_all_pass():
@@ -214,15 +220,32 @@ def test_validate_degenerate_block_reports_ass1():
 
 
 def test_validate_where_products_of_frequencies_overflow():
-    # omega_b * omega_c and the pairwise products overflow: their margins are infinite
+    # the pairwise products overflow, so the margins of assumptions 3 and 4 are
+    # infinite; assumption 1's is sqrt(omega_b) sqrt(omega_c) - |kappa|, finite
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = validate(ModelParams(1e300, 1e300, 1.3e300, 0.2, 0.05, 0.1))
+        near_max = validate(ModelParams(1.0, 1e308, 1.5e308, 0.2, 0.05, 0.1))
+        # |kappa| above sqrt(omega_b * omega_c) = 1e200, whose product form is infinite
+        strong = validate(ModelParams(1.0, 1e200, 1e200, 0.2, 0.05, 1e300))
         # a splitting of 0.2 is below 1e-12 (omega_b + omega_c), which overflows to inf
         with pytest.raises(DegenerateTwoMode, match=r"\(splitting 2\.000e-01\)"):
             validate(ModelParams(1e300, 1e300, 1e300, 0.2, 0.05, 0.1))
-    assert report.ass1.margin == report.ass3.margin == report.ass4.margin == np.inf
-    assert report.ass2.passed and report.all_pass
+    assert report.ass1.margin == 1.140175425099138e300
+    assert near_max.ass1.margin == 1.2247448713915892e308
+    assert not strong.ass1.passed and strong.ass1.margin == -1e300
+    assert report.ass3.margin == report.ass4.margin == np.inf
+    assert report.ass2.passed and report.all_pass and near_max.all_pass
+
+
+def test_an_overflowing_root_leaves_the_other_margins_of_its_batch_exact():
+    batch = stack([ModelParams(1.0, 2.0, 2.0, 0.2, 0.05, 2.0),
+                   ModelParams(1.0, 1e308, 1.5e308, 0.2, 0.05, 0.1),
+                   ModelParams(1.0, 2.0, 8.0, 0.2, 0.05, 4.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        margin1 = _two_mode(batch).ass1_margin
+    assert margin1.tolist() == [0.0, 1.2247448713915892e308, 0.0]
 
 
 def test_max_abs_matches_the_row_wise_reduction():

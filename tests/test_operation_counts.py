@@ -5,8 +5,9 @@ operations the kernels run, each a numpy call on length-1 arrays with a
 fixed cost.  This module counts the operations each kernel runs on a batch
 of one, its helpers included, and pins the counts as upper bounds, so an
 added operation shows here before it shows in a benchmark.  It pins the
-CLI layer around the kernels the same way: the config check and both
-writers on single-point tables.
+CLI layer around the kernels the same way: the config check and
+``cli._text``, the one document function, in both formats on single-point
+tables.
 
 An operation is a call, an arithmetic or comparison operator or a
 subscript in the package's source.  A statement that runs adds the
@@ -19,7 +20,6 @@ an interpreter reports lines or whether it inlines comprehensions.
 
 import ast
 import functools
-import io
 import sys
 from pathlib import Path
 
@@ -145,12 +145,9 @@ def _cli_layer():
     verify = cli._verify_rows(cfg)
     return {
         "parse_config": lambda: cli.parse_config(dict(point)),
-        "_json_text spectrum": lambda: cli._json_text(cfg, spectrum),
-        "_json_text classify": lambda: cli._json_text(cfg, classify),
-        "_json_text verify": lambda: cli._json_text(cfg, verify),
-        "_write_csv spectrum": lambda: cli._write_csv(spectrum, io.StringIO()),
-        "_write_csv classify": lambda: cli._write_csv(classify, io.StringIO()),
-        "_write_csv verify": lambda: cli._write_csv(verify, io.StringIO()),
+        **{f"_text {name} {fmt}": functools.partial(cli._text, cfg, table, fmt)
+           for name, table in (("spectrum", spectrum), ("classify", classify), ("verify", verify))
+           for fmt in ("json", "csv")},
     }
 
 
@@ -158,12 +155,12 @@ def _cli_layer():
 #: (oscillator atom) and its single-point tables, at most
 CLI_BOUNDS = {
     "parse_config": 105,
-    "_json_text spectrum": 287,
-    "_json_text classify": 246,
-    "_json_text verify": 134,
-    "_write_csv spectrum": 287,
-    "_write_csv classify": 246,
-    "_write_csv verify": 134,
+    "_text spectrum json": 287,
+    "_text classify json": 246,
+    "_text verify json": 134,
+    "_text spectrum csv": 285,
+    "_text classify csv": 244,
+    "_text verify csv": 132,
 }
 
 

@@ -54,8 +54,9 @@ def test_a_split_golden_scan_gives_its_fixture(monkeypatch, name, operation, fmt
 
 @st.composite
 def grids(draw):
-    """Configs of 1-3 scan axes and up to about 200 points; lambda = xi at
-    the base point and at the axes' shared values gives error rows."""
+    """Configs of 1-3 scan axes and up to about 200 points, with or without a
+    tolerance override; lambda = xi at the base point and at the axes' shared
+    values gives error rows."""
     coupling = st.one_of(st.sampled_from((0.0, 0.05, 0.1, 0.2)), st.floats(-0.3, 0.3))
     xi = draw(coupling)
     doc = {"omega_a": draw(st.sampled_from((1.0, 1.02, 1.2))), "omega_b": 1.0,
@@ -71,6 +72,8 @@ def grids(draw):
         axes.append({"param": param, "start": draw(values), "stop": draw(values),
                      "steps": steps})
     doc["scan"] = axes
+    # tolerances that move rows, which a worker takes from its pickled config
+    doc["tol"] = draw(st.sampled_from(({}, {"classify": 1e-3}, {"duality": 1e-14}, {"ass2": 0.5})))
     return doc
 
 
