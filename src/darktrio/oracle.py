@@ -273,8 +273,8 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances, sectors=(2,)) -> _Ch
     Every residual is computed for every point, then blanked where its
     check skips: one array holds the terms of every check that has them
     (``_CHECKS``), reduced in one pass.  The dense references are LAPACK's, never the
-    closed forms': the photon-phonon blocks, the one-excitation matrices (bare and
-    ``threemode._dressed``'s) where the spectrum is checked, and each sector's matrices where
+    closed forms': the photon-phonon blocks, the one-excitation matrices (bare and in
+    the quasimode basis) where the spectrum is checked, and each sector's matrices where
     the sector check runs, built only if one does (so no :class:`SizeLimit` otherwise).
     """
     n = len(p)
@@ -298,7 +298,8 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances, sectors=(2,)) -> _Ch
                   if kind is AtomKind.OSCILLATOR else np.full(n, _NOT_OSCILLATOR))
         e, v = spectrum.e, spectrum.v
         # the dense references: the one-excitation matrices only where the spectrum is checked
-        bare, quasi = _sector_matrices(p, AtomKind.TWO_LEVEL, 1), spectrum.h
+        bare = _sector_matrices(p, AtomKind.TWO_LEVEL, 1)
+        quasi = threemode._quasi_matrices(wa, eps, gamma)
         blocks = bare[:, 1:, 1:].copy()
         status = _Status(n)
         modes = _eigensolve(blocks, status)

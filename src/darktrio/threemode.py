@@ -30,14 +30,18 @@ amplitude 1: ``(1, u @ (Gamma / (E_j - eps)))``.  With ``kappa = 0`` the
 rotation is the identity or the swap, so the same formula covers the
 decoupled fields.
 
-Eigenvalues are taken from a dense Hermitian eigensolver (well conditioned
-near close roots) and lightly refined on d1; phi serves as a validator,
-never as the root finder.
+The levels start at the roots of phi, from the trigonometric formula for a
+cubic with three real roots in the coordinate shifted by the mean of omega_a,
+eps_1 and eps_2, and take two Newton steps on d1.  Where a step of the chain
+E_1 < eps_1 < E_2 < eps_2 < E_3 through those starts is not above
+1e-8 * (|eps_1| + |eps_2| + |omega_a|), or where ||H|| reaches 1e100, past which
+the formula's cubes can overflow, the point starts from a dense Hermitian
+eigensolver's eigenvalues of its quasimode-basis matrix instead: the one LAPACK
+call of this module.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -62,6 +66,11 @@ from .twomode import TwoModeSpectrum, _two_mode, _TwoModeBatch
 __all__ = ["ThreeModeSpectrum", "phi", "three_mode_spectrum"]
 
 _EYE3 = np.eye(3)
+#: the angle offsets of the cubic's roots in ascending order
+_THIRDS = np.array([-4.0, -2.0, 0.0]) * np.pi / 3.0
+#: per quasimode energy eps_nu (row) and level E_j (column), the sign of E_j - eps_nu
+#: in the chain E_1 < eps_1 < E_2 < eps_2 < E_3
+_SIDES = np.array([[-1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,16 +101,15 @@ class ThreeModeSpectrum:
 
 class _ThreeModeBatch(NamedTuple):
     """:class:`ThreeModeSpectrum` of every point of a batch: ``e`` and ``n_norm`` (n, 3),
-    ``v`` (n, 3, 3), ``residual`` (n,) the max-norm of ``V'V - I``, ``h`` (n, 3, 3) the
-    quasimode-basis matrices, ``r`` (n, 2, 3) the offsets ``r[:, nu, j] = E_j - eps_nu``
-    (their one statement), ``two``.  Rows of points that failed (``status``) hold no
-    solution: a point that failed before the solve is not solved."""
+    ``v`` (n, 3, 3), ``residual`` (n,) the max-norm of ``V'V - I``, ``r`` (n, 2, 3) the
+    offsets ``r[:, nu, j] = E_j - eps_nu`` (their one statement), ``two``.  Rows of points
+    that failed (``status``) hold no solution: a point that failed before the solve is not
+    solved."""
 
     e: np.ndarray
     n_norm: np.ndarray
     v: np.ndarray
     residual: np.ndarray
-    h: np.ndarray
     r: np.ndarray
     two: _TwoModeBatch
     status: _Status
@@ -123,12 +131,43 @@ def _quasi_matrices(omega_a, eps, gamma) -> np.ndarray:
     return h
 
 
+def _pole_margin(r) -> np.ndarray:
+    """Least step of the chain ``E_1 < eps_1 < E_2 < eps_2 < E_3`` per point, from the
+    offsets ``r`` (n, 2, 3), ``r[:, nu, j] = E_j - eps_nu``, each signed by the side of
+    ``eps_nu`` that ``E_j`` lies on (``_SIDES``): positive exactly where the chain holds."""
+    return np.minimum.reduce(r * _SIDES, axis=(1, 2))
+
+
 def _interlacing_margin(e, r) -> np.ndarray:
     """Least step of the chain ``0 < E_1 < eps_1 < E_2 < eps_2 < E_3`` per
     point, from the levels ``e`` (n, 3) and their offsets ``r`` (n, 2, 3):
     positive exactly where the chain holds."""
-    return functools.reduce(np.minimum, (e[:, 0], -r[:, 0, 0], r[:, 0, 1], -r[:, 1, 1],
-                                         r[:, 1, 2]))
+    return np.minimum(e[:, 0], _pole_margin(r))
+
+
+def _trig_roots(diag, total, g1, g2) -> np.ndarray:
+    """The roots of phi (n, 3), ascending, by the trigonometric formula for a cubic with
+    three real roots, from the diagonal ``diag`` (3, n), rows (eps_1, eps_2, omega_a), its
+    sum ``total`` and the ``|Gamma_j|^2`` ``g1`` and ``g2`` (n,).
+
+    In ``y = x - s``, ``s`` the mean of the diagonal and ``(a, b, c) = diag - s``, phi is
+    ``y^3 + p y + q`` with ``p = ab + bc + ca - |Gamma_1|^2 - |Gamma_2|^2`` and ``q =
+    |Gamma_1|^2 b + |Gamma_2|^2 a - abc`` (the ``y^2`` term is the rounding of ``a + b + c``,
+    left out); its roots are ``2 sqrt(-p/3) cos((theta - 2 pi k) / 3)`` with ``cos(theta) =
+    -q / (2 (-p/3)^(3/2))``.  ``q`` and its divisor hold cubes of the matrix's entries, so
+    the roots are wrong where those overflow, past ``||H||`` of about 5e102.
+    """
+    shift = total / 3.0
+    a, b, c = diag - shift
+    ab = a * b
+    third = (ab + b * c + c * a - g1 - g2) / -3.0
+    root = np.sqrt(third)
+    # -q / (2 third root), written with the sign in the divisor
+    cosine = (g1 * b + g2 * a - ab * c) / (third * -2.0 * root)
+    # where rounding puts |cos(theta)| above 1, two roots nearly coincide: theta is NaN,
+    # and so are the roots, which then leave their bracket
+    theta = np.arccos(cosine) / 3.0
+    return shift[:, None] + (root + root)[:, None] * np.cos(theta[:, None] + _THIRDS)
 
 
 def _d1_and_slope(x, omega_a, poles, gsq):
@@ -198,8 +237,13 @@ def _dressed(p: _Batch, two: _TwoModeBatch) -> _ThreeModeBatch:
     """:func:`three_mode_spectrum` for every point of the batch ``p``, from its
     solved photon-phonon blocks ``two``.
 
-    The levels are the stacked Hermitian eigenvalues, refined by two Newton
-    steps on d1 each.
+    Each level starts at the cubic's trigonometric root (:func:`_trig_roots`), or, on a
+    point where a step of the chain ``E_1 < eps_1 < E_2 < eps_2 < E_3`` through its
+    starts (:func:`_pole_margin`) is not above 1e-8 times the diagonal's
+    magnitude, or whose ``||H||`` reaches 1e100, at LAPACK's eigenvalue of the point's
+    quasimode-basis matrix; then it takes two Newton steps on d1.  ``||H||`` for the
+    finiteness and level-gap checks is formed from ``omega_a``, ``eps`` and ``|Gamma|^2``:
+    the main path builds no matrix.
     """
     n = len(p)
     status = _Status(n)
@@ -215,26 +259,41 @@ def _dressed(p: _Batch, two: _TwoModeBatch) -> _ThreeModeBatch:
         f"an effective coupling vanishes (|Gamma| = {g_min[i]:.3e})"
     ))
 
-    h = _quasi_matrices(p.omega_a, two.eps, two.gamma)
-    parts = h.view(float).reshape(n, 18)
+    # eps_1, eps_2, omega_a, |Gamma_1|^2, |Gamma_2|^2: the quasimode-basis matrix, per point
+    entries = np.empty((5, n))
+    entries[:2], entries[2], entries[3:] = two.eps.T, p.omega_a, two.gamma_sq.T
+    diag, g1, g2 = entries[:3], entries[3], entries[4]
     with np.errstate(all="ignore"):
-        scale = np.sqrt(np.add.reduce(parts * parts, axis=1))
-        # LAPACK may not converge on a matrix whose norm overflows
+        # ||H||_F, whose off-diagonal pairs hold each |Gamma_j|^2 twice
+        scale = np.sqrt(np.add.reduce(diag * diag) + (g1 + g2) * 2.0)
         status.fail(~np.isfinite(scale), lambda i: DegenerateSpectrum(
             f"||H|| = {scale[i]} is not finite, so the dressed levels cannot be resolved"))
-        levels = _eigensolve(h, status, status.ok, vectors=False)
-        # omega_a, eps_1, eps_2, |Gamma_1|^2, |Gamma_2|^2, one copy per level:
-        # operands of one shape keep numpy on its fast path
+        # the entries, one copy per level: operands of one shape keep numpy on its fast path
         per_level = np.empty((5, n, 3))
-        wa, poles, gsq = per_level[0], per_level[1:3], per_level[3:]
-        wa[:], poles[:] = p.omega_a[:, None], two.eps.T[:, :, None]
-        gsq[:] = two.gamma_sq.T[:, :, None]
+        per_level[:] = entries[:, :, None]
+        poles, wa, gsq = per_level[:2], per_level[2], per_level[3:]
+        total = np.add.reduce(diag)
+        start = _trig_roots(diag, total, g1, g2)
+        # a start keeps its bracket where the chain E_1 < eps_1 < E_2 < eps_2 < E_3 holds
+        # with steps above 1e-8 * (|eps_1| + |eps_2| + |omega_a|) (the diagonal is positive
+        # on a point that has not failed), on a point whose cubes cannot overflow: where
+        # the divisor of cos(theta) overflows, cos(theta) reads as 0, and the wrong start
+        # may still keep its bracket
+        bracket = _pole_margin((start - poles).swapaxes(0, 1))
+        keep = status.ok & (scale < 1e100) & (bracket > total * 1e-8)
+        levels, stopped = start, False  # a start in its bracket is off the poles
+        if np.count_nonzero(keep) < n:
+            # LAPACK's start for the rest of the points that have not failed
+            redo = status.ok & ~keep
+            fallback = (_eigensolve(_quasi_matrices(p.omega_a, two.eps, two.gamma), status,
+                                    redo, vectors=False) if np.count_nonzero(redo) else np.nan)
+            levels = np.where(keep[:, None], start, fallback)
+            stopped = np.logical_or.reduce(levels == poles)
         # two Newton steps on d1; the slope is >= 1, so steps are small and
         # safe.  A level that lands on a pole stays there.
-        stopped = np.zeros(levels.shape, dtype=bool)
-        for _ in range(2):
-            at_pole = levels == poles
-            stopped |= at_pole[0] | at_pole[1]
+        for step in range(2):
+            if step:
+                stopped = stopped | np.logical_or.reduce(levels == poles)
             value, slope = _d1_and_slope(levels, wa, poles, gsq)
             levels = np.where(stopped, levels, levels - value / slope)
         levels.sort(axis=1)
@@ -243,8 +302,8 @@ def _dressed(p: _Batch, two: _TwoModeBatch) -> _ThreeModeBatch:
             f"dressed levels {levels[i].tolist()} are closer than 1.0e-10 * ||H||"
         ))
         at_pole = levels == poles
-        on_pole = at_pole[0] | at_pole[1]
-        if np.count_nonzero(on_pole):
+        if np.count_nonzero(at_pole):
+            on_pole = at_pole[0] | at_pole[1]
             status.fail(on_pole.any(axis=1), lambda i: DegenerateSpectrum(
                 f"dressed level {levels[i][on_pole[i]][0].item()} collides with a quasimode "
                 f"energy {tuple(two.eps[i].tolist())}"
@@ -263,4 +322,4 @@ def _dressed(p: _Batch, two: _TwoModeBatch) -> _ThreeModeBatch:
         f"closed-form unitary failed its sanity bound (residual {residual[i]:.3e}); "
         "the spectrum is too ill-conditioned for the closed forms"
     ))
-    return _ThreeModeBatch(levels, n_norm, v, residual, h, r, two, status)
+    return _ThreeModeBatch(levels, n_norm, v, residual, r, two, status)

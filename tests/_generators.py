@@ -6,8 +6,10 @@ away from zero, and dressed levels keep a minimum distance from the
 quasimode poles.  All randomness flows through the caller's generator, so
 tests stay deterministic.  ``valid_batch`` draws a whole batch of the
 kernels' struct-of-arrays form at once, and ``stack`` builds one from a
-list of points.  ``rwa_block_matrix`` writes down the photon-phonon block
-that the dense references diagonalize.
+list of points.  ``weak_coupling_batch`` is the exception: it draws
+couplings down to 1e-9 and keeps every point, ill-conditioned or failing.
+``rwa_block_matrix`` writes down the photon-phonon block that the dense
+references diagonalize.
 """
 
 import numpy as np
@@ -118,6 +120,22 @@ def valid_batch(rng, n, require_all=False, min_gamma=0.02):
         kept.append(_Batch(*(getattr(p, name)[keep] for name in BATCH_FIELDS)))
     return _Batch(*(np.concatenate([getattr(block, name) for block in kept])[:n]
                     for name in BATCH_FIELDS))
+
+
+def weak_coupling_batch():
+    """The weak-coupling sample: ``np.random.default_rng(1010)``, 3,000 points with
+    ``omega_a, omega_b, omega_c`` uniform in [0.5, 2], then ``lambda``, ``xi`` and ``kappa``
+    each log-uniform in [1e-9, 2], ``lambda`` and ``xi`` with a random sign after their
+    magnitude; every point kept."""
+    rng, n = np.random.default_rng(1010), 3_000
+
+    def magnitude():
+        return np.exp(rng.uniform(np.log(1e-9), np.log(2.0), n))
+
+    omega_a, omega_b, omega_c = rng.uniform(0.5, 2.0, (3, n))
+    lam = magnitude() * rng.choice((-1.0, 1.0), n)
+    xi = magnitude() * rng.choice((-1.0, 1.0), n)
+    return _Batch(omega_a, omega_b, omega_c, lam + 0j, xi + 0j, magnitude() + 0j)
 
 
 def stack(points):

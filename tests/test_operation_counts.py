@@ -117,11 +117,11 @@ def _kernels():
 #: the operations each kernel runs on ``POINT`` as a batch of one, at most
 BOUNDS = {
     "_two_mode": 72,
-    "_dressed": 163,
+    "_dressed": 187,
     "_classified": 126,
-    "_duality": 372,
-    "_crosscheck two-level": 680,
-    "_crosscheck oscillator": 785,
+    "_duality": 395,
+    "_crosscheck two-level": 711,
+    "_crosscheck oscillator": 816,
 }
 
 

@@ -1,6 +1,7 @@
 """Dense diagonalization oracle and cross-checks."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -227,24 +228,53 @@ def test_a_failed_photon_phonon_solve_fails_only_its_point(monkeypatch):
     np.testing.assert_array_equal(checks.residual[1], alone.residual[0])
 
 
-def test_a_failed_dressed_solve_fails_only_its_point(monkeypatch, tmp_path, capsys):
-    import json
-
+def test_a_benign_scan_makes_no_lapack_call(monkeypatch, tmp_path):
     from darktrio.cli import main
 
-    p = stack([dataclasses.replace(FIXTURE, omega_a=w) for w in (0.9, 1.0, 1.1)])
+    # 10 x 100 points of lambda x xi, each with a trigonometric start inside its bracket
+    config = tmp_path / "scan.json"
+    config.write_text(json.dumps({
+        "omega_a": 1.02, "omega_b": 1.0, "omega_c": 1.0, "kappa": 0.1,
+        "scan": [{"param": "lambda", "start": 0.00125, "stop": 0.0125, "steps": 10},
+                 {"param": "xi", "start": 0.2, "stop": 0.3, "steps": 100}]}))
+
+    def scans():
+        for operation in ("spectrum", "duality"):
+            out = tmp_path / f"{operation}.csv"
+            assert main(["scan", operation, "--config", str(config), "--format", "csv",
+                         "--output", str(out)]) == 0
+            yield out.read_bytes()
+
+    before = list(scans())
+
+    def unreachable(a):
+        raise AssertionError("LAPACK was called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
+    assert list(scans()) == before
+
+
+#: a point whose trigonometric start comes within 1e-8 of a quasimode energy (the
+#: photon's level, with |Gamma_1| about 1e-6), so it starts from LAPACK's eigenvalues
+FALLBACK = ModelParams(1.0, 1.3, 1.6, 1e-6, 0.05, 1e-9)
+
+
+def test_a_failed_fallback_solve_fails_only_its_point(monkeypatch, tmp_path, capsys):
+    from darktrio.cli import main
+
+    p = stack([dataclasses.replace(FALLBACK, omega_a=w) for w in (0.9, 1.0, 1.1)])
     before = threemode._dressed(p, twomode._two_mode(p))
     # the atom frequency sits in the last diagonal entry of the quasimode-basis matrix
     _failing_eigh(monkeypatch, lambda a: a[2, 2].real == 1.0, "eigvalsh")
     after = threemode._dressed(p, twomode._two_mode(p))
     with pytest.raises(ConvergenceFailure, match="^dense eigensolver failed: Eigenvalues did not"):
         after.status.check(1)
-    assert after.status.code[::2].tolist() == [0, 0]
+    assert before.status.ok.all() and after.status.code[::2].tolist() == [0, 0]
     for name in ("e", "n_norm", "v", "residual"):
         assert getattr(after, name)[::2].tobytes() == getattr(before, name)[::2].tobytes()
 
-    point = {"omega_a": 1.0, "omega_b": 1.0, "omega_c": 1.0, "lambda": 0.2, "xi": 0.05,
-             "kappa": 0.1}
+    point = {"omega_a": 1.0, "omega_b": 1.3, "omega_c": 1.6, "lambda": 1e-6, "xi": 0.05,
+             "kappa": 1e-9}
     config = tmp_path / "scan.json"
     config.write_text(json.dumps(dict(point, scan=[
         {"param": "omega_a", "start": 0.9, "stop": 1.1, "steps": 3}])))

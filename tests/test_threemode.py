@@ -275,3 +275,23 @@ def test_a_coupling_whose_square_overflows_is_refused():
             with pytest.raises(DegenerateSpectrum,
                                match="^effective couplings .* or their squares are not finite$"):
                 call(overflowing)
+
+
+@pytest.mark.parametrize("coupling,refused", [(6e153, False), (7e153, True)])
+def test_the_norm_check_is_the_quasimode_matrix_norm(coupling, refused):
+    # quasimode energies 1e153 and 2e153, omega_a 1e153 and |Gamma_j| = coupling: the
+    # Frobenius norm holds each |Gamma_j|^2 twice, and overflows at 7e153, where the
+    # diagonal and one copy of each coupling would not
+    params = ModelParams(1e153, 1e153, 2e153, coupling, coupling, 0.0)
+    two = two_mode_spectrum(params)
+    quasi = _quasi_matrices(np.array([params.omega_a]), np.array([two.eps]),
+                            np.array([two.gamma]))
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.linalg.norm(quasi)) == refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if refused:
+            with pytest.raises(DegenerateSpectrum, match=r"^\|\|H\|\| = inf is not finite"):
+                three_mode_spectrum(params)
+        else:
+            assert np.isfinite(three_mode_spectrum(params).e).all()
