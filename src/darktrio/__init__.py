@@ -23,7 +23,6 @@ from .darkstates import (
     classify,
     classify_spectrum,
     dark_tuning,
-    duality_swap,
     multiquantum_state,
     relabel_modes,
     two_mode_binomial_state,

@@ -566,24 +566,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _scan_rows(cfg: RunConfig, operation: str, fmt: str, p: _Batch) -> str:
-    """The rows of ``operation``'s output on the points ``p``, joined as in its document."""
-    _, rows = _layout(cfg, _RUNNERS[operation](cfg, p), fmt)
-    return _FORMATS[fmt][2].join(rows)
-
-
 def _serve(conn, caller) -> None:
-    """A worker: answers each task ``conn`` receives with its :func:`_scan_rows` or its
-    error, until every copy of the caller's end of the pipe is closed."""
+    """A worker: answers each task ``(cfg, operation, fmt, p)`` ``conn`` receives with the
+    rows of ``operation``'s output on the points ``p``, joined as in its document, or with
+    its error, until every copy of the caller's end of the pipe is closed."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     caller.close()  # so that the pipe closes with the caller, however it ends
     while True:
         try:
-            task = conn.recv()
+            cfg, operation, fmt, p = conn.recv()
         except EOFError:
             return
         try:
-            reply = _scan_rows(*task)
+            _, rows = _layout(cfg, _RUNNERS[operation](cfg, p), fmt)
+            reply = _FORMATS[fmt][2].join(rows)
         except Exception as err:
             reply = err
         conn.send(reply)

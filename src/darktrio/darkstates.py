@@ -19,7 +19,7 @@ conditions and the two states, which is the duality this package verifies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -50,7 +50,6 @@ __all__ = [
     "dark_tuning",
     "assemble_eigenstate",
     "classify",
-    "duality_swap",
     "two_mode_binomial_state",
     "multiquantum_state",
     "relabel_modes",
@@ -203,13 +202,13 @@ def _tuning(p: _Batch, tol: float):
     """:func:`dark_tuning` per point: (residual, energy, satisfied) arrays
     for the dark and the quasi-dark branch, and the status."""
     status = _Status(len(p))
-    omega, lam, xi, kappa = _resonant_real(p, status)
-    target = omega - p.omega_a
-    threshold = tol * np.maximum(1.0, np.abs(target))
-    # both branches at once: the dark one leads with lambda, the quasi-dark
-    # one with xi, and a branch whose leading coupling vanishes is inapplicable
-    x, y = np.array([lam, xi]), np.array([xi, lam])
     with np.errstate(all="ignore"):
+        omega, lam, xi, kappa = _resonant_real(p, status)
+        target = omega - p.omega_a
+        threshold = tol * np.maximum(1.0, np.abs(target))
+        # both branches at once: the dark one leads with lambda, the quasi-dark
+        # one with xi, and a branch whose leading coupling vanishes is inapplicable
+        x, y = np.array([lam, xi]), np.array([xi, lam])
         residual = np.where(x == 0.0, np.inf, np.abs(_f_of(x, y, kappa) - target))
         energy = np.where(x == 0.0, np.nan, _e_of(x, y, omega, kappa))
     return tuple(zip(residual, energy, residual < threshold)), status
@@ -270,11 +269,6 @@ _VARIANTS = (StateClass.DEGENERATE, StateClass.DARK, StateClass.QUASI_DARK, Stat
 def _variant_codes(photon, phonon, cutoff):
     """Index into ``_VARIANTS`` per state, from amplitude magnitudes and cutoffs."""
     return 3 - 2 * (photon < cutoff) - (phonon < cutoff)
-
-
-def duality_swap(params: ModelParams) -> ModelParams:
-    """Exchange the atom-photon and atom-phonon coupling strengths."""
-    return replace(params, lam=params.xi, xi=params.lam)
 
 
 def two_mode_binomial_state(ell: int, modes: tuple[int, int], coeffs: tuple[complex, complex],

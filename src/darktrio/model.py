@@ -11,6 +11,7 @@ dense Hermitian matrix that can be written down exactly.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -274,12 +275,8 @@ def validate(params: ModelParams) -> AssumptionReport:
     p = _batch_of(params)
     two = _two_mode(p)
     two.check()
-    return _assumption_report(_assumption_margins(p, two)[0])
-
-
-def _assumption_report(margins) -> AssumptionReport:
-    """The report from one point's four margins."""
-    return AssumptionReport(*(AssumptionCheck(m > 0.0, m) for m in margins.tolist()))
+    margins = _assumption_margins(p, two)[0].tolist()
+    return AssumptionReport(*(AssumptionCheck(m > 0.0, m) for m in margins))
 
 
 def _assumption_margins(p: _Batch, two, ass2_rtol: float = GAMMA_RTOL) -> np.ndarray:
@@ -443,6 +440,9 @@ def _eigensolve(a: np.ndarray, status: _Status, solve=np.True_, vectors: bool = 
     return (values, columns) if vectors else values
 
 
+_AS_IS = contextlib.nullcontext()  # the error state a finite-norm matrix's residual keeps
+
+
 def _eigh(a: np.ndarray, solve=np.True_):
     """``oracle.dense_hermitian_eig`` of each matrix of the C-contiguous stack ``a``
     (n, d, d): ascending values, eigenvector columns and the per-matrix status.  A matrix
@@ -454,6 +454,7 @@ def _eigh(a: np.ndarray, solve=np.True_):
     scale = np.sqrt(np.einsum("ijk,ijk->i", parts, parts))
     if np.isfinite(scale).all():
         deviation = _max_abs(a - a.conj().swapaxes(1, 2))
+        quiet = _AS_IS
     else:
         # ||A|| as m ||A / m||, m the largest magnitude: held finite, or NaN for a non-finite A
         with np.errstate(all="ignore"):
@@ -465,13 +466,15 @@ def _eigh(a: np.ndarray, solve=np.True_):
             held = top * np.sqrt(np.einsum("ijk,ijk->i", rest, rest))
             scale = np.where(np.isfinite(scale), scale, np.minimum(held, np.finfo(float).max))
             deviation = _max_abs(a - a.conj().swapaxes(1, 2))
+        quiet = np.errstate(all="ignore")  # the residual and Gram of such a matrix overflow too
     status.fail((deviation > 1e-13 * np.maximum(scale, 1e-300)) & solve, lambda i: NotHermitian(
         f"matrix deviates from Hermitian by {deviation[i]:.3e}"))
     values, vectors = _eigensolve(a, status, solve)
-    residual = _max_abs(a @ vectors - vectors * values[:, None, :])
-    gram = vectors.conj().swapaxes(1, 2) @ vectors
-    gram.reshape(n, -1)[:, ::dim + 1] -= 1.0  # V'V - I, without an identity matrix
-    ortho = _max_abs(gram)
+    with quiet:
+        residual = _max_abs(a @ vectors - vectors * values[:, None, :])
+        gram = vectors.conj().swapaxes(1, 2) @ vectors
+        gram.reshape(n, -1)[:, ::dim + 1] -= 1.0  # V'V - I, without an identity matrix
+        ortho = _max_abs(gram)
     # a solved point passes only where both are within their bounds, which NaN never is
     within = (residual <= 1e-11 * np.maximum(scale, 1.0)) & (ortho <= 1e-12)
     status.fail(~within & solve, lambda i: ConvergenceFailure(

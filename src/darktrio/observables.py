@@ -99,30 +99,25 @@ def _occupation_pair(params: ModelParams, energy: float) -> tuple[float, float]:
     e = np.array([[_finite_energy(energy)]])
     p = _batch_of(params)
     status = _Status(1)
-    regime = _resonant_real(p, status, GammaZero)
     two = _two_mode(p)
     with np.errstate(all="ignore"):
+        regime = _resonant_real(p, status, GammaZero)
         _check_energies(p, e, e[:, None] - two.eps[:, :, None], two, regime, status)
         b, c = _occupations(p, e, regime)
     status.check()
     return b[0, 0].item(), c[0, 0].item()
 
 
-def b_occupation(params: ModelParams, energy: float, *, normalized: bool = False) -> float:
-    """Photon occupation of the atom-amplitude-1 eigenstate at ``energy``.
-
-    ``normalized=True`` divides by the squared norm
-    ``1 + <b'b> + <c'c>``, i.e. reports the occupation of the normalized
-    state instead of the unnormalized closed form.
-    """
-    b, c = _occupation_pair(params, energy)
-    return b / (1.0 + b + c) if normalized else b
+def b_occupation(params: ModelParams, energy: float) -> float:
+    """Photon occupation of the atom-amplitude-1 eigenstate at ``energy``: the
+    unnormalized closed form, so ``b / (1 + b + c)`` with :func:`c_occupation`'s ``c``
+    is that of the normalized state."""
+    return _occupation_pair(params, energy)[0]
 
 
-def c_occupation(params: ModelParams, energy: float, *, normalized: bool = False) -> float:
+def c_occupation(params: ModelParams, energy: float) -> float:
     """Phonon occupation; mirror of :func:`b_occupation`."""
-    b, c = _occupation_pair(params, energy)
-    return c / (1.0 + c + b) if normalized else c
+    return _occupation_pair(params, energy)[1]
 
 
 def duality_report(params: ModelParams, tol: float = Tolerances.duality) -> DualityReport:
@@ -153,13 +148,13 @@ def _duality(p: _Batch, tol: float) -> tuple[DualityReport, _Status]:
     n = len(p)
     both = p.and_swapped()
     checks = _Status(2 * n)
-    regime = _resonant_real(both, checks)
-    spec = _dressed(both, _two_mode(both))
-    status = _Status(n)
-    for stage, offset in ((checks, 0), (spec.status, 0), (spec.status, n)):
-        status.inherit(stage, offset)
-    base, mirror = spec.e[:n], spec.e[n:]
     with np.errstate(all="ignore"):
+        regime = _resonant_real(both, checks)
+        spec = _dressed(both, _two_mode(both))
+        status = _Status(n)
+        for stage, offset in ((checks, 0), (spec.status, 0), (spec.status, n)):
+            status.inherit(stage, offset)
+        base, mirror = spec.e[:n], spec.e[n:]
         apart = np.abs(base - mirror) > 1e-12 * np.maximum(1.0, np.abs(base))
         if np.count_nonzero(apart):
             status.fail(apart.any(axis=1), lambda i: DegenerateSpectrum(

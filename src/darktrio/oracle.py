@@ -284,9 +284,9 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances, sectors=(2,)) -> _Ch
     eps, gamma, u, solved = two.eps, two.gamma, two.u, two.status.ok
     spectrum = threemode._dressed(p, two)
     regime = _Status(n)
-    resonant = darkstates._resonant_real(p, regime, GammaZero)
 
     with np.errstate(all="ignore"):
+        resonant = darkstates._resonant_real(p, regime, GammaZero)
         margins = _assumption_margins(p, two, tol.ass2)
         # the three-mode checks' skip reason, the first that applies winning
         dressed = np.where(solved, np.where(eps[:, 0] > 0.0, np.where(

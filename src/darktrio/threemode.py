@@ -91,13 +91,6 @@ class ThreeModeSpectrum:
     def __post_init__(self):
         self.v.setflags(write=False)
 
-    @property
-    def bare_vectors(self) -> np.ndarray:
-        """Eigenvectors over (atom, photon, phonon), atom amplitude 1; column j is level j."""
-        two = self.two
-        return _bare_vectors(two.u, np.array(two.gamma),
-                             np.array(self.e) - np.array(two.eps)[:, None])
-
 
 class _ThreeModeBatch(NamedTuple):
     """:class:`ThreeModeSpectrum` of every point of a batch: ``e`` and ``n_norm`` (n, 3),

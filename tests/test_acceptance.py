@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from darktrio import (
     dark_tuning,
     dense_hermitian_eig,
     duality_report,
-    duality_swap,
     multiquantum_state,
     oscillator_sector_check,
     phi,
@@ -130,7 +130,7 @@ def test_tuned_dark_and_swapped_quasi_dark():
             state = assemble_eigenstate(p, energy)
             assert abs(state.amps[1]) / state.norm < 1e-10
 
-            swapped = duality_swap(p)
+            swapped = replace(p, lam=p.xi, xi=p.lam)
             _, quasi = dark_tuning(swapped)
             assert quasi.kind is StateClass.QUASI_DARK
             assert quasi.energy == pytest.approx(energy, abs=1e-12)

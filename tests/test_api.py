@@ -75,12 +75,8 @@ SIGNATURES = {
     ),
     "ValidationReport": "(checks: 'tuple[CheckResult, ...]') -> None",
     "assemble_eigenstate": "(params: 'ModelParams', energy: 'float') -> 'SectorVector'",
-    "b_occupation": (
-        "(params: 'ModelParams', energy: 'float', *, normalized: 'bool' = False) -> 'float'"
-    ),
-    "c_occupation": (
-        "(params: 'ModelParams', energy: 'float', *, normalized: 'bool' = False) -> 'float'"
-    ),
+    "b_occupation": "(params: 'ModelParams', energy: 'float') -> 'float'",
+    "c_occupation": "(params: 'ModelParams', energy: 'float') -> 'float'",
     "classify": "(state: 'SectorVector', tol: 'float' = 1e-09) -> 'Classification'",
     "classify_spectrum": (
         "(params: 'ModelParams', tol: 'float' = 1e-09) -> 'list[EigenstateRecord]'"
@@ -99,7 +95,6 @@ SIGNATURES = {
     ),
     "dense_hermitian_eig": "(matrix) -> 'EigenDecomposition'",
     "duality_report": "(params: 'ModelParams', tol: 'float' = 1e-10) -> 'DualityReport'",
-    "duality_swap": "(params: 'ModelParams') -> 'ModelParams'",
     "multiquantum_state": (
         "(params: 'ModelParams', branch: 'StateClass', n: 'int') -> 'SectorVector'"
     ),
@@ -132,7 +127,7 @@ def _has_signature(obj):
 
 def test_public_names_are_pinned():
     assert _public_names() == UNSIGNED | (SIGNATURES.keys() - {"cli.main"})
-    assert len(_public_names()) == 60
+    assert len(_public_names()) == 59
 
 
 def test_public_signatures_are_pinned():

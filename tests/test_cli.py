@@ -581,6 +581,30 @@ def test_resonant_frequencies_near_the_float_limit_print_no_warning(tmp_path, ca
         assert (code, err) == (0, "")
 
 
+#: points whose couplings sit near the float range: lambda -+ xi overflows at the first
+#: two, and the bare matrix's residual at the last two, whose Frobenius norms overflow
+EXTREME_COUPLINGS = {
+    "lambda-minus-xi": {"omega_a": 1.5, "omega_b": 1, "omega_c": 1,
+                        "lambda": -1.7e308, "xi": 1.7e308, "kappa": 0.5},
+    "lambda-plus-xi": {"omega_a": 1e10, "omega_b": 1e300, "omega_c": 1e300,
+                       "lambda": -1.7e308, "xi": -1.7e308, "kappa": 1e-300},
+    "residual-matmul": {"omega_a": 1.7e308, "omega_b": 1.5, "omega_c": 1e10,
+                        "lambda": -1.7e308, "xi": 1e150, "kappa": 0.5},
+    "residual-multiply": {"omega_a": 1.5, "omega_b": 1e-10, "omega_c": 1e-10,
+                          "lambda": 0.5, "xi": -1.7e308, "kappa": -1.7e308},
+}
+
+
+@pytest.mark.parametrize("command", ["classify", "duality", "verify"])
+@pytest.mark.parametrize("point", list(EXTREME_COUPLINGS))
+def test_couplings_near_the_float_range_print_no_warning(tmp_path, capsys, point, command):
+    cfg = write_config(tmp_path, EXTREME_COUPLINGS[point])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, command, "--config", cfg)
+    assert code in (0, 2, 3) and "Traceback" not in err and "Warning" not in err
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_classify_solves_where_the_bare_norm_overflows(tmp_path, capsys, fmt):
     # the bare matrix's Frobenius norm overflows; its solve is checked

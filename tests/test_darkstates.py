@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from darktrio import (
     dark_tuning,
     dense_hermitian_eig,
     duality_report,
-    duality_swap,
     multiquantum_state,
     oscillator_sector_check,
     phi,
@@ -219,13 +219,6 @@ def test_classify_wrong_sector():
         classify(SectorVector(np.ones(6), ell=2))
 
 
-def test_duality_swap_is_involution():
-    p = ModelParams(1.0, 1.0, 1.0, 0.2, 0.05, 0.1)
-    swapped = duality_swap(p)
-    assert swapped.lam == 0.05 + 0j and swapped.xi == 0.2 + 0j
-    assert duality_swap(swapped) == p
-
-
 def test_duality_classification_exchange():
     rng = np.random.default_rng(52)
     for _ in range(10):
@@ -235,7 +228,7 @@ def test_duality_classification_exchange():
             if r.classification.variant is StateClass.DARK
         ]
         assert len(records) == 1
-        swapped = duality_swap(p)
+        swapped = replace(p, lam=p.xi, xi=p.lam)
         mirrored = [
             r for r in classify_spectrum(swapped)
             if r.classification.variant is StateClass.QUASI_DARK

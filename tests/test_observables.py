@@ -1,5 +1,7 @@
 """Closed-form occupations and the coupling-swap duality."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from darktrio import (
     c_occupation,
     classify_spectrum,
     duality_report,
-    duality_swap,
     three_mode_spectrum,
 )
 
@@ -74,12 +75,9 @@ def test_normalized_variant_matches_normalized_state():
     energy = three_mode_spectrum(p).e[1]
     state = assemble_eigenstate(p, energy)
     norm2 = state.norm**2
-    assert b_occupation(p, energy, normalized=True) == pytest.approx(
-        abs(state.amps[1]) ** 2 / norm2, rel=1e-9
-    )
-    assert c_occupation(p, energy, normalized=True) == pytest.approx(
-        abs(state.amps[2]) ** 2 / norm2, rel=1e-9
-    )
+    b, c = b_occupation(p, energy), c_occupation(p, energy)
+    assert b / (1.0 + b + c) == pytest.approx(abs(state.amps[1]) ** 2 / norm2, rel=1e-9)
+    assert c / (1.0 + b + c) == pytest.approx(abs(state.amps[2]) ** 2 / norm2, rel=1e-9)
 
 
 def test_occupation_regime_guards():
@@ -102,9 +100,8 @@ def test_a_non_finite_energy_is_not_an_eigenvalue(energy):
     with pytest.raises(NotAnEigenvalue, match=message):
         assemble_eigenstate(FIXTURE, energy)
     for occupation in (b_occupation, c_occupation):
-        for normalized in (False, True):
-            with pytest.raises(NotAnEigenvalue, match=message):
-                occupation(FIXTURE, energy, normalized=normalized)
+        with pytest.raises(NotAnEigenvalue, match=message):
+            occupation(FIXTURE, energy)
 
 
 def test_quasi_dark_self_consistency_with_zero_lambda():
@@ -198,13 +195,17 @@ def test_assembled_states_match_unitary_columns():
     # the same coefficient triple up to the normalizer, so the occupation
     # formulas apply to both paths; check the two routes agree numerically
     from darktrio import two_mode_spectrum
-    from darktrio.threemode import _quasi_matrices
+    from darktrio.threemode import _bare_vectors, _quasi_matrices
 
     rng = np.random.default_rng(65)
     for _ in range(20):
         p = resonant_real_params(rng)
         two = two_mode_spectrum(p)
         spectrum = three_mode_spectrum(p)
+        # every level's bare-basis eigenvector from one call, as the batch kernels form them
+        solved = spectrum.two
+        columns = _bare_vectors(solved.u, np.array(solved.gamma),
+                                np.array(spectrum.e) - np.array(solved.eps)[:, None])
         for j, energy in enumerate(spectrum.e):
             column = spectrum.v[:, j] / spectrum.n_norm[j]
             photon, phonon = two.u @ column[:2]
@@ -212,7 +213,7 @@ def test_assembled_states_match_unitary_columns():
             np.testing.assert_allclose(
                 state.amps, [column[2], photon, phonon], rtol=0, atol=1e-10
             )
-            np.testing.assert_array_equal(spectrum.bare_vectors[:, j], state.amps)
+            np.testing.assert_array_equal(columns[:, j], state.amps)
         quasi = _quasi_matrices(np.array([p.omega_a]), np.array([two.eps]),
                                 np.array([two.gamma]))[0]
         assert np.max(np.abs(
@@ -225,7 +226,7 @@ def test_duality_swap_round_trip_through_report():
     for _ in range(20):
         p = resonant_real_params(rng)
         forward = duality_report(p)
-        backward = duality_report(duality_swap(p))
+        backward = duality_report(replace(p, lam=p.xi, xi=p.lam))
         assert forward.max_mismatch < 1e-10
         assert backward.max_mismatch < 1e-10
         np.testing.assert_allclose(forward.energies[0], backward.energies[1], rtol=1e-12)
@@ -238,5 +239,6 @@ def test_normalized_occupations_are_squared_amplitudes_of_the_normalized_states(
     for p in points:
         for record in classify_spectrum(p):
             photon, phonon = np.square(np.abs(record.state.amps[1:]))
-            assert abs(b_occupation(p, record.energy, normalized=True) - photon) <= 1e-13
-            assert abs(c_occupation(p, record.energy, normalized=True) - phonon) <= 1e-13
+            b, c = b_occupation(p, record.energy), c_occupation(p, record.energy)
+            assert abs(b / (1.0 + b + c) - photon) <= 1e-13
+            assert abs(c / (1.0 + b + c) - phonon) <= 1e-13

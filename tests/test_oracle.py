@@ -25,10 +25,9 @@ from darktrio import (
 )
 
 from darktrio import model, oracle, threemode, twomode
-from darktrio.model import _Batch
 from darktrio.oracle import _REASONS, _crosscheck
 
-from _generators import random_hermitian, stack, valid_batch, valid_params
+from _generators import random_hermitian, stack, valid_batch, valid_params, weak_coupling_batch
 
 FIXTURE = ModelParams(1.0, 1.0, 1.0, 0.2, 0.05, 0.1)
 FIXTURE_LEVELS = (0.7930295020247184, 0.9607532983742692, 1.2462171996010124)
@@ -487,15 +486,7 @@ def test_crosscheck_raises_only_for_the_dense_solver_at_weak_couplings():
     # weak couplings put dressed levels within 1e-10 of a quasimode energy,
     # where |d1| at a correct level can exceed 1e-6; the report's rows judge
     # such levels, and no point is refused
-    rng = np.random.default_rng(1010)
-    n = 2_000
-
-    def magnitude(size):
-        return np.exp(rng.uniform(np.log(1e-9), np.log(2.0), size))
-
-    omega_a, omega_b, omega_c = rng.uniform(0.5, 2.0, (3, n))
-    lam, xi = magnitude((2, n)) * rng.choice((-1.0, 1.0), (2, n))
-    batch = _Batch(omega_a, omega_b, omega_c, lam + 0j, xi + 0j, magnitude(n) + 0j)
+    batch = weak_coupling_batch()
     for kind in AtomKind:
         checks = _crosscheck(batch, kind, Tolerances())
         assert checks.status.ok.all(), [

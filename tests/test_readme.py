@@ -43,7 +43,25 @@ def test_api_list_matches_the_package():
     public = {name for name in dir(darktrio) if not name.startswith("_")} - {"cli"}
     assert len(listed) == len(set(listed))
     assert set(listed) == public
+    stated = re.search(r"binds these (\d+) public names", _section("Public API")).group(1)
+    assert int(stated) == len(public)
 
+
+
+def test_known_defects_table_lists_every_logged_defect():
+    # every FOUND: and MENDED: line of CHANGES.md, once, marked mended exactly when
+    # it is MENDED:; each test the table names is in tests/test_defects.py
+    changes = README.with_name("CHANGES.md").read_text().splitlines()
+    table = _section("Tests and acceptance suite").split("\n### Known defects\n", 1)[1]
+    rows = [row.split("|")[1:-1] for row in table.splitlines() if re.match(r"\| \d", row)]
+    listed = [(int(n), status.strip().startswith("mended"))
+              for lines, _, status in rows for n in lines.split(",")]
+    assert sorted(listed) == [(n, line.startswith("MENDED:"))
+                              for n, line in enumerate(changes, 1)
+                              if line.startswith(("FOUND:", "MENDED:"))]
+    defects = (README.parent / "tests" / "test_defects.py").read_text()
+    for name in re.findall(r"`(test_\w+)`", table):
+        assert f"\ndef {name}(" in defects, name
 
 if __name__ == "__main__":
     import darktrio
