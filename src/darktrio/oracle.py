@@ -192,7 +192,7 @@ _CHECKS = (
     ("pole-identity", "a1", 0, 2), ("cross-product-identity", "a2", 0, 2),
     ("eps1-positive", None, 0, 0),
     ("dressed-levels", "e_match", 3, 3), ("level-trace", "trace", 0, 1),
-    ("cubic-roots", "root", 0, 3), ("v-unitarity", "v_unitarity", 0, 1),
+    ("cubic-roots", "root", 0, 3), ("v-unitarity", "v_unitarity", 0, 9),
     ("v-diagonalization", "v_diag", 3, 9), ("column-orthogonality-rule", "b1", 0, 3),
     ("normalizers", "n_norm", 0, 3), ("eigenvector-match", "eigvec", 0, 3),
     ("eigenstate-residuals", "eigenstate", 0, 3), ("interlacing", None, 0, 0),
@@ -296,7 +296,8 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances, sectors=(2,)) -> _Ch
         # the sector checks' skip reason: they need every standing assumption
         sector = (np.where((margins > 0.0).all(axis=1), dressed, _NOT_SATISFIED)
                   if kind is AtomKind.OSCILLATOR else np.full(n, _NOT_OSCILLATOR))
-        e, v = spectrum.e, spectrum.v
+        e, r, n_norm = spectrum.e, spectrum.r, spectrum.n_norm
+        v = threemode._unitary(gamma, r, n_norm)
         # the dense references: the one-excitation matrices only where the spectrum is checked
         bare = _sector_matrices(p, AtomKind.TWO_LEVEL, 1)
         quasi = threemode._quasi_matrices(wa, eps, gamma)
@@ -316,9 +317,9 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances, sectors=(2,)) -> _Ch
         scales[:, 3] = bare_scale = _norm(bare.reshape(n, 9), 1)
         scales[:, 1::2] = np.maximum(1.0, scales[:, 2:])
         u_h, v_h = u.conj().swapaxes(1, 2), v.conj().swapaxes(1, 2)
-        gsq, r = two.gamma_sq, spectrum.r
+        gsq = two.gamma_sq
         g1, g2, e1, e2 = gsq[:, :1], gsq[:, 1:], eps[:, :1], eps[:, 1:]
-        bare_freqs, n_norm, total = np.array([wb, wc]).T, spectrum.n_norm, (wa + wb + wc)[:, None]
+        bare_freqs, total = np.array([wb, wc]).T, (wa + wb + wc)[:, None]
         # E - eps per level and quasimode, (n, 3, 2)
         gaps = r.swapaxes(1, 2)
         # the sum rule over the level pairs (0, 1), (0, 2), (1, 2): its terms are symmetric
@@ -346,7 +347,7 @@ def _crosscheck(p: _Batch, kind: AtomKind, tol: Tolerances, sectors=(2,)) -> _Ch
             (np.add.reduce(e, axis=1, keepdims=True) - total) / total,
             threemode._phi(e, wa[:, None], r[:, 0], r[:, 1], g1, g2)
             / np.maximum(1.0, np.float_power(np.abs(e), 3.0)),
-            spectrum.residual[:, None],
+            (np.matmul(v_h, v) - _EYE3).reshape(n, 9),
             (np.matmul(np.matmul(v_h, quasi), v) - e[:, :, None] * _EYE3).reshape(n, 9),
             1.0 + (q[:, :, 0] + q[:, :, 1]),
             (n_norm - 1.0 / _norm(raw, 2)) / n_norm,

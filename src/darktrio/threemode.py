@@ -24,6 +24,9 @@ columns
 
     v[:, j] = N_j * (Gamma_1/(E_j - eps_1), Gamma_2/(E_j - eps_2), 1).
 
+Its Gram matrix V'V is real in closed form, so the solve checks V'V - I elementwise
+and forms the complex ``v`` only where it is read (:func:`_unitary`).
+
 Rotated back by the photon-phonon unitary ``u``, the unnormalized column
 gives the eigenvector in the bare (atom, photon, phonon) basis with atom
 amplitude 1: ``(1, u @ (Gamma / (E_j - eps)))``.  With ``kappa = 0`` the
@@ -59,18 +62,17 @@ from .model import (
     _batch_of,
     _Batch,
     _eigensolve,
-    _max_abs,
 )
 from .twomode import TwoModeSpectrum, _two_mode, _TwoModeBatch
 
 __all__ = ["ThreeModeSpectrum", "phi", "three_mode_spectrum"]
 
-_EYE3 = np.eye(3)
+_EYE3 = np.eye(3)[:, :, None]  # the identity, with a trailing point axis
 #: the angle offsets of the cubic's roots in ascending order
 _THIRDS = np.array([-4.0, -2.0, 0.0]) * np.pi / 3.0
-#: per quasimode energy eps_nu (row) and level E_j (column), the sign of E_j - eps_nu
-#: in the chain E_1 < eps_1 < E_2 < eps_2 < E_3
-_SIDES = np.array([[-1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]])
+#: per quasimode energy eps_nu (axis 0) and level E_j (axis 1), the sign of E_j - eps_nu
+#: in the chain E_1 < eps_1 < E_2 < eps_2 < E_3; axis 2 is the points'
+_SIDES = np.array([[-1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]])[:, :, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,16 +95,14 @@ class ThreeModeSpectrum:
 
 
 class _ThreeModeBatch(NamedTuple):
-    """:class:`ThreeModeSpectrum` of every point of a batch: ``e`` and ``n_norm`` (n, 3),
-    ``v`` (n, 3, 3), ``residual`` (n,) the max-norm of ``V'V - I``, ``r`` (n, 2, 3) the
-    offsets ``r[:, nu, j] = E_j - eps_nu`` (their one statement), ``two``.  Rows of points
-    that failed (``status``) hold no solution: a point that failed before the solve is not
-    solved."""
+    """:class:`ThreeModeSpectrum` of every point of a batch but the unitary: ``e`` and
+    ``n_norm`` (n, 3), ``r`` (n, 2, 3) the offsets ``r[:, nu, j] = E_j - eps_nu`` (their
+    one statement), ``two``.  :func:`_unitary` forms ``v`` from them where it is read.
+    Rows of points that failed (``status``) hold no solution: a point that failed before
+    the solve is not solved."""
 
     e: np.ndarray
     n_norm: np.ndarray
-    v: np.ndarray
-    residual: np.ndarray
     r: np.ndarray
     two: _TwoModeBatch
     status: _Status
@@ -112,7 +112,8 @@ class _ThreeModeBatch(NamedTuple):
         self.status.check(i)
         return ThreeModeSpectrum(e=tuple(self.e[i].tolist()),
                                  n_norm=tuple(self.n_norm[i].tolist()),
-                                 v=self.v[i].copy(), two=self.two.point(i))
+                                 v=_unitary(self.two.gamma[i], self.r[i], self.n_norm[i]),
+                                 two=self.two.point(i))
 
 
 def _quasi_matrices(omega_a, eps, gamma) -> np.ndarray:
@@ -124,11 +125,31 @@ def _quasi_matrices(omega_a, eps, gamma) -> np.ndarray:
     return h
 
 
+def _unitary(gamma, r, n_norm) -> np.ndarray:
+    """The diagonalizing unitary ``v`` (..., 3, 3), column j ``N_j * (Gamma_1/(E_j - eps_1),
+    Gamma_2/(E_j - eps_2), 1)``, from the couplings ``gamma`` (..., 2), the offsets ``r``
+    (..., 2, 3) and the normalizers ``n_norm`` (..., 3); leading axes are batch axes."""
+    quasi = n_norm[..., None, :] * gamma[..., :, None] / r
+    return np.concatenate([quasi, n_norm[..., None, :]], axis=-2)
+
+
+def _norms_and_residual(gaps, gsq):
+    """The normalizers (3, n) and the max-norm of ``V'V - I`` (n,), from the offsets
+    ``gaps[nu, j] = E_j - eps_nu`` (2, 3, n) and ``gsq = |Gamma_nu|^2`` (2, n), point axis
+    last: ``(V'V)_jk = N_j N_k (1 + sum_nu |Gamma_nu|^2 / ((E_j - eps_nu)(E_k - eps_nu)))``,
+    real, whose diagonal before the normalizers is ``d1'(E_j)``."""
+    terms = gsq[:, None, None] / (gaps[:, :, None] * gaps[:, None])
+    gram = 1.0 + terms[0] + terms[1]
+    norms = 1.0 / np.sqrt(gram.diagonal(0, 0, 1).T)
+    return norms, np.maximum.reduce(np.abs(norms[:, None] * norms * gram - _EYE3), axis=(0, 1))
+
+
 def _pole_margin(r) -> np.ndarray:
     """Least step of the chain ``E_1 < eps_1 < E_2 < eps_2 < E_3`` per point, from the
     offsets ``r`` (n, 2, 3), ``r[:, nu, j] = E_j - eps_nu``, each signed by the side of
-    ``eps_nu`` that ``E_j`` lies on (``_SIDES``): positive exactly where the chain holds."""
-    return np.minimum.reduce(r * _SIDES, axis=(1, 2))
+    ``eps_nu`` that ``E_j`` lies on (``_SIDES``): positive exactly where the chain holds.
+    The signed offsets are laid out point axis last, so the reduce runs down whole rows."""
+    return np.minimum.reduce(np.multiply(r.transpose(1, 2, 0), _SIDES, order="C"), axis=(0, 1))
 
 
 def _interlacing_margin(e, r) -> np.ndarray:
@@ -169,15 +190,8 @@ def _d1_and_slope(x, omega_a, poles, gsq):
     of length 2.  ``x`` must not be a quasimode energy.
     """
     r = x - poles
-    q = gsq / r
-    return x - omega_a - q[0] - q[1], _slope(r, gsq)
-
-
-def _slope(r, gsq):
-    """``d1'(x)`` from the distances ``r = x - eps_j`` to the poles, stacked as in
-    :func:`_d1_and_slope`."""
-    s = gsq / (r * r)
-    return 1.0 + s[0] + s[1]
+    q, s = gsq / r, gsq / (r * r)
+    return x - omega_a - q[0] - q[1], 1.0 + s[0] + s[1]
 
 
 def _bare_vectors(u, gamma, r) -> np.ndarray:
@@ -235,8 +249,8 @@ def _dressed(p: _Batch, two: _TwoModeBatch) -> _ThreeModeBatch:
     starts (:func:`_pole_margin`) is not above 1e-8 times the diagonal's
     magnitude, or whose ``||H||`` reaches 1e100, at LAPACK's eigenvalue of the point's
     quasimode-basis matrix; then it takes two Newton steps on d1.  ``||H||`` for the
-    finiteness and level-gap checks is formed from ``omega_a``, ``eps`` and ``|Gamma|^2``:
-    the main path builds no matrix.
+    finiteness and level-gap checks is formed from ``omega_a``, ``eps`` and ``|Gamma|^2``,
+    and ``V'V - I`` from its closed form: the main path builds no matrix.
     """
     n = len(p)
     status = _Status(n)
@@ -302,17 +316,12 @@ def _dressed(p: _Batch, two: _TwoModeBatch) -> _ThreeModeBatch:
                 f"energy {tuple(two.eps[i].tolist())}"
             ))
 
-        gaps = levels - poles
-        r = gaps.swapaxes(0, 1)
-        n_norm = 1.0 / np.sqrt(_slope(gaps, gsq))
-        # rows (quasimode 1, quasimode 2): N_j * Gamma / (E_j - eps), shape (n, 2, 3)
-        v = np.empty((n, 3, 3), dtype=complex)
-        v[:, :2, :] = n_norm[:, None, :] * two.gamma[:, :, None] / r
-        v[:, 2, :] = n_norm
-
-        residual = _max_abs(np.matmul(v.conj().swapaxes(1, 2), v) - _EYE3)
+        # E_j - eps_nu laid out (nu, j, point), as _norms_and_residual takes them
+        gaps = np.subtract(levels.T, entries[:2, None], order="C")
+        r = gaps.transpose(2, 0, 1)
+        norms, residual = _norms_and_residual(gaps, entries[3:])
     status.fail(residual > 1e-8, lambda i: DegenerateSpectrum(
         f"closed-form unitary failed its sanity bound (residual {residual[i]:.3e}); "
         "the spectrum is too ill-conditioned for the closed forms"
     ))
-    return _ThreeModeBatch(levels, n_norm, v, residual, r, two, status)
+    return _ThreeModeBatch(levels, norms.T, r, two, status)

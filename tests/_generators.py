@@ -7,10 +7,16 @@ quasimode poles.  All randomness flows through the caller's generator, so
 tests stay deterministic.  ``valid_batch`` draws a whole batch of the
 kernels' struct-of-arrays form at once, and ``stack`` builds one from a
 list of points.  ``weak_coupling_batch`` is the exception: it draws
-couplings down to 1e-9 and keeps every point, ill-conditioned or failing.
-``rwa_block_matrix`` writes down the photon-phonon block that the dense
-references diagonalize.
+couplings down to 1e-9 and keeps every point, ill-conditioned or failing;
+``golden_batch`` and ``scan_band`` read fixed points from the golden configs
+and the benchmark's scan grid.  ``rwa_block_matrix`` writes down the
+photon-phonon block that the dense references diagonalize.
 """
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -22,10 +28,12 @@ from darktrio import (
     two_mode_spectrum,
     validate,
 )
+from darktrio import cli
 from darktrio.model import _assumption_margins, _Batch
 from darktrio.twomode import _two_mode
 
 BATCH_FIELDS = ("omega_a", "omega_b", "omega_c", "lam", "xi", "kappa")
+TESTS = Path(__file__).resolve().parent
 
 
 def rwa_block_matrix(params):
@@ -136,6 +144,22 @@ def weak_coupling_batch():
     lam = magnitude() * rng.choice((-1.0, 1.0), n)
     xi = magnitude() * rng.choice((-1.0, 1.0), n)
     return _Batch(omega_a, omega_b, omega_c, lam + 0j, xi + 0j, magnitude() + 0j)
+
+
+def golden_batch():
+    """Every golden config's points, as one batch."""
+    grids = [cli._grid(cli.parse_config(json.loads(path.read_text())))
+             for path in sorted((TESTS / "golden").glob("*.config.json"))]
+    return _Batch(*(np.concatenate([getattr(g, name) for g in grids]) for name in BATCH_FIELDS))
+
+
+def scan_band(seed: int, band: int):
+    """Band ``band`` of the benchmark's scan grid for ``seed`` (``benchmarks/workloads.py``)."""
+    path = TESTS.parent / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_benchmark_workloads", path)
+    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)
+    return cli._grid(cli.parse_config(workloads.scan_config(seed, band)))
 
 
 def stack(points):

@@ -7,44 +7,23 @@ band of the benchmark's scan grid and on the weak-coupling sample.  The sample's
 statuses are pinned too, and so are the golden configs' under scaling.
 """
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from darktrio import ModelParams, cli, threemode, twomode
+from darktrio import ModelParams, threemode, twomode
 from darktrio.errors import _STATUS_ERRORS
 from darktrio.model import _Batch
 
 from _exact import certified, charpoly
-from _generators import BATCH_FIELDS, weak_coupling_batch
-
-TESTS = Path(__file__).resolve().parent
+from _generators import BATCH_FIELDS, TESTS, golden_batch, scan_band, weak_coupling_batch
 
 #: the certificate's half-width, in ulps of max |E|: the least integer above the worst
 #: case of levels started from LAPACK's eigenvalues of the quasimode-basis matrix and
 #: refined by two Newton steps, 2.13 (a weak-coupling level E = -0.7057; 0.94 on the
 #: golden configs, 0.68 on the band).  From the trigonometric start: 1.84, 0.94 and 0.71
 K = 3
-
-
-def _scan_band(seed: int, band: int):
-    """Band ``band`` of the benchmark's scan grid for ``seed`` (``benchmarks/workloads.py``)."""
-    path = TESTS.parent / "benchmarks" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_benchmark_workloads", path)
-    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
-    spec.loader.exec_module(workloads)
-    return cli._grid(cli.parse_config(workloads.scan_config(seed, band)))
-
-
-def _golden():
-    """Every golden config's points, as one batch."""
-    grids = [cli._grid(cli.parse_config(json.loads(path.read_text())))
-             for path in sorted((TESTS / "golden").glob("*.config.json"))]
-    return _Batch(*(np.concatenate([getattr(g, name) for g in grids]) for name in BATCH_FIELDS))
 
 
 def _scaled(p: _Batch, k: int) -> _Batch:
@@ -58,9 +37,9 @@ def _scaled(p: _Batch, k: int) -> _Batch:
 SCALES = (330, 415, 500)
 
 SAMPLES = {
-    "golden": _golden,
-    **{f"golden times 2**{k}": lambda k=k: _scaled(_golden(), k) for k in SCALES},
-    "scan-grid seed 1 band 3": lambda: _scan_band(1, 3),
+    "golden": golden_batch,
+    **{f"golden times 2**{k}": lambda k=k: _scaled(golden_batch(), k) for k in SCALES},
+    "scan-grid seed 1 band 3": lambda: scan_band(1, 3),
     "weak coupling": weak_coupling_batch,
 }
 
@@ -92,7 +71,7 @@ def test_scaling_every_parameter_by_a_power_of_two_keeps_each_status():
     """Every power of two from 2**300 up to 2**510, past which ``||H||`` of some golden
     configs overflows.  On the way the cubes in the trigonometric start overflow, each
     config at its own power, and its points must not keep a start that came out wrong."""
-    p = _golden()
+    p = golden_batch()
     two = twomode._two_mode(p)
     code = threemode._dressed(p, two).status.code
     moved = []

@@ -17,14 +17,28 @@ from darktrio import (
     phi,
     sector_matrix,
     three_mode_spectrum,
+    threemode,
     two_mode_spectrum,
     validate,
 )
-from darktrio.model import _batch_of
-from darktrio.threemode import _d1_and_slope, _quasi_matrices
+from darktrio.model import _batch_of, _Batch, _max_abs
+from darktrio.threemode import (
+    _d1_and_slope,
+    _dressed,
+    _norms_and_residual,
+    _quasi_matrices,
+    _unitary,
+)
 from darktrio.twomode import _two_mode
 
-from _generators import resonant_real_params, valid_params
+from _generators import (
+    BATCH_FIELDS,
+    golden_batch,
+    resonant_real_params,
+    scan_band,
+    valid_params,
+    weak_coupling_batch,
+)
 
 FIXTURE = ModelParams(1.0, 1.0, 1.0, 0.2, 0.05, 0.1)
 # frozen 50-digit roots of the cleared cubic for FIXTURE
@@ -295,3 +309,46 @@ def test_the_norm_check_is_the_quasimode_matrix_norm(coupling, refused):
                 three_mode_spectrum(params)
         else:
             assert np.isfinite(three_mode_spectrum(params).e).all()
+
+
+#: the largest difference allowed between ``_dressed``'s closed-form ``V'V - I`` bound
+#: and ``max |V'V - I|`` of the formed unitary, about 4.5 ulps of 1; the largest read is
+#: 4.4e-16, on the golden configs, and 3.8e-16 on the weak-coupling sample
+UNITARY_CHECK_ATOL = 1e-15
+UNITARY_SAMPLES = {
+    "golden": golden_batch,
+    "scan-grid seed 1 band 3": lambda: scan_band(1, 3),
+    "weak coupling": weak_coupling_batch,
+}
+
+
+@pytest.mark.parametrize("sample", sorted(UNITARY_SAMPLES))
+def test_the_closed_form_unitary_check_matches_the_formed_unitary(monkeypatch, sample):
+    p = UNITARY_SAMPLES[sample]()
+    checked = []
+
+    def record(gaps, gsq):
+        checked.append(_norms_and_residual(gaps, gsq))
+        return checked[-1]
+
+    monkeypatch.setattr(threemode, "_norms_and_residual", record)
+    spectrum = _dressed(p, _two_mode(p))
+    monkeypatch.undo()
+    assert len(checked) == 1
+    status = spectrum.status
+    refused = np.array([bool(code) and str(status.error(i)).startswith("closed-form unitary")
+                        for i, code in enumerate(status.code.tolist())])
+    with np.errstate(all="ignore"):
+        v = _unitary(spectrum.two.gamma, spectrum.r, spectrum.n_norm)
+        formed = _max_abs(np.matmul(v.conj().swapaxes(1, 2), v) - np.eye(3))
+    # every point the check reaches: it passed, or the check refused it
+    reached = status.ok | refused
+    assert np.abs(checked[0][1] - formed)[reached].max() <= UNITARY_CHECK_ATOL
+    assert np.array_equal(formed[reached] > 1e-8, refused[reached])
+    if sample == "weak coupling":
+        assert np.count_nonzero(refused) == 84
+    for i in np.flatnonzero(refused).tolist():
+        alone = _Batch(*(getattr(p, name)[i:i + 1] for name in BATCH_FIELDS))
+        single = _dressed(alone, _two_mode(alone)).status
+        assert single.code[0] == status.code[i]
+        assert str(single.error(0)) == str(status.error(i))
