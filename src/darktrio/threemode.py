@@ -320,7 +320,7 @@ def _dressed(p: _Batch, two: _TwoModeBatch) -> _ThreeModeBatch:
         gaps = np.subtract(levels.T, entries[:2, None], order="C")
         r = gaps.transpose(2, 0, 1)
         norms, residual = _norms_and_residual(gaps, entries[3:])
-    status.fail(residual > 1e-8, lambda i: DegenerateSpectrum(
+    status.fail(~(residual <= 1e-8), lambda i: DegenerateSpectrum(  # NaN fails as well
         f"closed-form unitary failed its sanity bound (residual {residual[i]:.3e}); "
         "the spectrum is too ill-conditioned for the closed forms"
     ))

@@ -117,11 +117,11 @@ def _kernels():
 #: the operations each kernel runs on ``POINT`` as a batch of one, at most
 BOUNDS = {
     "_two_mode": 72,
-    "_dressed": 181,
+    "_dressed": 182,
     "_classified": 126,
-    "_duality": 389,
-    "_crosscheck two-level": 716,
-    "_crosscheck oscillator": 821,
+    "_duality": 390,
+    "_crosscheck two-level": 717,
+    "_crosscheck oscillator": 822,
 }
 
 

@@ -36,6 +36,7 @@ from _generators import (
     golden_batch,
     resonant_real_params,
     scan_band,
+    stack,
     valid_params,
     weak_coupling_batch,
 )
@@ -315,8 +316,19 @@ def test_the_norm_check_is_the_quasimode_matrix_norm(coupling, refused):
 #: and ``max |V'V - I|`` of the formed unitary, about 4.5 ulps of 1; the largest read is
 #: 4.4e-16, on the golden configs, and 3.8e-16 on the weak-coupling sample
 UNITARY_CHECK_ATOL = 1e-15
+#: points at which the closed form is not a number, all refused.  At the first two a level
+#: lies within 1e-160 of its pole: ``|Gamma|^2 / (E - eps)^2`` overflows, the normalizer is
+#: 0, and ``N^2 * inf`` is NaN where the formed unitary's column is 0.  At the last two a
+#: Newton step leaves a level NaN, and the formed unitary is NaN too.
+NOT_A_NUMBER = [
+    ModelParams(2e-37, 2e-61, 2e-178, 0.1, 7e-12, 0.0),
+    ModelParams(3e-156, 2e-58, 2e-243, 3.0, 6e-09, 0.0),
+    ModelParams(1e-42, 2e-10, 2e-299, 9e16, 6e6, 0.0),
+    ModelParams(5e90, 1e-273, 1e-37, 3e18, 2e13, 0.0),
+]
 UNITARY_SAMPLES = {
     "golden": golden_batch,
+    "not a number": lambda: stack(NOT_A_NUMBER),
     "scan-grid seed 1 band 3": lambda: scan_band(1, 3),
     "weak coupling": weak_coupling_batch,
 }
@@ -343,12 +355,25 @@ def test_the_closed_form_unitary_check_matches_the_formed_unitary(monkeypatch, s
         formed = _max_abs(np.matmul(v.conj().swapaxes(1, 2), v) - np.eye(3))
     # every point the check reaches: it passed, or the check refused it
     reached = status.ok | refused
-    assert np.abs(checked[0][1] - formed)[reached].max() <= UNITARY_CHECK_ATOL
-    assert np.array_equal(formed[reached] > 1e-8, refused[reached])
+    residual = checked[0][1]
+    close = np.abs(residual - formed) <= UNITARY_CHECK_ATOL
+    assert (close | np.isnan(residual) & refused)[reached].all()
+    assert np.array_equal(~(formed[reached] <= 1e-8), refused[reached])
     if sample == "weak coupling":
         assert np.count_nonzero(refused) == 84
+    if sample == "not a number":
+        assert np.isnan(residual).all() and refused.all()
     for i in np.flatnonzero(refused).tolist():
         alone = _Batch(*(getattr(p, name)[i:i + 1] for name in BATCH_FIELDS))
         single = _dressed(alone, _two_mode(alone)).status
         assert single.code[0] == status.code[i]
         assert str(single.error(0)) == str(status.error(i))
+
+
+@pytest.mark.parametrize("params", NOT_A_NUMBER, ids=range(len(NOT_A_NUMBER)))
+def test_a_point_whose_unitary_check_is_not_a_number_is_refused(params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateSpectrum, match=r"^closed-form unitary failed its sanity "
+                                                     r"bound \(residual nan\)"):
+            three_mode_spectrum(params)
